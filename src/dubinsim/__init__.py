@@ -9,11 +9,9 @@ from .errors import (ConfigError, ControllerFault, DegeneratePathError,
                      StateIntegrityError)
 from .harness import (emit, emit_csv, emit_summary, emit_sweep,
                       place_crossing_obstacle, run_scenario, run_sweep)
-from .heol import (EstimatorWindow, HeolController, HeolGains, estimate_F,
-                   heol_step)
-from .mfpc import (BoundarySolution, MfpcController, MfpcParams,
-                   UltraLocalAxis, estimate_F_ul, mfpc_axis_step, mfpc_step,
-                   solve_two_point)
+from .heol import HeolConfig, HeolController, heol_step
+from .mfpc import (BoundarySolution, MfpcConfig, MfpcController, UltraLocalAxis,
+                   mfpc_axis_step, mfpc_step, solve_two_point)
 from .model import (ControlInput, NoiseModel, PerturbationSchedule,
                     VehicleState, aux_to_true, measure, step_plant,
                     true_to_aux)

@@ -15,13 +15,13 @@ the danger circle; "left" is the clockwise wrap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleBypassError
 from .model import VehicleState
-from .reference import ReferenceTrajectory, SyncEvent
+from .reference import ReferenceTrajectory, reindex_tail
 
 TWO_PI = 2.0 * math.pi
 
@@ -280,28 +280,12 @@ def splice(traj: ReferenceTrajectory, plan: BypassPlan) -> ReferenceTrajectory:
     offset is recorded as a post-bypass sync event.  Both junctions are
     position-continuous by construction.
     """
-    dt = traj.dt
-    n = traj.n
     i_start = traj.index_of(plan.t_start)
-    m = len(plan.x)
-    i_end = i_start + m - 1
-    if i_end > n - 1:
+    i_end = i_start + len(plan.x) - 1
+    if i_end > traj.n - 1:
         raise InfeasibleBypassError("bypass extends past the end of the trajectory")
-    x, y = traj.x.copy(), traj.y.copy()
-    dx_, dy_ = traj.dx.copy(), traj.dy.copy()
-    x[i_start:i_end + 1] = plan.x
-    y[i_start:i_end + 1] = plan.y
-    dx_[i_start:i_end + 1] = plan.dx
-    dy_[i_start:i_end + 1] = plan.dy
-    shift = int(round(plan.tau_tail / dt))
-    if i_end + 1 <= n - 1:
-        src = np.arange(i_end + 1, n) + shift
-        clipped = (src < 0) | (src > n - 1)
-        src = np.clip(src, 0, n - 1)
-        x[i_end + 1:] = traj.x[src]
-        y[i_end + 1:] = traj.y[src]
-        dx_[i_end + 1:] = np.where(clipped, 0.0, traj.dx[src])
-        dy_[i_end + 1:] = np.where(clipped, 0.0, traj.dy[src])
-    event = SyncEvent(t_event=plan.t_end, tau=shift * dt, reason="post_bypass")
-    return replace(traj, x=x, y=y, dx=dx_, dy=dy_,
-                   sync_events=traj.sync_events + (event,))
+    samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
+    for arr, bypass in zip(samples, (plan.x, plan.y, plan.dx, plan.dy)):
+        arr[i_start:i_end + 1] = bypass
+    return reindex_tail(traj, samples, i_end + 1, int(round(plan.tau_tail / traj.dt)),
+                        plan.t_end, "post_bypass")

@@ -20,7 +20,7 @@ import sys
 
 from .errors import ConfigError, DubinsimError
 from .harness import emit, emit_sweep, run_scenario, run_sweep
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, json_safe
 
 _RANDOMIZE_CHOICES = ("obstacles", "noise", "perturbation")
 
@@ -97,9 +97,9 @@ def _cmd_compare(args) -> int:
                 and math.isfinite(va) and math.isfinite(vb):
             deltas[key] = vb - va
     doc = {
-        "a": {"name": cfg_a.name, "metrics": _finite_only(res_a.metrics),
+        "a": {"name": cfg_a.name, "metrics": json_safe(res_a.metrics),
               "aborted": res_a.aborted},
-        "b": {"name": cfg_b.name, "metrics": _finite_only(res_b.metrics),
+        "b": {"name": cfg_b.name, "metrics": json_safe(res_b.metrics),
               "aborted": res_b.aborted},
         "delta_b_minus_a": deltas,
     }
@@ -113,18 +113,6 @@ def _cmd_compare(args) -> int:
     for key, dv in sorted(deltas.items()):
         print(f"  {key}: {dv:+.6g}")
     return 1 if (res_a.aborted or res_b.aborted) else 0
-
-
-def _finite_only(metrics: dict) -> dict:
-    out = {}
-    for k, v in metrics.items():
-        if isinstance(v, float):
-            out[k] = v if math.isfinite(v) else None
-        elif isinstance(v, list):
-            out[k] = [x if (isinstance(x, float) and math.isfinite(x)) else None for x in v]
-        else:
-            out[k] = v
-    return out
 
 
 def main(argv=None) -> int:

@@ -25,5 +25,5 @@ class DegeneratePathError(DubinsimError):
     """Reference path specification is degenerate (zero length, zero radius, ...)."""
 
 
-class ConfigError(DubinsimError):
+class ConfigError(DubinsimError, ValueError):
     """Scenario configuration failed validation."""

@@ -93,10 +93,3 @@ class FWindow:
         value = float(self._w_out @ outs + self._w_in @ ins)
         self.last_estimate = value
         return value
-
-    def reset(self) -> None:
-        self._out[:] = 0.0
-        self._in[:] = 0.0
-        self._next = 0
-        self._count = 0
-        self.last_estimate = 0.0

@@ -18,12 +18,12 @@ from . import avoidance
 from .avoidance import Obstacle
 from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
                      StateIntegrityError)
-from .heol import HeolController, HeolGains
-from .mfpc import MfpcController, MfpcParams
+from .heol import HeolController
+from .mfpc import MfpcController
 from .model import (STREAM_PLACEMENT, NoiseModel, PerturbationSchedule,
                     VehicleState, measure, step_plant, stream_rng)
 from .reference import apply_sync, build_reference, sync_offset
-from .scenario import ScenarioConfig, ScenarioResult, compute_metrics
+from .scenario import ScenarioConfig, ScenarioResult, compute_metrics, json_safe
 
 CSV_COLUMNS = ("t", "x", "y", "x_meas", "y_meas", "x_ref", "y_ref",
                "u1", "u2", "nu1", "nu2", "Fhat_x", "Fhat_y", "p")
@@ -35,13 +35,8 @@ MAX_REPLANS_PER_STEP = 8
 
 def _make_controller(cfg: ScenarioConfig):
     if cfg.controller == "heol":
-        h = cfg.heol
-        return HeolController(HeolGains(kx=h.kx, ky=h.ky, t_window=h.t_window), cfg.dt)
-    m = cfg.mfpc
-    return MfpcController(MfpcParams(alpha1=m.alpha1, alpha2=m.alpha2,
-                                     horizon=m.horizon, t_window=m.t_window,
-                                     u1_max=m.u1_max, u2_margin=m.u2_margin,
-                                     eval_at_next=m.eval_at_next), cfg.dt)
+        return HeolController(cfg.heol, cfg.dt)
+    return MfpcController(cfg.mfpc, cfg.dt)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -347,24 +342,12 @@ def emit_summary(result: ScenarioResult, path) -> None:
         "seed": result.config.seed,
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
-        "metrics": _json_safe(result.metrics),
-        "events": _json_safe(result.events),
+        "metrics": json_safe(result.metrics),
+        "events": json_safe(result.events),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def emit(result: ScenarioResult, out_dir, name: str | None = None) -> tuple[str, str]:
@@ -383,6 +366,6 @@ def emit_sweep(report: SweepReport, out_dir, name: str | None = None) -> str:
     stem = name or f"{report.base_name}_sweep"
     path = os.path.join(out_dir, f"{stem}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(_json_safe(report.to_dict()), f, indent=2, sort_keys=True)
+        json.dump(json_safe(report.to_dict()), f, indent=2, sort_keys=True)
         f.write("\n")
     return path

@@ -19,42 +19,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ControllerFault
+from .errors import ConfigError, ControllerFault
 from .estimation import FWindow
 from .model import ControlInput, aux_to_true
 from .reference import ReferenceTrajectory
 
 
 @dataclass(frozen=True)
-class HeolGains:
+class HeolConfig:
+    """Proportional gains per axis and the estimation window length (s)."""
+
     kx: float = 2.0
     ky: float = 2.0
     t_window: float = 0.3
 
     def __post_init__(self):
         if self.kx <= 0.0 or self.ky <= 0.0:
-            raise ValueError("proportional gains must be positive")
+            raise ConfigError("HEOL gains must be positive")
         if self.t_window <= 0.0:
-            raise ValueError("t_window must be positive")
-
-
-class EstimatorWindow(FWindow):
-    """Window of (flat-output error, auxiliary-control error) samples."""
-
-    def __init__(self, t_window: float, dt: float):
-        super().__init__(t_window, dt, input_gain=1.0)
-
-
-def estimate_F(window) -> float:
-    """Sliding-window drift estimate; 0 while the window is still warming up."""
-    return window.estimate()
+            raise ConfigError("HEOL t_window must be positive")
 
 
 def heol_step(meas: tuple[float, float], traj: ReferenceTrajectory, t: float,
-              gains: HeolGains, windows, prev_u2: float = 0.0) -> ControlInput:
+              gains: HeolConfig, windows, prev_u2: float = 0.0) -> ControlInput:
     """One closed-loop step: feedforward plus the iP correction.
 
-    ``windows`` is the (x-axis, y-axis) estimator pair.  The freshly computed
+    ``windows`` is the (x-axis, y-axis) pair of ``FWindow`` estimators over
+    (flat-output error, auxiliary-control error) samples.  The freshly computed
     (error, correction) samples are pushed after the output is formed, so the
     estimate never sees data from its own step.
     """
@@ -65,8 +56,8 @@ def heol_step(meas: tuple[float, float], traj: ReferenceTrajectory, t: float,
     x_ref, y_ref, dx_ref, dy_ref = traj.lookup(t)
     ex = xm - x_ref
     ey = ym - y_ref
-    fx = estimate_F(win_x)
-    fy = estimate_F(win_y)
+    fx = win_x.estimate()
+    fy = win_y.estimate()
     dnu1 = -(fx + gains.kx * ex)
     dnu2 = -(fy + gains.ky * ey)
     nu1 = dx_ref + dnu1
@@ -82,16 +73,16 @@ class HeolController:
 
     kind = "heol"
 
-    def __init__(self, gains: HeolGains, dt: float):
-        self.gains = gains
-        self.win_x = EstimatorWindow(gains.t_window, dt)
-        self.win_y = EstimatorWindow(gains.t_window, dt)
+    def __init__(self, config: HeolConfig, dt: float):
+        self.config = config
+        self.win_x = FWindow(config.t_window, dt)
+        self.win_y = FWindow(config.t_window, dt)
         self.prev_u2 = 0.0
         self.events: list = []
 
     def step(self, x_meas: float, y_meas: float, traj: ReferenceTrajectory,
              t: float) -> ControlInput:
-        ctrl = heol_step((x_meas, y_meas), traj, t, self.gains,
+        ctrl = heol_step((x_meas, y_meas), traj, t, self.config,
                          (self.win_x, self.win_y), prev_u2=self.prev_u2)
         self.prev_u2 = ctrl.u2
         return ctrl

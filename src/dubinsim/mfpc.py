@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ControllerFault, HorizonTooLongError
+from .errors import ConfigError, ControllerFault, HorizonTooLongError
 from .estimation import FWindow
 from .model import ControlInput
 from .reference import ReferenceTrajectory
@@ -90,11 +90,6 @@ class UltraLocalAxis:
         self.last_clamped = False
 
 
-def estimate_F_ul(window) -> float:
-    """Data-driven drift estimate for the ultra-local model (0 during warm-up)."""
-    return window.estimate()
-
-
 def mfpc_axis_step(axis: UltraLocalAxis, y_meas: float, y_setpoint: float,
                    t_k: float, t_f: float) -> float:
     """One receding-horizon step for a single axis; returns the applied input.
@@ -102,7 +97,7 @@ def mfpc_axis_step(axis: UltraLocalAxis, y_meas: float, y_setpoint: float,
     The horizon is shrunk if the exponent guard would trip.  The input pushed
     into the estimation window is the clamped value actually applied.
     """
-    axis.f_est = estimate_F_ul(axis.window)
+    axis.f_est = axis.window.estimate()
     rate = abs(axis.alpha)
     if rate * (t_f - t_k) > MAX_EXP_ARG:
         t_f = t_k + MAX_EXP_ARG / rate
@@ -141,20 +136,27 @@ def mfpc_step(meas: tuple[float, float], traj: ReferenceTrajectory, t: float,
 
 
 @dataclass(frozen=True)
-class MfpcParams:
+class MfpcConfig:
+    """Ultra-local scaling per axis, receding horizon and estimation window
+    (s), speed ceiling, and the heading clamp's distance from pi/2."""
+
     alpha1: float = 1.0
     alpha2: float = 1.5
     horizon: float = 0.3
-    t_window: float = 0.3
+    t_window: float = 0.7
     u1_max: float = 5.0
     u2_margin: float = 0.01
     eval_at_next: bool = False
 
     def __post_init__(self):
+        if self.alpha1 == 0.0 or self.alpha2 == 0.0:
+            raise ConfigError("MFPC alphas must be nonzero")
         if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+            raise ConfigError("MFPC horizon must be positive")
+        if self.t_window <= 0.0:
+            raise ConfigError("MFPC t_window must be positive")
         if not 0.0 < self.u2_margin < math.pi / 2:
-            raise ValueError("u2_margin must lie in (0, pi/2)")
+            raise ConfigError("MFPC u2_margin must lie in (0, pi/2)")
 
 
 class MfpcController:
@@ -162,16 +164,16 @@ class MfpcController:
 
     kind = "mfpc"
 
-    def __init__(self, params: MfpcParams, dt: float):
-        self.params = params
-        u2_lim = math.pi / 2 - params.u2_margin
-        self.axis_x = UltraLocalAxis(params.alpha1, params.t_window, dt,
-                                     u_min=0.0, u_max=params.u1_max,
-                                     eval_at_next=params.eval_at_next)
-        self.axis_y = UltraLocalAxis(params.alpha2, params.t_window, dt,
+    def __init__(self, config: MfpcConfig, dt: float):
+        self.config = config
+        u2_lim = math.pi / 2 - config.u2_margin
+        self.axis_x = UltraLocalAxis(config.alpha1, config.t_window, dt,
+                                     u_min=0.0, u_max=config.u1_max,
+                                     eval_at_next=config.eval_at_next)
+        self.axis_y = UltraLocalAxis(config.alpha2, config.t_window, dt,
                                      u_min=-u2_lim, u_max=u2_lim,
-                                     eval_at_next=params.eval_at_next)
-        self.horizon = params.horizon
+                                     eval_at_next=config.eval_at_next)
+        self.horizon = config.horizon
         self.events: list = []
         self._in_episode = {"u1": False, "u2": False}
 

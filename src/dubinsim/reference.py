@@ -75,7 +75,6 @@ class ReferenceTrajectory:
     y: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    segments: object = None
     sync_events: tuple = ()
 
     def __post_init__(self):
@@ -286,7 +285,7 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
     return ReferenceTrajectory(t0=0.0, dt=dt, x=np.asarray(xs, dtype=float),
                                y=np.asarray(ys, dtype=float),
                                dx=np.asarray(dxs, dtype=float),
-                               dy=np.asarray(dys, dtype=float), segments=spec)
+                               dy=np.asarray(dys, dtype=float))
 
 
 def path_spec_from_dict(d: dict):
@@ -335,16 +334,15 @@ def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,
     return float(ks[int(np.argmin(d2))] * traj.dt)
 
 
-def apply_sync(traj: ReferenceTrajectory, tau: float, t_event: float,
-               reason: str = "startup") -> ReferenceTrajectory:
-    """Re-index the trajectory: lookups at/after t_event read the original at
-    t + tau.  Samples shifted past either end clamp there with zero derivative
-    (the path parks rather than extrapolating)."""
-    shift = int(round(tau / traj.dt))
+def reindex_tail(traj: ReferenceTrajectory, samples, i0: int, shift: int,
+                 t_event: float, reason: str) -> ReferenceTrajectory:
+    """Revised trajectory from ``samples``, fresh (x, y, dx, dy) arrays the
+    caller owns: entries from index i0 on are overwritten with traj's samples
+    ``shift`` steps later, and the offset is recorded as a SyncEvent.  Samples
+    shifted past either end clamp there with zero derivative (the path parks
+    rather than extrapolating)."""
     n = traj.n
-    i0 = max(0, int(math.ceil((t_event - traj.t0) / traj.dt - 1e-9)))
-    x, y = traj.x.copy(), traj.y.copy()
-    dx_, dy_ = traj.dx.copy(), traj.dy.copy()
+    x, y, dx_, dy_ = samples
     src = np.arange(i0, n) + shift
     clipped = (src < 0) | (src > n - 1)
     src = np.clip(src, 0, n - 1)
@@ -355,3 +353,12 @@ def apply_sync(traj: ReferenceTrajectory, tau: float, t_event: float,
     event = SyncEvent(t_event=t_event, tau=shift * traj.dt, reason=reason)
     return replace(traj, x=x, y=y, dx=dx_, dy=dy_,
                    sync_events=traj.sync_events + (event,))
+
+
+def apply_sync(traj: ReferenceTrajectory, tau: float, t_event: float,
+               reason: str = "startup") -> ReferenceTrajectory:
+    """Re-index the trajectory: lookups at/after t_event read the original at
+    t + tau."""
+    i0 = max(0, int(math.ceil((t_event - traj.t0) / traj.dt - 1e-9)))
+    samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
+    return reindex_tail(traj, samples, i0, int(round(tau / traj.dt)), t_event, reason)

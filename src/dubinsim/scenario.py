@@ -11,12 +11,16 @@ sigma = 0.1 m and piecewise-constant perturbations drawn uniformly from
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .avoidance import Obstacle
 from .errors import ConfigError, DegeneratePathError
+from .estimation import window_capacity
+from .heol import HeolConfig
+from .mfpc import MfpcConfig
 from .reference import PATH_KINDS, path_spec_from_dict
 
 CONFIG_VERSION = 1
@@ -36,24 +40,6 @@ class PerturbationConfig:
     switch_interval: float = 2.0
     low: float = -0.5
     high: float = 0.5
-
-
-@dataclass(frozen=True)
-class HeolConfig:
-    kx: float = 2.0
-    ky: float = 2.0
-    t_window: float = 0.3
-
-
-@dataclass(frozen=True)
-class MfpcConfig:
-    alpha1: float = 1.0
-    alpha2: float = 1.5
-    horizon: float = 0.3
-    t_window: float = 0.7
-    u1_max: float = 5.0
-    u2_margin: float = 0.01
-    eval_at_next: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,8 +97,12 @@ class ScenarioConfig:
             raise ConfigError("perturbation range must satisfy -0.5 <= low <= high <= 0.5")
         if p.switch_interval <= 0.0:
             raise ConfigError("perturbation switch_interval must be positive")
-        if self.heol.kx <= 0.0 or self.heol.ky <= 0.0:
-            raise ConfigError("HEOL gains must be positive")
+        # Only the active controller's window is built, so only it has to
+        # fit the sample grid.
+        try:
+            window_capacity(getattr(self, self.controller).t_window, self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"{self.controller}: {exc}") from exc
         if self.sync.tau_max <= 0.0:
             raise ConfigError("tau_max must be positive")
         for ob in self.obstacles:
@@ -139,7 +129,7 @@ class ScenarioConfig:
             "duration": self.duration,
             "seed": self.seed,
             "controller": self.controller,
-            "path": _jsonable(self.path),
+            "path": json_safe(self.path),
             "start": list(self.start) if self.start is not None else None,
             "obstacles": [asdict(ob) for ob in self.obstacles],
             "noise": asdict(self.noise),
@@ -209,17 +199,18 @@ class ScenarioConfig:
             f.write("\n")
 
 
-def _jsonable(obj):
+def json_safe(obj):
+    """Copy of obj that json.dump writes as standard JSON: tuples become
+    lists, numpy scalars Python numbers, and non-finite floats null."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     return obj
-
-
-def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    """dataclasses.replace with validation re-run."""
-    return replace(cfg, **kwargs)
 
 
 @dataclass

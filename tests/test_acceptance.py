@@ -13,8 +13,7 @@ import pytest
 
 from dubinsim.estimation import FWindow
 from dubinsim.harness import emit_csv, run_scenario, run_sweep
-from dubinsim.heol import EstimatorWindow, estimate_F
-from dubinsim.mfpc import estimate_F_ul, solve_two_point
+from dubinsim.mfpc import solve_two_point
 from dubinsim.presets import (TRACKING_PATHS, nominal_tracking,
                               robustness_scenario, safety_scenario,
                               startup_offset_scenario)
@@ -72,15 +71,15 @@ def test_criterion_2_estimator_exactness():
     worst = 0.0
     for f in (1.0, -2.0, 0.25, 50.0):
         for u0 in (0.0, 0.8, -1.3):
-            w = EstimatorWindow(t_window, DT)
+            w = FWindow(t_window, DT)
             for k in range(n):
                 w.push((f + u0) * k * DT, u0)
-            worst = max(worst, abs(estimate_F(w) - f) / max(abs(f), 1e-12))
+            worst = max(worst, abs(w.estimate() - f) / max(abs(f), 1e-12))
             for alpha in (0.7, 1.5):
                 wu = FWindow(t_window, DT, input_gain=alpha)
                 for k in range(n):
                     wu.push((f + alpha * u0) * k * DT, u0)
-                worst = max(worst, abs(estimate_F_ul(wu) - f) / max(abs(f), 1e-12))
+                worst = max(worst, abs(wu.estimate() - f) / max(abs(f), 1e-12))
     assert worst <= 1e-4
     print(f"PASS criterion 2: both estimators recover ramp F within rel "
           f"{worst:.2e} (<= 1e-4)")

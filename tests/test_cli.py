@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
@@ -73,6 +75,22 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("controller,block", [
+    ("mfpc", {"horizon": 0}),
+    ("mfpc", {"alpha1": 0}),
+    ("mfpc", {"t_window": 0.305}),   # not a multiple of dt
+    ("heol", {"t_window": 0.03}),    # fewer than 5 window samples
+], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window"])
+def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, controller, block):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "controller": controller, controller: block}))
+    args = ["--runs", "2"] if command == "sweep" else []
+    assert main([command, "--config", str(path), "--out", str(tmp_path)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_aborted_run_exit_code(tmp_path):

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from dubinsim.estimation import FWindow, product_weights, window_capacity
-from dubinsim.heol import EstimatorWindow, estimate_F
-from dubinsim.mfpc import UltraLocalAxis, estimate_F_ul
+from dubinsim.mfpc import UltraLocalAxis
 
 DT = 0.01
 T = 0.3
@@ -46,50 +45,50 @@ def test_product_weights_integrate_constant_kernel():
 
 
 def test_warmup_returns_zero():
-    w = EstimatorWindow(T, DT)
-    assert estimate_F(w) == 0.0
+    w = FWindow(T, DT)
+    assert w.estimate() == 0.0
     fill(w, ramp(30, 5.0), np.zeros(30))  # one short of full
     assert not w.full
-    assert estimate_F(w) == 0.0
+    assert w.estimate() == 0.0
     w.push(ramp(31, 5.0)[-1], 0.0)
     assert w.full
-    assert estimate_F(w) != 0.0
+    assert w.estimate() != 0.0
 
 
 def test_zero_window_estimates_zero():
-    w = fill(EstimatorWindow(T, DT), np.zeros(31), np.zeros(31))
-    assert estimate_F(w) == 0.0
+    w = fill(FWindow(T, DT), np.zeros(31), np.zeros(31))
+    assert w.estimate() == 0.0
 
 
 def test_constant_output_estimates_zero():
     # int (T - 2s) ds = 0, so any constant cancels
-    w = fill(EstimatorWindow(T, DT), np.full(31, 3.7), np.zeros(31))
-    assert abs(estimate_F(w)) < 1e-12
+    w = fill(FWindow(T, DT), np.full(31, 3.7), np.zeros(31))
+    assert abs(w.estimate()) < 1e-12
 
 
 @pytest.mark.parametrize("slope", [1.0, -2.5, 0.3, 100.0])
 def test_ramp_recovers_slope(slope):
-    w = fill(EstimatorWindow(T, DT), ramp(31, slope, offset=2.0), np.zeros(31))
-    assert estimate_F(w) == pytest.approx(slope, rel=1e-6)
+    w = fill(FWindow(T, DT), ramp(31, slope, offset=2.0), np.zeros(31))
+    assert w.estimate() == pytest.approx(slope, rel=1e-6)
 
 
 @pytest.mark.parametrize("f,u0", [(1.7, 0.8), (-0.4, -1.2), (0.0, 2.0)])
 def test_heol_window_input_kernel_cancels_known_input(f, u0):
     # homeostat data: d(out)/dt = F + in, so out is a ramp of slope F + u0
-    w = fill(EstimatorWindow(T, DT), ramp(31, f + u0), np.full(31, u0))
-    assert estimate_F(w) == pytest.approx(f, abs=1e-9)
+    w = fill(FWindow(T, DT), ramp(31, f + u0), np.full(31, u0))
+    assert w.estimate() == pytest.approx(f, abs=1e-9)
 
 
 @pytest.mark.parametrize("f,u0,alpha", [(1.7, 0.8, 2.5), (-0.6, 1.1, 1.5), (0.9, -0.7, 0.3)])
 def test_ultra_local_window_scales_input_by_alpha(f, u0, alpha):
     w = fill(FWindow(T, DT, input_gain=alpha), ramp(31, f + alpha * u0), np.full(31, u0))
-    assert estimate_F_ul(w) == pytest.approx(f, abs=1e-9)
+    assert w.estimate() == pytest.approx(f, abs=1e-9)
 
 
 def test_ultra_local_axis_window_uses_its_alpha():
     axis = UltraLocalAxis(alpha=2.0, t_window=T, dt=DT)
     fill(axis.window, ramp(31, 1.0 + 2.0 * 0.5), np.full(31, 0.5))
-    assert estimate_F_ul(axis.window) == pytest.approx(1.0, abs=1e-9)
+    assert axis.window.estimate() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_estimate_is_linear_in_the_samples():
@@ -97,17 +96,17 @@ def test_estimate_is_linear_in_the_samples():
     o1, i1 = rng.normal(size=31), rng.normal(size=31)
     o2, i2 = rng.normal(size=31), rng.normal(size=31)
     a, b = 1.7, -0.9
-    e1 = estimate_F(fill(EstimatorWindow(T, DT), o1, i1))
-    e2 = estimate_F(fill(EstimatorWindow(T, DT), o2, i2))
-    e12 = estimate_F(fill(EstimatorWindow(T, DT), a * o1 + b * o2, a * i1 + b * i2))
+    e1 = fill(FWindow(T, DT), o1, i1).estimate()
+    e2 = fill(FWindow(T, DT), o2, i2).estimate()
+    e12 = fill(FWindow(T, DT), a * o1 + b * o2, a * i1 + b * i2).estimate()
     assert e12 == pytest.approx(a * e1 + b * e2, abs=1e-9)
 
 
 def test_ring_keeps_most_recent_samples():
-    w = EstimatorWindow(T, DT)
+    w = FWindow(T, DT)
     fill(w, np.zeros(10), np.zeros(10))       # garbage that must age out
     fill(w, ramp(31, 2.0), np.zeros(31))
-    assert estimate_F(w) == pytest.approx(2.0, rel=1e-6)
+    assert w.estimate() == pytest.approx(2.0, rel=1e-6)
 
 
 def test_closed_loop_identity_under_euler_data():
@@ -119,5 +118,5 @@ def test_closed_loop_identity_under_euler_data():
     outs = np.zeros(31)
     for k in range(30):
         outs[k + 1] = outs[k] + DT * (F + ins[k])
-    w = fill(EstimatorWindow(T, DT), outs, ins)
-    assert estimate_F(w) == pytest.approx(F, abs=0.05)
+    w = fill(FWindow(T, DT), outs, ins)
+    assert w.estimate() == pytest.approx(F, abs=0.05)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dubinsim.errors import ControllerFault
-from dubinsim.heol import (EstimatorWindow, HeolController, HeolGains,
-                           heol_step)
+from dubinsim.estimation import FWindow
+from dubinsim.heol import HeolConfig, HeolController, heol_step
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
                                 build_reference, flat_feedforward)
 
@@ -18,21 +18,21 @@ def stationary_traj(n=401):
 
 
 def fresh_windows():
-    return EstimatorWindow(0.3, DT), EstimatorWindow(0.3, DT)
+    return FWindow(0.3, DT), FWindow(0.3, DT)
 
 
 def test_gains_must_be_positive():
     with pytest.raises(ValueError):
-        HeolGains(kx=0.0)
+        HeolConfig(kx=0.0)
     with pytest.raises(ValueError):
-        HeolGains(ky=-1.0)
+        HeolConfig(ky=-1.0)
 
 
 def test_on_reference_reduces_to_feedforward():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     t = 3.0
     x_ref, y_ref, _, _ = traj.lookup(t)
-    ctrl = heol_step((x_ref, y_ref), traj, t, HeolGains(), fresh_windows())
+    ctrl = heol_step((x_ref, y_ref), traj, t, HeolConfig(), fresh_windows())
     ff = flat_feedforward(traj, t)
     assert ctrl.u1 == pytest.approx(ff.u1, abs=1e-12)
     assert ctrl.u2 == pytest.approx(ff.u2, abs=1e-12)
@@ -42,20 +42,20 @@ def test_on_reference_reduces_to_feedforward():
 def test_ip_law_arithmetic():
     # dx_err = 0.1, F_hat = 0 (warm-up), Kx = 2 -> dnu1 = -0.2
     traj = stationary_traj()
-    ctrl = heol_step((0.1, 0.0), traj, 0.0, HeolGains(kx=2.0, ky=2.0), fresh_windows())
+    ctrl = heol_step((0.1, 0.0), traj, 0.0, HeolConfig(kx=2.0, ky=2.0), fresh_windows())
     assert ctrl.nu1 == pytest.approx(-0.2, abs=1e-12)
     assert ctrl.nu2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_non_finite_measurement_faults():
     with pytest.raises(ControllerFault):
-        heol_step((float("nan"), 0.0), stationary_traj(), 0.0, HeolGains(), fresh_windows())
+        heol_step((float("nan"), 0.0), stationary_traj(), 0.0, HeolConfig(), fresh_windows())
 
 
 def test_step_pushes_samples_after_output():
     wx, wy = fresh_windows()
     traj = stationary_traj()
-    heol_step((0.5, -0.25), traj, 0.0, HeolGains(kx=2.0, ky=2.0), (wx, wy))
+    heol_step((0.5, -0.25), traj, 0.0, HeolConfig(kx=2.0, ky=2.0), (wx, wy))
     outs, ins = wx.chronological()
     assert outs[-1] == 0.5
     assert ins[-1] == pytest.approx(-1.0)  # -(0 + 2*0.5)
@@ -69,7 +69,7 @@ def test_constant_disturbance_absorbed_by_estimate():
     # must drive F_hat to the disturbance and the error into a small band
     # (band reached a fraction of a second after the 3-window mark).
     traj = stationary_traj()
-    gains = HeolGains(kx=2.0, ky=2.0, t_window=0.3)
+    gains = HeolConfig(kx=2.0, ky=2.0, t_window=0.3)
     windows = fresh_windows()
     F = 0.3
     y = 0.0
@@ -106,7 +106,7 @@ class _ConstEstimate:
 def test_contraction_with_exact_estimates(k):
     # with F_hat = F the discrete loop contracts the error by (1 - K dt)
     traj = stationary_traj()
-    gains = HeolGains(kx=k, ky=k)
+    gains = HeolConfig(kx=k, ky=k)
     F = 0.7
     windows = (_ConstEstimate(F), _ConstEstimate(F))
     x = 1.0
@@ -117,7 +117,7 @@ def test_contraction_with_exact_estimates(k):
         x = x_next
 
 
-def closed_loop(spec, gains=HeolGains(), duration=20.0):
+def closed_loop(spec, gains=HeolConfig(), duration=20.0):
     traj = build_reference(spec, DT, duration)
     ctl = HeolController(gains, DT)
     from dubinsim.model import VehicleState, step_plant
@@ -151,7 +151,7 @@ def test_output_continuity_on_nominal_run():
 
 def test_controller_wrapper_tracks_heading_and_estimates():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
-    ctl = HeolController(HeolGains(), DT)
+    ctl = HeolController(HeolConfig(), DT)
     c = ctl.step(*traj.position(0.0), traj, 0.0)
     assert ctl.prev_u2 == c.u2
     assert ctl.last_fhat == (0.0, 0.0)  # warm-up

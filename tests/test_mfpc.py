@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dubinsim.errors import ControllerFault, HorizonTooLongError
-from dubinsim.mfpc import (MfpcController, MfpcParams, UltraLocalAxis,
+from dubinsim.mfpc import (MfpcConfig, MfpcController, UltraLocalAxis,
                            mfpc_axis_step, mfpc_step, solve_two_point)
 from dubinsim.reference import PolylinePath, ReferenceTrajectory, build_reference
 
@@ -155,7 +155,7 @@ def test_receding_horizon_consistency_on_exact_model():
 
 
 def test_mimo_step_stationary_at_rest():
-    params = MfpcParams()
+    params = MfpcConfig(t_window=0.3)
     ctl = MfpcController(params, DT)
     c = mfpc_step((0.0, 0.0), stationary_traj(), 0.0, (ctl.axis_x, ctl.axis_y),
                   params.horizon)
@@ -165,7 +165,7 @@ def test_mimo_step_stationary_at_rest():
 
 
 def test_mimo_step_clamps_heading_and_logs_episode():
-    ctl = MfpcController(MfpcParams(), DT)
+    ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
     c = ctl.step(0.0, -3.0, traj, 0.0)  # huge lateral error -> raw u2 >> pi/2
     assert ctl.axis_y.last_raw_u > math.pi / 2
@@ -177,7 +177,7 @@ def test_mimo_step_clamps_heading_and_logs_episode():
 
 
 def test_mimo_step_faults_on_non_finite():
-    ctl = MfpcController(MfpcParams(), DT)
+    ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     with pytest.raises(ControllerFault):
         mfpc_step((float("inf"), 0.0), stationary_traj(), 0.0,
                   (ctl.axis_x, ctl.axis_y), 0.3)
@@ -185,7 +185,7 @@ def test_mimo_step_faults_on_non_finite():
 
 def test_u1_never_negative():
     # vehicle ahead of a stationary target: the speed demand clamps at zero
-    ctl = MfpcController(MfpcParams(), DT)
+    ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     c = ctl.step(5.0, 0.0, stationary_traj(), 0.0)
     assert c.u1 == 0.0
 
@@ -194,7 +194,7 @@ def test_line_tracking_settles_near_unit_speed():
     from dubinsim.model import VehicleState, step_plant
     traj = build_reference(PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1.0),
                            DT, 20.0)
-    ctl = MfpcController(MfpcParams(), DT)
+    ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     s = VehicleState(0.0, 0.0, 0.0)
     u1s, u2s = [], []
     for k in range(2001):
