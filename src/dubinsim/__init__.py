@@ -11,7 +11,7 @@ from .harness import (emit, emit_csv, emit_summary, emit_sweep,
                       place_crossing_obstacle, run_scenario, run_sweep)
 from .heol import HeolConfig, HeolController, heol_step
 from .mfpc import (BoundarySolution, MfpcConfig, MfpcController, UltraLocalAxis,
-                   mfpc_axis_step, mfpc_step, solve_two_point)
+                   mfpc_axis_step, solve_two_point)
 from .model import (ControlInput, NoiseModel, PerturbationSchedule,
                     VehicleState, aux_to_true, measure, step_plant,
                     true_to_aux)

@@ -21,9 +21,9 @@ class InfeasibleBypassError(DubinsimError):
     """No collision-free tangent-arc-tangent bypass could be constructed."""
 
 
-class DegeneratePathError(DubinsimError):
-    """Reference path specification is degenerate (zero length, zero radius, ...)."""
-
-
 class ConfigError(DubinsimError, ValueError):
     """Scenario configuration failed validation."""
+
+
+class DegeneratePathError(ConfigError):
+    """Reference path specification is degenerate (zero length, zero radius, ...)."""

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -25,8 +26,12 @@ from .model import (STREAM_PLACEMENT, NoiseModel, PerturbationSchedule,
 from .reference import apply_sync, build_reference, sync_offset
 from .scenario import ScenarioConfig, ScenarioResult, compute_metrics, json_safe
 
-CSV_COLUMNS = ("t", "x", "y", "x_meas", "y_meas", "x_ref", "y_ref",
-               "u1", "u2", "nu1", "nu2", "Fhat_x", "Fhat_y", "p")
+# Per-sample record of a run: ScenarioResult's series in CSV column order,
+# then the reference derivatives that only the metrics read.
+SERIES = ("t", "x", "y", "x_meas", "y_meas", "x_ref", "y_ref",
+          "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y", "p", "dx_ref", "dy_ref")
+_RESULT_SERIES = SERIES[:14]
+CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in _RESULT_SERIES)
 
 # Cap on replans within a single sample; more than this means the planner is
 # thrashing and the run is flagged instead of looping.
@@ -72,9 +77,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             traj = apply_sync(traj, tau, 0.0, "startup")
             events.append({"kind": "sync", "t": 0.0, "tau": tau, "reason": "startup"})
 
-    series = {key: np.full(n + 1, np.nan) for key in
-              ("t", "x", "y", "x_meas", "y_meas", "x_ref", "y_ref", "dx_ref",
-               "dy_ref", "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y", "p")}
+    table = np.full((len(SERIES), n + 1), np.nan)
 
     zones = {}          # obstacle index -> DangerZone, once discovered
     unchecked = set()   # zones needing a crossing scan against the active traj
@@ -157,45 +160,27 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
         x_ref, y_ref, dx_ref, dy_ref = traj.lookup(t)
         fx, fy = controller.last_fhat
-        row = series
-        row["t"][k] = t
-        row["x"][k] = state.x
-        row["y"][k] = state.y
-        row["x_meas"][k] = xm
-        row["y_meas"][k] = ym
-        row["x_ref"][k] = x_ref
-        row["y_ref"][k] = y_ref
-        row["dx_ref"][k] = dx_ref
-        row["dy_ref"][k] = dy_ref
-        row["u1"][k] = ctrl.u1
-        row["u2"][k] = ctrl.u2
-        if ctrl.nu1 is not None:
-            row["nu1"][k] = ctrl.nu1
-            row["nu2"][k] = ctrl.nu2
-        row["fhat_x"][k] = fx
-        row["fhat_y"][k] = fy
-        row["p"][k] = pert.at(t)
+        p = pert.at(t)
+        # an MFPC step has no auxiliary controls: None stores as NaN
+        table[:, k] = (t, state.x, state.y, xm, ym, x_ref, y_ref, ctrl.u1, ctrl.u2,
+                       ctrl.nu1, ctrl.nu2, fx, fy, p, dx_ref, dy_ref)
 
         if k < n:
             try:
-                state = step_plant(state, ctrl, p=pert.at(t), dt=dt)
+                state = step_plant(state, ctrl, p=p, dt=dt)
             except StateIntegrityError as exc:
                 aborted, abort_reason = True, f"state integrity: {exc}"
                 break
 
     events.extend(controller.events)
     events.sort(key=lambda e: (e["t"], e["kind"]))
+    series = dict(zip(SERIES, table))
     metrics = compute_metrics(cfg, series, events)
-    is_mfpc = cfg.controller == "mfpc"
-    return ScenarioResult(
-        config=cfg, t=series["t"], x=series["x"], y=series["y"],
-        x_meas=series["x_meas"], y_meas=series["y_meas"],
-        x_ref=series["x_ref"], y_ref=series["y_ref"],
-        u1=series["u1"], u2=series["u2"],
-        nu1=None if is_mfpc else series["nu1"],
-        nu2=None if is_mfpc else series["nu2"],
-        fhat_x=series["fhat_x"], fhat_y=series["fhat_y"], p=series["p"],
-        events=events, metrics=metrics, aborted=aborted, abort_reason=abort_reason)
+    if cfg.controller == "mfpc":
+        series.update(nu1=None, nu2=None)
+    return ScenarioResult(config=cfg, **{name: series[name] for name in _RESULT_SERIES},
+                          events=events, metrics=metrics, aborted=aborted,
+                          abort_reason=abort_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +218,7 @@ class SweepReport:
     per_run: list           # one metrics dict per run, in run order
 
     def to_dict(self) -> dict:
-        return {
-            "base_name": self.base_name,
-            "n_runs": self.n_runs,
-            "seeds": self.seeds,
-            "aborted_runs": self.aborted_runs,
-            "safety_violations": self.safety_violations,
-            "metrics_summary": self.metrics_summary,
-            "per_run": self.per_run,
-        }
+        return asdict(self)
 
 
 _SWEEP_METRICS = ("rms_tracking", "max_tracking", "total_path_length",
@@ -306,32 +283,20 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
 # Emission
 
 
-def _fmt(v) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return "nan"
-    return f"{v:.9g}"
-
-
 def emit_csv(result: ScenarioResult, path) -> None:
     """Write the run's time series; one row per sample, 9 significant digits.
 
     The auxiliary-control columns are left empty for controllers that do not
     populate them.
     """
+    # Rows stream straight off the arrays: formatting every cell up front
+    # would hold ~2 MB of strings per 2000-sample run.
+    columns = [repeat(None) if series is None else series
+               for series in (getattr(result, name) for name in _RESULT_SERIES)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        has_nu = result.nu1 is not None
-        for k in range(len(result.t)):
-            vals = [
-                _fmt(result.t[k]), _fmt(result.x[k]), _fmt(result.y[k]),
-                _fmt(result.x_meas[k]), _fmt(result.y_meas[k]),
-                _fmt(result.x_ref[k]), _fmt(result.y_ref[k]),
-                _fmt(result.u1[k]), _fmt(result.u2[k]),
-                _fmt(result.nu1[k]) if has_nu else "",
-                _fmt(result.nu2[k]) if has_nu else "",
-                _fmt(result.fhat_x[k]), _fmt(result.fhat_y[k]), _fmt(result.p[k]),
-            ]
-            f.write(",".join(vals) + "\n")
+        for row in zip(*columns):
+            f.write(",".join("" if v is None else f"{v:.9g}" for v in row) + "\n")
 
 
 def emit_summary(result: ScenarioResult, path) -> None:

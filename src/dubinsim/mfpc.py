@@ -119,22 +119,6 @@ def mfpc_axis_step(axis: UltraLocalAxis, y_meas: float, y_setpoint: float,
     return u
 
 
-def mfpc_step(meas: tuple[float, float], traj: ReferenceTrajectory, t: float,
-              axes: tuple[UltraLocalAxis, UltraLocalAxis],
-              horizon: float) -> ControlInput:
-    """Full MIMO step: x axis -> u1, y axis -> u2, setpoints read one horizon
-    ahead on the (possibly revised) reference."""
-    xm, ym = meas
-    if not (math.isfinite(xm) and math.isfinite(ym)):
-        raise ControllerFault(f"non-finite measurement ({xm}, {ym}) at t={t}")
-    axis_x, axis_y = axes
-    x_sp, y_sp = traj.position(t + horizon)
-    t_f = t + horizon
-    u1 = mfpc_axis_step(axis_x, xm, x_sp, t, t_f)
-    u2 = mfpc_axis_step(axis_y, ym, y_sp, t, t_f)
-    return ControlInput(u1=u1, u2=u2)
-
-
 @dataclass(frozen=True)
 class MfpcConfig:
     """Ultra-local scaling per axis, receding horizon and estimation window
@@ -179,8 +163,14 @@ class MfpcController:
 
     def step(self, x_meas: float, y_meas: float, traj: ReferenceTrajectory,
              t: float) -> ControlInput:
-        ctrl = mfpc_step((x_meas, y_meas), traj, t,
-                         (self.axis_x, self.axis_y), self.horizon)
+        """Full MIMO step: x axis -> u1, y axis -> u2, setpoints read one
+        horizon ahead on the (possibly revised) reference."""
+        if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
+            raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas}) at t={t}")
+        t_f = t + self.horizon
+        x_sp, y_sp = traj.position(t_f)
+        ctrl = ControlInput(u1=mfpc_axis_step(self.axis_x, x_meas, x_sp, t, t_f),
+                            u2=mfpc_axis_step(self.axis_y, y_meas, y_sp, t, t_f))
         for name, axis in (("u1", self.axis_x), ("u2", self.axis_y)):
             if axis.last_clamped and not self._in_episode[name]:
                 self.events.append({"kind": "clamp", "t": t, "input": name,

@@ -139,7 +139,6 @@ class PerturbationSchedule:
 
     switch_interval: float
     values: tuple
-    seed: int = 0
 
     def __post_init__(self):
         if self.switch_interval <= 0.0:
@@ -150,7 +149,7 @@ class PerturbationSchedule:
     @classmethod
     def zero(cls) -> "PerturbationSchedule":
         """Nominal plant: p identically zero."""
-        return cls(switch_interval=math.inf, values=(0.0,), seed=0)
+        return cls(switch_interval=math.inf, values=(0.0,))
 
     @classmethod
     def draw(cls, duration: float, switch_interval: float = 2.0, seed: int = 0,
@@ -161,7 +160,7 @@ class PerturbationSchedule:
         n = max(1, int(math.floor(duration / switch_interval + 1e-9)) + 1)
         rng = stream_rng(seed, STREAM_PERTURBATION)
         vals = tuple(float(v) for v in rng.uniform(low, high, size=n))
-        return cls(switch_interval=float(switch_interval), values=vals, seed=int(seed))
+        return cls(switch_interval=float(switch_interval), values=vals)
 
     def at(self, t: float) -> float:
         if t < 0.0:

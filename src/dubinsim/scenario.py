@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .avoidance import Obstacle
-from .errors import ConfigError, DegeneratePathError
+from .errors import ConfigError
 from .estimation import window_capacity
 from .heol import HeolConfig
-from .mfpc import MfpcConfig
+from .mfpc import MAX_EXP_ARG, MfpcConfig
 from .reference import PATH_KINDS, path_spec_from_dict
 
 CONFIG_VERSION = 1
@@ -56,6 +56,10 @@ class AvoidanceConfig:
     lead: float = 0.5
     speed_hint: float | None = None  # None: reference speed at the crossing
 
+    def __post_init__(self):
+        if self.margin <= 0.0:
+            raise ConfigError("avoidance margin must be positive")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -88,6 +92,8 @@ class ScenarioConfig:
             raise ConfigError(f"duration/dt = {steps} is not an integer")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
+        if not isinstance(self.path, dict):
+            raise ConfigError("path must be a JSON object")
         if self.path.get("kind") not in PATH_KINDS:
             raise ConfigError(f"unknown path kind {self.path.get('kind')!r}")
         if self.noise.sigma < 0.0:
@@ -103,46 +109,32 @@ class ScenarioConfig:
             window_capacity(getattr(self, self.controller).t_window, self.dt)
         except ValueError as exc:
             raise ConfigError(f"{self.controller}: {exc}") from exc
+        if self.controller == "mfpc":
+            m = self.mfpc
+            # the horizon the axes actually use once the exponent guard shrinks it
+            horizon = min(m.horizon, MAX_EXP_ARG / max(abs(m.alpha1), abs(m.alpha2)))
+            if horizon <= self.dt:
+                raise ConfigError(f"mfpc: effective horizon {horizon:.3g} s is not "
+                                  f"longer than dt = {self.dt} s")
         if self.sync.tau_max <= 0.0:
             raise ConfigError("tau_max must be positive")
-        for ob in self.obstacles:
-            if ob.r <= 0.0:
-                raise ConfigError("obstacle radius must be positive")
+        if self.start is not None and len(self.start) != 2:
+            raise ConfigError("start must be null or a pair of numbers")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
     def path_spec(self):
-        try:
-            return path_spec_from_dict(self.path)
-        except DegeneratePathError as exc:
-            raise ConfigError(str(exc)) from exc
+        return path_spec_from_dict(self.path)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {
-            "version": CONFIG_VERSION,
-            "name": self.name,
-            "dt": self.dt,
-            "duration": self.duration,
-            "seed": self.seed,
-            "controller": self.controller,
-            "path": json_safe(self.path),
-            "start": list(self.start) if self.start is not None else None,
-            "obstacles": [asdict(ob) for ob in self.obstacles],
-            "noise": asdict(self.noise),
-            "perturbation": asdict(self.perturbation),
-            "heol": asdict(self.heol),
-            "mfpc": asdict(self.mfpc),
-            "sync": asdict(self.sync),
-            "avoidance": asdict(self.avoidance),
-        }
-        if self.noise_seed is not None:
-            d["noise_seed"] = self.noise_seed
-        if self.perturbation_seed is not None:
-            d["perturbation_seed"] = self.perturbation_seed
+        d = {"version": CONFIG_VERSION, **asdict(self), "path": json_safe(self.path)}
+        for key in ("noise_seed", "perturbation_seed"):
+            if d[key] is None:
+                del d[key]
         return d
 
     @classmethod
@@ -152,35 +144,22 @@ class ScenarioConfig:
         version = d.get("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version}")
-        known = {"version", "name", "dt", "duration", "seed", "noise_seed",
-                 "perturbation_seed", "controller", "path", "start", "obstacles",
-                 "noise", "perturbation", "heol", "mfpc", "sync", "avoidance"}
-        unknown = set(d) - known
+        kwargs = {k: v for k, v in d.items() if k != "version"}
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            obstacles = tuple(Obstacle(**ob) for ob in d.get("obstacles", ()))
-            start = d.get("start")
-            return cls(
-                name=d.get("name", "scenario"),
-                dt=float(d.get("dt", 0.01)),
-                duration=float(d.get("duration", 20.0)),
-                seed=int(d.get("seed", 0)),
-                noise_seed=d.get("noise_seed"),
-                perturbation_seed=d.get("perturbation_seed"),
-                controller=d.get("controller", "heol"),
-                path=d.get("path", {"kind": "polyline",
-                                    "waypoints": ((0.0, 0.0), (25.0, 0.0)),
-                                    "speed": 1.0}),
-                start=tuple(float(v) for v in start) if start is not None else None,
-                obstacles=obstacles,
-                noise=NoiseConfig(**d.get("noise", {})),
-                perturbation=PerturbationConfig(**d.get("perturbation", {})),
-                heol=HeolConfig(**d.get("heol", {})),
-                mfpc=MfpcConfig(**d.get("mfpc", {})),
-                sync=SyncConfig(**d.get("sync", {})),
-                avoidance=AvoidanceConfig(**d.get("avoidance", {})),
-            )
+            if "obstacles" in kwargs:
+                kwargs["obstacles"] = tuple(Obstacle(**ob) for ob in kwargs["obstacles"])
+            if kwargs.get("start") is not None:
+                kwargs["start"] = tuple(float(v) for v in kwargs["start"])
+            for key, convert in (("dt", float), ("duration", float), ("seed", int)):
+                if key in kwargs:
+                    kwargs[key] = convert(kwargs[key])
+            for key, section in _SECTIONS.items():
+                if key in kwargs:
+                    kwargs[key] = section(**kwargs[key])
+            return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
 
@@ -197,6 +176,12 @@ class ScenarioConfig:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
+
+
+# The nested parameter blocks (noise, perturbation, heol, ...): the fields
+# whose default is itself a config dataclass.
+_SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig)
+             if is_dataclass(f.default)}
 
 
 def json_safe(obj):

@@ -78,15 +78,28 @@ def test_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("controller,block", [
-    ("mfpc", {"horizon": 0}),
-    ("mfpc", {"alpha1": 0}),
-    ("mfpc", {"t_window": 0.305}),   # not a multiple of dt
-    ("heol", {"t_window": 0.03}),    # fewer than 5 window samples
-], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window"])
-def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, controller, block):
+@pytest.mark.parametrize("doc", [
+    {"controller": "mfpc", "mfpc": {"horizon": 0}},
+    {"controller": "mfpc", "mfpc": {"alpha1": 0}},
+    {"controller": "mfpc", "mfpc": {"t_window": 0.305}},   # not a multiple of dt
+    {"controller": "heol", "heol": {"t_window": 0.03}},    # fewer than 5 window samples
+    {"avoidance": {"margin": 0}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
+    {"avoidance": {"margin": -0.5}},
+    {"path": None},
+    {"path": 5},
+    {"start": [1]},
+    {"start": [1, 2, 3]},
+    {"controller": "mfpc", "mfpc": {"horizon": 0.01}},     # no longer than dt
+    {"controller": "mfpc", "mfpc": {"alpha1": 10000}},     # guard shrinks it to 0.004 s
+    {"path": {"kind": "polyline", "waypoints": [[0, 0], [1, 0], [1, 5], [10, 5]],
+              "speed": 1.0, "fillet_radius": 2.0}},        # fillet does not fit leg 0
+], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
+        "margin-zero", "margin-negative", "path-null", "path-number",
+        "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
+        "fillet-too-big"])
+def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 1, "controller": controller, controller: block}))
+    path.write_text(json.dumps({"version": 1, **doc}))
     args = ["--runs", "2"] if command == "sweep" else []
     assert main([command, "--config", str(path), "--out", str(tmp_path)] + args) == 2
     err = capsys.readouterr().err
@@ -139,3 +152,18 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, nominal_tracking("heol", "line"))
     assert main(["run", "--config", path]) == 0
     assert (tmp_path / "envout" / "line-heol-nominal.csv").exists()
+
+
+def test_aborted_run_csv_ends_in_a_nan_row(tmp_path):
+    cfg = replace(nominal_tracking("heol", "line"), heol=HeolConfig(kx=1e6, ky=1e6))
+    result = run_scenario(cfg)
+    assert result.aborted
+    path = tmp_path / "aborted.csv"
+    emit_csv(result, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2002
+    assert lines[-1] == ",".join(["nan"] * len(CSV_COLUMNS))
+    # the abort happens mid-run; samples before it are finite
+    first_nan = next(k for k, line in enumerate(lines[1:]) if line.startswith("nan"))
+    assert 0.5 < first_nan * cfg.dt < 1.0
+    assert "nan" not in lines[1]

@@ -1,0 +1,93 @@
+"""Random valid configs survive the JSON round trip unchanged."""
+
+import math
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dubinsim.avoidance import Obstacle
+from dubinsim.scenario import (AvoidanceConfig, HeolConfig, MfpcConfig,
+                               NoiseConfig, PerturbationConfig, ScenarioConfig,
+                               SyncConfig)
+
+
+def reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def positive(hi):
+    return reals(1e-3, hi)
+
+
+seeds = st.integers(0, 2**32 - 1)
+point = st.tuples(reals(-50, 50), reals(-50, 50))
+
+paths = st.one_of(
+    st.builds(lambda pts, speed, fillet: {"kind": "polyline", "waypoints": pts,
+                                          "speed": speed, "fillet_radius": fillet},
+              st.lists(st.lists(reals(-50, 50), min_size=2, max_size=2),
+                       min_size=2, max_size=4),
+              positive(3), reals(0, 2)),
+    st.builds(lambda cx, cy, radius, omega: {"kind": "circle", "cx": cx, "cy": cy,
+                                             "radius": radius, "omega": omega},
+              reals(-20, 20), reals(-20, 20), positive(20), reals(-1, 1)),
+    st.builds(lambda a, wl, v: {"kind": "sinusoid", "amplitude": a,
+                                "wavelength": wl, "speed": v},
+              reals(-3, 3), positive(30), positive(3)),
+)
+
+obstacles = st.builds(Obstacle, cx=reals(-50, 50), cy=reals(-50, 50),
+                      r=positive(3), t_appear=reals(0, 20))
+
+perturbations = st.builds(
+    lambda enabled, interval, a, b: PerturbationConfig(
+        enabled=enabled, switch_interval=interval, low=min(a, b), high=max(a, b)),
+    st.booleans(), positive(5), reals(-0.5, 0.5), reals(-0.5, 0.5))
+
+
+@st.composite
+def configs(draw):
+    dt = draw(st.sampled_from((0.005, 0.01, 0.02, 0.05)))
+    steps = st.integers(4, 80)  # window lengths: whole multiples of dt, >= 5 samples
+    return ScenarioConfig(
+        name=draw(st.text(max_size=12)),
+        dt=dt,
+        duration=draw(st.integers(1, 30).map(float)),
+        seed=draw(seeds),
+        noise_seed=draw(st.none() | seeds),
+        perturbation_seed=draw(st.none() | seeds),
+        controller=draw(st.sampled_from(("heol", "mfpc"))),
+        path=draw(paths),
+        start=draw(st.none() | point),
+        obstacles=tuple(draw(st.lists(obstacles, max_size=3))),
+        noise=NoiseConfig(enabled=draw(st.booleans()), sigma=draw(reals(0, 1))),
+        perturbation=draw(perturbations),
+        heol=HeolConfig(kx=draw(positive(20)), ky=draw(positive(20)),
+                        t_window=draw(steps) * dt),
+        mfpc=MfpcConfig(alpha1=draw(reals(0.1, 10) | reals(-10, -0.1)),
+                        alpha2=draw(reals(0.1, 10) | reals(-10, -0.1)),
+                        horizon=draw(reals(0.1, 3)), t_window=draw(steps) * dt,
+                        u1_max=draw(positive(10)),
+                        u2_margin=draw(reals(1e-3, math.pi / 2 - 1e-3)),
+                        eval_at_next=draw(st.booleans())),
+        sync=SyncConfig(enabled=draw(st.booleans()), tau_max=draw(positive(10)),
+                        startup_threshold=draw(reals(0, 5))),
+        avoidance=AvoidanceConfig(margin=draw(positive(2)),
+                                  sensing_radius=draw(positive(20)),
+                                  lead=draw(reals(0, 2)),
+                                  speed_hint=draw(st.none() | positive(3))),
+    )
+
+
+@settings(derandomize=True, deadline=None)
+@given(configs())
+def test_config_round_trip_is_exact(cfg):
+    assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        cfg.save(first)
+        ScenarioConfig.from_file(first).save(second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()

@@ -5,7 +5,7 @@ import pytest
 
 from dubinsim.errors import ControllerFault, HorizonTooLongError
 from dubinsim.mfpc import (MfpcConfig, MfpcController, UltraLocalAxis,
-                           mfpc_axis_step, mfpc_step, solve_two_point)
+                           mfpc_axis_step, solve_two_point)
 from dubinsim.reference import PolylinePath, ReferenceTrajectory, build_reference
 
 DT = 0.01
@@ -157,8 +157,7 @@ def test_receding_horizon_consistency_on_exact_model():
 def test_mimo_step_stationary_at_rest():
     params = MfpcConfig(t_window=0.3)
     ctl = MfpcController(params, DT)
-    c = mfpc_step((0.0, 0.0), stationary_traj(), 0.0, (ctl.axis_x, ctl.axis_y),
-                  params.horizon)
+    c = ctl.step(0.0, 0.0, stationary_traj(), 0.0)
     assert c.u1 == 0.0
     assert c.u2 == 0.0
     assert c.nu1 is None and c.nu2 is None
@@ -179,8 +178,7 @@ def test_mimo_step_clamps_heading_and_logs_episode():
 def test_mimo_step_faults_on_non_finite():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     with pytest.raises(ControllerFault):
-        mfpc_step((float("inf"), 0.0), stationary_traj(), 0.0,
-                  (ctl.axis_x, ctl.axis_y), 0.3)
+        ctl.step(float("inf"), 0.0, stationary_traj(), 0.0)
 
 
 def test_u1_never_negative():
