@@ -48,6 +48,11 @@ def product_weights(kernel, n: int, dt: float) -> np.ndarray:
 class FWindow:
     """Ring buffer of (output, input) samples with the drift estimate above.
 
+    Each of the two sample buffers is doubled: ``push`` writes a sample at
+    slot ``i`` and again at ``i + capacity``, so the window oldest to newest
+    is always the contiguous slice ``[_next, _next + capacity)`` and the
+    estimate is two plain dot products, with no gather.
+
     Until the ring has filled once the estimate is defined to be 0 (warm-up);
     early partial-window estimates are badly biased and the feedforward
     dominates at startup anyway.
@@ -63,11 +68,10 @@ class FWindow:
         self._w_out = scale * product_weights(lambda s: T - 2.0 * s, self.capacity, dt)
         self._w_in = scale * self.input_gain * product_weights(
             lambda s: s * (T - s), self.capacity, dt)
-        self._out = np.zeros(self.capacity)
-        self._in = np.zeros(self.capacity)
+        self._out = np.zeros(2 * self.capacity)
+        self._in = np.zeros(2 * self.capacity)
         self._next = 0
         self._count = 0
-        self._order = np.arange(self.capacity)
         self.last_estimate = 0.0
 
     @property
@@ -75,21 +79,27 @@ class FWindow:
         return self._count >= self.capacity
 
     def push(self, out_sample: float, in_sample: float) -> None:
-        self._out[self._next] = out_sample
-        self._in[self._next] = in_sample
-        self._next = (self._next + 1) % self.capacity
+        i = self._next
+        j = i + self.capacity
+        self._out[i] = self._out[j] = out_sample
+        self._in[i] = self._in[j] = in_sample
+        self._next = i + 1 if i + 1 < self.capacity else 0
         self._count += 1
 
     def chronological(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stored samples ordered oldest to newest."""
-        order = (self._next + self._order) % self.capacity
-        return self._out[order], self._in[order]
+        """Stored samples ordered oldest to newest (copies)."""
+        i = self._next
+        j = i + self.capacity
+        return self._out[i:j].copy(), self._in[i:j].copy()
 
     def estimate(self) -> float:
-        if not self.full:
+        if self._count < self.capacity:
             self.last_estimate = 0.0
             return 0.0
-        outs, ins = self.chronological()
-        value = float(self._w_out @ outs + self._w_in @ ins)
+        i = self._next
+        j = i + self.capacity
+        # two dot products summed in this order: one interleaved dot product
+        # rounds differently in the last bits
+        value = float(self._w_out.dot(self._out[i:j]) + self._w_in.dot(self._in[i:j]))
         self.last_estimate = value
         return value

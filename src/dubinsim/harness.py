@@ -77,7 +77,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             traj = apply_sync(traj, tau, 0.0, "startup")
             events.append({"kind": "sync", "t": 0.0, "tau": tau, "reason": "startup"})
 
-    table = np.full((len(SERIES), n + 1), np.nan)
+    rows = np.full((n + 1, len(SERIES)), np.nan)
 
     zones = {}          # obstacle index -> DangerZone, once discovered
     unchecked = set()   # zones needing a crossing scan against the active traj
@@ -162,8 +162,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         fx, fy = controller.last_fhat
         p = pert.at(t)
         # an MFPC step has no auxiliary controls: None stores as NaN
-        table[:, k] = (t, state.x, state.y, xm, ym, x_ref, y_ref, ctrl.u1, ctrl.u2,
-                       ctrl.nu1, ctrl.nu2, fx, fy, p, dx_ref, dy_ref)
+        rows[k] = (t, state.x, state.y, xm, ym, x_ref, y_ref, ctrl.u1, ctrl.u2,
+                   ctrl.nu1, ctrl.nu2, fx, fy, p, dx_ref, dy_ref)
 
         if k < n:
             try:
@@ -174,7 +174,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     events.extend(controller.events)
     events.sort(key=lambda e: (e["t"], e["kind"]))
-    series = dict(zip(SERIES, table))
+    series = dict(zip(SERIES, rows.T))
     metrics = compute_metrics(cfg, series, events)
     if cfg.controller == "mfpc":
         series.update(nu1=None, nu2=None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, ControllerFault, HorizonTooLongError
 from .estimation import FWindow
@@ -28,8 +29,7 @@ from .reference import ReferenceTrajectory
 MAX_EXP_ARG = 40.0
 
 
-@dataclass(frozen=True)
-class BoundarySolution:
+class BoundarySolution(NamedTuple):
     """y*(t) = y_setpoint + c1*exp(rate*t) + c2*exp(-rate*t) on [t_i, t_f]."""
 
     c1: float
@@ -139,6 +139,8 @@ class MfpcConfig:
             raise ConfigError("MFPC horizon must be positive")
         if self.t_window <= 0.0:
             raise ConfigError("MFPC t_window must be positive")
+        if not self.u1_max > 0.0:
+            raise ConfigError("MFPC u1_max must be positive")
         if not 0.0 < self.u2_margin < math.pi / 2:
             raise ConfigError("MFPC u2_margin must lie in (0, pi/2)")
 

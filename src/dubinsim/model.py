@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,14 +33,16 @@ STREAM_NOISE_Y = 1
 STREAM_PERTURBATION = 2
 STREAM_PLACEMENT = 3
 
+# Normals drawn per stream at a time; a block equals that many single draws.
+NOISE_BLOCK = 512
+
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Generator for one named sub-stream of a master seed."""
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), int(stream)]))
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     """Planar pose sample of the rear-axle midpoint at time t."""
 
     t: float
@@ -47,8 +50,7 @@ class VehicleState:
     y: float
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     """True controls (u1, u2) plus optional auxiliary controls (nu1, nu2).
 
     The auxiliary fields are populated by the flatness stack only; the
@@ -87,17 +89,19 @@ def step_plant(state: VehicleState, control: ControlInput, p: float = 0.0,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not (math.isfinite(state.x) and math.isfinite(state.y)
-            and math.isfinite(control.u1) and math.isfinite(control.u2)
+    t, x, y = state
+    u1, u2 = control.u1, control.u2
+    if not (math.isfinite(x) and math.isfinite(y)
+            and math.isfinite(u1) and math.isfinite(u2)
             and math.isfinite(p)):
         raise StateIntegrityError(
-            f"non-finite plant input at t={state.t}: state=({state.x}, {state.y}), "
-            f"control=({control.u1}, {control.u2}), p={p}")
-    x = state.x + dt * control.u1 * math.cos(control.u2)
-    y = state.y + dt * control.u1 * (1.0 + p) * math.sin(control.u2)
+            f"non-finite plant input at t={t}: state=({x}, {y}), "
+            f"control=({u1}, {u2}), p={p}")
+    x = x + dt * u1 * math.cos(u2)
+    y = y + dt * u1 * (1.0 + p) * math.sin(u2)
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise StateIntegrityError(f"plant state diverged at t={state.t}")
-    return VehicleState(t=state.t + dt, x=x, y=y)
+        raise StateIntegrityError(f"plant state diverged at t={t}")
+    return VehicleState(t + dt, x, y)
 
 
 @dataclass
@@ -105,29 +109,41 @@ class NoiseModel:
     """Additive i.i.d. Gaussian measurement noise on x and y.
 
     Each axis draws from its own seeded stream so that measurement order
-    never couples the axes.  A disabled model returns the true state and
-    consumes no draws.
+    never couples the axes.  Normals are drawn NOISE_BLOCK at a time and
+    handed out in order, which gives the same sequence as drawing them one
+    by one.  A disabled model returns the true state and consumes no draws.
     """
 
     sigma: float = 0.1
     seed: int = 0
     enabled: bool = True
-    _rng_x: np.random.Generator = field(init=False, repr=False)
-    _rng_y: np.random.Generator = field(init=False, repr=False)
+    _draws: Iterator = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        self._rng_x = stream_rng(self.seed, STREAM_NOISE_X)
-        self._rng_y = stream_rng(self.seed, STREAM_NOISE_Y)
+        self._draws = _normal_pairs(stream_rng(self.seed, STREAM_NOISE_X),
+                                    stream_rng(self.seed, STREAM_NOISE_Y))
+
+
+def _normal_pairs(rng_x: np.random.Generator,
+                  rng_y: np.random.Generator) -> Iterator[tuple[float, float]]:
+    """(x, y) standard normal pairs; a block is drawn when the last runs out.
+
+    A plain function rather than a method: a generator holding the model
+    would make a reference cycle that only the cyclic collector frees.
+    """
+    while True:
+        yield from zip(rng_x.standard_normal(NOISE_BLOCK).tolist(),
+                       rng_y.standard_normal(NOISE_BLOCK).tolist())
 
 
 def measure(state: VehicleState, noise: NoiseModel) -> tuple[float, float]:
     """Measured (x, y): true position plus per-axis Gaussian noise."""
     if not noise.enabled:
         return state.x, state.y
-    return (state.x + noise.sigma * float(noise._rng_x.standard_normal()),
-            state.y + noise.sigma * float(noise._rng_y.standard_normal()))
+    nx, ny = next(noise._draws)
+    return state.x + noise.sigma * nx, state.y + noise.sigma * ny
 
 
 @dataclass(frozen=True)

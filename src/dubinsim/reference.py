@@ -206,18 +206,6 @@ def _piece_length(piece):
     return piece[2] * abs(piece[4])
 
 
-def _piece_point(piece, s):
-    """Point and unit tangent at arclength s into the piece."""
-    if piece[0] == "line":
-        _, (px, py), (dx_, dy_), _ = piece
-        return px + dx_ * s, py + dy_ * s, dx_, dy_
-    _, (cx, cy), r, a0, beta = piece
-    sign = 1.0 if beta > 0 else -1.0
-    a = a0 + sign * s / r
-    return (cx + r * math.cos(a), cy + r * math.sin(a),
-            -sign * math.sin(a), sign * math.cos(a))
-
-
 def _sample_polyline(spec: PolylinePath, dt: float):
     pieces = _polyline_pieces(spec)
     lengths = [_piece_length(p) for p in pieces]
@@ -226,28 +214,40 @@ def _sample_polyline(spec: PolylinePath, dt: float):
     n = int(math.floor(total / v / dt + 1e-9))
     if n < 1:
         raise DegeneratePathError("polyline shorter than one sample step")
+    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
+    s = np.minimum(np.arange(n + 1) * dt * v, total)
+    # A sample belongs to the first piece whose end it does not pass by more
+    # than 1e-12; s is sorted, so each piece owns one contiguous run.
+    piece_of = np.minimum(np.searchsorted(bounds[1:] + 1e-12, s), len(pieces) - 1)
+    edges = np.searchsorted(piece_of, np.arange(len(pieces) + 1))
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
     dxs = np.empty(n + 1)
     dys = np.empty(n + 1)
-    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
-    junctions = bounds[1:-1]
-    pi = 0
-    for k in range(n + 1):
-        s = min(k * dt * v, total)
-        while pi < len(pieces) - 1 and s > bounds[pi + 1] + 1e-12:
-            pi += 1
-        px, py, tx, ty = _piece_point(pieces[pi], s - bounds[pi])
-        xs[k], ys[k] = px, py
-        dxs[k], dys[k] = tx * v, ty * v
+    for piece, s0, a, b in zip(pieces, bounds, edges[:-1], edges[1:]):
+        sl = s[a:b] - s0   # arclength into the piece
+        if piece[0] == "line":
+            _, (px, py), (tx, ty), _ = piece
+            xs[a:b] = px + tx * sl
+            ys[a:b] = py + ty * sl
+            dxs[a:b] = tx * v
+            dys[a:b] = ty * v
+        else:
+            _, (cx, cy), r, a0, beta = piece
+            sign = 1.0 if beta > 0 else -1.0
+            ang = a0 + sign * sl / r
+            cos_a, sin_a = np.cos(ang), np.sin(ang)
+            xs[a:b] = cx + r * cos_a
+            ys[a:b] = cy + r * sin_a
+            dxs[a:b] = -sign * sin_a * v
+            dys[a:b] = sign * cos_a * v
     # Near piece junctions the analytic tangent has a curvature kink; store the
     # central difference there instead so the table stays self-consistent.
-    for sj in junctions:
-        k = int(round(sj / (v * dt)))
-        for kk in (k - 1, k, k + 1):
-            if 1 <= kk <= n - 1:
-                dxs[kk] = (xs[kk + 1] - xs[kk - 1]) / (2.0 * dt)
-                dys[kk] = (ys[kk + 1] - ys[kk - 1]) / (2.0 * dt)
+    k = np.round(bounds[1:-1] / (v * dt)).astype(int)
+    kk = (k[:, None] + np.array([-1, 0, 1])).ravel()
+    kk = kk[(kk >= 1) & (kk <= n - 1)]   # a repeated index rewrites the same value
+    dxs[kk] = (xs[kk + 1] - xs[kk - 1]) / (2.0 * dt)
+    dys[kk] = (ys[kk + 1] - ys[kk - 1]) / (2.0 * dt)
     return xs, ys, dxs, dys
 
 

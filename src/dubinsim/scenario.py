@@ -59,6 +59,8 @@ class AvoidanceConfig:
     def __post_init__(self):
         if self.margin <= 0.0:
             raise ConfigError("avoidance margin must be positive")
+        if not self.sensing_radius > 0.0:
+            raise ConfigError("avoidance sensing_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,13 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.duration)):
+            raise ConfigError("dt and duration must be finite")
         if self.dt <= 0.0 or self.duration <= 0.0:
             raise ConfigError("dt and duration must be positive")
         steps = self.duration / self.dt
+        if not math.isfinite(steps):
+            raise ConfigError(f"duration/dt = {steps} is not finite")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"duration/dt = {steps} is not an integer")
         if self.controller not in CONTROLLERS:

@@ -93,10 +93,18 @@ def test_config_error_exit_code(tmp_path):
     {"controller": "mfpc", "mfpc": {"alpha1": 10000}},     # guard shrinks it to 0.004 s
     {"path": {"kind": "polyline", "waypoints": [[0, 0], [1, 0], [1, 5], [10, 5]],
               "speed": 1.0, "fillet_radius": 2.0}},        # fillet does not fit leg 0
+    {"avoidance": {"sensing_radius": -1}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
+    {"avoidance": {"sensing_radius": 0}},
+    {"duration": float("inf")},
+    {"dt": 1e-300, "duration": 1e300},                     # duration/dt overflows
+    {"controller": "mfpc", "mfpc": {"u1_max": -1}},
+    {"controller": "mfpc", "mfpc": {"u1_max": 0}},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
-        "fillet-too-big"])
+        "fillet-too-big", "sensing-radius-negative", "sensing-radius-zero",
+        "duration-infinite", "steps-overflow", "mfpc-u1_max-negative",
+        "mfpc-u1_max-zero"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))

@@ -10,6 +10,8 @@ gain g contributes exactly -g*u0, cancelling the g*u0 slope it induces.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dubinsim.estimation import FWindow, product_weights, window_capacity
 from dubinsim.mfpc import UltraLocalAxis
@@ -120,3 +122,26 @@ def test_closed_loop_identity_under_euler_data():
         outs[k + 1] = outs[k] + DT * (F + ins[k])
     w = fill(FWindow(T, DT), outs, ins)
     assert w.estimate() == pytest.approx(F, abs=0.05)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t_window=st.sampled_from([0.3, 0.7]),
+       gain=st.floats(-5.0, 5.0, allow_nan=False).filter(lambda g: g != 0.0),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 160),
+       scale=st.floats(1e-3, 1e3))
+def test_estimate_equals_dot_products_of_the_last_window(t_window, gain, seed, n, scale):
+    samples = (scale * np.random.default_rng(seed).normal(size=(n, 2))).tolist()
+    # oracle: the samples kept in a plain list, newest last, behind the
+    # zeros an empty window starts from
+    w = FWindow(t_window, DT, input_gain=gain)
+    seen = [(0.0, 0.0)] * w.capacity
+    for pushed, (o, i) in enumerate(samples, start=1):
+        w.push(o, i)
+        seen.append((o, i))
+        outs, ins = (np.array(col) for col in zip(*seen[-w.capacity:]))
+        got_outs, got_ins = w.chronological()
+        assert np.array_equal(got_outs, outs) and np.array_equal(got_ins, ins)
+        if pushed < w.capacity:
+            assert w.estimate() == 0.0
+        else:
+            assert w.estimate() == float(w._w_out @ outs + w._w_in @ ins)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dubinsim.errors import StateIntegrityError
-from dubinsim.model import (ControlInput, NoiseModel, PerturbationSchedule,
-                            VehicleState, aux_to_true, measure, step_plant,
+from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, ControlInput,
+                            NoiseModel, PerturbationSchedule, VehicleState,
+                            aux_to_true, measure, step_plant, stream_rng,
                             true_to_aux)
 
 
@@ -168,3 +169,24 @@ def test_perturbation_zero_schedule():
 def test_perturbation_rejects_bad_range():
     with pytest.raises(ValueError):
         PerturbationSchedule.draw(20.0, seed=1, low=-0.6, high=0.5)
+
+
+def test_measure_blocks_equal_scalar_draws():
+    # 1200 samples cross two NOISE_BLOCK boundaries
+    noise = NoiseModel(sigma=0.1, seed=31)
+    rx, ry = stream_rng(31, STREAM_NOISE_X), stream_rng(31, STREAM_NOISE_Y)
+    st = VehicleState(0.0, 1.5, -2.0)
+    for _ in range(1200):
+        assert measure(st, noise) == (st.x + 0.1 * float(rx.standard_normal()),
+                                      st.y + 0.1 * float(ry.standard_normal()))
+
+
+def test_state_and_control_are_immutable_records():
+    st = VehicleState(t=0.5, x=1.0, y=2.0)
+    assert (st.t, st.x, st.y) == (0.5, 1.0, 2.0)
+    c = ControlInput(1.0, 0.2)
+    assert (c.nu1, c.nu2) == (None, None)
+    with pytest.raises(AttributeError):
+        st.x = 3.0
+    with pytest.raises(AttributeError):
+        c.u1 = 3.0

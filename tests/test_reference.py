@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -241,3 +242,25 @@ def test_apply_sync_clamped_region_parks():
     x, y, dx, dy = shifted.lookup(traj.tf - 1.0)
     assert x == traj.x[-1]
     assert (dx, dy) == (0.0, 0.0)
+
+
+# sha256 of x, y, dx, dy as recorded from the per-sample build that preceded
+# the vectorized one: the tables must stay the same to the bit
+FILLETED = (
+    (PolylinePath(((0.0, 0.0), (6.0, 0.0), (10.0, 4.0), (16.0, 4.0)),
+                  speed=1.0, fillet_radius=0.8), 0.01,
+     "dbd8ff9f78a9054cfc917139c850c287fa1c3a440ae10ac11e07752d037bb261"),
+    (PolylinePath(((0.0, 0.0), (5.0, 1.0), (9.0, -2.0), (14.0, 0.5), (18.0, -1.5),
+                   (24.0, 0.0)), speed=1.3, fillet_radius=0.5), 0.01,
+     "fbf60eabe7ed199a76fff41773acbd824a92d64c9f9ce73d3cea51259f321e89"),
+    (PolylinePath(((0.0, 0.0), (8.0, 0.0), (4.0, 5.0), (10.0, 9.0)),
+                  speed=0.7, fillet_radius=1.0), 0.02,
+     "0468f1fe86dd025f530ad4310b97f5d4e2df1e13b491be503d6b318a39b56e23"),
+)
+
+
+@pytest.mark.parametrize("spec, dt, digest", FILLETED, ids=["s-bend", "zigzag", "hairpin"])
+def test_filleted_polyline_table_is_unchanged(spec, dt, digest):
+    traj = build_reference(spec, dt)
+    data = b"".join(a.tobytes() for a in (traj.x, traj.y, traj.dx, traj.dy))
+    assert hashlib.sha256(data).hexdigest() == digest
