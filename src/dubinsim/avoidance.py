@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InfeasibleBypassError
 from .model import VehicleState
-from .reference import ReferenceTrajectory, reindex_tail
+from .reference import ReferenceTrajectory, reindex_tail, sample_pieces
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,13 +59,8 @@ class DangerZone:
 @dataclass(frozen=True)
 class BypassPlan:
     side: str  # "left" | "right"
-    entry_point: tuple  # tangency point onto the danger circle
-    exit_point: tuple   # tangency point leaving it
-    arc_center: tuple
     arc_radius: float
-    arc_start: float    # angle of entry_point around the center
     arc_sweep: float    # unsigned sweep, radians
-    orientation: int    # +1 counterclockwise, -1 clockwise
     detour_length: float
     t_start: float      # splice interval on the reference timeline
     t_end: float
@@ -116,7 +111,7 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone,
     """First maximal interval [t_in, t_out] where the reference runs strictly
     inside the danger circle, scanning forward from t_from; None if it never
     enters.  Boundary times come from bisection on the sample segments."""
-    i0 = max(0, int(math.ceil((t_from - traj.t0) / traj.dt - 1e-9)))
+    i0 = traj.first_index_at(t_from)
     if i0 > traj.n - 1:
         return None
     r2 = zone.r_danger ** 2
@@ -125,19 +120,18 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone,
     if not inside.any():
         return None
     j = i0 + int(np.argmax(inside))
-    ts = traj.times
     if j == i0:
-        t_in = float(ts[i0])
+        t_in = i0 * traj.dt
     else:
         t_in = _bisect_boundary(traj.x[j - 1], traj.y[j - 1], traj.x[j], traj.y[j],
-                                ts[j - 1], ts[j], zone.cx, zone.cy, r2)
+                                (j - 1) * traj.dt, j * traj.dt, zone.cx, zone.cy, r2)
     tail = inside[j - i0:]
     if tail.all():
         t_out = traj.tf
     else:
         k = j + int(np.argmin(tail))
         t_out = _bisect_boundary(traj.x[k - 1], traj.y[k - 1], traj.x[k], traj.y[k],
-                                 ts[k - 1], ts[k], zone.cx, zone.cy, r2)
+                                 (k - 1) * traj.dt, k * traj.dt, zone.cx, zone.cy, r2)
     return float(t_in), float(t_out)
 
 
@@ -153,7 +147,7 @@ def _tangent_geometry(px, py, cx, cy, r):
 
 def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
                 side: str, speed_hint: float, lead: float = 0.5,
-                t_min: float | None = None) -> BypassPlan:
+                t_min: float = 0.0) -> BypassPlan:
     """Tangent-arc-tangent wrap of the danger circle on one side.
 
     Anchors are reference samples ``lead`` seconds outside the crossing,
@@ -171,13 +165,13 @@ def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     R = zone.r_danger + CLEARANCE_PAD
     cx, cy = zone.cx, zone.cy
 
-    i_min = 0 if t_min is None else max(0, int(math.ceil((t_min - traj.t0) / dt - 1e-9)))
-    i_a = min(n - 1, max(i_min, int(math.floor((t_in - lead - traj.t0) / dt + 1e-9))))
+    i_min = traj.first_index_at(t_min)
+    i_a = min(n - 1, max(i_min, int(math.floor((t_in - lead) / dt + 1e-9))))
     while i_a >= i_min and math.hypot(traj.x[i_a] - cx, traj.y[i_a] - cy) <= R + 1e-9:
         i_a -= 1
     if i_a < i_min:
         raise InfeasibleBypassError("no entry anchor outside the danger zone")
-    i_b = max(i_a + 1, int(math.ceil((t_out + lead - traj.t0) / dt - 1e-9)))
+    i_b = max(i_a + 1, traj.first_index_at(t_out + lead))
     while i_b <= n - 1 and math.hypot(traj.x[i_b] - cx, traj.y[i_b] - cy) <= R + 1e-9:
         i_b += 1
     if i_b > n - 1:
@@ -198,52 +192,34 @@ def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
         psi1 = phi_a - th_a
         psi2 = phi_b + th_b
         sweep = (psi1 - psi2) % TWO_PI
-    arc_len = R * sweep
     p1 = (cx + R * math.cos(psi1), cy + R * math.sin(psi1))
     p2 = (cx + R * math.cos(psi2), cy + R * math.sin(psi2))
-    total = len_a + arc_len + len_b
+    total = len_a + R * sweep + len_b
 
     n_b = max(2, int(math.ceil(total / (speed_hint * dt) - 1e-9)))
-    t_start = traj.t0 + i_a * dt
+    t_start = i_a * dt
     t_end = t_start + n_b * dt
-    t_exit_original = traj.t0 + i_b * dt
+    t_exit_original = i_b * dt
     v = total / (n_b * dt)
 
-    xs = np.empty(n_b + 1)
-    ys = np.empty(n_b + 1)
-    dxs = np.empty(n_b + 1)
-    dys = np.empty(n_b + 1)
     seg1 = ((p1[0] - ax) / len_a, (p1[1] - ay) / len_a)
     seg2 = ((bx - p2[0]) / len_b, (by - p2[1]) / len_b)
-    for k in range(n_b + 1):
-        s = min(k * dt * v, total)
-        if s <= len_a:
-            px, py = ax + seg1[0] * s, ay + seg1[1] * s
-            tx, ty = seg1
-        elif s <= len_a + arc_len:
-            a = psi1 + orient * (s - len_a) / R
-            px, py = cx + R * math.cos(a), cy + R * math.sin(a)
-            tx, ty = -orient * math.sin(a), orient * math.cos(a)
-        else:
-            s2 = s - len_a - arc_len
-            px, py = p2[0] + seg2[0] * s2, p2[1] + seg2[1] * s2
-            tx, ty = seg2
-        xs[k], ys[k] = px, py
-        dxs[k], dys[k] = tx * v, ty * v
+    pieces = (("line", (ax, ay), seg1, len_a),
+              ("arc", (cx, cy), R, psi1, orient * sweep),
+              ("line", p2, seg2, len_b))
+    xs, ys, dxs, dys = sample_pieces(pieces, np.minimum(np.arange(n_b + 1) * dt * v, total), v)
     xs[0], ys[0] = ax, ay
     xs[n_b], ys[n_b] = bx, by
 
     detour = total - traj.path_length(t_start, t_exit_original)
-    return BypassPlan(side=side, entry_point=p1, exit_point=p2,
-                      arc_center=(cx, cy), arc_radius=R, arc_start=psi1,
-                      arc_sweep=sweep, orientation=orient, detour_length=detour,
+    return BypassPlan(side=side, arc_radius=R, arc_sweep=sweep, detour_length=detour,
                       t_start=t_start, t_end=t_end,
                       t_exit_original=t_exit_original,
                       tau_tail=t_exit_original - t_end,
                       x=xs, y=ys, dx=dxs, dy=dys)
 
 
-def plan_both_sides(traj, zone, crossing, speed_hint, lead=0.5, t_min=None):
+def plan_both_sides(traj, zone, crossing, speed_hint, lead=0.5, t_min=0.0):
     """(left, right) plans; a side that cannot be built is None."""
     plans = []
     for side in ("left", "right"):

@@ -13,14 +13,13 @@ The default output directory comes from $DUBINSIM_OUT (falling back to
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 from .errors import ConfigError, DubinsimError
 from .harness import emit, emit_sweep, run_scenario, run_sweep
-from .scenario import ScenarioConfig, json_safe
+from .scenario import ScenarioConfig, json_safe, write_json
 
 _RANDOMIZE_CHOICES = ("obstacles", "noise", "perturbation")
 
@@ -106,9 +105,7 @@ def _cmd_compare(args) -> int:
     out = args.out or _default_out()
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"compare_{cfg_a.name}_vs_{cfg_b.name}.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
     print(f"wrote {path}")
     for key, dv in sorted(deltas.items()):
         print(f"  {key}: {dv:+.6g}")

@@ -7,7 +7,6 @@ give byte-identical outputs and sweeps can fan runs out safely.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -24,7 +23,7 @@ from .mfpc import MfpcController
 from .model import (STREAM_PLACEMENT, NoiseModel, PerturbationSchedule,
                     VehicleState, measure, step_plant, stream_rng)
 from .reference import apply_sync, build_reference, sync_offset
-from .scenario import ScenarioConfig, ScenarioResult, compute_metrics, json_safe
+from .scenario import ScenarioConfig, ScenarioResult, compute_metrics, json_safe, write_json
 
 # Per-sample record of a run: ScenarioResult's series in CSV column order,
 # then the reference derivatives that only the metrics read.
@@ -310,9 +309,7 @@ def emit_summary(result: ScenarioResult, path) -> None:
         "metrics": json_safe(result.metrics),
         "events": json_safe(result.events),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def emit(result: ScenarioResult, out_dir, name: str | None = None) -> tuple[str, str]:
@@ -330,7 +327,5 @@ def emit_sweep(report: SweepReport, out_dir, name: str | None = None) -> str:
     os.makedirs(out_dir, exist_ok=True)
     stem = name or f"{report.base_name}_sweep"
     path = os.path.join(out_dir, f"{stem}.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(json_safe(report.to_dict()), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, json_safe(report.to_dict()))
     return path

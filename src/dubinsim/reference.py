@@ -69,7 +69,6 @@ PATH_KINDS = {"polyline": PolylinePath, "circle": CirclePath, "sinusoid": SinePa
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    t0: float
     dt: float
     x: np.ndarray
     y: np.ndarray
@@ -82,7 +81,7 @@ class ReferenceTrajectory:
         if n < 2:
             raise DegeneratePathError("trajectory needs at least two samples")
         object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_tf", self.t0 + (n - 1) * self.dt)
+        object.__setattr__(self, "_tf", (n - 1) * self.dt)
 
     @property
     def n(self) -> int:
@@ -94,20 +93,24 @@ class ReferenceTrajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self._n)
+        return self.dt * np.arange(self._n)
 
     def index_of(self, t: float) -> int:
-        i = int(round((t - self.t0) / self.dt))
+        i = int(round(t / self.dt))
         if i < 0:
             return 0
         if i >= self._n:
             return self._n - 1
         return i
 
+    def first_index_at(self, t: float) -> int:
+        """Index of the first sample at or after t (not clamped at the end)."""
+        return max(0, int(math.ceil(t / self.dt - 1e-9)))
+
     def lookup(self, t: float) -> tuple[float, float, float, float]:
         """(x, y, dx, dy) at the grid sample nearest t; parked beyond the domain."""
         i = self.index_of(t)
-        if t < self.t0 - 1e-12 or t > self._tf + 1e-12:
+        if t < -1e-12 or t > self._tf + 1e-12:
             return float(self.x[i]), float(self.y[i]), 0.0, 0.0
         return float(self.x[i]), float(self.y[i]), float(self.dx[i]), float(self.dy[i])
 
@@ -206,24 +209,18 @@ def _piece_length(piece):
     return piece[2] * abs(piece[4])
 
 
-def _sample_polyline(spec: PolylinePath, dt: float):
-    pieces = _polyline_pieces(spec)
-    lengths = [_piece_length(p) for p in pieces]
-    total = sum(lengths)
-    v = spec.speed
-    n = int(math.floor(total / v / dt + 1e-9))
-    if n < 1:
-        raise DegeneratePathError("polyline shorter than one sample step")
-    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
-    s = np.minimum(np.arange(n + 1) * dt * v, total)
+def sample_pieces(pieces, s, v: float):
+    """(x, y, dx, dy) arrays at the sorted arclengths ``s`` along a chain of
+    pieces in the ``_polyline_pieces`` format, traversed at speed v."""
+    bounds = np.concatenate([[0.0], np.cumsum([_piece_length(p) for p in pieces])])
     # A sample belongs to the first piece whose end it does not pass by more
     # than 1e-12; s is sorted, so each piece owns one contiguous run.
     piece_of = np.minimum(np.searchsorted(bounds[1:] + 1e-12, s), len(pieces) - 1)
     edges = np.searchsorted(piece_of, np.arange(len(pieces) + 1))
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    dxs = np.empty(n + 1)
-    dys = np.empty(n + 1)
+    xs = np.empty(len(s))
+    ys = np.empty(len(s))
+    dxs = np.empty(len(s))
+    dys = np.empty(len(s))
     for piece, s0, a, b in zip(pieces, bounds, edges[:-1], edges[1:]):
         sl = s[a:b] - s0   # arclength into the piece
         if piece[0] == "line":
@@ -241,9 +238,21 @@ def _sample_polyline(spec: PolylinePath, dt: float):
             ys[a:b] = cy + r * sin_a
             dxs[a:b] = -sign * sin_a * v
             dys[a:b] = sign * cos_a * v
+    return xs, ys, dxs, dys
+
+
+def _sample_polyline(spec: PolylinePath, dt: float):
+    pieces = _polyline_pieces(spec)
+    lengths = [_piece_length(p) for p in pieces]
+    total = sum(lengths)
+    v = spec.speed
+    n = int(math.floor(total / v / dt + 1e-9))
+    if n < 1:
+        raise DegeneratePathError("polyline shorter than one sample step")
+    xs, ys, dxs, dys = sample_pieces(pieces, np.minimum(np.arange(n + 1) * dt * v, total), v)
     # Near piece junctions the analytic tangent has a curvature kink; store the
     # central difference there instead so the table stays self-consistent.
-    k = np.round(bounds[1:-1] / (v * dt)).astype(int)
+    k = np.round(np.cumsum(lengths[:-1]) / (v * dt)).astype(int)
     kk = (k[:, None] + np.array([-1, 0, 1])).ravel()
     kk = kk[(kk >= 1) & (kk <= n - 1)]   # a repeated index rewrites the same value
     dxs[kk] = (xs[kk + 1] - xs[kk - 1]) / (2.0 * dt)
@@ -282,7 +291,7 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
         dys = spec.amplitude * k * spec.speed * np.cos(k * spec.speed * t)
     else:
         raise DegeneratePathError(f"unknown path spec {type(spec).__name__}")
-    return ReferenceTrajectory(t0=0.0, dt=dt, x=np.asarray(xs, dtype=float),
+    return ReferenceTrajectory(dt=dt, x=np.asarray(xs, dtype=float),
                                y=np.asarray(ys, dtype=float),
                                dx=np.asarray(dxs, dtype=float),
                                dy=np.asarray(dys, dtype=float))
@@ -328,7 +337,7 @@ def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,
     ks[0] = 0
     ks[1::2] = np.arange(1, k_max + 1)
     ks[2::2] = -np.arange(1, k_max + 1)
-    idx = np.clip(np.round((t_now + ks * traj.dt - traj.t0) / traj.dt).astype(int),
+    idx = np.clip(np.round((t_now + ks * traj.dt) / traj.dt).astype(int),
                   0, traj.n - 1)
     d2 = (traj.x[idx] - x_sync) ** 2 + (traj.y[idx] - y_sync) ** 2
     return float(ks[int(np.argmin(d2))] * traj.dt)
@@ -359,6 +368,6 @@ def apply_sync(traj: ReferenceTrajectory, tau: float, t_event: float,
                reason: str = "startup") -> ReferenceTrajectory:
     """Re-index the trajectory: lookups at/after t_event read the original at
     t + tau."""
-    i0 = max(0, int(math.ceil((t_event - traj.t0) / traj.dt - 1e-9)))
+    i0 = traj.first_index_at(t_event)
     samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
     return reindex_tail(traj, samples, i0, int(round(tau / traj.dt)), t_event, reason)

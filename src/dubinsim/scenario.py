@@ -61,6 +61,8 @@ class AvoidanceConfig:
             raise ConfigError("avoidance margin must be positive")
         if not self.sensing_radius > 0.0:
             raise ConfigError("avoidance sensing_radius must be positive")
+        if self.speed_hint is not None and not self.speed_hint > 0.0:
+            raise ConfigError("avoidance speed_hint must be positive or null")
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,10 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        if not (math.isfinite(self.dt) and math.isfinite(self.duration)):
-            raise ConfigError("dt and duration must be finite")
+        # vars, not asdict: asdict's copies on every replace raised sweep peak RSS
+        for name, value in vars(self).items():
+            if _has_non_finite(value):
+                raise ConfigError(f"{name} holds a non-finite number")
         if self.dt <= 0.0 or self.duration <= 0.0:
             raise ConfigError("dt and duration must be positive")
         steps = self.duration / self.dt
@@ -179,15 +183,26 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
 
 # The nested parameter blocks (noise, perturbation, heol, ...): the fields
 # whose default is itself a config dataclass.
 _SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig)
              if is_dataclass(f.default)}
+
+
+def _has_non_finite(obj) -> bool:
+    """Whether a NaN or infinite float sits anywhere in a config value."""
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if is_dataclass(obj):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(map(_has_non_finite, obj))
 
 
 def json_safe(obj):
@@ -202,6 +217,13 @@ def json_safe(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def write_json(path, doc) -> None:
+    """Write doc as indented, key-sorted UTF-8 JSON, LF line ends, final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 @dataclass

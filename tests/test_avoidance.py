@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dubinsim.avoidance import (DangerZone, Obstacle, discover,
                                 path_crosses_zone, plan_both_sides,
@@ -263,3 +265,65 @@ def test_sequential_obstacles_replan_on_spliced_reference():
     for z in (z1, z2):
         assert path_crosses_zone(t2, z, t_from=0.0) is None
         assert np.hypot(t2.x - z.cx, t2.y - z.cy).min() >= z.r_danger - 1e-6
+
+
+# -- property: plans and splices on random crossings -----------------------------
+
+
+@st.composite
+def crossings(draw):
+    """A reference (the 25 m line or a filleted polyline at speed v), a danger
+    zone centred near the middle of one of its legs, and the current time,
+    early enough that the vehicle is still outside the zone.  Turns of at most
+    0.5 rad keep the path from re-entering the zone after it leaves."""
+    v = draw(st.floats(0.5, 1.5))
+    if draw(st.booleans()):
+        waypoints, leg, frac = [(0.0, 0.0), (25.0, 0.0)], 0, draw(st.floats(0.3, 0.7))
+        fillet = 0.5
+    else:
+        waypoints, heading = [(0.0, 0.0)], 0.0
+        for _ in range(4):
+            heading = min(1.0, max(-1.0, heading + draw(st.floats(-0.5, 0.5))))
+            length = draw(st.floats(5.0, 8.0))
+            x, y = waypoints[-1]
+            waypoints.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+        leg, frac = draw(st.sampled_from([1, 2])), draw(st.floats(0.4, 0.6))
+        fillet = draw(st.floats(0.2, 1.0))
+    traj = build_reference(PolylinePath(waypoints=tuple(waypoints), speed=v,
+                                        fillet_radius=fillet), DT)
+    (ax, ay), (bx, by) = waypoints[leg], waypoints[leg + 1]
+    length = math.hypot(bx - ax, by - ay)
+    lateral = draw(st.floats(-0.3, 0.3))
+    cx = ax + frac * (bx - ax) - lateral * (by - ay) / length
+    cy = ay + frac * (by - ay) + lateral * (bx - ax) / length
+    r = draw(st.floats(0.5, 1.2))
+    s_centre = sum(math.dist(p, q) for p, q in zip(waypoints[:leg], waypoints[1:leg + 1]))
+    s_centre += frac * length
+    t_now = draw(st.floats(0.0, 1.0)) * (s_centre - r - 1.0) / v
+    return traj, DangerZone(cx, cy, r), t_now, v
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crossings())
+def test_bypass_plans_clear_the_zone_and_splice_cleanly(case):
+    traj, zone, t_now, v = case
+    crossing = path_crosses_zone(traj, zone, t_from=t_now)
+    assert crossing is not None
+    plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, t_min=t_now)
+    assert None not in plans
+    for plan in plans:
+        assert np.hypot(plan.x - zone.cx, plan.y - zone.cy).min() >= zone.r_danger - 1e-9
+        assert (plan.x[0], plan.y[0]) == traj.position(plan.t_start)
+        assert (plan.x[-1], plan.y[-1]) == traj.position(plan.t_exit_original)
+        speed = np.hypot(plan.dx, plan.dy)
+        assert np.allclose(speed, speed[0], rtol=0.0, atol=1e-9)
+
+        new = splice(traj, plan)
+        i_start = traj.index_of(plan.t_start)
+        for a, b in ((new.x, traj.x), (new.y, traj.y), (new.dx, traj.dx), (new.dy, traj.dy)):
+            assert np.array_equal(a[:i_start], b[:i_start])
+        i_end = i_start + len(plan.x) - 1
+        for i in (i_start, i_start + 1, i_end, i_end + 1):
+            step = math.hypot(new.x[i] - new.x[i - 1], new.y[i] - new.y[i - 1])
+            assert step <= 1.5 * v * DT
+        assert path_crosses_zone(new, zone, t_from=plan.t_start) is None

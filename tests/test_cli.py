@@ -99,12 +99,21 @@ def test_config_error_exit_code(tmp_path):
     {"dt": 1e-300, "duration": 1e300},                     # duration/dt overflows
     {"controller": "mfpc", "mfpc": {"u1_max": -1}},
     {"controller": "mfpc", "mfpc": {"u1_max": 0}},
+    {"obstacles": [{"cx": float("nan"), "cy": 0.1, "r": 0.8}]},
+    {"noise": {"sigma": float("nan")}},
+    {"start": [float("nan"), 0.0]},
+    {"heol": {"kx": float("inf")}},
+    {"path": {"kind": "circle", "radius": float("inf")}},
+    {"avoidance": {"speed_hint": 0}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
+    {"avoidance": {"speed_hint": -1}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
         "fillet-too-big", "sensing-radius-negative", "sensing-radius-zero",
         "duration-infinite", "steps-overflow", "mfpc-u1_max-negative",
-        "mfpc-u1_max-zero"])
+        "mfpc-u1_max-zero", "obstacle-cx-nan", "noise-sigma-nan", "start-nan",
+        "heol-kx-infinite", "circle-radius-infinite", "speed-hint-zero",
+        "speed-hint-negative"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))

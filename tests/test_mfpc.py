@@ -13,7 +13,7 @@ DT = 0.01
 
 def stationary_traj(n=2001):
     z = np.zeros(n)
-    return ReferenceTrajectory(t0=0.0, dt=DT, x=z, y=z, dx=z, dy=z)
+    return ReferenceTrajectory(dt=DT, x=z, y=z, dx=z, dy=z)
 
 
 # -- two-point boundary solution ---------------------------------------------

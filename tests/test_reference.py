@@ -163,8 +163,7 @@ def vee_trajectory():
     # x(t) = |t - 1| built from integers so mirrored samples are bitwise equal
     n = 2001
     idx = np.arange(n)
-    return ReferenceTrajectory(t0=0.0, dt=DT,
-                               x=np.abs(idx - 100) * DT, y=np.zeros(n),
+    return ReferenceTrajectory(dt=DT, x=np.abs(idx - 100) * DT, y=np.zeros(n),
                                dx=np.sign(idx - 100) * 1.0, dy=np.zeros(n))
 
 
