@@ -19,7 +19,7 @@ from .avoidance import Obstacle
 from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
                      StateIntegrityError)
 from .heol import HeolController
-from .mfpc import MfpcController
+from .mfpc import MfpcController, check_reference
 from .model import (STREAM_PLACEMENT, NoiseModel, PerturbationSchedule,
                     VehicleState, measure, step_plant, stream_rng)
 from .reference import apply_sync, build_reference, sync_offset
@@ -52,6 +52,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     dt = cfg.dt
     n = cfg.n_steps
     traj = build_reference(cfg.path_spec(), dt=dt, duration=cfg.duration)
+    if cfg.controller == "mfpc":
+        check_reference(traj)
     noise = NoiseModel(sigma=cfg.noise.sigma,
                        seed=cfg.seed if cfg.noise_seed is None else cfg.noise_seed,
                        enabled=cfg.noise.enabled)
@@ -63,7 +65,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             low=pc.low, high=pc.high)
     else:
         pert = PerturbationSchedule.zero()
+    levels = pert.levels(n, dt)
     controller = _make_controller(cfg)
+    lookahead = controller.lookahead
 
     start = cfg.start if cfg.start is not None else traj.position(0.0)
     state = VehicleState(t=0.0, x=float(start[0]), y=float(start[1]))
@@ -80,7 +84,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     zones = {}          # obstacle index -> DangerZone, once discovered
     unchecked = set()   # zones needing a crossing scan against the active traj
+    scan_from = {}      # the zone just bypassed -> its bypass's end; scanned from there
     pending_ends = []   # t_end of spliced bypasses not yet completed
+    n_obstacles = len(cfg.obstacles)
     aborted = False
     abort_reason = ""
 
@@ -88,15 +94,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         t = k * dt
         xm, ym = measure(state, noise)
 
-        newly = avoidance.discover(cfg.obstacles, state, cfg.avoidance.sensing_radius,
-                                   known=zones.keys())
-        for i in newly:
-            zones[i] = cfg.obstacles[i].danger_zone(cfg.avoidance.margin)
-            unchecked.add(i)
-            events.append({"kind": "discovery", "t": t, "obstacle": i})
+        if len(zones) < n_obstacles:
+            newly = avoidance.discover(cfg.obstacles, state, cfg.avoidance.sensing_radius,
+                                       known=zones.keys())
+            for i in newly:
+                zones[i] = cfg.obstacles[i].danger_zone(cfg.avoidance.margin)
+                unchecked.add(i)
+                events.append({"kind": "discovery", "t": t, "obstacle": i})
 
-        completed = [te for te in pending_ends if t >= te - 1e-9]
-        if completed:
+        if pending_ends and t >= min(pending_ends) - 1e-9:
+            completed = [te for te in pending_ends if t >= te - 1e-9]
             pending_ends = [te for te in pending_ends if t < te - 1e-9]
             for te in completed:
                 events.append({"kind": "bypass_end", "t": t})
@@ -107,12 +114,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     events.append({"kind": "sync", "t": t, "tau": tau,
                                    "reason": "post_bypass"})
                     unchecked = set(zones)
+                    scan_from = {}
 
         replans = 0
         while unchecked and not aborted:
             best = None
             for i in sorted(unchecked):
-                crossing = avoidance.path_crosses_zone(traj, zones[i], t_from=t)
+                crossing = avoidance.path_crosses_zone(traj, zones[i],
+                                                       t_from=max(t, scan_from.get(i, t)))
                 if crossing is None:
                     unchecked.discard(i)
                 elif best is None or crossing[0] < best[1][0]:
@@ -144,29 +153,35 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 "detour_left": left.detour_length if left else None,
                 "detour_right": right.detour_length if right else None,
             })
+            # every zone is re-scanned from t against the new samples, except
+            # zone i, whose own wrap is skipped: its tail may cross it again
             unchecked = set(zones)
-            unchecked.discard(i)
+            scan_from = {i: plan.t_end}
             replans += 1
 
         if aborted:
             break
 
+        row = traj.row(k)
         try:
-            ctrl = controller.step(xm, ym, traj, t)
+            ctrl = controller.step(xm, ym, t, row,
+                                   traj.position(t + lookahead) if lookahead else None)
         except ControllerFault as exc:
             aborted, abort_reason = True, f"controller fault: {exc}"
             break
 
-        x_ref, y_ref, dx_ref, dy_ref = traj.lookup(t)
+        x_ref, y_ref, dx_ref, dy_ref = row
+        u1, u2, nu1, nu2 = ctrl
+        if nu1 is None:   # an MFPC step has no auxiliary controls
+            nu1 = nu2 = math.nan
         fx, fy = controller.last_fhat
-        p = pert.at(t)
-        # an MFPC step has no auxiliary controls: None stores as NaN
-        rows[k] = (t, state.x, state.y, xm, ym, x_ref, y_ref, ctrl.u1, ctrl.u2,
-                   ctrl.nu1, ctrl.nu2, fx, fy, p, dx_ref, dy_ref)
+        p = levels[k]
+        _, x, y = state
+        rows[k] = (t, x, y, xm, ym, x_ref, y_ref, u1, u2, nu1, nu2, fx, fy, p, dx_ref, dy_ref)
 
         if k < n:
             try:
-                state = step_plant(state, ctrl, p=p, dt=dt)
+                state = step_plant(state, ctrl, p, dt)
             except StateIntegrityError as exc:
                 aborted, abort_reason = True, f"state integrity: {exc}"
                 break

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, ControllerFault
 from .estimation import FWindow
 from .model import ControlInput, aux_to_true
-from .reference import ReferenceTrajectory
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,13 @@ class HeolConfig:
             raise ConfigError("HEOL t_window must be positive")
 
 
-def heol_step(meas: tuple[float, float], traj: ReferenceTrajectory, t: float,
+def heol_step(meas: tuple[float, float], row, t: float,
               gains: HeolConfig, windows, prev_u2: float = 0.0) -> ControlInput:
     """One closed-loop step: feedforward plus the iP correction.
 
-    ``windows`` is the (x-axis, y-axis) pair of ``FWindow`` estimators over
-    (flat-output error, auxiliary-control error) samples.  The freshly computed
+    ``row`` is the reference sample ``(x, y, dx, dy)`` at time t.  ``windows``
+    is the (x-axis, y-axis) pair of ``FWindow`` estimators over (flat-output
+    error, auxiliary-control error) samples.  The freshly computed
     (error, correction) samples are pushed after the output is formed, so the
     estimate never sees data from its own step.
     """
@@ -53,7 +53,7 @@ def heol_step(meas: tuple[float, float], traj: ReferenceTrajectory, t: float,
     if not (math.isfinite(xm) and math.isfinite(ym)):
         raise ControllerFault(f"non-finite measurement ({xm}, {ym}) at t={t}")
     win_x, win_y = windows
-    x_ref, y_ref, dx_ref, dy_ref = traj.lookup(t)
+    x_ref, y_ref, dx_ref, dy_ref = row
     ex = xm - x_ref
     ey = ym - y_ref
     fx = win_x.estimate()
@@ -72,6 +72,7 @@ class HeolController:
     """Stateful wrapper owning the two estimator windows and the last heading."""
 
     kind = "heol"
+    lookahead = 0.0   # reads only the reference row at t
 
     def __init__(self, config: HeolConfig, dt: float):
         self.config = config
@@ -80,9 +81,9 @@ class HeolController:
         self.prev_u2 = 0.0
         self.events: list = []
 
-    def step(self, x_meas: float, y_meas: float, traj: ReferenceTrajectory,
-             t: float) -> ControlInput:
-        ctrl = heol_step((x_meas, y_meas), traj, t, self.config,
+    def step(self, x_meas: float, y_meas: float, t: float, row,
+             ahead=None) -> ControlInput:
+        ctrl = heol_step((x_meas, y_meas), row, t, self.config,
                          (self.win_x, self.win_y), prev_u2=self.prev_u2)
         self.prev_u2 = ctrl.u2
         return ctrl

@@ -4,9 +4,10 @@ Each axis is described only by the first-order ultra-local model
 dy/dt = F + alpha*u with F re-estimated from recent data every step.  For the
 quadratic cost (y - y_set)^2 + u^2 the Euler-Lagrange equation is the linear
 ODE y'' = alpha^2 (y - y_set), whose solution through the two boundary points
-(t_i, y_i) and (t_f, y_set) is available in closed form.  The loop re-solves
-this tiny boundary problem every sample on a receding horizon and applies the
-initial optimal velocity, corrected by the current drift estimate.
+(t_i, y_i) and (t_f, y_set) is available in closed form.  On a receding
+horizon of fixed length the arc's initial velocity is a fixed multiple of
+y_i - y_set, so each axis solves the boundary problem once and the loop
+applies that proportional gain, corrected by the current drift estimate.
 
 The x axis drives the speed u1 and the y axis drives the heading u2, which is
 kept strictly inside (-pi/2, pi/2); with u1 >= 0 this stack can therefore only
@@ -19,10 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, ControllerFault, HorizonTooLongError
 from .estimation import FWindow
 from .model import ControlInput
-from .reference import ReferenceTrajectory
 
 # |rate * (t_f - t_i)| beyond this risks overflow in the exponentials; callers
 # shrink the horizon instead.
@@ -71,41 +73,47 @@ def solve_two_point(y_i: float, y_setpoint: float, t_i: float, t_f: float,
 
 
 class UltraLocalAxis:
-    """Per-axis state: scaling constant, sample window, drift estimate, clamps."""
+    """Per-axis state: scaling constant, sample window, drift estimate, clamps.
 
-    def __init__(self, alpha: float, t_window: float, dt: float,
+    On a fixed receding horizon the optimal arc's initial velocity is linear
+    in the setpoint error, so the arc is solved once here, in horizon-relative
+    time, for a unit error: ``gain`` is its velocity at the evaluation offset
+    (0, or one step with ``eval_at_next``), -r*cosh(r(T - delta))/sinh(rT).
+    The horizon T is shrunk if the exponent guard would trip.
+    """
+
+    def __init__(self, alpha: float, t_window: float, dt: float, horizon: float,
                  u_min: float | None = None, u_max: float | None = None,
                  eval_at_next: bool = False):
         if alpha == 0.0:
             raise ValueError("alpha must be nonzero")
         self.alpha = float(alpha)
-        self.dt = float(dt)
+        rate = abs(self.alpha)
+        T = min(float(horizon), MAX_EXP_ARG / rate)
+        while rate * T > MAX_EXP_ARG:   # the quotient can round a hair long
+            T = math.nextafter(T, 0.0)
+        if not T > dt:
+            raise HorizonTooLongError(f"horizon {T} s is not longer than one step {dt} s")
+        self.horizon = T
+        self.gain = solve_two_point(1.0, 0.0, 0.0, T, self.alpha).velocity(
+            dt if eval_at_next else 0.0)
         self.window = FWindow(t_window, dt, input_gain=self.alpha)
         self.u_min = u_min
         self.u_max = u_max
-        self.eval_at_next = eval_at_next
         self.f_est = 0.0
-        self.last_solution: BoundarySolution | None = None
         self.last_raw_u = 0.0
         self.last_clamped = False
 
 
-def mfpc_axis_step(axis: UltraLocalAxis, y_meas: float, y_setpoint: float,
-                   t_k: float, t_f: float) -> float:
+def mfpc_axis_step(axis: UltraLocalAxis, y_meas: float, y_setpoint: float) -> float:
     """One receding-horizon step for a single axis; returns the applied input.
 
-    The horizon is shrunk if the exponent guard would trip.  The input pushed
-    into the estimation window is the clamped value actually applied.
+    The optimal velocity toward the setpoint, minus the drift estimate, scaled
+    by 1/alpha.  The input pushed into the estimation window is the clamped
+    value actually applied.
     """
-    axis.f_est = axis.window.estimate()
-    rate = abs(axis.alpha)
-    if rate * (t_f - t_k) > MAX_EXP_ARG:
-        t_f = t_k + MAX_EXP_ARG / rate
-    if not t_f > t_k + axis.dt:
-        raise HorizonTooLongError(f"horizon [{t_k}, {t_f}] shorter than one step")
-    sol = solve_two_point(y_meas, y_setpoint, t_k, t_f, axis.alpha)
-    t_eval = t_k + axis.dt if axis.eval_at_next else t_k
-    u = (sol.velocity(t_eval) - axis.f_est) / axis.alpha
+    f_est = axis.f_est = axis.window.estimate()
+    u = (axis.gain * (y_meas - y_setpoint) - f_est) / axis.alpha
     axis.last_raw_u = u
     axis.last_clamped = False
     if axis.u_min is not None and u < axis.u_min:
@@ -115,8 +123,18 @@ def mfpc_axis_step(axis: UltraLocalAxis, y_meas: float, y_setpoint: float,
         u = axis.u_max
         axis.last_clamped = True
     axis.window.push(y_meas, u)
-    axis.last_solution = sol
     return u
+
+
+def check_reference(traj) -> None:
+    """Refuse a reference whose heading leaves (-pi/2, pi/2) anywhere.
+
+    With u1 >= 0 and the heading clamped inside that interval, x can never
+    decrease, so such a path cannot be followed.
+    """
+    if np.any((traj.dx < 0.0) | ((traj.dx == 0.0) & (traj.dy != 0.0))):
+        raise ConfigError("mfpc: the reference heading leaves (-pi/2, pi/2), "
+                          "which this controller cannot follow")
 
 
 @dataclass(frozen=True)
@@ -153,31 +171,32 @@ class MfpcController:
     def __init__(self, config: MfpcConfig, dt: float):
         self.config = config
         u2_lim = math.pi / 2 - config.u2_margin
-        self.axis_x = UltraLocalAxis(config.alpha1, config.t_window, dt,
+        self.axis_x = UltraLocalAxis(config.alpha1, config.t_window, dt, config.horizon,
                                      u_min=0.0, u_max=config.u1_max,
                                      eval_at_next=config.eval_at_next)
-        self.axis_y = UltraLocalAxis(config.alpha2, config.t_window, dt,
+        self.axis_y = UltraLocalAxis(config.alpha2, config.t_window, dt, config.horizon,
                                      u_min=-u2_lim, u_max=u2_lim,
                                      eval_at_next=config.eval_at_next)
-        self.horizon = config.horizon
+        self.lookahead = config.horizon   # setpoints are read one horizon ahead
         self.events: list = []
-        self._in_episode = {"u1": False, "u2": False}
+        self._clamped = (False, False)    # (u1, u2) clamped on the last step
 
-    def step(self, x_meas: float, y_meas: float, traj: ReferenceTrajectory,
-             t: float) -> ControlInput:
-        """Full MIMO step: x axis -> u1, y axis -> u2, setpoints read one
-        horizon ahead on the (possibly revised) reference."""
+    def step(self, x_meas: float, y_meas: float, t: float, row,
+             ahead: tuple[float, float]) -> ControlInput:
+        """Full MIMO step: x axis -> u1, y axis -> u2, toward the setpoint
+        ``ahead`` read one horizon ahead on the (possibly revised) reference."""
         if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
             raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas}) at t={t}")
-        t_f = t + self.horizon
-        x_sp, y_sp = traj.position(t_f)
-        ctrl = ControlInput(u1=mfpc_axis_step(self.axis_x, x_meas, x_sp, t, t_f),
-                            u2=mfpc_axis_step(self.axis_y, y_meas, y_sp, t, t_f))
-        for name, axis in (("u1", self.axis_x), ("u2", self.axis_y)):
-            if axis.last_clamped and not self._in_episode[name]:
-                self.events.append({"kind": "clamp", "t": t, "input": name,
-                                    "raw": axis.last_raw_u})
-            self._in_episode[name] = axis.last_clamped
+        x_sp, y_sp = ahead
+        ax, ay = self.axis_x, self.axis_y
+        ctrl = ControlInput(mfpc_axis_step(ax, x_meas, x_sp), mfpc_axis_step(ay, y_meas, y_sp))
+        clamped = (ax.last_clamped, ay.last_clamped)
+        if clamped != self._clamped:
+            for name, axis, now, before in zip(("u1", "u2"), (ax, ay), clamped, self._clamped):
+                if now and not before:
+                    self.events.append({"kind": "clamp", "t": t, "input": name,
+                                        "raw": axis.last_raw_u})
+            self._clamped = clamped
         return ctrl
 
     @property

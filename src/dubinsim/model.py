@@ -183,3 +183,9 @@ class PerturbationSchedule:
             t = 0.0
         i = 0 if math.isinf(self.switch_interval) else int(t / self.switch_interval)
         return self.values[min(i, len(self.values) - 1)]
+
+    def levels(self, n: int, dt: float) -> list:
+        """``[at(k * dt) for k in 0..n]``, sharing the floats of ``values``."""
+        idx = np.minimum(np.arange(n + 1) * dt / self.switch_interval,
+                         len(self.values) - 1).astype(int)
+        return list(map(self.values.__getitem__, idx.tolist()))

@@ -114,6 +114,13 @@ class ReferenceTrajectory:
             return float(self.x[i]), float(self.y[i]), 0.0, 0.0
         return float(self.x[i]), float(self.y[i]), float(self.dx[i]), float(self.dy[i])
 
+    def row(self, k: int) -> tuple[float, float, float, float]:
+        """(x, y, dx, dy) of sample k, equal to ``lookup(k * dt)``; parked at
+        the last sample from k = n on."""
+        if k >= self._n:
+            return self.x.item(-1), self.y.item(-1), 0.0, 0.0
+        return self.x.item(k), self.y.item(k), self.dx.item(k), self.dy.item(k)
+
     def position(self, t: float) -> tuple[float, float]:
         i = self.index_of(t)
         return float(self.x[i]), float(self.y[i])

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
-from dubinsim.presets import nominal_tracking, safety_scenario
+from dubinsim.presets import FULL_CIRCLE_PATH, nominal_tracking, safety_scenario
 from dubinsim.scenario import HeolConfig
 
 
@@ -106,6 +107,8 @@ def test_config_error_exit_code(tmp_path):
     {"path": {"kind": "circle", "radius": float("inf")}},
     {"avoidance": {"speed_hint": 0}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
     {"avoidance": {"speed_hint": -1}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
+    {"controller": "mfpc", "path": FULL_CIRCLE_PATH},      # heading leaves (-pi/2, pi/2)
+    {"controller": "mfpc", "path": {"kind": "polyline", "waypoints": [[0, 0], [5, 0], [5, 5]]}},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -113,7 +116,7 @@ def test_config_error_exit_code(tmp_path):
         "duration-infinite", "steps-overflow", "mfpc-u1_max-negative",
         "mfpc-u1_max-zero", "obstacle-cx-nan", "noise-sigma-nan", "start-nan",
         "heol-kx-infinite", "circle-radius-infinite", "speed-hint-zero",
-        "speed-hint-negative"])
+        "speed-hint-negative", "mfpc-full-circle", "mfpc-heading-up"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -121,6 +124,20 @@ def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     assert main([command, "--config", str(path), "--out", str(tmp_path)] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]   # nothing written
+
+
+def test_long_mfpc_run_finishes(tmp_path):
+    # past |alpha2| * t = 709 an absolute-time arc would overflow math.exp
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"version": 1, "controller": "mfpc", "duration": 480,
+                                "noise": {"enabled": False}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    metrics = json.loads((out / "scenario_summary.json").read_text())["metrics"]
+    for key in ("rms_tracking", "max_tracking", "control_energy"):
+        assert math.isfinite(metrics[key])
+    assert metrics["rms_tracking"] < 0.01
 
 
 def test_aborted_run_exit_code(tmp_path):

@@ -88,7 +88,7 @@ def test_ultra_local_window_scales_input_by_alpha(f, u0, alpha):
 
 
 def test_ultra_local_axis_window_uses_its_alpha():
-    axis = UltraLocalAxis(alpha=2.0, t_window=T, dt=DT)
+    axis = UltraLocalAxis(alpha=2.0, t_window=T, dt=DT, horizon=0.3)
     fill(axis.window, ramp(31, 1.0 + 2.0 * 0.5), np.full(31, 0.5))
     assert axis.window.estimate() == pytest.approx(1.0, abs=1e-9)
 

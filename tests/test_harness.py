@@ -9,7 +9,7 @@ from dubinsim.errors import ConfigError
 from dubinsim.harness import (place_crossing_obstacle, run_scenario, run_sweep)
 from dubinsim.presets import (nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
-from dubinsim.scenario import (HeolConfig, PerturbationConfig,
+from dubinsim.scenario import (HeolConfig, NoiseConfig, PerturbationConfig,
                                ScenarioConfig)
 
 DT = 0.01
@@ -201,3 +201,33 @@ def test_placed_obstacles_always_cross():
     for i in range(20):
         ob = place_crossing_obstacle(cfg, 80 + i)
         assert path_crosses_zone(traj, ob.danger_zone(0.5)) is not None
+
+
+def test_a_bypassed_zone_is_rescanned_after_its_bypass():
+    # the U path passes the obstacle on its way out and again on its way
+    # back; both passes need a bypass, planned from the first discovery
+    cfg = ScenarioConfig(
+        name="u-turn", controller="heol", duration=30.0,
+        path={"kind": "polyline", "waypoints": [[0, 0], [12, 0], [12, 4], [0, 4]]},
+        noise=NoiseConfig(enabled=False), obstacles=(Obstacle(6.0, 2.0, 1.8),))
+    r = run_scenario(cfg)
+    assert not r.aborted
+    assert [e["obstacle"] for e in r.events if e["kind"] == "bypass_start"] == [0, 0]
+    r_danger = 1.8 + cfg.avoidance.margin
+    assert np.hypot(r.x_ref - 6.0, r.y_ref - 2.0).min() >= r_danger
+    assert r.metrics["min_clearance"][0] >= r_danger - 1e-3
+
+
+def test_a_bypass_that_starts_inside_an_earlier_wrap_is_checked_against_it():
+    # the second zone's bypass splices in from inside the first zone's wrap
+    # and cuts back through the first zone; a replan must clear both
+    obs = (Obstacle(5.0, -0.2, 1.1), Obstacle(6.3, -1.3, 1.4))
+    cfg = ScenarioConfig(name="adjacent", controller="heol",
+                         noise=NoiseConfig(enabled=False), obstacles=obs)
+    r = run_scenario(cfg)
+    assert not r.aborted
+    bypasses = [e for e in r.events if e["kind"] == "bypass_start"]
+    assert bypasses[0]["obstacle"] == 0 and bypasses[1]["obstacle"] == 1
+    assert bypasses[1]["t_start"] < bypasses[0]["t_end"]
+    for ob in obs:
+        assert np.hypot(r.x_ref - ob.cx, r.y_ref - ob.cy).min() >= ob.r + cfg.avoidance.margin

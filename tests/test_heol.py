@@ -32,7 +32,7 @@ def test_on_reference_reduces_to_feedforward():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     t = 3.0
     x_ref, y_ref, _, _ = traj.lookup(t)
-    ctrl = heol_step((x_ref, y_ref), traj, t, HeolConfig(), fresh_windows())
+    ctrl = heol_step((x_ref, y_ref), traj.lookup(t), t, HeolConfig(), fresh_windows())
     ff = flat_feedforward(traj, t)
     assert ctrl.u1 == pytest.approx(ff.u1, abs=1e-12)
     assert ctrl.u2 == pytest.approx(ff.u2, abs=1e-12)
@@ -42,20 +42,22 @@ def test_on_reference_reduces_to_feedforward():
 def test_ip_law_arithmetic():
     # dx_err = 0.1, F_hat = 0 (warm-up), Kx = 2 -> dnu1 = -0.2
     traj = stationary_traj()
-    ctrl = heol_step((0.1, 0.0), traj, 0.0, HeolConfig(kx=2.0, ky=2.0), fresh_windows())
+    ctrl = heol_step((0.1, 0.0), traj.lookup(0.0), 0.0, HeolConfig(kx=2.0, ky=2.0),
+                     fresh_windows())
     assert ctrl.nu1 == pytest.approx(-0.2, abs=1e-12)
     assert ctrl.nu2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_non_finite_measurement_faults():
     with pytest.raises(ControllerFault):
-        heol_step((float("nan"), 0.0), stationary_traj(), 0.0, HeolConfig(), fresh_windows())
+        heol_step((float("nan"), 0.0), stationary_traj().lookup(0.0), 0.0, HeolConfig(),
+                  fresh_windows())
 
 
 def test_step_pushes_samples_after_output():
     wx, wy = fresh_windows()
     traj = stationary_traj()
-    heol_step((0.5, -0.25), traj, 0.0, HeolConfig(kx=2.0, ky=2.0), (wx, wy))
+    heol_step((0.5, -0.25), traj.lookup(0.0), 0.0, HeolConfig(kx=2.0, ky=2.0), (wx, wy))
     outs, ins = wx.chronological()
     assert outs[-1] == 0.5
     assert ins[-1] == pytest.approx(-1.0)  # -(0 + 2*0.5)
@@ -76,7 +78,7 @@ def test_constant_disturbance_absorbed_by_estimate():
     ts, ys, fhats = [], [], []
     for k in range(301):
         t = k * DT
-        ctrl = heol_step((0.0, y), traj, t, gains, windows)
+        ctrl = heol_step((0.0, y), traj.lookup(t), t, gains, windows)
         ts.append(t)
         ys.append(y)
         fhats.append(windows[1].last_estimate)
@@ -111,7 +113,7 @@ def test_contraction_with_exact_estimates(k):
     windows = (_ConstEstimate(F), _ConstEstimate(F))
     x = 1.0
     for _ in range(50):
-        ctrl = heol_step((x, 0.0), traj, 0.0, gains, windows)
+        ctrl = heol_step((x, 0.0), traj.lookup(0.0), 0.0, gains, windows)
         x_next = x + DT * (ctrl.nu1 + F)
         assert x_next / x == pytest.approx(1.0 - k * DT, abs=1e-9)
         x = x_next
@@ -125,7 +127,7 @@ def closed_loop(spec, gains=HeolConfig(), duration=20.0):
     errs, ctrls = [], []
     for k in range(int(round(duration / DT)) + 1):
         t = k * DT
-        c = ctl.step(s.x, s.y, traj, t)
+        c = ctl.step(s.x, s.y, t, traj.row(k))
         xr, yr = traj.position(t)
         errs.append(math.hypot(s.x - xr, s.y - yr))
         ctrls.append((c.nu1, c.nu2))
@@ -152,6 +154,6 @@ def test_output_continuity_on_nominal_run():
 def test_controller_wrapper_tracks_heading_and_estimates():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     ctl = HeolController(HeolConfig(), DT)
-    c = ctl.step(*traj.position(0.0), traj, 0.0)
+    c = ctl.step(*traj.position(0.0), 0.0, traj.row(0))
     assert ctl.prev_u2 == c.u2
     assert ctl.last_fhat == (0.0, 0.0)  # warm-up

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dubinsim.errors import ControllerFault, HorizonTooLongError
-from dubinsim.mfpc import (MfpcConfig, MfpcController, UltraLocalAxis,
-                           mfpc_axis_step, solve_two_point)
-from dubinsim.reference import PolylinePath, ReferenceTrajectory, build_reference
+from dubinsim.errors import ConfigError, ControllerFault, HorizonTooLongError
+from dubinsim.mfpc import (MAX_EXP_ARG, MfpcConfig, MfpcController, UltraLocalAxis,
+                           check_reference, mfpc_axis_step, solve_two_point)
+from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory, SinePath,
+                               build_reference)
 
 DT = 0.01
 
@@ -77,38 +80,39 @@ def test_solve_guards():
 
 
 def test_axis_step_zero_at_setpoint_without_drift():
-    axis = UltraLocalAxis(1.0, 0.3, DT)
-    assert mfpc_axis_step(axis, 0.0, 0.0, 0.0, 1.0) == 0.0
+    axis = UltraLocalAxis(1.0, 0.3, DT, 1.0)
+    assert mfpc_axis_step(axis, 0.0, 0.0) == 0.0
 
 
 def test_axis_step_cancels_pure_drift():
     # window filled with (y=0, u=-f/alpha) makes F_est = f; at the setpoint the
     # optimal velocity is zero so u = -f/alpha
     alpha, f = 2.0, 0.6
-    axis = UltraLocalAxis(alpha, 0.3, DT)
+    axis = UltraLocalAxis(alpha, 0.3, DT, 1.0)
     for _ in range(31):
         axis.window.push(0.0, -f / alpha)
-    u = mfpc_axis_step(axis, 0.0, 0.0, 1.0, 2.0)
+    u = mfpc_axis_step(axis, 0.0, 0.0)
     assert axis.f_est == pytest.approx(f, abs=1e-9)
     assert u == pytest.approx(-f / alpha, abs=1e-9)
 
 
 def test_axis_step_matches_boundary_velocity():
-    axis = UltraLocalAxis(1.0, 0.3, DT)
-    u = mfpc_axis_step(axis, 1.0, 0.0, 0.0, 1.0)
+    axis = UltraLocalAxis(1.0, 0.3, DT, 1.0)
+    u = mfpc_axis_step(axis, 1.0, 0.0)
     assert u == pytest.approx(-1.313035, abs=1e-6)  # velocity of the closed form at t_i
 
 
 def test_axis_step_shrinks_long_horizons():
-    axis = UltraLocalAxis(1.0, 0.3, DT)
-    u = mfpc_axis_step(axis, 1.0, 0.0, 0.0, 100.0)  # would overflow unshrunk
+    axis = UltraLocalAxis(1.0, 0.3, DT, 100.0)  # would overflow unshrunk
+    u = mfpc_axis_step(axis, 1.0, 0.0)
     assert math.isfinite(u)
-    assert axis.last_solution.t_f - axis.last_solution.t_i <= 40.0 + 1e-9
+    assert axis.horizon <= 40.0 / 1.0
+    assert math.isfinite(axis.gain)
 
 
 def test_axis_step_pushes_applied_input():
-    axis = UltraLocalAxis(1.0, 0.3, DT, u_min=-0.5, u_max=0.5)
-    u = mfpc_axis_step(axis, 3.0, 0.0, 0.0, 1.0)
+    axis = UltraLocalAxis(1.0, 0.3, DT, 1.0, u_min=-0.5, u_max=0.5)
+    u = mfpc_axis_step(axis, 3.0, 0.0)
     assert u == -0.5
     assert axis.last_clamped
     outs, ins = axis.window.chronological()
@@ -117,17 +121,16 @@ def test_axis_step_pushes_applied_input():
 
 
 def test_solution_independent_of_drift_estimate():
-    # same measurement and setpoint, different window contents -> identical c1, c2
-    a = UltraLocalAxis(1.5, 0.3, DT)
-    b = UltraLocalAxis(1.5, 0.3, DT)
+    # same measurement and setpoint, different window contents -> identical gain
+    a = UltraLocalAxis(1.5, 0.3, DT, 1.0)
+    b = UltraLocalAxis(1.5, 0.3, DT, 1.0)
     for _ in range(31):
         a.window.push(0.0, 0.9)
         b.window.push(0.0, -0.4)
-    ua = mfpc_axis_step(a, 2.0, 1.0, 0.5, 1.5)
-    ub = mfpc_axis_step(b, 2.0, 1.0, 0.5, 1.5)
+    ua = mfpc_axis_step(a, 2.0, 1.0)
+    ub = mfpc_axis_step(b, 2.0, 1.0)
     assert a.f_est != b.f_est
-    assert a.last_solution.c1 == b.last_solution.c1
-    assert a.last_solution.c2 == b.last_solution.c2
+    assert a.gain == b.gain
     assert ua != ub  # drift correction differs
 
 
@@ -135,13 +138,13 @@ def test_receding_horizon_consistency_on_exact_model():
     # synthetic plant follows dy/dt = F + alpha*u exactly: successive optimal
     # curves stay within O(dt) of each other
     alpha, F, y_sp = 1.0, 0.4, 2.0
-    axis = UltraLocalAxis(alpha, 0.3, DT)
+    axis = UltraLocalAxis(alpha, 0.3, DT, 1.0)
     y = 0.0
     sols = []
     for k in range(200):
         t = k * DT
-        u = mfpc_axis_step(axis, y, y_sp, t, t + 1.0)
-        sols.append(axis.last_solution)
+        sols.append(solve_two_point(y, y_sp, t, t + 1.0, alpha))
+        u = mfpc_axis_step(axis, y, y_sp)
         y += DT * (F + alpha * u)
     for k in range(80, 150):
         a, b = sols[k], sols[k + 1]
@@ -151,13 +154,36 @@ def test_receding_horizon_consistency_on_exact_model():
         assert gap <= 1.5 * DT * vmax + 1e-9
 
 
+# Positions on a 1 um grid: an error of 1e-246 m would leave the oracle's
+# exp(-r*t_f)*(y - y_sp) in subnormal range, where it has no 1e-12 precision.
+POSITIONS = st.integers(-5_000_000, 5_000_000).map(lambda i: i * 1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.1, 2.0), negative=st.booleans(), horizon=st.floats(0.05, 60.0),
+       t=st.floats(0.0, 300.0), y=POSITIONS, y_sp=POSITIONS, eval_at_next=st.booleans())
+def test_gain_is_the_arc_velocity_at_any_absolute_time(alpha, negative, horizon, t, y, y_sp,
+                                                       eval_at_next):
+    alpha = -alpha if negative else alpha
+    axis = UltraLocalAxis(alpha, 0.3, DT, horizon, eval_at_next=eval_at_next)
+    T = axis.horizon
+    assert T <= horizon and abs(alpha) * T <= MAX_EXP_ARG
+    assert T == pytest.approx(min(horizon, MAX_EXP_ARG / abs(alpha)), rel=1e-15)
+    t_f = t + T
+    while abs(alpha) * (t_f - t) > MAX_EXP_ARG:   # t + T can round past the guard
+        t_f = math.nextafter(t_f, t)
+    want = solve_two_point(y, y_sp, t, t_f, alpha).velocity(t + DT if eval_at_next else t)
+    assert axis.gain * (y - y_sp) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # -- MIMO step ----------------------------------------------------------------
 
 
 def test_mimo_step_stationary_at_rest():
     params = MfpcConfig(t_window=0.3)
     ctl = MfpcController(params, DT)
-    c = ctl.step(0.0, 0.0, stationary_traj(), 0.0)
+    traj = stationary_traj()
+    c = ctl.step(0.0, 0.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
     assert c.u1 == 0.0
     assert c.u2 == 0.0
     assert c.nu1 is None and c.nu2 is None
@@ -166,25 +192,38 @@ def test_mimo_step_stationary_at_rest():
 def test_mimo_step_clamps_heading_and_logs_episode():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
-    c = ctl.step(0.0, -3.0, traj, 0.0)  # huge lateral error -> raw u2 >> pi/2
+    # huge lateral error -> raw u2 >> pi/2
+    c = ctl.step(0.0, -3.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
     assert ctl.axis_y.last_raw_u > math.pi / 2
     assert c.u2 == pytest.approx(math.pi / 2 - 0.01)
     clamps = [e for e in ctl.events if e["kind"] == "clamp" and e["input"] == "u2"]
     assert len(clamps) == 1
-    ctl.step(0.0, -3.0, traj, DT)  # same episode, no duplicate event
+    # same episode, no duplicate event
+    ctl.step(0.0, -3.0, DT, traj.row(1), traj.position(DT + ctl.lookahead))
     assert len([e for e in ctl.events if e["input"] == "u2"]) == 1
 
 
 def test_mimo_step_faults_on_non_finite():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
+    traj = stationary_traj()
     with pytest.raises(ControllerFault):
-        ctl.step(float("inf"), 0.0, stationary_traj(), 0.0)
+        ctl.step(float("inf"), 0.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
+
+
+def test_check_reference_refuses_headings_outside_half_plane():
+    check_reference(build_reference(SinePath(), DT, 5.0))
+    # a full circle, and a leg straight up (dx == 0, dy != 0)
+    for spec in (CirclePath(), PolylinePath(((0.0, 0.0), (5.0, 0.0), (5.0, 3.0)),
+                                            fillet_radius=0.0)):
+        with pytest.raises(ConfigError):
+            check_reference(build_reference(spec, DT, 20.0))
 
 
 def test_u1_never_negative():
     # vehicle ahead of a stationary target: the speed demand clamps at zero
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
-    c = ctl.step(5.0, 0.0, stationary_traj(), 0.0)
+    traj = stationary_traj()
+    c = ctl.step(5.0, 0.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
     assert c.u1 == 0.0
 
 
@@ -197,7 +236,7 @@ def test_line_tracking_settles_near_unit_speed():
     u1s, u2s = [], []
     for k in range(2001):
         t = k * DT
-        c = ctl.step(s.x, s.y, traj, t)
+        c = ctl.step(s.x, s.y, t, traj.row(k), traj.position(t + ctl.lookahead))
         u1s.append(c.u1)
         u2s.append(c.u2)
         if k < 2000:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dubinsim.errors import StateIntegrityError
 from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, ControlInput,
@@ -190,3 +192,17 @@ def test_state_and_control_are_immutable_records():
         st.x = 3.0
     with pytest.raises(AttributeError):
         c.u1 = 3.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(zero=st.booleans(), duration=st.floats(0.5, 60.0), switch=st.floats(0.05, 5.0),
+       seed=st.integers(0, 2**32), dt=st.sampled_from([0.005, 0.01, 0.02, 0.1]),
+       extra=st.integers(0, 300))
+def test_levels_equal_at_on_the_sample_grid(zero, duration, switch, seed, dt, extra):
+    sched = (PerturbationSchedule.zero() if zero else
+             PerturbationSchedule.draw(duration, switch_interval=switch, seed=seed))
+    n = int(round(duration / dt)) + extra   # runs past the last level too
+    levels = sched.levels(n, dt)
+    assert len(levels) == n + 1
+    for k, level in enumerate(levels):
+        assert level is sched.at(k * dt)   # the same float object, not a copy

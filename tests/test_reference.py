@@ -1,10 +1,14 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dubinsim.errors import DegeneratePathError
+from dubinsim.avoidance import DangerZone, path_crosses_zone, plan_bypass, splice
+from dubinsim.errors import DegeneratePathError, InfeasibleBypassError
 from dubinsim.model import VehicleState, step_plant
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
                                 SinePath, apply_sync, build_reference,
@@ -263,3 +267,54 @@ def test_filleted_polyline_table_is_unchanged(spec, dt, digest):
     traj = build_reference(spec, dt)
     data = b"".join(a.tobytes() for a in (traj.x, traj.y, traj.dx, traj.dy))
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# -- property: the per-sample row equals the lookup at the sample time ---------
+
+
+@st.composite
+def revised_references(draw):
+    """A built line, sinusoid, circle or filleted polyline, left as built,
+    time-synced, or spliced around a zone centred on one of its samples."""
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    kind = draw(st.sampled_from(["line", "sinusoid", "circle", "polyline"]))
+    speed = draw(st.floats(0.5, 1.5))
+    if kind == "line":
+        spec = PolylinePath(((0.0, 0.0), (draw(st.floats(5.0, 25.0)), draw(st.floats(-3.0, 3.0)))),
+                            speed=speed)
+    elif kind == "sinusoid":
+        spec = SinePath(amplitude=draw(st.floats(0.2, 2.0)),
+                        wavelength=draw(st.floats(5.0, 15.0)), speed=speed)
+    elif kind == "circle":
+        spec = CirclePath(radius=draw(st.floats(2.0, 8.0)), omega=draw(st.floats(0.05, 0.3)),
+                          phase=draw(st.floats(-math.pi, math.pi)))
+    else:
+        waypoints, heading = [(0.0, 0.0)], 0.0
+        for _ in range(4):
+            heading += draw(st.floats(-1.0, 1.0))
+            length = draw(st.floats(4.0, 7.0))
+            x, y = waypoints[-1]
+            waypoints.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+        spec = PolylinePath(tuple(waypoints), speed=speed, fillet_radius=draw(st.floats(0.2, 1.0)))
+    traj = build_reference(spec, dt, draw(st.sampled_from([5.0, 12.0, 20.0])))
+    revision = draw(st.sampled_from(["none", "sync", "splice"]))
+    if revision == "sync":
+        traj = apply_sync(traj, draw(st.integers(-300, 300)) * dt,
+                          draw(st.floats(0.0, traj.tf)), "startup")
+    elif revision == "splice":
+        i = draw(st.integers(traj.n // 3, 2 * traj.n // 3))
+        zone = DangerZone(float(traj.x[i]), float(traj.y[i]), draw(st.floats(0.2, 0.6)))
+        side = draw(st.sampled_from(["left", "right"]))
+        try:
+            plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), side, speed)
+            traj = splice(traj, plan)
+        except InfeasibleBypassError:
+            assume(False)
+    return traj
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(revised_references())
+def test_row_equals_lookup_bit_for_bit(traj):
+    for k in range(traj.n + 51):
+        assert struct.pack("4d", *traj.row(k)) == struct.pack("4d", *traj.lookup(k * traj.dt))
