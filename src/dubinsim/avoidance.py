@@ -252,9 +252,8 @@ def splice(traj: ReferenceTrajectory, plan: BypassPlan) -> ReferenceTrajectory:
     """Replace the reference between the plan's anchors with the bypass samples.
 
     The bypass generally takes longer than the segment it replaces, so the
-    remainder of the reference is re-timed to start right after it; that
-    offset is recorded as a post-bypass sync event.  Both junctions are
-    position-continuous by construction.
+    remainder of the reference is re-timed to start right after it.  Both
+    junctions are position-continuous by construction.
     """
     i_start = traj.index_of(plan.t_start)
     i_end = i_start + len(plan.x) - 1
@@ -263,5 +262,4 @@ def splice(traj: ReferenceTrajectory, plan: BypassPlan) -> ReferenceTrajectory:
     samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
     for arr, bypass in zip(samples, (plan.x, plan.y, plan.dx, plan.dy)):
         arr[i_start:i_end + 1] = bypass
-    return reindex_tail(traj, samples, i_end + 1, int(round(plan.tau_tail / traj.dt)),
-                        plan.t_end, "post_bypass")
+    return reindex_tail(traj, samples, i_end + 1, int(round(plan.tau_tail / traj.dt)))

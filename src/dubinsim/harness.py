@@ -77,7 +77,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         rx, ry = traj.position(0.0)
         if math.hypot(state.x - rx, state.y - ry) > cfg.sync.startup_threshold:
             tau = sync_offset(state.x, state.y, traj, 0.0, cfg.sync.tau_max)
-            traj = apply_sync(traj, tau, 0.0, "startup")
+            traj = apply_sync(traj, tau, 0.0)
             events.append({"kind": "sync", "t": 0.0, "tau": tau, "reason": "startup"})
 
     rows = np.full((n + 1, len(SERIES)), np.nan)
@@ -110,7 +110,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             if cfg.sync.enabled:
                 tau = sync_offset(xm, ym, traj, t, cfg.sync.tau_max)
                 if abs(tau) > 0.5 * dt:
-                    traj = apply_sync(traj, tau, t, "post_bypass")
+                    traj = apply_sync(traj, tau, t)
                     events.append({"kind": "sync", "t": t, "tau": tau,
                                    "reason": "post_bypass"})
                     unchecked = set(zones)
@@ -187,7 +187,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 break
 
     events.extend(controller.events)
-    events.sort(key=lambda e: (e["t"], e["kind"]))
+    events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
     series = dict(zip(SERIES, rows.T))
     metrics = compute_metrics(cfg, series, events)
     if cfg.controller == "mfpc":
@@ -231,17 +231,14 @@ class SweepReport:
     metrics_summary: dict   # metric -> {"min":, "median":, "max":}
     per_run: list           # one metrics dict per run, in run order
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
+_RANDOMIZE_ASPECTS = ("obstacles", "noise", "perturbation")
 _SWEEP_METRICS = ("rms_tracking", "max_tracking", "total_path_length",
                   "reverse_distance", "control_energy", "detour_total")
 
 
 def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
-              randomize=("obstacles", "noise", "perturbation"),
-              keep_results: bool = False):
+              randomize=_RANDOMIZE_ASPECTS, keep_results: bool = False):
     """Run seeded variants of a base scenario and aggregate their metrics.
 
     ``randomize`` picks which aspects get per-run seeds; anything not listed
@@ -250,6 +247,9 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
+    bad = [s for s in randomize if s not in _RANDOMIZE_ASPECTS]
+    if bad:
+        raise ConfigError(f"unknown randomize aspects: {bad}")
     base_seed = cfg.seed if seed is None else int(seed)
     reports = []
     results = []
@@ -342,5 +342,5 @@ def emit_sweep(report: SweepReport, out_dir, name: str | None = None) -> str:
     os.makedirs(out_dir, exist_ok=True)
     stem = name or f"{report.base_name}_sweep"
     path = os.path.join(out_dir, f"{stem}.json")
-    write_json(path, json_safe(report.to_dict()))
+    write_json(path, json_safe(asdict(report)))
     return path

@@ -39,39 +39,9 @@ class HeolConfig:
             raise ConfigError("HEOL t_window must be positive")
 
 
-def heol_step(meas: tuple[float, float], row, t: float,
-              gains: HeolConfig, windows, prev_u2: float = 0.0) -> ControlInput:
-    """One closed-loop step: feedforward plus the iP correction.
-
-    ``row`` is the reference sample ``(x, y, dx, dy)`` at time t.  ``windows``
-    is the (x-axis, y-axis) pair of ``FWindow`` estimators over (flat-output
-    error, auxiliary-control error) samples.  The freshly computed
-    (error, correction) samples are pushed after the output is formed, so the
-    estimate never sees data from its own step.
-    """
-    xm, ym = meas
-    if not (math.isfinite(xm) and math.isfinite(ym)):
-        raise ControllerFault(f"non-finite measurement ({xm}, {ym}) at t={t}")
-    win_x, win_y = windows
-    x_ref, y_ref, dx_ref, dy_ref = row
-    ex = xm - x_ref
-    ey = ym - y_ref
-    fx = win_x.estimate()
-    fy = win_y.estimate()
-    dnu1 = -(fx + gains.kx * ex)
-    dnu2 = -(fy + gains.ky * ey)
-    nu1 = dx_ref + dnu1
-    nu2 = dy_ref + dnu2
-    u1, u2 = aux_to_true(nu1, nu2, prev_u2)
-    win_x.push(ex, dnu1)
-    win_y.push(ey, dnu2)
-    return ControlInput(u1=u1, u2=u2, nu1=nu1, nu2=nu2)
-
-
 class HeolController:
-    """Stateful wrapper owning the two estimator windows and the last heading."""
+    """Owns the two estimator windows and the last heading."""
 
-    kind = "heol"
     lookahead = 0.0   # reads only the reference row at t
 
     def __init__(self, config: HeolConfig, dt: float):
@@ -83,10 +53,30 @@ class HeolController:
 
     def step(self, x_meas: float, y_meas: float, t: float, row,
              ahead=None) -> ControlInput:
-        ctrl = heol_step((x_meas, y_meas), row, t, self.config,
-                         (self.win_x, self.win_y), prev_u2=self.prev_u2)
-        self.prev_u2 = ctrl.u2
-        return ctrl
+        """One closed-loop step: feedforward plus the iP correction.
+
+        ``row`` is the reference sample ``(x, y, dx, dy)`` at time t.  Each
+        window estimates F from (flat-output error, auxiliary-control error)
+        samples; this step's samples are pushed after the output is formed,
+        so the estimate never sees data from its own step.
+        """
+        if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
+            raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas}) at t={t}")
+        gains = self.config
+        x_ref, y_ref, dx_ref, dy_ref = row
+        ex = x_meas - x_ref
+        ey = y_meas - y_ref
+        fx = self.win_x.estimate()
+        fy = self.win_y.estimate()
+        dnu1 = -(fx + gains.kx * ex)
+        dnu2 = -(fy + gains.ky * ey)
+        nu1 = dx_ref + dnu1
+        nu2 = dy_ref + dnu2
+        u1, u2 = aux_to_true(nu1, nu2, self.prev_u2)
+        self.win_x.push(ex, dnu1)
+        self.win_y.push(ey, dnu2)
+        self.prev_u2 = u2
+        return ControlInput(u1=u1, u2=u2, nu1=nu1, nu2=nu2)
 
     @property
     def last_fhat(self) -> tuple[float, float]:

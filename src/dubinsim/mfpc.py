@@ -32,7 +32,8 @@ MAX_EXP_ARG = 40.0
 
 
 class BoundarySolution(NamedTuple):
-    """y*(t) = y_setpoint + c1*exp(rate*t) + c2*exp(-rate*t) on [t_i, t_f]."""
+    """y*(t) = y_setpoint + c1*exp(rate*(t - t_i)) + c2*exp(-rate*(t - t_i))
+    on [t_i, t_f]; relative to t_i, so any start time stays finite."""
 
     c1: float
     c2: float
@@ -42,10 +43,12 @@ class BoundarySolution(NamedTuple):
     y_setpoint: float
 
     def value(self, t: float) -> float:
-        return self.y_setpoint + self.c1 * math.exp(self.rate * t) + self.c2 * math.exp(-self.rate * t)
+        s = t - self.t_i
+        return self.y_setpoint + self.c1 * math.exp(self.rate * s) + self.c2 * math.exp(-self.rate * s)
 
     def velocity(self, t: float) -> float:
-        return self.rate * (self.c1 * math.exp(self.rate * t) - self.c2 * math.exp(-self.rate * t))
+        s = t - self.t_i
+        return self.rate * (self.c1 * math.exp(self.rate * s) - self.c2 * math.exp(-self.rate * s))
 
 
 def solve_two_point(y_i: float, y_setpoint: float, t_i: float, t_f: float,
@@ -61,13 +64,13 @@ def solve_two_point(y_i: float, y_setpoint: float, t_i: float, t_f: float,
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
     rate = abs(alpha)
-    if rate * (t_f - t_i) > MAX_EXP_ARG:
-        raise HorizonTooLongError(
-            f"rate*(t_f - t_i) = {rate * (t_f - t_i):.3g} exceeds {MAX_EXP_ARG}")
-    den = math.exp(rate * t_i) * math.exp(-rate * t_f) - math.exp(-rate * t_i) * math.exp(rate * t_f)
+    h = t_f - t_i
+    if rate * h > MAX_EXP_ARG:
+        raise HorizonTooLongError(f"rate*(t_f - t_i) = {rate * h:.3g} exceeds {MAX_EXP_ARG}")
+    den = math.exp(-rate * h) - math.exp(rate * h)
     dy = y_i - y_setpoint
-    c1 = dy * math.exp(-rate * t_f) / den
-    c2 = -math.exp(rate * t_f) * dy / den
+    c1 = dy * math.exp(-rate * h) / den
+    c2 = -math.exp(rate * h) * dy / den
     return BoundarySolution(c1=c1, c2=c2, t_i=t_i, t_f=t_f, rate=rate,
                             y_setpoint=y_setpoint)
 
@@ -165,8 +168,6 @@ class MfpcConfig:
 
 class MfpcController:
     """Stateful wrapper owning the two ultra-local axes; logs clamp episodes."""
-
-    kind = "mfpc"
 
     def __init__(self, config: MfpcConfig, dt: float):
         self.config = config

@@ -18,16 +18,6 @@ from .errors import DegeneratePathError
 from .model import ControlInput, aux_to_true
 
 
-@dataclass(frozen=True)
-class SyncEvent:
-    """One applied time offset: lookups at/after t_event read the prior
-    trajectory at t + tau."""
-
-    t_event: float
-    tau: float
-    reason: str  # "startup" | "post_bypass"
-
-
 # ---------------------------------------------------------------------------
 # Path specifications
 
@@ -74,7 +64,6 @@ class ReferenceTrajectory:
     y: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    sync_events: tuple = ()
 
     def __post_init__(self):
         n = len(self.x)
@@ -350,13 +339,12 @@ def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,
     return float(ks[int(np.argmin(d2))] * traj.dt)
 
 
-def reindex_tail(traj: ReferenceTrajectory, samples, i0: int, shift: int,
-                 t_event: float, reason: str) -> ReferenceTrajectory:
+def reindex_tail(traj: ReferenceTrajectory, samples, i0: int,
+                 shift: int) -> ReferenceTrajectory:
     """Revised trajectory from ``samples``, fresh (x, y, dx, dy) arrays the
     caller owns: entries from index i0 on are overwritten with traj's samples
-    ``shift`` steps later, and the offset is recorded as a SyncEvent.  Samples
-    shifted past either end clamp there with zero derivative (the path parks
-    rather than extrapolating)."""
+    ``shift`` steps later.  Samples shifted past either end clamp there with
+    zero derivative (the path parks rather than extrapolating)."""
     n = traj.n
     x, y, dx_, dy_ = samples
     src = np.arange(i0, n) + shift
@@ -366,15 +354,12 @@ def reindex_tail(traj: ReferenceTrajectory, samples, i0: int, shift: int,
     y[i0:] = traj.y[src]
     dx_[i0:] = np.where(clipped, 0.0, traj.dx[src])
     dy_[i0:] = np.where(clipped, 0.0, traj.dy[src])
-    event = SyncEvent(t_event=t_event, tau=shift * traj.dt, reason=reason)
-    return replace(traj, x=x, y=y, dx=dx_, dy=dy_,
-                   sync_events=traj.sync_events + (event,))
+    return replace(traj, x=x, y=y, dx=dx_, dy=dy_)
 
 
-def apply_sync(traj: ReferenceTrajectory, tau: float, t_event: float,
-               reason: str = "startup") -> ReferenceTrajectory:
+def apply_sync(traj: ReferenceTrajectory, tau: float, t_event: float) -> ReferenceTrajectory:
     """Re-index the trajectory: lookups at/after t_event read the original at
     t + tau."""
     i0 = traj.first_index_at(t_event)
     samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
-    return reindex_tail(traj, samples, i0, int(round(tau / traj.dt)), t_event, reason)
+    return reindex_tail(traj, samples, i0, int(round(tau / traj.dt)))

@@ -234,13 +234,14 @@ def test_splice_minimum_distance_is_danger_radius():
     assert d.min() == pytest.approx(zone.r_danger, abs=1e-3)
 
 
-def test_splice_records_tail_retiming_event():
+def test_splice_retimes_the_tail():
     traj, _, plan, new = spliced_line()
-    ev = new.sync_events[-1]
-    assert ev.reason == "post_bypass"
-    assert ev.t_event == pytest.approx(plan.t_end)
-    assert ev.tau == pytest.approx(plan.tau_tail, abs=DT / 2)
     assert plan.tau_tail <= 0.0  # the wrap takes longer than the chord
+    # every sample after the bypass reads the original tau_tail later
+    i0 = traj.index_of(plan.t_end) + 1
+    shift = round(plan.tau_tail / DT)
+    assert np.array_equal(new.x[i0:], traj.x[i0 + shift:traj.n + shift])
+    assert np.array_equal(new.dx[i0:], traj.dx[i0 + shift:traj.n + shift])
     # tail resumes the original path right after the exit anchor
     bx, by = traj.position(plan.t_exit_original)
     assert new.position(plan.t_end) == pytest.approx((bx, by), abs=1e-9)

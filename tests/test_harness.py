@@ -173,12 +173,17 @@ def test_sweep_determinism():
     cfg = robustness_scenario("mfpc", seed=60)
     a = run_sweep(cfg, 5)
     b = run_sweep(cfg, 5)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_sweep_requires_runs():
     with pytest.raises(ConfigError):
         run_sweep(safety_scenario("heol", 1), 0)
+
+
+def test_sweep_rejects_unknown_randomize_aspects():
+    with pytest.raises(ConfigError, match="obstcles"):
+        run_sweep(safety_scenario("heol", 1), 1, randomize=("obstcles",))
 
 
 def test_sweep_pins_unrandomized_streams():
@@ -203,13 +208,17 @@ def test_placed_obstacles_always_cross():
         assert path_crosses_zone(traj, ob.danger_zone(0.5)) is not None
 
 
-def test_a_bypassed_zone_is_rescanned_after_its_bypass():
-    # the U path passes the obstacle on its way out and again on its way
-    # back; both passes need a bypass, planned from the first discovery
-    cfg = ScenarioConfig(
+def u_turn():
+    return ScenarioConfig(
         name="u-turn", controller="heol", duration=30.0,
         path={"kind": "polyline", "waypoints": [[0, 0], [12, 0], [12, 4], [0, 4]]},
         noise=NoiseConfig(enabled=False), obstacles=(Obstacle(6.0, 2.0, 1.8),))
+
+
+def test_a_bypassed_zone_is_rescanned_after_its_bypass():
+    # the U path passes the obstacle on its way out and again on its way
+    # back; both passes need a bypass, planned from the first discovery
+    cfg = u_turn()
     r = run_scenario(cfg)
     assert not r.aborted
     assert [e["obstacle"] for e in r.events if e["kind"] == "bypass_start"] == [0, 0]
@@ -231,3 +240,13 @@ def test_a_bypass_that_starts_inside_an_earlier_wrap_is_checked_against_it():
     assert bypasses[1]["t_start"] < bypasses[0]["t_end"]
     for ob in obs:
         assert np.hypot(r.x_ref - ob.cx, r.y_ref - ob.cy).min() >= ob.r + cfg.avoidance.margin
+
+
+def test_same_time_events_keep_causal_order():
+    # the discovery and both bypasses it triggers share one sample time
+    r = run_scenario(u_turn())
+    kinds = [e["kind"] for e in r.events]
+    first = r.events[0]["t"]
+    assert kinds[:3] == ["discovery", "bypass_start", "bypass_start"]
+    assert all(e["t"] == first for e in r.events[:3])
+    assert [e["t"] for e in r.events] == sorted(e["t"] for e in r.events)

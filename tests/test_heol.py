@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dubinsim.errors import ControllerFault
-from dubinsim.estimation import FWindow
-from dubinsim.heol import HeolConfig, HeolController, heol_step
+from dubinsim.heol import HeolConfig, HeolController
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
                                 build_reference, flat_feedforward)
 
@@ -17,8 +16,8 @@ def stationary_traj(n=401):
     return ReferenceTrajectory(dt=DT, x=z, y=z, dx=z, dy=z)
 
 
-def fresh_windows():
-    return FWindow(0.3, DT), FWindow(0.3, DT)
+def fresh_controller(gains=HeolConfig()):
+    return HeolController(gains, DT)
 
 
 def test_gains_must_be_positive():
@@ -32,7 +31,7 @@ def test_on_reference_reduces_to_feedforward():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     t = 3.0
     x_ref, y_ref, _, _ = traj.lookup(t)
-    ctrl = heol_step((x_ref, y_ref), traj.lookup(t), t, HeolConfig(), fresh_windows())
+    ctrl = fresh_controller().step(x_ref, y_ref, t, traj.lookup(t))
     ff = flat_feedforward(traj, t)
     assert ctrl.u1 == pytest.approx(ff.u1, abs=1e-12)
     assert ctrl.u2 == pytest.approx(ff.u2, abs=1e-12)
@@ -42,26 +41,24 @@ def test_on_reference_reduces_to_feedforward():
 def test_ip_law_arithmetic():
     # dx_err = 0.1, F_hat = 0 (warm-up), Kx = 2 -> dnu1 = -0.2
     traj = stationary_traj()
-    ctrl = heol_step((0.1, 0.0), traj.lookup(0.0), 0.0, HeolConfig(kx=2.0, ky=2.0),
-                     fresh_windows())
+    ctrl = fresh_controller(HeolConfig(kx=2.0, ky=2.0)).step(0.1, 0.0, 0.0, traj.lookup(0.0))
     assert ctrl.nu1 == pytest.approx(-0.2, abs=1e-12)
     assert ctrl.nu2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_non_finite_measurement_faults():
     with pytest.raises(ControllerFault):
-        heol_step((float("nan"), 0.0), stationary_traj().lookup(0.0), 0.0, HeolConfig(),
-                  fresh_windows())
+        fresh_controller().step(float("nan"), 0.0, 0.0, stationary_traj().lookup(0.0))
 
 
 def test_step_pushes_samples_after_output():
-    wx, wy = fresh_windows()
+    ctl = fresh_controller(HeolConfig(kx=2.0, ky=2.0))
     traj = stationary_traj()
-    heol_step((0.5, -0.25), traj.lookup(0.0), 0.0, HeolConfig(kx=2.0, ky=2.0), (wx, wy))
-    outs, ins = wx.chronological()
+    ctl.step(0.5, -0.25, 0.0, traj.lookup(0.0))
+    outs, ins = ctl.win_x.chronological()
     assert outs[-1] == 0.5
     assert ins[-1] == pytest.approx(-1.0)  # -(0 + 2*0.5)
-    outs_y, ins_y = wy.chronological()
+    outs_y, ins_y = ctl.win_y.chronological()
     assert outs_y[-1] == -0.25
     assert ins_y[-1] == pytest.approx(0.5)
 
@@ -72,16 +69,16 @@ def test_constant_disturbance_absorbed_by_estimate():
     # (band reached a fraction of a second after the 3-window mark).
     traj = stationary_traj()
     gains = HeolConfig(kx=2.0, ky=2.0, t_window=0.3)
-    windows = fresh_windows()
+    ctl = fresh_controller(gains)
     F = 0.3
     y = 0.0
     ts, ys, fhats = [], [], []
     for k in range(301):
         t = k * DT
-        ctrl = heol_step((0.0, y), traj.lookup(t), t, gains, windows)
+        ctrl = ctl.step(0.0, y, t, traj.lookup(t))
         ts.append(t)
         ys.append(y)
-        fhats.append(windows[1].last_estimate)
+        fhats.append(ctl.win_y.last_estimate)
         y += DT * (ctrl.nu2 + F)
     ts, ys, fhats = map(np.array, (ts, ys, fhats))
     settled = ts >= 4 * gains.t_window
@@ -110,10 +107,11 @@ def test_contraction_with_exact_estimates(k):
     traj = stationary_traj()
     gains = HeolConfig(kx=k, ky=k)
     F = 0.7
-    windows = (_ConstEstimate(F), _ConstEstimate(F))
+    ctl = fresh_controller(gains)
+    ctl.win_x, ctl.win_y = _ConstEstimate(F), _ConstEstimate(F)
     x = 1.0
     for _ in range(50):
-        ctrl = heol_step((x, 0.0), traj.lookup(0.0), 0.0, gains, windows)
+        ctrl = ctl.step(x, 0.0, 0.0, traj.lookup(0.0))
         x_next = x + DT * (ctrl.nu1 + F)
         assert x_next / x == pytest.approx(1.0 - k * DT, abs=1e-9)
         x = x_next

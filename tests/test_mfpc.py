@@ -67,6 +67,14 @@ def test_solution_sign_symmetric_in_alpha():
     assert (a.c1, a.c2) == (b.c1, b.c2)
 
 
+def test_solve_at_a_late_start_is_the_early_solution_shifted():
+    late = solve_two_point(1.0, 0.0, 400.0, 400.3, 2.0)
+    early = solve_two_point(1.0, 0.0, 0.0, late.t_f - late.t_i, 2.0)
+    for s in np.linspace(0.0, late.t_f - late.t_i, 7):
+        assert late.value(400.0 + s) == pytest.approx(early.value(s), rel=1e-12, abs=1e-12)
+        assert late.velocity(400.0 + s) == pytest.approx(early.velocity(s), rel=1e-12)
+
+
 def test_solve_guards():
     with pytest.raises(ValueError):
         solve_two_point(1.0, 0.0, 1.0, 1.0, 1.0)

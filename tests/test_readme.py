@@ -35,3 +35,5 @@ def test_library_use_names_are_importable():
     missing = [f"{mod}.{name}" for mod, name in checks
                if not hasattr(import_module(mod), name)]
     assert missing == []
+    # and the package root exports exactly those names
+    assert set(import_module("dubinsim").__all__) == {n for mod, n in checks if mod == "dubinsim"}

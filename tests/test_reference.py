@@ -200,16 +200,13 @@ def test_apply_sync_identity():
     shifted = apply_sync(traj, 0.0, 0.0)
     assert np.array_equal(shifted.x, traj.x)
     assert np.array_equal(shifted.y, traj.y)
-    assert shifted.sync_events[-1].tau == 0.0
 
 
 def test_apply_sync_reindexes():
     traj = line_traj()
-    shifted = apply_sync(traj, 0.5, 0.0, reason="startup")
+    shifted = apply_sync(traj, 0.5, 0.0)
     for t in (0.0, 1.0, 10.0):
         assert shifted.position(t)[0] == pytest.approx(min(t + 0.5, traj.x[-1]), abs=1e-9)
-    ev = shifted.sync_events[-1]
-    assert (ev.tau, ev.t_event, ev.reason) == (0.5, 0.0, "startup")
 
 
 def test_apply_sync_before_event_unchanged():
@@ -300,7 +297,7 @@ def revised_references(draw):
     revision = draw(st.sampled_from(["none", "sync", "splice"]))
     if revision == "sync":
         traj = apply_sync(traj, draw(st.integers(-300, 300)) * dt,
-                          draw(st.floats(0.0, traj.tf)), "startup")
+                          draw(st.floats(0.0, traj.tf)))
     elif revision == "splice":
         i = draw(st.integers(traj.n // 3, 2 * traj.n // 3))
         zone = DangerZone(float(traj.x[i]), float(traj.y[i]), draw(st.floats(0.2, 0.6)))
@@ -318,3 +315,50 @@ def revised_references(draw):
 def test_row_equals_lookup_bit_for_bit(traj):
     for k in range(traj.n + 51):
         assert struct.pack("4d", *traj.row(k)) == struct.pack("4d", *traj.lookup(k * traj.dt))
+
+
+# -- property: apply_sync re-indexes the tail and nothing else ------------------
+
+
+@st.composite
+def synced_references(draw):
+    """A line or a filleted polyline, with a random offset applied at a
+    random time (possibly past the end)."""
+    dt = draw(st.sampled_from([0.01, 0.02]))
+    speed = draw(st.floats(0.5, 1.5))
+    if draw(st.booleans()):
+        spec = PolylinePath(((0.0, 0.0), (draw(st.floats(2.0, 20.0)), draw(st.floats(-3.0, 3.0)))),
+                            speed=speed)
+    else:
+        waypoints, heading = [(0.0, 0.0)], 0.0
+        for _ in range(draw(st.integers(2, 4))):
+            heading += draw(st.floats(-1.2, 1.2))
+            length = draw(st.floats(3.0, 6.0))
+            x, y = waypoints[-1]
+            waypoints.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+        spec = PolylinePath(tuple(waypoints), speed=speed, fillet_radius=draw(st.floats(0.0, 0.8)))
+    traj = build_reference(spec, dt)
+    tau = draw(st.floats(-1.2 * traj.tf, 1.2 * traj.tf))
+    t_event = draw(st.floats(0.0, traj.tf + 1.0))
+    return traj, tau, t_event
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(synced_references())
+def test_apply_sync_shifts_only_the_tail(case):
+    traj, tau, t_event = case
+    shifted = apply_sync(traj, tau, t_event)
+    i0 = traj.first_index_at(t_event)
+    shift = round(tau / traj.dt)
+    n = traj.n
+    assert shifted.n == n and shifted.dt == traj.dt
+    for name in ("x", "y", "dx", "dy"):
+        assert np.array_equal(getattr(shifted, name)[:i0], getattr(traj, name)[:i0])
+    for i in range(i0, n):
+        src = i + shift
+        end = min(max(src, 0), n - 1)
+        got = (shifted.x[i], shifted.y[i], shifted.dx[i], shifted.dy[i])
+        if src == end:
+            assert got == (traj.x[src], traj.y[src], traj.dx[src], traj.dy[src])
+        else:   # shifted past an end: parked there
+            assert got == (traj.x[end], traj.y[end], 0.0, 0.0)
