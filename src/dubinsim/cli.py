@@ -19,7 +19,7 @@ import sys
 
 from .errors import ConfigError, DubinsimError
 from .harness import emit, emit_sweep, run_scenario, run_sweep
-from .scenario import ScenarioConfig, json_safe, write_json
+from .scenario import ScenarioConfig, check_name, json_safe, write_json
 
 
 def _default_out() -> str:
@@ -54,6 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.name is not None:
+        check_name(args.name)
     cfg = ScenarioConfig.from_file(args.config)
     result = run_scenario(cfg)
     out = args.out or _default_out()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -35,6 +34,9 @@ CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in _RESULT_SERIES)
 # Cap on replans within a single sample; more than this means the planner is
 # thrashing and the run is flagged instead of looping.
 MAX_REPLANS_PER_STEP = 8
+
+# Rows per formatting block in emit_csv.
+CSV_BLOCK_ROWS = 256
 
 
 def _make_controller(cfg: ScenarioConfig):
@@ -116,7 +118,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     unchecked = set(zones)
                     scan_from = {}
 
-        replans = 0
+        planned = []    # obstacles bypassed in this sample, in planning order
         while unchecked and not aborted:
             best = None
             for i in sorted(unchecked):
@@ -128,8 +130,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     best = (i, crossing)
             if best is None:
                 break
-            if replans >= MAX_REPLANS_PER_STEP:
-                aborted, abort_reason = True, "replanning loop exceeded limit"
+            if len(planned) >= MAX_REPLANS_PER_STEP:
+                aborted = True
+                abort_reason = ("replanning loop exceeded limit "
+                                f"(obstacles {sorted(set(planned))})")
                 break
             i, crossing = best
             hint = cfg.avoidance.speed_hint
@@ -157,7 +161,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             # zone i, whose own wrap is skipped: its tail may cross it again
             unchecked = set(zones)
             scan_from = {i: plan.t_end}
-            replans += 1
+            planned.append(i)
 
         if aborted:
             break
@@ -303,14 +307,17 @@ def emit_csv(result: ScenarioResult, path) -> None:
     The auxiliary-control columns are left empty for controllers that do not
     populate them.
     """
-    # Rows stream straight off the arrays: formatting every cell up front
-    # would hold ~2 MB of strings per 2000-sample run.
-    columns = [repeat(None) if series is None else series
-               for series in (getattr(result, name) for name in _RESULT_SERIES)]
+    series = [getattr(result, name) for name in _RESULT_SERIES]
+    # "%.9g" and f"{v:.9g}" share CPython's float repr, nan/inf/-0 included
+    row_format = ",".join("" if s is None else "%.9g" for s in series) + "\n"
+    columns = [s for s in series if s is not None]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in zip(*columns):
-            f.write(",".join("" if v is None else f"{v:.9g}" for v in row) + "\n")
+        # One %-format per block of rows; a block, not the whole table, keeps
+        # the formatted strings of a 2000-sample run out of peak memory.
+        for lo in range(0, len(result.t), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns])
+            f.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def emit_summary(result: ScenarioResult, path) -> None:

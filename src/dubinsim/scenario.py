@@ -89,6 +89,7 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        check_name(self.name)
         # vars, not asdict: asdict's copies on every replace raised sweep peak RSS
         for name, value in vars(self).items():
             if _has_non_finite(value):
@@ -184,6 +185,20 @@ class ScenarioConfig:
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
+
+
+def check_name(name) -> None:
+    """Refuse a run name that is not a plain file stem.
+
+    The name becomes the stem of the run's output files, so it must name a
+    file inside the output directory: not empty, not ``.`` or ``..``, and no
+    path separator or NUL.
+    """
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"name {name!r} is not a file stem: it must be non-empty, "
+                          "not '.' or '..', and hold no '/', '\\' or NUL")
 
 
 # The nested parameter blocks (noise, perturbation, heol, ...): the fields

@@ -8,7 +8,7 @@ from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.presets import FULL_CIRCLE_PATH, nominal_tracking, safety_scenario
-from dubinsim.scenario import HeolConfig
+from dubinsim.scenario import HeolConfig, NoiseConfig
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -109,6 +109,13 @@ def test_config_error_exit_code(tmp_path):
     {"avoidance": {"speed_hint": -1}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
     {"controller": "mfpc", "path": FULL_CIRCLE_PATH},      # heading leaves (-pi/2, pi/2)
     {"controller": "mfpc", "path": {"kind": "polyline", "waypoints": [[0, 0], [5, 0], [5, 5]]}},
+    {"name": "../escaped", "duration": 2},                 # would write above --out
+    {"name": "a/b", "duration": 2},
+    {"name": "a\\b", "duration": 2},
+    {"name": "a\0b", "duration": 2},
+    {"name": "", "duration": 2},
+    {"name": ".", "duration": 2},
+    {"name": "..", "duration": 2},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -116,7 +123,9 @@ def test_config_error_exit_code(tmp_path):
         "duration-infinite", "steps-overflow", "mfpc-u1_max-negative",
         "mfpc-u1_max-zero", "obstacle-cx-nan", "noise-sigma-nan", "start-nan",
         "heol-kx-infinite", "circle-radius-infinite", "speed-hint-zero",
-        "speed-hint-negative", "mfpc-full-circle", "mfpc-heading-up"])
+        "speed-hint-negative", "mfpc-full-circle", "mfpc-heading-up",
+        "name-parent", "name-slash", "name-backslash", "name-nul", "name-empty",
+        "name-dot", "name-dotdot"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -125,6 +134,29 @@ def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]   # nothing written
+
+
+@pytest.mark.parametrize("name", ["../x", "a/b", "", ".."])
+def test_run_name_option_stays_inside_out(tmp_path, capsys, name):
+    path = write_cfg(tmp_path, replace(nominal_tracking("heol", "line"), duration=2.0))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--name", name]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]   # nothing written
+
+
+def test_replan_limit_abort_names_the_overlapping_zones(tmp_path, capsys):
+    # the two danger zones overlap by 0.60 m: the planner alternates bypasses
+    # of obstacle 0 (right) and 1 (left) at t=7.32 until the replan cap
+    cfg = replace(safety_scenario("heol", 1), noise=NoiseConfig(enabled=False),
+                  obstacles=(Obstacle(11.0, 0.1, 0.6), Obstacle(12.1, -1.45, 0.9)))
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    reason = "replanning loop exceeded limit (obstacles [0, 1])"
+    assert f"run aborted: {reason}" in capsys.readouterr().err
+    summary = json.loads((out / "safety-heol_summary.json").read_text())
+    assert summary["aborted"] is True and summary["abort_reason"] == reason
 
 
 def test_long_mfpc_run_finishes(tmp_path):

@@ -41,6 +41,10 @@ paths = st.one_of(
 obstacles = st.builds(Obstacle, cx=reals(-50, 50), cy=reals(-50, 50),
                       r=positive(3), t_appear=reals(0, 20))
 
+# file stems: non-empty, not "." or "..", no path separator or NUL
+names = st.text(st.characters(exclude_characters="/\\\0"), min_size=1,
+                max_size=12).filter(lambda s: s not in (".", ".."))
+
 perturbations = st.builds(
     lambda enabled, interval, a, b: PerturbationConfig(
         enabled=enabled, switch_interval=interval, low=min(a, b), high=max(a, b)),
@@ -52,7 +56,7 @@ def configs(draw):
     dt = draw(st.sampled_from((0.005, 0.01, 0.02, 0.05)))
     steps = st.integers(4, 80)  # window lengths: whole multiples of dt, >= 5 samples
     return ScenarioConfig(
-        name=draw(st.text(max_size=12)),
+        name=draw(names),
         dt=dt,
         duration=draw(st.integers(1, 30).map(float)),
         seed=draw(seeds),
