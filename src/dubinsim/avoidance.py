@@ -38,6 +38,8 @@ class Obstacle:
     t_appear: float = 0.0
 
     def __post_init__(self):
+        for name in ("cx", "cy", "r", "t_appear"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.r <= 0.0:
             raise ValueError("obstacle radius must be positive")
         if self.t_appear < 0.0:
@@ -76,15 +78,17 @@ def discover(obstacles, state: VehicleState, sensing_radius: float,
              known=frozenset()) -> list[int]:
     """Indices of obstacles that become known at this state.
 
-    An obstacle is discoverable once it exists (t >= t_appear) and the vehicle
-    is within sensing range.  Discovery is monotone: the caller keeps the
-    ``known`` set and obstacles are never forgotten.
+    ``state`` is a VehicleState or any (t, x, y) triple whose t is the
+    sample time.  An obstacle is discoverable once it exists (t >= t_appear)
+    and the vehicle is within sensing range.  Discovery is monotone: the
+    caller keeps the ``known`` set and obstacles are never forgotten.
     """
+    t, x, y = state
     newly = []
     for i, ob in enumerate(obstacles):
-        if i in known or ob.t_appear > state.t + 1e-12:
+        if i in known or ob.t_appear > t + 1e-12:
             continue
-        if math.hypot(state.x - ob.cx, state.y - ob.cy) <= sensing_radius:
+        if math.hypot(x - ob.cx, y - ob.cy) <= sensing_radius:
             newly.append(i)
     return newly
 

@@ -19,7 +19,7 @@ import sys
 
 from .errors import ConfigError, DubinsimError
 from .harness import emit, emit_sweep, run_scenario, run_sweep
-from .scenario import ScenarioConfig, check_name, json_safe, write_json
+from .scenario import ScenarioConfig, check_file_name, check_name, json_safe, write_json
 
 
 def _default_out() -> str:
@@ -84,6 +84,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     cfg_a = ScenarioConfig.from_file(args.a)
     cfg_b = ScenarioConfig.from_file(args.b)
+    file_name = f"compare_{cfg_a.name}_vs_{cfg_b.name}.json"
+    check_file_name(file_name)
     res_a = run_scenario(cfg_a)
     res_b = run_scenario(cfg_b)
     deltas = {}
@@ -101,7 +103,7 @@ def _cmd_compare(args) -> int:
     }
     out = args.out or _default_out()
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"compare_{cfg_a.name}_vs_{cfg_b.name}.json")
+    path = os.path.join(out, file_name)
     write_json(path, doc)
     print(f"wrote {path}")
     for key, dv in sorted(deltas.items()):

@@ -21,6 +21,10 @@ class InfeasibleBypassError(DubinsimError):
     """No collision-free tangent-arc-tangent bypass could be constructed."""
 
 
+class ReplanLimitError(DubinsimError):
+    """One sample needed more bypasses than the replan limit allows."""
+
+
 class ConfigError(DubinsimError, ValueError):
     """Scenario configuration failed validation."""
 

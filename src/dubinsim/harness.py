@@ -16,12 +16,12 @@ import numpy as np
 from . import avoidance
 from .avoidance import Obstacle
 from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
-                     StateIntegrityError)
+                     ReplanLimitError, StateIntegrityError)
 from .heol import HeolController
 from .mfpc import MfpcController, check_reference
 from .model import (STREAM_PLACEMENT, NoiseModel, PerturbationSchedule,
                     VehicleState, measure, step_plant, stream_rng)
-from .reference import apply_sync, build_reference, sync_offset
+from .reference import ReferenceTrajectory, apply_sync, build_reference, sync_offset
 from .scenario import ScenarioConfig, ScenarioResult, compute_metrics, json_safe, write_json
 
 # Per-sample record of a run: ScenarioResult's series in CSV column order,
@@ -34,6 +34,14 @@ CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in _RESULT_SERIES)
 # Cap on replans within a single sample; more than this means the planner is
 # thrashing and the run is flagged instead of looping.
 MAX_REPLANS_PER_STEP = 8
+
+# The faults that end a run, each with the prefix of its abort_reason.
+ABORT_PREFIXES = {
+    InfeasibleBypassError: "infeasible bypass: ",
+    ControllerFault: "controller fault: ",
+    StateIntegrityError: "state integrity: ",
+    ReplanLimitError: "",   # the message names the limit itself
+}
 
 # Rows per formatting block in emit_csv.
 CSV_BLOCK_ROWS = 256
@@ -48,8 +56,9 @@ def _make_controller(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Execute one scenario: measure, discover, replan, control, step.
 
-    Controller faults and infeasible bypasses abort the run with a flagged
-    partial result; they never raise across this boundary.
+    Controller faults, plant divergence, infeasible bypasses and the replan
+    limit abort the run with a flagged partial result; they never raise
+    across this boundary.
     """
     dt = cfg.dt
     n = cfg.n_steps
@@ -85,110 +94,57 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rows = np.full((n + 1, len(SERIES)), np.nan)
 
     zones = {}          # obstacle index -> DangerZone, once discovered
-    unchecked = set()   # zones needing a crossing scan against the active traj
-    scan_from = {}      # the zone just bypassed -> its bypass's end; scanned from there
     pending_ends = []   # t_end of spliced bypasses not yet completed
     n_obstacles = len(cfg.obstacles)
     aborted = False
     abort_reason = ""
 
-    for k in range(n + 1):
-        t = k * dt
-        xm, ym = measure(state, noise)
+    try:
+        for k in range(n + 1):
+            t = k * dt
+            xm, ym = measure(state, noise)
+            _, x, y = state
 
-        if len(zones) < n_obstacles:
-            newly = avoidance.discover(cfg.obstacles, state, cfg.avoidance.sensing_radius,
-                                       known=zones.keys())
-            for i in newly:
-                zones[i] = cfg.obstacles[i].danger_zone(cfg.avoidance.margin)
-                unchecked.add(i)
-                events.append({"kind": "discovery", "t": t, "obstacle": i})
+            scan = ()   # zones to scan for a crossing in this sample
+            if len(zones) < n_obstacles:
+                # on the loop's clock: state.t sums dt and drifts from k * dt
+                scan = avoidance.discover(cfg.obstacles, (t, x, y),
+                                          cfg.avoidance.sensing_radius, known=zones.keys())
+                for i in scan:
+                    zones[i] = cfg.obstacles[i].danger_zone(cfg.avoidance.margin)
+                    events.append({"kind": "discovery", "t": t, "obstacle": i})
 
-        if pending_ends and t >= min(pending_ends) - 1e-9:
-            completed = [te for te in pending_ends if t >= te - 1e-9]
-            pending_ends = [te for te in pending_ends if t < te - 1e-9]
-            for te in completed:
-                events.append({"kind": "bypass_end", "t": t})
-            if cfg.sync.enabled:
-                tau = sync_offset(xm, ym, traj, t, cfg.sync.tau_max)
-                if abs(tau) > 0.5 * dt:
-                    traj = apply_sync(traj, tau, t)
-                    events.append({"kind": "sync", "t": t, "tau": tau,
-                                   "reason": "post_bypass"})
-                    unchecked = set(zones)
-                    scan_from = {}
+            if pending_ends and t >= min(pending_ends) - 1e-9:
+                completed = [te for te in pending_ends if t >= te - 1e-9]
+                pending_ends = [te for te in pending_ends if t < te - 1e-9]
+                for te in completed:
+                    events.append({"kind": "bypass_end", "t": t})
+                if cfg.sync.enabled:
+                    tau = sync_offset(xm, ym, traj, t, cfg.sync.tau_max)
+                    if abs(tau) > 0.5 * dt:
+                        traj = apply_sync(traj, tau, t)
+                        events.append({"kind": "sync", "t": t, "tau": tau,
+                                       "reason": "post_bypass"})
+                        scan = zones
 
-        planned = []    # obstacles bypassed in this sample, in planning order
-        while unchecked and not aborted:
-            best = None
-            for i in sorted(unchecked):
-                crossing = avoidance.path_crosses_zone(traj, zones[i],
-                                                       t_from=max(t, scan_from.get(i, t)))
-                if crossing is None:
-                    unchecked.discard(i)
-                elif best is None or crossing[0] < best[1][0]:
-                    best = (i, crossing)
-            if best is None:
-                break
-            if len(planned) >= MAX_REPLANS_PER_STEP:
-                aborted = True
-                abort_reason = ("replanning loop exceeded limit "
-                                f"(obstacles {sorted(set(planned))})")
-                break
-            i, crossing = best
-            hint = cfg.avoidance.speed_hint
-            if hint is None:
-                _, _, dxa, dya = traj.lookup(crossing[0])
-                hint = max(math.hypot(dxa, dya), 0.1)
-            try:
-                left, right = avoidance.plan_both_sides(
-                    traj, zones[i], crossing, hint,
-                    lead=cfg.avoidance.lead, t_min=t)
-                plan = avoidance.select_side(left, right, cfg.controller)
-                traj = avoidance.splice(traj, plan)
-            except InfeasibleBypassError as exc:
-                aborted, abort_reason = True, f"infeasible bypass: {exc}"
-                break
-            pending_ends.append(plan.t_end)
-            events.append({
-                "kind": "bypass_start", "t": t, "obstacle": i, "side": plan.side,
-                "detour": plan.detour_length, "t_start": plan.t_start,
-                "t_end": plan.t_end, "tau_tail": plan.tau_tail,
-                "detour_left": left.detour_length if left else None,
-                "detour_right": right.detour_length if right else None,
-            })
-            # every zone is re-scanned from t against the new samples, except
-            # zone i, whose own wrap is skipped: its tail may cross it again
-            unchecked = set(zones)
-            scan_from = {i: plan.t_end}
-            planned.append(i)
+            if scan:
+                traj = _replan(cfg, traj, zones, scan, t, events, pending_ends)
 
-        if aborted:
-            break
-
-        row = traj.row(k)
-        try:
+            row = traj.row(k)
             ctrl = controller.step(xm, ym, t, row,
                                    traj.position(t + lookahead) if lookahead else None)
-        except ControllerFault as exc:
-            aborted, abort_reason = True, f"controller fault: {exc}"
-            break
-
-        x_ref, y_ref, dx_ref, dy_ref = row
-        u1, u2, nu1, nu2 = ctrl
-        if nu1 is None:   # an MFPC step has no auxiliary controls
-            nu1 = nu2 = math.nan
-        fx, fy = controller.last_fhat
-        p = levels[k]
-        _, x, y = state
-        rows[k] = (t, x, y, xm, ym, x_ref, y_ref, u1, u2, nu1, nu2, fx, fy, p, dx_ref, dy_ref)
-
-        if k < n:
-            try:
+            x_ref, y_ref, dx_ref, dy_ref = row
+            u1, u2, nu1, nu2 = ctrl
+            if nu1 is None:   # an MFPC step has no auxiliary controls
+                nu1 = nu2 = math.nan
+            fx, fy = controller.last_fhat
+            p = levels[k]
+            rows[k] = (t, x, y, xm, ym, x_ref, y_ref, u1, u2, nu1, nu2, fx, fy, p,
+                       dx_ref, dy_ref)
+            if k < n:
                 state = step_plant(state, ctrl, p, dt)
-            except StateIntegrityError as exc:
-                aborted, abort_reason = True, f"state integrity: {exc}"
-                break
+    except tuple(ABORT_PREFIXES) as exc:
+        aborted, abort_reason = True, ABORT_PREFIXES[type(exc)] + str(exc)
 
     events.extend(controller.events)
     events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
@@ -201,27 +157,78 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                           abort_reason=abort_reason)
 
 
+def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, t: float,
+            events: list, pending_ends: list) -> ReferenceTrajectory:
+    """Bypass, earliest crossing first, each zone in ``scan`` that the
+    reference crosses after t; returns the revised reference.
+
+    Every bypass is logged to ``events`` and its end to ``pending_ends``.
+    After a splice every zone is scanned again from t against the new
+    samples, except the zone just bypassed: its own wrap is skipped, since
+    the tail may cross it again.
+    """
+    planned = []    # obstacles bypassed in this sample, in planning order
+    bypassed, t_resume = None, t
+    while True:
+        best = None
+        for i in sorted(scan):
+            crossing = avoidance.path_crosses_zone(traj, zones[i],
+                                                   t_from=t_resume if i == bypassed else t)
+            if crossing is not None and (best is None or crossing[0] < best[1][0]):
+                best = (i, crossing)
+        if best is None:
+            return traj
+        if len(planned) >= MAX_REPLANS_PER_STEP:
+            raise ReplanLimitError("replanning loop exceeded limit "
+                                   f"(obstacles {sorted(set(planned))})")
+        i, crossing = best
+        hint = cfg.avoidance.speed_hint
+        if hint is None:
+            _, _, dxa, dya = traj.lookup(crossing[0])
+            hint = max(math.hypot(dxa, dya), 0.1)
+        left, right = avoidance.plan_both_sides(traj, zones[i], crossing, hint,
+                                                lead=cfg.avoidance.lead, t_min=t)
+        plan = avoidance.select_side(left, right, cfg.controller)
+        traj = avoidance.splice(traj, plan)
+        pending_ends.append(plan.t_end)
+        events.append({
+            "kind": "bypass_start", "t": t, "obstacle": i, "side": plan.side,
+            "detour": plan.detour_length, "t_start": plan.t_start,
+            "t_end": plan.t_end, "tau_tail": plan.tau_tail,
+            "detour_left": left.detour_length if left else None,
+            "detour_right": right.detour_length if right else None,
+        })
+        scan, bypassed, t_resume = zones, i, plan.t_end
+        planned.append(i)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 
+# A placed obstacle's radius range, the largest lateral offset of its center
+# from the reference, and the window of the horizon (as fractions) in which
+# its reference point lies.
+CROSSING_RADIUS_RANGE = (0.5, 1.0)
+CROSSING_LATERAL_MAX = 0.3
+CROSSING_WINDOW = (0.3, 0.6)
 
-def place_crossing_obstacle(cfg: ScenarioConfig, seed: int,
-                            radius_range=(0.5, 1.0), lateral_max=0.3,
-                            window=(0.3, 0.6)) -> Obstacle:
-    """Draw one obstacle centered near the reference so its zone is crossed.
 
-    The center sits within ``lateral_max`` of a reference point drawn in the
-    middle ``window`` of the horizon; since lateral_max < r the reference
-    always enters the danger disk.
+def place_crossing_obstacle(traj: ReferenceTrajectory, seed: int) -> Obstacle:
+    """Draw one obstacle centered near the reference ``traj`` so its zone is
+    crossed.
+
+    The center sits within CROSSING_LATERAL_MAX of a reference point drawn in
+    the CROSSING_WINDOW of the horizon; since that offset is below every
+    radius in CROSSING_RADIUS_RANGE the reference always enters the danger
+    disk.
     """
     rng = stream_rng(seed, STREAM_PLACEMENT)
-    traj = build_reference(cfg.path_spec(), dt=cfg.dt, duration=cfg.duration)
-    t_c = float(rng.uniform(window[0], window[1])) * traj.tf
+    t_c = float(rng.uniform(*CROSSING_WINDOW)) * traj.tf
     px, py, dxr, dyr = traj.lookup(t_c)
     speed = math.hypot(dxr, dyr)
     nx, ny = (-dyr / speed, dxr / speed) if speed > 1e-9 else (0.0, 1.0)
-    off = float(rng.uniform(-lateral_max, lateral_max))
-    r = float(rng.uniform(*radius_range))
+    off = float(rng.uniform(-CROSSING_LATERAL_MAX, CROSSING_LATERAL_MAX))
+    r = float(rng.uniform(*CROSSING_RADIUS_RANGE))
     return Obstacle(cx=px + off * nx, cy=py + off * ny, r=r, t_appear=0.0)
 
 
@@ -255,6 +262,8 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
     if bad:
         raise ConfigError(f"unknown randomize aspects: {bad}")
     base_seed = cfg.seed if seed is None else int(seed)
+    # the base reference, built once; crossing obstacles are placed on it
+    traj = build_reference(cfg.path_spec(), dt=cfg.dt, duration=cfg.duration)
     reports = []
     results = []
     seeds = []
@@ -264,7 +273,7 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
         run_seed = base_seed + i
         overrides = {"name": f"{cfg.name}-r{i:03d}", "seed": run_seed}
         if "obstacles" in randomize:
-            overrides["obstacles"] = (place_crossing_obstacle(cfg, run_seed),)
+            overrides["obstacles"] = (place_crossing_obstacle(traj, run_seed),)
         overrides["noise_seed"] = run_seed if "noise" in randomize else base_seed
         overrides["perturbation_seed"] = (run_seed if "perturbation" in randomize
                                           else base_seed)
@@ -279,8 +288,8 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
                 violations += 1
                 break
         row = {m: result.metrics[m] for m in _SWEEP_METRICS}
-        row["min_clearance"] = (min(c for c in clearances if math.isfinite(c))
-                                if clearances else None)
+        # None when no obstacle or no finite sample, as in a first-sample abort
+        row["min_clearance"] = min((c for c in clearances if math.isfinite(c)), default=None)
         row["aborted"] = result.aborted
         reports.append(row)
         if keep_results:

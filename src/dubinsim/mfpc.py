@@ -164,6 +164,8 @@ class MfpcConfig:
             raise ConfigError("MFPC u1_max must be positive")
         if not 0.0 < self.u2_margin < math.pi / 2:
             raise ConfigError("MFPC u2_margin must lie in (0, pi/2)")
+        if not isinstance(self.eval_at_next, bool):
+            raise ConfigError("MFPC eval_at_next must be true or false")
 
 
 class MfpcController:

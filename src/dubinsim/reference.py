@@ -294,17 +294,20 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
 
 
 def path_spec_from_dict(d: dict):
-    """Instantiate a path spec from its JSON form ({"kind": ..., ...})."""
+    """Instantiate a path spec from its JSON form ({"kind": ..., ...}).
+
+    Every number passes through float(), the waypoints as (x, y) pairs, so a
+    wrong value type fails here and not in the build.
+    """
     d = dict(d)
     kind = d.pop("kind", None)
     if kind not in PATH_KINDS:
         raise DegeneratePathError(f"unknown path kind {kind!r}")
-    cls = PATH_KINDS[kind]
-    if kind == "polyline" and "waypoints" in d:
-        d["waypoints"] = tuple((float(p[0]), float(p[1])) for p in d["waypoints"])
     try:
-        return cls(**d)
-    except TypeError as exc:
+        d = {key: (tuple((float(x), float(y)) for x, y in value) if key == "waypoints"
+                   else float(value)) for key, value in d.items()}
+        return PATH_KINDS[kind](**d)
+    except (TypeError, ValueError) as exc:
         raise DegeneratePathError(f"bad {kind} path spec: {exc}") from exc
 
 

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .estimation import window_capacity
 from .heol import HeolConfig
 from .mfpc import MAX_EXP_ARG, MfpcConfig
-from .reference import PATH_KINDS, path_spec_from_dict
+from .reference import path_spec_from_dict
 
 CONFIG_VERSION = 1
 
@@ -105,8 +105,10 @@ class ScenarioConfig:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
         if not isinstance(self.path, dict):
             raise ConfigError("path must be a JSON object")
-        if self.path.get("kind") not in PATH_KINDS:
-            raise ConfigError(f"unknown path kind {self.path.get('kind')!r}")
+        if _has_non_finite(vars(path_spec_from_dict(self.path))):
+            raise ConfigError("path holds a non-finite number")
+        if not all(isinstance(s.enabled, bool) for s in (self.noise, self.perturbation, self.sync)):
+            raise ConfigError("noise, perturbation and sync 'enabled' must be true or false")
         if self.noise.sigma < 0.0:
             raise ConfigError("noise sigma must be non-negative")
         p = self.perturbation
@@ -187,18 +189,36 @@ class ScenarioConfig:
         write_json(path, self.to_dict())
 
 
+# Longest file name, in bytes, that common file systems accept.
+NAME_MAX = 255
+
+
 def check_name(name) -> None:
     """Refuse a run name that is not a plain file stem.
 
     The name becomes the stem of the run's output files, so it must name a
-    file inside the output directory: not empty, not ``.`` or ``..``, and no
-    path separator or NUL.
+    file inside the output directory: not empty, not ``.`` or ``..``, no
+    path separator or NUL, and short enough that ``<name>_summary.json``
+    fits in NAME_MAX bytes of UTF-8.
     """
     if not isinstance(name, str):
         raise ConfigError(f"name must be a string, got {name!r}")
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"name {name!r} is not a file stem: it must be non-empty, "
                           "not '.' or '..', and hold no '/', '\\' or NUL")
+    check_file_name(f"{name}_summary.json")
+
+
+def check_file_name(file_name: str) -> None:
+    """Refuse an output file name that UTF-8 cannot encode or that is over
+    NAME_MAX bytes."""
+    try:
+        size = len(file_name.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"output file name {file_name!r} is not valid UTF-8") from exc
+    if size > NAME_MAX:
+        raise ConfigError(f"output file name {file_name!r} is {size} bytes of UTF-8, "
+                          f"over the {NAME_MAX}-byte limit")
 
 
 # The nested parameter blocks (noise, perturbation, heol, ...): the fields

@@ -116,6 +116,13 @@ def test_config_error_exit_code(tmp_path):
     {"name": "", "duration": 2},
     {"name": ".", "duration": 2},
     {"name": "..", "duration": 2},
+    {"name": "a" * 243, "duration": 2},                    # <name>_summary.json > 255 bytes
+    {"path": {"kind": "polyline", "waypoints": [[0, 0], [1, "a"]]}},
+    {"path": {"kind": "polyline", "waypoints": 5}},
+    {"path": {"kind": "circle", "radius": "big"}},
+    {"obstacles": [{"cx": "a", "cy": 0, "r": 1}]},
+    {"noise": {"enabled": "no"}},                          # a truthy string, not false
+    {"controller": "mfpc", "mfpc": {"eval_at_next": 1}},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -125,7 +132,9 @@ def test_config_error_exit_code(tmp_path):
         "heol-kx-infinite", "circle-radius-infinite", "speed-hint-zero",
         "speed-hint-negative", "mfpc-full-circle", "mfpc-heading-up",
         "name-parent", "name-slash", "name-backslash", "name-nul", "name-empty",
-        "name-dot", "name-dotdot"])
+        "name-dot", "name-dotdot", "name-243-bytes", "waypoint-string",
+        "waypoints-number", "circle-radius-string", "obstacle-cx-string",
+        "noise-enabled-string", "mfpc-eval_at_next-number"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -143,6 +152,35 @@ def test_run_name_option_stays_inside_out(tmp_path, capsys, name):
     assert main(["run", "--config", path, "--out", str(out), "--name", name]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]   # nothing written
+
+
+def test_a_name_of_242_bytes_is_written(tmp_path):
+    name = "a" * 240 + "é"   # 242 bytes of UTF-8: "<name>_summary.json" is 255
+    path = write_cfg(tmp_path, replace(nominal_tracking("heol", "line"), duration=1.0))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--name", name]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [f"{name}.csv", f"{name}_summary.json"]
+
+
+def test_compare_refuses_an_output_name_over_255_bytes(tmp_path, capsys):
+    cfg = replace(nominal_tracking("heol", "line"), duration=1.0)
+    a = write_cfg(tmp_path, replace(cfg, name="a" * 130), "a.json")
+    b = write_cfg(tmp_path, replace(cfg, name="b" * 130), "b.json")
+    assert main(["compare", "--a", a, "--b", b, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+
+def test_sweep_records_runs_that_abort_at_the_first_sample(tmp_path):
+    # the start lies inside the danger zone: every run aborts at t=0
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps({"obstacles": [{"cx": 0.5, "cy": 0.0, "r": 0.8}]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--runs", "2", "--randomize", "noise",
+                 "--out", str(out)]) == 1
+    doc = json.loads((out / "scenario_sweep.json").read_text())
+    assert [run["run"] for run in doc["aborted_runs"]] == [0, 1]
+    assert [run["min_clearance"] for run in doc["per_run"]] == [None, None]
 
 
 def test_replan_limit_abort_names_the_overlapping_zones(tmp_path, capsys):

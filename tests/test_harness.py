@@ -1,18 +1,27 @@
 import math
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dubinsim import harness
 from dubinsim.avoidance import Obstacle
 from dubinsim.errors import ConfigError
-from dubinsim.harness import (place_crossing_obstacle, run_scenario, run_sweep)
-from dubinsim.presets import (nominal_tracking, robustness_scenario,
+from dubinsim.harness import emit, place_crossing_obstacle, run_scenario, run_sweep
+from dubinsim.presets import (LINE_PATH, SINE_PATH, nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
+from dubinsim.reference import build_reference
 from dubinsim.scenario import (HeolConfig, NoiseConfig, PerturbationConfig,
-                               ScenarioConfig)
+                               ScenarioConfig, SyncConfig)
 
 DT = 0.01
+
+
+def crossing_obstacle(cfg, seed):
+    return place_crossing_obstacle(build_reference(cfg.path_spec(), cfg.dt, cfg.duration), seed)
 
 
 def test_config_defaults_match_experiment_regime():
@@ -54,7 +63,7 @@ def test_series_lengths_and_time_grid():
 
 def test_run_determinism_bitwise():
     cfg = robustness_scenario("heol", seed=11)
-    cfg = replace(cfg, obstacles=(place_crossing_obstacle(cfg, 11),))
+    cfg = replace(cfg, obstacles=(crossing_obstacle(cfg, 11),))
     a, b = run_scenario(cfg), run_scenario(cfg)
     for key in ("x", "y", "x_meas", "u1", "u2", "fhat_x", "fhat_y", "p"):
         assert np.array_equal(getattr(a, key), getattr(b, key))
@@ -147,6 +156,61 @@ def test_divergent_controller_aborts_with_flag():
     assert np.isnan(r.x[-1])
 
 
+SHORT_LINE = replace(nominal_tracking("heol", "line"), duration=2.0)
+
+
+@pytest.mark.parametrize("cfg, prefix", [
+    # the start lies inside the danger zone, so no anchor is outside it
+    (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)), "infeasible bypass: "),
+    (None, "controller fault: "),
+    (replace(SHORT_LINE, heol=HeolConfig(kx=1e6, ky=1e6)), "state integrity: "),
+    # overlapping zones: bypasses of the two alternate at t=7.32
+    (replace(safety_scenario("heol", 1), duration=8.0, noise=NoiseConfig(enabled=False),
+             obstacles=(Obstacle(11.0, 0.1, 0.6), Obstacle(12.1, -1.45, 0.9))),
+     "replanning loop exceeded limit (obstacles [0, 1])"),
+], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit"])
+def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix):
+    if cfg is None:   # a non-finite measurement faults the controller
+        monkeypatch.setattr(harness, "measure", lambda state, noise: (math.nan, math.nan))
+        cfg = SHORT_LINE
+    r = run_scenario(cfg)
+    assert r.aborted and r.abort_reason.startswith(prefix)
+    assert len(r.x) == cfg.n_steps + 1 and np.isnan(r.x[-1])
+
+
+def test_discovery_uses_the_sample_clock():
+    # by t=50 the plant's summed clock lags 5000 * dt by more than 1e-12
+    cfg = ScenarioConfig(duration=60.0, path={"kind": "polyline", "waypoints": [[0, 0], [70, 0]]},
+                         obstacles=(Obstacle(53.0, 0.1, 0.5, t_appear=50.0),))
+    r = run_scenario(cfg)
+    assert [e["t"] for e in r.events if e["kind"] == "discovery"] == [50.0]
+
+
+@st.composite
+def run_configs(draw):
+    """Valid short scenarios on paths both controllers follow, with up to
+    three obstacles, overlapping or not, near the 1-3 m the path covers."""
+    obstacles = draw(st.lists(st.builds(
+        Obstacle, cx=st.floats(0.5, 2.6), cy=st.floats(-1.2, 1.2), r=st.floats(0.05, 0.6),
+        t_appear=st.floats(0.0, 3.0)), max_size=3))
+    return ScenarioConfig(
+        name="prop", controller=draw(st.sampled_from(("heol", "mfpc"))),
+        duration=draw(st.sampled_from((1.0, 1.5, 2.0, 2.5, 3.0))),
+        seed=draw(st.integers(0, 2**16)), path=draw(st.sampled_from((LINE_PATH, SINE_PATH))),
+        obstacles=tuple(obstacles), sync=SyncConfig(enabled=draw(st.booleans())),
+        noise=NoiseConfig(enabled=draw(st.booleans())))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(run_configs())
+def test_a_run_never_raises_and_repeats_byte_for_byte(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        files = [emit(run_scenario(cfg), out, name=f"run{i}") for i in range(2)]
+        (csv_a, summary_a), (csv_b, summary_b) = [[open(p, "rb").read() for p in pair]
+                                                  for pair in files]
+    assert csv_a == csv_b and summary_a == summary_b
+
+
 def test_rms_matches_definition():
     cfg = safety_scenario("heol", seed=41)
     r = run_scenario(cfg)
@@ -163,7 +227,7 @@ def test_sweep_single_run_equals_scenario_metrics():
     report = run_sweep(cfg, 1, randomize=("obstacles", "noise"))
     single = run_scenario(replace(cfg, name=f"{cfg.name}-r000", seed=50,
                                   noise_seed=50, perturbation_seed=50,
-                                  obstacles=(place_crossing_obstacle(cfg, 50),)))
+                                  obstacles=(crossing_obstacle(cfg, 50),)))
     assert report.per_run[0]["rms_tracking"] == single.metrics["rms_tracking"]
     s = report.metrics_summary["rms_tracking"]
     assert s["min"] == s["median"] == s["max"] == single.metrics["rms_tracking"]
@@ -200,11 +264,10 @@ def test_sweep_pins_unrandomized_streams():
 
 def test_placed_obstacles_always_cross():
     from dubinsim.avoidance import path_crosses_zone
-    from dubinsim.reference import build_reference
     cfg = safety_scenario("heol", seed=80)
     traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
     for i in range(20):
-        ob = place_crossing_obstacle(cfg, 80 + i)
+        ob = place_crossing_obstacle(traj, 80 + i)
         assert path_crosses_zone(traj, ob.danger_zone(0.5)) is not None
 
 
