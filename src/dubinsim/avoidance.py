@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleBypassError
-from .model import VehicleState
 from .reference import ReferenceTrajectory, reindex_tail, sample_pieces
 
 TWO_PI = 2.0 * math.pi
@@ -74,12 +73,12 @@ class BypassPlan:
     dy: np.ndarray
 
 
-def discover(obstacles, state: VehicleState, sensing_radius: float,
+def discover(obstacles, state: tuple[float, float, float], sensing_radius: float,
              known=frozenset()) -> list[int]:
     """Indices of obstacles that become known at this state.
 
-    ``state`` is a VehicleState or any (t, x, y) triple whose t is the
-    sample time.  An obstacle is discoverable once it exists (t >= t_appear)
+    ``state`` is the (t, x, y) sample: its time and the vehicle's
+    position.  An obstacle is discoverable once it exists (t >= t_appear)
     and the vehicle is within sensing range.  Discovery is monotone: the
     caller keeps the ``known`` set and obstacles are never forgotten.
     """

@@ -35,7 +35,8 @@ CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in _RESULT_SERIES)
 # thrashing and the run is flagged instead of looping.
 MAX_REPLANS_PER_STEP = 8
 
-# The faults that end a run, each with the prefix of its abort_reason.
+# The faults that end a run, each with the prefix of its abort_reason; the
+# reason then names the sample time, " at t=<k*dt>".
 ABORT_PREFIXES = {
     InfeasibleBypassError: "infeasible bypass: ",
     ControllerFault: "controller fault: ",
@@ -45,12 +46,6 @@ ABORT_PREFIXES = {
 
 # Rows per formatting block in emit_csv.
 CSV_BLOCK_ROWS = 256
-
-
-def _make_controller(cfg: ScenarioConfig):
-    if cfg.controller == "heol":
-        return HeolController(cfg.heol, cfg.dt)
-    return MfpcController(cfg.mfpc, cfg.dt)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -77,11 +72,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     else:
         pert = PerturbationSchedule.zero()
     levels = pert.levels(n, dt)
-    controller = _make_controller(cfg)
+    controller = (HeolController(cfg.heol, dt) if cfg.controller == "heol"
+                  else MfpcController(cfg.mfpc, dt))
     lookahead = controller.lookahead
 
     start = cfg.start if cfg.start is not None else traj.position(0.0)
-    state = VehicleState(t=0.0, x=float(start[0]), y=float(start[1]))
+    state = VehicleState(float(start[0]), float(start[1]))
 
     events: list[dict] = []
     if cfg.sync.enabled:
@@ -103,11 +99,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         for k in range(n + 1):
             t = k * dt
             xm, ym = measure(state, noise)
-            _, x, y = state
+            x, y = state
 
             scan = ()   # zones to scan for a crossing in this sample
             if len(zones) < n_obstacles:
-                # on the loop's clock: state.t sums dt and drifts from k * dt
                 scan = avoidance.discover(cfg.obstacles, (t, x, y),
                                           cfg.avoidance.sensing_radius, known=zones.keys())
                 for i in scan:
@@ -135,8 +130,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                                    traj.position(t + lookahead) if lookahead else None)
             x_ref, y_ref, dx_ref, dy_ref = row
             u1, u2, nu1, nu2 = ctrl
-            if nu1 is None:   # an MFPC step has no auxiliary controls
-                nu1 = nu2 = math.nan
             fx, fy = controller.last_fhat
             p = levels[k]
             rows[k] = (t, x, y, xm, ym, x_ref, y_ref, u1, u2, nu1, nu2, fx, fy, p,
@@ -144,7 +137,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             if k < n:
                 state = step_plant(state, ctrl, p, dt)
     except tuple(ABORT_PREFIXES) as exc:
-        aborted, abort_reason = True, ABORT_PREFIXES[type(exc)] + str(exc)
+        aborted, abort_reason = True, f"{ABORT_PREFIXES[type(exc)]}{exc} at t={t}"
 
     events.extend(controller.events)
     events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order

@@ -61,7 +61,7 @@ class HeolController:
         so the estimate never sees data from its own step.
         """
         if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
-            raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas}) at t={t}")
+            raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas})")
         gains = self.config
         x_ref, y_ref, dx_ref, dy_ref = row
         ex = x_meas - x_ref

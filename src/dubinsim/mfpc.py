@@ -26,8 +26,8 @@ from .errors import ConfigError, ControllerFault, HorizonTooLongError
 from .estimation import FWindow
 from .model import ControlInput
 
-# |rate * (t_f - t_i)| beyond this risks overflow in the exponentials; callers
-# shrink the horizon instead.
+# |rate * (t_f - t_i)| beyond this risks overflow in the exponentials;
+# MfpcConfig.effective_horizon shrinks the horizon instead.
 MAX_EXP_ARG = 40.0
 
 
@@ -76,57 +76,39 @@ def solve_two_point(y_i: float, y_setpoint: float, t_i: float, t_f: float,
 
 
 class UltraLocalAxis:
-    """Per-axis state: scaling constant, sample window, drift estimate, clamps.
+    """Per-axis state: scaling constant, sample window, input limits.
 
     On a fixed receding horizon the optimal arc's initial velocity is linear
     in the setpoint error, so the arc is solved once here, in horizon-relative
     time, for a unit error: ``gain`` is its velocity at the evaluation offset
     (0, or one step with ``eval_at_next``), -r*cosh(r(T - delta))/sinh(rT).
-    The horizon T is shrunk if the exponent guard would trip.
     """
 
     def __init__(self, alpha: float, t_window: float, dt: float, horizon: float,
-                 u_min: float | None = None, u_max: float | None = None,
+                 u_min: float = -math.inf, u_max: float = math.inf,
                  eval_at_next: bool = False):
-        if alpha == 0.0:
-            raise ValueError("alpha must be nonzero")
         self.alpha = float(alpha)
-        rate = abs(self.alpha)
-        T = min(float(horizon), MAX_EXP_ARG / rate)
-        while rate * T > MAX_EXP_ARG:   # the quotient can round a hair long
-            T = math.nextafter(T, 0.0)
-        if not T > dt:
-            raise HorizonTooLongError(f"horizon {T} s is not longer than one step {dt} s")
-        self.horizon = T
-        self.gain = solve_two_point(1.0, 0.0, 0.0, T, self.alpha).velocity(
+        self.horizon = horizon
+        self.gain = solve_two_point(1.0, 0.0, 0.0, horizon, self.alpha).velocity(
             dt if eval_at_next else 0.0)
         self.window = FWindow(t_window, dt, input_gain=self.alpha)
         self.u_min = u_min
         self.u_max = u_max
-        self.f_est = 0.0
-        self.last_raw_u = 0.0
-        self.last_clamped = False
 
+    def step(self, y_meas: float, y_setpoint: float) -> tuple[float, float]:
+        """One receding-horizon step; returns the applied and the raw input.
 
-def mfpc_axis_step(axis: UltraLocalAxis, y_meas: float, y_setpoint: float) -> float:
-    """One receding-horizon step for a single axis; returns the applied input.
-
-    The optimal velocity toward the setpoint, minus the drift estimate, scaled
-    by 1/alpha.  The input pushed into the estimation window is the clamped
-    value actually applied.
-    """
-    f_est = axis.f_est = axis.window.estimate()
-    u = (axis.gain * (y_meas - y_setpoint) - f_est) / axis.alpha
-    axis.last_raw_u = u
-    axis.last_clamped = False
-    if axis.u_min is not None and u < axis.u_min:
-        u = axis.u_min
-        axis.last_clamped = True
-    if axis.u_max is not None and u > axis.u_max:
-        u = axis.u_max
-        axis.last_clamped = True
-    axis.window.push(y_meas, u)
-    return u
+        The optimal velocity toward the setpoint, minus the drift estimate,
+        scaled by 1/alpha.  The input pushed into the estimation window is
+        the clamped value actually applied.
+        """
+        u = raw = (self.gain * (y_meas - y_setpoint) - self.window.estimate()) / self.alpha
+        if raw < self.u_min:
+            u = self.u_min
+        elif raw > self.u_max:
+            u = self.u_max
+        self.window.push(y_meas, u)
+        return u, raw
 
 
 def check_reference(traj) -> None:
@@ -164,23 +146,33 @@ class MfpcConfig:
             raise ConfigError("MFPC u1_max must be positive")
         if not 0.0 < self.u2_margin < math.pi / 2:
             raise ConfigError("MFPC u2_margin must lie in (0, pi/2)")
-        if not isinstance(self.eval_at_next, bool):
-            raise ConfigError("MFPC eval_at_next must be true or false")
+
+    def effective_horizon(self, dt: float) -> float:
+        """The horizon both axes solve over and the setpoints are read
+        ahead: ``horizon``, shortened so that max|alpha| * T stays within
+        MAX_EXP_ARG, and refused unless it is longer than one step dt."""
+        rate = max(abs(self.alpha1), abs(self.alpha2))
+        T = min(float(self.horizon), MAX_EXP_ARG / rate)
+        while rate * T > MAX_EXP_ARG:   # the quotient can round a hair long
+            T = math.nextafter(T, 0.0)
+        if not T > dt:
+            raise ConfigError(f"mfpc: effective horizon {T:.3g} s is not longer than dt = {dt} s")
+        return T
 
 
 class MfpcController:
     """Stateful wrapper owning the two ultra-local axes; logs clamp episodes."""
 
     def __init__(self, config: MfpcConfig, dt: float):
-        self.config = config
+        # setpoints are read one horizon ahead, the horizon both axes solve over
+        self.lookahead = horizon = config.effective_horizon(dt)
         u2_lim = math.pi / 2 - config.u2_margin
-        self.axis_x = UltraLocalAxis(config.alpha1, config.t_window, dt, config.horizon,
+        self.axis_x = UltraLocalAxis(config.alpha1, config.t_window, dt, horizon,
                                      u_min=0.0, u_max=config.u1_max,
                                      eval_at_next=config.eval_at_next)
-        self.axis_y = UltraLocalAxis(config.alpha2, config.t_window, dt, config.horizon,
+        self.axis_y = UltraLocalAxis(config.alpha2, config.t_window, dt, horizon,
                                      u_min=-u2_lim, u_max=u2_lim,
                                      eval_at_next=config.eval_at_next)
-        self.lookahead = config.horizon   # setpoints are read one horizon ahead
         self.events: list = []
         self._clamped = (False, False)    # (u1, u2) clamped on the last step
 
@@ -189,19 +181,19 @@ class MfpcController:
         """Full MIMO step: x axis -> u1, y axis -> u2, toward the setpoint
         ``ahead`` read one horizon ahead on the (possibly revised) reference."""
         if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
-            raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas}) at t={t}")
+            raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas})")
         x_sp, y_sp = ahead
-        ax, ay = self.axis_x, self.axis_y
-        ctrl = ControlInput(mfpc_axis_step(ax, x_meas, x_sp), mfpc_axis_step(ay, y_meas, y_sp))
-        clamped = (ax.last_clamped, ay.last_clamped)
+        u1, raw1 = self.axis_x.step(x_meas, x_sp)
+        u2, raw2 = self.axis_y.step(y_meas, y_sp)
+        clamped = (u1 != raw1, u2 != raw2)
         if clamped != self._clamped:
-            for name, axis, now, before in zip(("u1", "u2"), (ax, ay), clamped, self._clamped):
+            for name, raw, now, before in zip(("u1", "u2"), (raw1, raw2), clamped,
+                                              self._clamped):
                 if now and not before:
-                    self.events.append({"kind": "clamp", "t": t, "input": name,
-                                        "raw": axis.last_raw_u})
+                    self.events.append({"kind": "clamp", "t": t, "input": name, "raw": raw})
             self._clamped = clamped
-        return ctrl
+        return ControlInput(u1, u2)
 
     @property
     def last_fhat(self) -> tuple[float, float]:
-        return self.axis_x.f_est, self.axis_y.f_est
+        return self.axis_x.window.last_estimate, self.axis_y.window.last_estimate

@@ -43,9 +43,9 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 class VehicleState(NamedTuple):
-    """Planar pose sample of the rear-axle midpoint at time t."""
+    """Planar position of the rear-axle midpoint; the sample index, not the
+    state, carries the time."""
 
-    t: float
     x: float
     y: float
 
@@ -54,13 +54,13 @@ class ControlInput(NamedTuple):
     """True controls (u1, u2) plus optional auxiliary controls (nu1, nu2).
 
     The auxiliary fields are populated by the flatness stack only; the
-    predictive controller commands (u1, u2) directly.
+    predictive controller commands (u1, u2) directly and leaves them NaN.
     """
 
     u1: float
     u2: float
-    nu1: float | None = None
-    nu2: float | None = None
+    nu1: float = math.nan
+    nu2: float = math.nan
 
 
 def aux_to_true(nu1: float, nu2: float, prev_u2: float = 0.0) -> tuple[float, float]:
@@ -89,19 +89,19 @@ def step_plant(state: VehicleState, control: ControlInput, p: float = 0.0,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    t, x, y = state
+    x, y = state
     u1, u2 = control.u1, control.u2
     if not (math.isfinite(x) and math.isfinite(y)
             and math.isfinite(u1) and math.isfinite(u2)
             and math.isfinite(p)):
         raise StateIntegrityError(
-            f"non-finite plant input at t={t}: state=({x}, {y}), "
+            f"non-finite plant input: state=({x}, {y}), "
             f"control=({u1}, {u2}), p={p}")
     x = x + dt * u1 * math.cos(u2)
     y = y + dt * u1 * (1.0 + p) * math.sin(u2)
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise StateIntegrityError(f"plant state diverged at t={t}")
-    return VehicleState(t + dt, x, y)
+        raise StateIntegrityError("plant state diverged")
+    return VehicleState(x, y)
 
 
 @dataclass

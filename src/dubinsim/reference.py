@@ -145,6 +145,8 @@ def _polyline_pieces(spec: PolylinePath):
     if spec.speed <= 0.0:
         raise DegeneratePathError("polyline speed must be positive")
     r = float(spec.fillet_radius)
+    if r < 0.0:
+        raise DegeneratePathError("polyline fillet_radius must be non-negative")
 
     # Per-leg unit directions and lengths.
     dirs, lens = [], []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .avoidance import Obstacle
 from .errors import ConfigError
 from .estimation import window_capacity
 from .heol import HeolConfig
-from .mfpc import MAX_EXP_ARG, MfpcConfig
+from .mfpc import MfpcConfig
 from .reference import path_spec_from_dict
 
 CONFIG_VERSION = 1
@@ -61,6 +62,8 @@ class AvoidanceConfig:
             raise ConfigError("avoidance margin must be positive")
         if not self.sensing_radius > 0.0:
             raise ConfigError("avoidance sensing_radius must be positive")
+        if self.lead < 0.0:   # a bypass would start inside the zone
+            raise ConfigError("avoidance lead must be non-negative")
         if self.speed_hint is not None and not self.speed_hint > 0.0:
             raise ConfigError("avoidance speed_hint must be positive or null")
 
@@ -89,11 +92,8 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        check_types(self)
         check_name(self.name)
-        # vars, not asdict: asdict's copies on every replace raised sweep peak RSS
-        for name, value in vars(self).items():
-            if _has_non_finite(value):
-                raise ConfigError(f"{name} holds a non-finite number")
         if self.dt <= 0.0 or self.duration <= 0.0:
             raise ConfigError("dt and duration must be positive")
         steps = self.duration / self.dt
@@ -103,12 +103,7 @@ class ScenarioConfig:
             raise ConfigError(f"duration/dt = {steps} is not an integer")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
-        if not isinstance(self.path, dict):
-            raise ConfigError("path must be a JSON object")
-        if _has_non_finite(vars(path_spec_from_dict(self.path))):
-            raise ConfigError("path holds a non-finite number")
-        if not all(isinstance(s.enabled, bool) for s in (self.noise, self.perturbation, self.sync)):
-            raise ConfigError("noise, perturbation and sync 'enabled' must be true or false")
+        path_spec_from_dict(self.path)
         if self.noise.sigma < 0.0:
             raise ConfigError("noise sigma must be non-negative")
         p = self.perturbation
@@ -123,12 +118,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.controller}: {exc}") from exc
         if self.controller == "mfpc":
-            m = self.mfpc
-            # the horizon the axes actually use once the exponent guard shrinks it
-            horizon = min(m.horizon, MAX_EXP_ARG / max(abs(m.alpha1), abs(m.alpha2)))
-            if horizon <= self.dt:
-                raise ConfigError(f"mfpc: effective horizon {horizon:.3g} s is not "
-                                  f"longer than dt = {self.dt} s")
+            self.mfpc.effective_horizon(self.dt)
         if self.sync.tau_max <= 0.0:
             raise ConfigError("tau_max must be positive")
         if self.start is not None and len(self.start) != 2:
@@ -155,20 +145,19 @@ class ScenarioConfig:
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         version = d.get("version", CONFIG_VERSION)
-        if version != CONFIG_VERSION:
+        if isinstance(version, bool) or version != CONFIG_VERSION:   # true == 1
             raise ConfigError(f"unsupported config version {version}")
         kwargs = {k: v for k, v in d.items() if k != "version"}
         unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_types(kwargs)   # before any field is converted or compared
         try:
             if "obstacles" in kwargs:
                 kwargs["obstacles"] = tuple(Obstacle(**ob) for ob in kwargs["obstacles"])
             if kwargs.get("start") is not None:
                 kwargs["start"] = tuple(float(v) for v in kwargs["start"])
-            for key, convert in (("dt", float), ("duration", float), ("seed", int)):
-                if key in kwargs:
-                    kwargs[key] = convert(kwargs[key])
+            kwargs.update({k: float(kwargs[k]) for k in ("dt", "duration") if k in kwargs})
             for key, section in _SECTIONS.items():
                 if key in kwargs:
                     kwargs[key] = section(**kwargs[key])
@@ -193,7 +182,7 @@ class ScenarioConfig:
 NAME_MAX = 255
 
 
-def check_name(name) -> None:
+def check_name(name: str) -> None:
     """Refuse a run name that is not a plain file stem.
 
     The name becomes the stem of the run's output files, so it must name a
@@ -201,8 +190,6 @@ def check_name(name) -> None:
     path separator or NUL, and short enough that ``<name>_summary.json``
     fits in NAME_MAX bytes of UTF-8.
     """
-    if not isinstance(name, str):
-        raise ConfigError(f"name must be a string, got {name!r}")
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"name {name!r} is not a file stem: it must be non-empty, "
                           "not '.' or '..', and hold no '/', '\\' or NUL")
@@ -227,17 +214,42 @@ _SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig)
              if is_dataclass(f.default)}
 
 
-def _has_non_finite(obj) -> bool:
-    """Whether a NaN or infinite float sits anywhere in a config value."""
-    if isinstance(obj, float):
-        return not math.isfinite(obj)
-    if is_dataclass(obj):
-        obj = vars(obj)
-    if isinstance(obj, dict):
-        obj = obj.values()
-    elif not isinstance(obj, (list, tuple)):
-        return False
-    return any(map(_has_non_finite, obj))
+# The JSON type of each config field, by key, that is not a finite number;
+# "obstacles[]" is an element of "obstacles" and "" the config itself.
+_FIELD_TYPES = {
+    "": dict, "path": dict, "obstacles[]": dict, **dict.fromkeys(_SECTIONS, dict),
+    "start": list, "obstacles": list, "waypoints": list, "waypoints[]": list,
+    "seed": int, "noise_seed": int, "perturbation_seed": int,
+    "enabled": bool, "eval_at_next": bool, "name": str, "controller": str, "kind": str,
+}
+_NULLABLE = frozenset({"noise_seed", "perturbation_seed", "start", "speed_hint"})
+_TYPE_NAMES = {dict: "a JSON object", list: "an array", int: "an integer",
+               bool: "true or false", str: "a string", float: "a finite number"}
+
+
+def check_types(value, where: str = "", key: str = "") -> None:
+    """Refuse a config value, or any value inside it, that does not hold its
+    field's JSON type: a boolean or a numeric string is not a number, and a
+    seed must be an integer.  ``where`` names the value in the error, such as
+    ``obstacles[0].cx``, and ``key`` is the field that holds it."""
+    kind = _FIELD_TYPES.get(key, float)
+    if value is None and key in _NULLABLE:
+        return
+    if is_dataclass(value):   # a config block or obstacle built from its object
+        value = vars(value)
+    if kind is dict and isinstance(value, dict):
+        for k, v in value.items():
+            check_types(v, f"{where}.{k}" if where else k, k)
+    elif kind is list and isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            check_types(v, f"{where}[{i}]", key + "[]")
+    else:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # a leaf of its kind; NaN fails the bound, and an object or array is not a leaf
+        if not {bool: isinstance(value, bool), str: isinstance(value, str),
+                int: number and isinstance(value, int),
+                float: number and abs(value) <= sys.float_info.max}.get(kind, False):
+            raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def json_safe(obj):

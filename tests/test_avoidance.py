@@ -9,7 +9,6 @@ from dubinsim.avoidance import (DangerZone, Obstacle, discover,
                                 path_crosses_zone, plan_both_sides,
                                 plan_bypass, select_side, splice)
 from dubinsim.errors import InfeasibleBypassError
-from dubinsim.model import VehicleState
 from dubinsim.reference import PolylinePath, build_reference
 
 DT = 0.01
@@ -25,19 +24,19 @@ def line_traj():
 
 def test_discover_respects_sensing_radius():
     obs = [Obstacle(100.0, 0.0, 1.0), Obstacle(9.9, 0.0, 1.0)]
-    st = VehicleState(5.0, 0.0, 0.0)
+    st = (5.0, 0.0, 0.0)
     assert discover(obs, st, 10.0) == [1]
 
 
 def test_discover_respects_appearance_time():
     obs = [Obstacle(1.0, 0.0, 0.5, t_appear=8.0)]
-    assert discover(obs, VehicleState(5.0, 0.0, 0.0), 10.0) == []
-    assert discover(obs, VehicleState(8.0, 0.0, 0.0), 10.0) == [0]
+    assert discover(obs, (5.0, 0.0, 0.0), 10.0) == []
+    assert discover(obs, (8.0, 0.0, 0.0), 10.0) == [0]
 
 
 def test_discover_is_monotone_via_known_set():
     obs = [Obstacle(1.0, 0.0, 0.5)]
-    st = VehicleState(0.0, 0.0, 0.0)
+    st = (0.0, 0.0, 0.0)
     assert discover(obs, st, 10.0, known={0}) == []
 
 

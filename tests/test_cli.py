@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
+from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.presets import FULL_CIRCLE_PATH, nominal_tracking, safety_scenario
-from dubinsim.scenario import HeolConfig, NoiseConfig
+from dubinsim.scenario import AvoidanceConfig, HeolConfig, NoiseConfig, ScenarioConfig
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -123,6 +130,19 @@ def test_config_error_exit_code(tmp_path):
     {"obstacles": [{"cx": "a", "cy": 0, "r": 1}]},
     {"noise": {"enabled": "no"}},                          # a truthy string, not false
     {"controller": "mfpc", "mfpc": {"eval_at_next": 1}},
+    {"noise_seed": "abc"},
+    {"perturbation_seed": [1], "perturbation": {"enabled": True}},
+    {"sync": {"startup_threshold": "x"}, "start": [3, 1]},
+    {"avoidance": {"lead": "x"}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
+    {"obstacles": [{"cx": True, "cy": 0, "r": "0.8"}]},
+    {"path": {"kind": "circle", "radius": True}},
+    {"start": "12"},
+    {"heol": {"kx": True}},
+    {"controller": "mfpc", "mfpc": {"u2_margin": True}},
+    {"seed": 7.9},
+    {"path": {"kind": "polyline", "waypoints": [[0, 0], [5, 0], [9, 2]],
+              "fillet_radius": -1}},
+    {"avoidance": {"lead": -3}, "obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}]},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -134,7 +154,10 @@ def test_config_error_exit_code(tmp_path):
         "name-parent", "name-slash", "name-backslash", "name-nul", "name-empty",
         "name-dot", "name-dotdot", "name-243-bytes", "waypoint-string",
         "waypoints-number", "circle-radius-string", "obstacle-cx-string",
-        "noise-enabled-string", "mfpc-eval_at_next-number"])
+        "noise-enabled-string", "mfpc-eval_at_next-number", "noise_seed-string",
+        "perturbation_seed-list", "startup_threshold-string", "lead-string",
+        "obstacle-cx-bool", "circle-radius-bool", "start-string", "heol-kx-bool",
+        "mfpc-u2_margin-bool", "seed-float", "fillet-negative", "lead-negative"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -143,6 +166,102 @@ def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]   # nothing written
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"noise_seed": "abc"}, "noise_seed must be an integer"),
+    ({"perturbation_seed": [1]}, "perturbation_seed must be an integer"),
+    ({"seed": 7.9}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"sync": {"startup_threshold": "x"}}, "sync.startup_threshold must be a finite number"),
+    ({"avoidance": {"lead": "x"}}, "avoidance.lead must be a finite number"),
+    ({"obstacles": [{"cx": True, "cy": 0, "r": "0.8"}]}, "obstacles[0].cx must be"),
+    ({"obstacles": [{"cx": 1, "cy": 0, "r": "0.8"}]}, "obstacles[0].r must be"),
+    ({"obstacles": [{"cx": "a", "cy": 0, "r": 1}]}, "obstacles[0].cx must be"),
+    ({"path": {"kind": "circle", "radius": True}}, "path.radius must be"),
+    ({"path": {"kind": "polyline", "waypoints": [[0, 0], [1, "a"]]}},
+     "path.waypoints[1][1] must be"),
+    ({"start": "12"}, "start must be an array"),
+    ({"heol": {"kx": True}}, "heol.kx must be a finite number"),
+    ({"mfpc": {"u2_margin": True}}, "mfpc.u2_margin must be a finite number"),
+    ({"noise": {"enabled": "no"}}, "noise.enabled must be true or false"),
+    ({"dt": "0.01"}, "dt must be a finite number"),
+    ({"duration": 10**400}, "duration must be a finite number"),
+])
+def test_wrong_typed_config_values_are_named(doc, field):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(doc)
+    assert str(err.value).startswith(field)
+
+
+def test_accepted_numbers_load_unchanged():
+    cfg = ScenarioConfig.from_dict({"duration": 20, "seed": 3, "start": [0, 1],
+                                    "obstacles": [{"cx": 8, "cy": 0, "r": 1}]})
+    assert (cfg.duration, cfg.seed, cfg.start) == (20.0, 3, (0.0, 1.0))
+    assert all(type(v) is float for v in (cfg.duration, *cfg.start))
+    assert cfg.obstacles[0] == Obstacle(8.0, 0.0, 1.0)
+
+
+# A valid config with every field present, numbers in place of the nulls.
+VALID_DOC = json.loads(json.dumps(ScenarioConfig(
+    name="prop", duration=1.0, noise_seed=3, perturbation_seed=4, start=(0.1, 0.0),
+    obstacles=(Obstacle(8.0, 0.1, 0.8, t_appear=0.5),),
+    avoidance=AvoidanceConfig(speed_hint=1.0)).to_dict()))
+
+
+def _doc_paths(node, path=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _doc_paths(value, path + (key,))
+
+
+# Numbers that may be negative; every other number must be positive (or,
+# for the perturbation range, at least -0.5).
+_SIGNED = {"cx", "cy", "alpha1", "alpha2", "startup_threshold"}
+
+
+def _is_valid(path, value):
+    key = path[-1]
+    if value is None:
+        return key in ("start", "noise_seed", "perturbation_seed", "speed_hint")
+    if key == "name":
+        return isinstance(value, str)
+    old = VALID_DOC
+    for k in path:
+        old = old[k]
+    if isinstance(old, bool):
+        return isinstance(value, bool)
+    # waypoint and start coordinates sit under an index
+    return (value == -1.0 and type(old) is float
+            and (key in _SIGNED or isinstance(key, int)))
+
+
+BAD_FIELDS = [(path, value) for path in _doc_paths(VALID_DOC)
+              for value in (True, False, "1", [1.0], None, math.nan, -1.0)
+              if not _is_valid(path, value)]
+
+
+@settings(max_examples=2 * len(BAD_FIELDS), deadline=None, derandomize=True)
+@given(case=st.sampled_from(BAD_FIELDS))
+def test_a_config_with_one_bad_field_exits_2(case):
+    path, value = case
+    doc = json.loads(json.dumps(VALID_DOC))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "bad.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code == 2, (path, value)
+        assert err.getvalue().startswith("config error:") and "Traceback" not in err.getvalue()
+        assert [p.name for p in Path(tmp).iterdir()] == ["bad.json"]   # nothing written
 
 
 @pytest.mark.parametrize("name", ["../x", "a/b", "", ".."])
@@ -191,7 +310,7 @@ def test_replan_limit_abort_names_the_overlapping_zones(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 1
-    reason = "replanning loop exceeded limit (obstacles [0, 1])"
+    reason = "replanning loop exceeded limit (obstacles [0, 1]) at t=7.32"
     assert f"run aborted: {reason}" in capsys.readouterr().err
     summary = json.loads((out / "safety-heol_summary.json").read_text())
     assert summary["aborted"] is True and summary["abort_reason"] == reason

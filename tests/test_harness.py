@@ -159,22 +159,26 @@ def test_divergent_controller_aborts_with_flag():
 SHORT_LINE = replace(nominal_tracking("heol", "line"), duration=2.0)
 
 
-@pytest.mark.parametrize("cfg, prefix", [
+@pytest.mark.parametrize("cfg, prefix, suffix", [
     # the start lies inside the danger zone, so no anchor is outside it
-    (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)), "infeasible bypass: "),
-    (None, "controller fault: "),
-    (replace(SHORT_LINE, heol=HeolConfig(kx=1e6, ky=1e6)), "state integrity: "),
+    (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)), "infeasible bypass: ",
+     " at t=0.0"),
+    (None, "controller fault: ", "non-finite measurement (nan, nan) at t=0.0"),
+    # the plant's own summed clock would read 0.8600000000000005 here
+    (replace(SHORT_LINE, heol=HeolConfig(kx=1e6, ky=1e6)),
+     "state integrity: non-finite plant input: ", " at t=0.86"),
     # overlapping zones: bypasses of the two alternate at t=7.32
     (replace(safety_scenario("heol", 1), duration=8.0, noise=NoiseConfig(enabled=False),
              obstacles=(Obstacle(11.0, 0.1, 0.6), Obstacle(12.1, -1.45, 0.9))),
-     "replanning loop exceeded limit (obstacles [0, 1])"),
+     "replanning loop exceeded limit (obstacles [0, 1])", " at t=7.32"),
 ], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit"])
-def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix):
+def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffix):
     if cfg is None:   # a non-finite measurement faults the controller
         monkeypatch.setattr(harness, "measure", lambda state, noise: (math.nan, math.nan))
         cfg = SHORT_LINE
     r = run_scenario(cfg)
     assert r.aborted and r.abort_reason.startswith(prefix)
+    assert r.abort_reason.endswith(suffix)   # the sample time k * dt
     assert len(r.x) == cfg.n_steps + 1 and np.isnan(r.x[-1])
 
 

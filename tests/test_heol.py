@@ -121,7 +121,7 @@ def closed_loop(spec, gains=HeolConfig(), duration=20.0):
     traj = build_reference(spec, DT, duration)
     ctl = HeolController(gains, DT)
     from dubinsim.model import VehicleState, step_plant
-    s = VehicleState(0.0, *traj.position(0.0))
+    s = VehicleState(*traj.position(0.0))
     errs, ctrls = [], []
     for k in range(int(round(duration / DT)) + 1):
         t = k * DT

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dubinsim.errors import ConfigError, ControllerFault, HorizonTooLongError
 from dubinsim.mfpc import (MAX_EXP_ARG, MfpcConfig, MfpcController, UltraLocalAxis,
-                           check_reference, mfpc_axis_step, solve_two_point)
+                           check_reference, solve_two_point)
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory, SinePath,
                                build_reference)
 
@@ -89,7 +89,7 @@ def test_solve_guards():
 
 def test_axis_step_zero_at_setpoint_without_drift():
     axis = UltraLocalAxis(1.0, 0.3, DT, 1.0)
-    assert mfpc_axis_step(axis, 0.0, 0.0) == 0.0
+    assert axis.step(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_axis_step_cancels_pure_drift():
@@ -99,30 +99,43 @@ def test_axis_step_cancels_pure_drift():
     axis = UltraLocalAxis(alpha, 0.3, DT, 1.0)
     for _ in range(31):
         axis.window.push(0.0, -f / alpha)
-    u = mfpc_axis_step(axis, 0.0, 0.0)
-    assert axis.f_est == pytest.approx(f, abs=1e-9)
+    u, _ = axis.step(0.0, 0.0)
+    assert axis.window.last_estimate == pytest.approx(f, abs=1e-9)
     assert u == pytest.approx(-f / alpha, abs=1e-9)
 
 
 def test_axis_step_matches_boundary_velocity():
     axis = UltraLocalAxis(1.0, 0.3, DT, 1.0)
-    u = mfpc_axis_step(axis, 1.0, 0.0)
+    u, _ = axis.step(1.0, 0.0)
     assert u == pytest.approx(-1.313035, abs=1e-6)  # velocity of the closed form at t_i
 
 
-def test_axis_step_shrinks_long_horizons():
-    axis = UltraLocalAxis(1.0, 0.3, DT, 100.0)  # would overflow unshrunk
-    u = mfpc_axis_step(axis, 1.0, 0.0)
-    assert math.isfinite(u)
-    assert axis.horizon <= 40.0 / 1.0
-    assert math.isfinite(axis.gain)
+def test_controller_shrinks_long_horizons():
+    ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=100.0), DT)
+    assert ctl.lookahead <= 40.0 / 1.0   # 100 s would overflow unshrunk
+    c = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(0), (0.0, 0.0))
+    assert math.isfinite(c.u1) and math.isfinite(c.u2)
+    assert math.isfinite(ctl.axis_x.gain)
+
+
+def test_one_horizon_for_both_axes_and_the_lookahead():
+    # 40 / 200 = 0.2 s: the y axis's guard shortens the x axis's horizon too
+    ctl = MfpcController(MfpcConfig(alpha2=200.0, horizon=0.3), DT)
+    assert ctl.lookahead == ctl.axis_x.horizon == ctl.axis_y.horizon
+    assert ctl.lookahead == pytest.approx(0.2, rel=1e-15)
+    assert 200.0 * ctl.lookahead <= MAX_EXP_ARG
+
+
+def test_axis_refuses_a_horizon_over_the_exponent_guard():
+    with pytest.raises(HorizonTooLongError):
+        UltraLocalAxis(1.0, 0.3, DT, 100.0)
 
 
 def test_axis_step_pushes_applied_input():
     axis = UltraLocalAxis(1.0, 0.3, DT, 1.0, u_min=-0.5, u_max=0.5)
-    u = mfpc_axis_step(axis, 3.0, 0.0)
+    u, raw = axis.step(3.0, 0.0)
     assert u == -0.5
-    assert axis.last_clamped
+    assert raw < -0.5
     outs, ins = axis.window.chronological()
     assert ins[-1] == -0.5  # clamped value, not the raw demand
     assert outs[-1] == 3.0
@@ -135,9 +148,9 @@ def test_solution_independent_of_drift_estimate():
     for _ in range(31):
         a.window.push(0.0, 0.9)
         b.window.push(0.0, -0.4)
-    ua = mfpc_axis_step(a, 2.0, 1.0)
-    ub = mfpc_axis_step(b, 2.0, 1.0)
-    assert a.f_est != b.f_est
+    ua, _ = a.step(2.0, 1.0)
+    ub, _ = b.step(2.0, 1.0)
+    assert a.window.last_estimate != b.window.last_estimate
     assert a.gain == b.gain
     assert ua != ub  # drift correction differs
 
@@ -152,7 +165,7 @@ def test_receding_horizon_consistency_on_exact_model():
     for k in range(200):
         t = k * DT
         sols.append(solve_two_point(y, y_sp, t, t + 1.0, alpha))
-        u = mfpc_axis_step(axis, y, y_sp)
+        u, _ = axis.step(y, y_sp)
         y += DT * (F + alpha * u)
     for k in range(80, 150):
         a, b = sols[k], sols[k + 1]
@@ -173,8 +186,8 @@ POSITIONS = st.integers(-5_000_000, 5_000_000).map(lambda i: i * 1e-6)
 def test_gain_is_the_arc_velocity_at_any_absolute_time(alpha, negative, horizon, t, y, y_sp,
                                                        eval_at_next):
     alpha = -alpha if negative else alpha
-    axis = UltraLocalAxis(alpha, 0.3, DT, horizon, eval_at_next=eval_at_next)
-    T = axis.horizon
+    T = MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon).effective_horizon(DT)
+    axis = UltraLocalAxis(alpha, 0.3, DT, T, eval_at_next=eval_at_next)
     assert T <= horizon and abs(alpha) * T <= MAX_EXP_ARG
     assert T == pytest.approx(min(horizon, MAX_EXP_ARG / abs(alpha)), rel=1e-15)
     t_f = t + T
@@ -194,7 +207,7 @@ def test_mimo_step_stationary_at_rest():
     c = ctl.step(0.0, 0.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
     assert c.u1 == 0.0
     assert c.u2 == 0.0
-    assert c.nu1 is None and c.nu2 is None
+    assert math.isnan(c.nu1) and math.isnan(c.nu2)
 
 
 def test_mimo_step_clamps_heading_and_logs_episode():
@@ -202,10 +215,10 @@ def test_mimo_step_clamps_heading_and_logs_episode():
     traj = stationary_traj()
     # huge lateral error -> raw u2 >> pi/2
     c = ctl.step(0.0, -3.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
-    assert ctl.axis_y.last_raw_u > math.pi / 2
     assert c.u2 == pytest.approx(math.pi / 2 - 0.01)
     clamps = [e for e in ctl.events if e["kind"] == "clamp" and e["input"] == "u2"]
     assert len(clamps) == 1
+    assert clamps[0]["raw"] > math.pi / 2
     # same episode, no duplicate event
     ctl.step(0.0, -3.0, DT, traj.row(1), traj.position(DT + ctl.lookahead))
     assert len([e for e in ctl.events if e["input"] == "u2"]) == 1
@@ -240,7 +253,7 @@ def test_line_tracking_settles_near_unit_speed():
     traj = build_reference(PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1.0),
                            DT, 20.0)
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
-    s = VehicleState(0.0, 0.0, 0.0)
+    s = VehicleState(0.0, 0.0)
     u1s, u2s = [], []
     for k in range(2001):
         t = k * DT

@@ -13,21 +13,20 @@ from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, ControlInput,
 
 
 def test_step_plant_pure_x_motion():
-    s = step_plant(VehicleState(0, 0, 0), ControlInput(u1=1, u2=0), p=0, dt=0.01)
+    s = step_plant(VehicleState(0, 0), ControlInput(u1=1, u2=0), p=0, dt=0.01)
     assert s.x == pytest.approx(0.01, abs=1e-15)
     assert s.y == pytest.approx(0.0, abs=1e-15)
-    assert s.t == pytest.approx(0.01)
 
 
 def test_step_plant_pure_y_motion():
-    s = step_plant(VehicleState(0, 0, 0), ControlInput(u1=1, u2=math.pi / 2), p=0, dt=0.01)
+    s = step_plant(VehicleState(0, 0), ControlInput(u1=1, u2=math.pi / 2), p=0, dt=0.01)
     assert s.x == pytest.approx(0.0, abs=1e-12)
     assert s.y == pytest.approx(0.01, abs=1e-15)
 
 
 def test_step_plant_perturbed_closed_form():
     # hand-checked arithmetic: x' = 1 + 0.01*2*cos(pi/4), y' = 1 + 0.01*2*1.5*sin(pi/4)
-    s = step_plant(VehicleState(0, 1, 1), ControlInput(u1=2, u2=math.pi / 4), p=0.5, dt=0.01)
+    s = step_plant(VehicleState(1, 1), ControlInput(u1=2, u2=math.pi / 4), p=0.5, dt=0.01)
     assert s.x == pytest.approx(1 + 0.02 * math.cos(math.pi / 4), abs=1e-15)
     assert s.y == pytest.approx(1 + 0.03 * math.sin(math.pi / 4), abs=1e-15)
 
@@ -35,7 +34,7 @@ def test_step_plant_perturbed_closed_form():
 def test_step_plant_zero_p_matches_nominal():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        st = VehicleState(0, rng.uniform(-5, 5), rng.uniform(-5, 5))
+        st = VehicleState(rng.uniform(-5, 5), rng.uniform(-5, 5))
         c = ControlInput(u1=rng.uniform(0, 3), u2=rng.uniform(-math.pi, math.pi))
         a = step_plant(st, c, p=0.0, dt=0.01)
         b = step_plant(st, c, dt=0.01)
@@ -45,14 +44,14 @@ def test_step_plant_zero_p_matches_nominal():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_step_plant_rejects_non_finite(bad):
     with pytest.raises(StateIntegrityError):
-        step_plant(VehicleState(0, 0, 0), ControlInput(u1=bad, u2=0), dt=0.01)
+        step_plant(VehicleState(0, 0), ControlInput(u1=bad, u2=0), dt=0.01)
     with pytest.raises(StateIntegrityError):
-        step_plant(VehicleState(0, bad, 0), ControlInput(u1=1, u2=0), dt=0.01)
+        step_plant(VehicleState(bad, 0), ControlInput(u1=1, u2=0), dt=0.01)
 
 
 def test_step_plant_rejects_bad_dt():
     with pytest.raises(ValueError):
-        step_plant(VehicleState(0, 0, 0), ControlInput(u1=1, u2=0), dt=0.0)
+        step_plant(VehicleState(0, 0), ControlInput(u1=1, u2=0), dt=0.0)
 
 
 def test_euler_first_order_convergence():
@@ -61,7 +60,7 @@ def test_euler_first_order_convergence():
     T = 2.0
 
     def final_error(dt):
-        s = VehicleState(0, 0, 0)
+        s = VehicleState(0, 0)
         for k in range(int(round(T / dt))):
             s = step_plant(s, ControlInput(u1=1.0, u2=w * k * dt), 0.0, dt)
         return math.hypot(s.x - math.sin(w * T) / w, s.y - (1 - math.cos(w * T)) / w)
@@ -118,14 +117,14 @@ def test_control_input_representation_consistency():
 
 def test_measure_disabled_is_identity():
     noise = NoiseModel(sigma=0.1, seed=5, enabled=False)
-    st = VehicleState(1.0, 2.5, -3.5)
+    st = VehicleState(2.5, -3.5)
     assert measure(st, noise) == (2.5, -3.5)
 
 
 def test_measure_seeded_statistics():
     # Monte-Carlo oracle on the seeded generator
     noise = NoiseModel(sigma=0.1, seed=42, enabled=True)
-    st = VehicleState(0, 0, 0)
+    st = VehicleState(0, 0)
     draws = np.array([measure(st, noise) for _ in range(100_000)])
     for axis in (0, 1):
         assert abs(draws[:, axis].mean()) < 0.002
@@ -133,7 +132,7 @@ def test_measure_seeded_statistics():
 
 
 def test_measure_determinism():
-    st = VehicleState(0, 1, 2)
+    st = VehicleState(1, 2)
     a = [measure(st, NoiseModel(sigma=0.1, seed=7)) for _ in range(0, 1)]
     na, nb = NoiseModel(sigma=0.1, seed=7), NoiseModel(sigma=0.1, seed=7)
     seq_a = [measure(st, na) for _ in range(100)]
@@ -177,17 +176,17 @@ def test_measure_blocks_equal_scalar_draws():
     # 1200 samples cross two NOISE_BLOCK boundaries
     noise = NoiseModel(sigma=0.1, seed=31)
     rx, ry = stream_rng(31, STREAM_NOISE_X), stream_rng(31, STREAM_NOISE_Y)
-    st = VehicleState(0.0, 1.5, -2.0)
+    st = VehicleState(1.5, -2.0)
     for _ in range(1200):
         assert measure(st, noise) == (st.x + 0.1 * float(rx.standard_normal()),
                                       st.y + 0.1 * float(ry.standard_normal()))
 
 
 def test_state_and_control_are_immutable_records():
-    st = VehicleState(t=0.5, x=1.0, y=2.0)
-    assert (st.t, st.x, st.y) == (0.5, 1.0, 2.0)
+    st = VehicleState(x=1.0, y=2.0)
+    assert (st.x, st.y) == (1.0, 2.0)
     c = ControlInput(1.0, 0.2)
-    assert (c.nu1, c.nu2) == (None, None)
+    assert math.isnan(c.nu1) and math.isnan(c.nu2)
     with pytest.raises(AttributeError):
         st.x = 3.0
     with pytest.raises(AttributeError):

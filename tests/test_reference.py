@@ -127,13 +127,13 @@ def test_open_loop_flatness_tracks_at_first_order():
     # replaying the feedforward through the nominal plant stays within C*dt
     def max_err(dt):
         traj = build_reference(CirclePath(radius=5.0, omega=0.2), dt, 20.0)
-        s = VehicleState(0.0, *traj.position(0.0))
+        s = VehicleState(*traj.position(0.0))
         prev, worst = 0.0, 0.0
         for k in range(int(round(20.0 / dt))):
             c = flat_feedforward(traj, k * dt, prev)
             prev = c.u2
             s = step_plant(s, c, 0.0, dt)
-            xr, yr = traj.position(s.t)
+            xr, yr = traj.position((k + 1) * dt)
             worst = max(worst, math.hypot(s.x - xr, s.y - yr))
         return worst
 
