@@ -74,7 +74,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     levels = pert.levels(n, dt)
     controller = (HeolController(cfg.heol, dt) if cfg.controller == "heol"
                   else MfpcController(cfg.mfpc, dt))
-    lookahead = controller.lookahead
+    # MFPC reads its setpoint one horizon ahead, this many samples on
+    ahead_steps = round(controller.lookahead / dt)
 
     start = cfg.start if cfg.start is not None else traj.position(0.0)
     state = VehicleState(float(start[0]), float(start[1]))
@@ -127,7 +128,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
             row = traj.row(k)
             ctrl = controller.step(xm, ym, t, row,
-                                   traj.position(t + lookahead) if lookahead else None)
+                                   traj.row(k + ahead_steps)[:2] if ahead_steps else None)
             x_ref, y_ref, dx_ref, dy_ref = row
             u1, u2, nu1, nu2 = ctrl
             fx, fy = controller.last_fhat

@@ -121,6 +121,8 @@ class ScenarioConfig:
             self.mfpc.effective_horizon(self.dt)
         if self.sync.tau_max <= 0.0:
             raise ConfigError("tau_max must be positive")
+        if not self.sync.startup_threshold >= 0.0:
+            raise ConfigError("sync startup_threshold must be non-negative")
         if self.start is not None and len(self.start) != 2:
             raise ConfigError("start must be null or a pair of numbers")
 

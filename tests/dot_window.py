@@ -1,0 +1,58 @@
+"""The dot-product drift window, kept as the reference for FWindow.
+
+``DotWindow`` has FWindow's surface (``push``, ``estimate``,
+``last_estimate``, ``capacity``) and computes the estimate the direct way:
+the samples of the last window, oldest first, dotted with the product
+weights, ``w_out @ outs + w_in @ ins``.  Its floats are those of the ring
+that FWindow replaced, so a run with it swapped in reproduces that engine's
+output bytes.
+"""
+
+from collections import deque
+
+import numpy as np
+
+from dubinsim.estimation import product_weights, window_capacity
+
+
+class DotWindow:
+    def __init__(self, t_window, dt, input_gain=1.0):
+        T = float(t_window)
+        self.capacity = window_capacity(t_window, dt)
+        scale = -6.0 / T ** 3
+        self.w_out = scale * product_weights(lambda s: T - 2.0 * s, self.capacity, dt)
+        self.w_in = scale * float(input_gain) * product_weights(
+            lambda s: s * (T - s), self.capacity, dt)
+        # an empty window holds zeros, as the old ring did
+        self.samples = deque([(0.0, 0.0)] * self.capacity, maxlen=self.capacity)
+        self.pushed = 0
+        self.last_estimate = 0.0
+
+    def push(self, out_sample, in_sample):
+        self.samples.append((out_sample, in_sample))
+        self.pushed += 1
+
+    def columns(self):
+        """(outs, ins) of the last window, oldest first."""
+        outs, ins = np.array(self.samples).T.copy()
+        return outs, ins
+
+    def estimate(self):
+        value = 0.0
+        if self.pushed >= self.capacity:
+            outs, ins = self.columns()
+            value = float(self.w_out.dot(outs) + self.w_in.dot(ins))
+        self.last_estimate = value
+        return value
+
+    def scale(self):
+        """|w_out|.|outs| + |w_in|.|ins|: the size the estimate's rounding
+        error is measured against."""
+        outs, ins = self.columns()
+        return float(np.abs(self.w_out).dot(np.abs(outs)) + np.abs(self.w_in).dot(np.abs(ins)))
+
+
+def assert_matches(window, oracle, rel=1e-12):
+    """window's estimate equals the oracle's within rel * oracle.scale()."""
+    got, want = window.estimate(), oracle.estimate()
+    assert abs(got - want) <= rel * oracle.scale(), (got, want)

@@ -143,6 +143,7 @@ def test_config_error_exit_code(tmp_path):
     {"path": {"kind": "polyline", "waypoints": [[0, 0], [5, 0], [9, 2]],
               "fillet_radius": -1}},
     {"avoidance": {"lead": -3}, "obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}]},
+    {"sync": {"startup_threshold": -1}},                   # synced at t=0 on every run
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -157,7 +158,8 @@ def test_config_error_exit_code(tmp_path):
         "noise-enabled-string", "mfpc-eval_at_next-number", "noise_seed-string",
         "perturbation_seed-list", "startup_threshold-string", "lead-string",
         "obstacle-cx-bool", "circle-radius-bool", "start-string", "heol-kx-bool",
-        "mfpc-u2_margin-bool", "seed-float", "fillet-negative", "lead-negative"])
+        "mfpc-u2_margin-bool", "seed-float", "fillet-negative", "lead-negative",
+        "startup_threshold-negative"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -220,7 +222,7 @@ def _doc_paths(node, path=()):
 
 # Numbers that may be negative; every other number must be positive (or,
 # for the perturbation range, at least -0.5).
-_SIGNED = {"cx", "cy", "alpha1", "alpha2", "startup_threshold"}
+_SIGNED = {"cx", "cy", "alpha1", "alpha2"}
 
 
 def _is_valid(path, value):

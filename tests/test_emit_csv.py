@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dot_window import DotWindow
+from dubinsim import heol, mfpc
 from dubinsim.harness import CSV_COLUMNS, SERIES, emit_csv, run_scenario
 from dubinsim.presets import nominal_tracking, safety_scenario
 from dubinsim.scenario import HeolConfig, ScenarioConfig, ScenarioResult
@@ -59,19 +61,46 @@ def test_block_writer_matches_per_cell_writer(n_rows, mfpc, seed, special_frac):
             assert a.read() == b.read()
 
 
-# sha256 of each CSV as the per-cell writer wrote it (x86-64 Linux).  The
+def sha256_of_csv(result, path):
+    emit_csv(result, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of each CSV (x86-64 Linux), recorded with the moment-form FWindow;
+# the test below ties these runs to the dot-product engine's bytes.  The
 # runs' floats follow the platform's libm, so a mismatch elsewhere may come
 # from the simulation; the property above checks the writer alone.
 @pytest.mark.parametrize("cfg, digest", [
     (safety_scenario("heol", seed=9),
-     "6e569aed369aa5672902b2530be61991a729a811a4903752c27098a74c735f21"),
+     "8ff65570f0ad86a9b3c31c5b91e02936097e6c84c40e4b640d85303c5900e5c4"),
     (nominal_tracking("mfpc", "line"),
-     "bad4acf533d985b471cb46c09394ef3c339bca784198429922f6d2c6367e597c"),
+     "68137984793553a0d03e040508c1382eb6278a1874a5727e70375cb70690ad17"),
     (replace(nominal_tracking("heol", "line"), heol=HeolConfig(kx=1e6, ky=1e6)),
      "f8bac5a159ea1c87fcd4a5d3ae533e55f778efe58edbaf4047cd300529347ceb"),
 ], ids=["safety-heol-9", "line-mfpc", "heol-kx-1e6-aborts"])
 def test_real_csvs_keep_their_bytes(tmp_path, cfg, digest):
-    result = run_scenario(cfg)
-    path = tmp_path / "run.csv"
-    emit_csv(result, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert sha256_of_csv(run_scenario(cfg), tmp_path / "run.csv") == digest
+
+
+# The runs above with the dot-product window swapped in for FWindow: their
+# bytes are those the dot-product engine wrote (its pins until the moment
+# form replaced it), and the moment form must keep each outcome.
+@pytest.mark.parametrize("cfg, dot_digest", [
+    (safety_scenario("heol", seed=9),
+     "6e569aed369aa5672902b2530be61991a729a811a4903752c27098a74c735f21"),
+    (nominal_tracking("mfpc", "line"),
+     "bad4acf533d985b471cb46c09394ef3c339bca784198429922f6d2c6367e597c"),
+], ids=["safety-heol-9", "line-mfpc"])
+def test_moment_window_keeps_the_dot_product_runs(monkeypatch, tmp_path, cfg, dot_digest):
+    moment = run_scenario(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(heol, "FWindow", DotWindow)
+        m.setattr(mfpc, "FWindow", DotWindow)
+        dot = run_scenario(cfg)
+    assert sha256_of_csv(dot, tmp_path / "dot.csv") == dot_digest
+    assert moment.aborted == dot.aborted and moment.abort_reason == dot.abort_reason
+    sides = [[e["side"] for e in r.events if e["kind"] == "bypass_start"] for r in (moment, dot)]
+    assert sides[0] == sides[1]
+    assert moment.metrics["rms_tracking"] == pytest.approx(dot.metrics["rms_tracking"], rel=1e-9)
+    assert moment.metrics["min_clearance"] == pytest.approx(dot.metrics["min_clearance"],
+                                                            rel=1e-9)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dubinsim.estimation import FWindow, product_weights, window_capacity
+from dot_window import DotWindow, assert_matches
+from dubinsim.estimation import FWindow, moment_weights, product_weights, window_capacity
 from dubinsim.mfpc import UltraLocalAxis
 
 DT = 0.01
@@ -47,14 +48,15 @@ def test_product_weights_integrate_constant_kernel():
 
 
 def test_warmup_returns_zero():
-    w = FWindow(T, DT)
-    assert w.estimate() == 0.0
+    w, oracle = FWindow(T, DT), DotWindow(T, DT)
+    assert w.estimate() == oracle.estimate() == 0.0
     fill(w, ramp(30, 5.0), np.zeros(30))  # one short of full
-    assert not w.full
-    assert w.estimate() == 0.0
+    fill(oracle, ramp(30, 5.0), np.zeros(30))
+    assert w.estimate() == oracle.estimate() == 0.0
     w.push(ramp(31, 5.0)[-1], 0.0)
-    assert w.full
+    oracle.push(ramp(31, 5.0)[-1], 0.0)
     assert w.estimate() != 0.0
+    assert_matches(w, oracle)
 
 
 def test_zero_window_estimates_zero():
@@ -124,24 +126,60 @@ def test_closed_loop_identity_under_euler_data():
     assert w.estimate() == pytest.approx(F, abs=0.05)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(t_window=st.sampled_from([0.3, 0.7]),
+@pytest.mark.parametrize("n", [5, 6, 31, 32, 71])
+@pytest.mark.parametrize("kernel", [(0.7, -2.0, 0.0), (0.0, 0.7, -1.0), (1.3, -0.4, 2.5)])
+def test_moment_weights_rebuild_the_product_weights(n, kernel):
+    a0, a1, a2 = kernel
+    q0, q1, q2, e_old, e_new = moment_weights(a0, a1, a2, n, DT)
+    m = np.arange(n) - (n - 1) / 2
+    w = q0 + q1 * m + q2 * m * m
+    w[0] += e_old
+    w[-1] += e_new
+    want = product_weights(lambda s: a0 + a1 * s + a2 * s * s, n, DT)
+    assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# Windows of 6, 31, 32 and 71 samples: both controllers' capacities, odd and
+# even n.  The moment form sums in another order than the dot products, so
+# they agree to rounding, measured against |w_out|.|outs| + |w_in|.|ins|
+# (the lap re-sum keeps the worst case near 4e-15 over 30 000 pushes).
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t_window=st.sampled_from([0.05, 0.3, 0.31, 0.7]),
        gain=st.floats(-5.0, 5.0, allow_nan=False).filter(lambda g: g != 0.0),
-       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 160),
-       scale=st.floats(1e-3, 1e3))
-def test_estimate_equals_dot_products_of_the_last_window(t_window, gain, seed, n, scale):
-    samples = (scale * np.random.default_rng(seed).normal(size=(n, 2))).tolist()
-    # oracle: the samples kept in a plain list, newest last, behind the
-    # zeros an empty window starts from
+       seed=st.integers(0, 2**32 - 1),
+       laps=st.integers(20, 24), extra=st.integers(0, 70),
+       scale=st.floats(1e-3, 1e3), offset=st.floats(-25.0, 25.0),
+       walk=st.booleans())
+def test_estimate_equals_dot_products_of_the_last_window(t_window, gain, seed, laps, extra,
+                                                         scale, offset, walk):
     w = FWindow(t_window, DT, input_gain=gain)
-    seen = [(0.0, 0.0)] * w.capacity
-    for pushed, (o, i) in enumerate(samples, start=1):
+    oracle = DotWindow(t_window, DT, input_gain=gain)
+    n_push = laps * w.capacity + extra % w.capacity
+    samples = scale * np.random.default_rng(seed).normal(size=(n_push, 2))
+    if walk:    # positions that wander, as a vehicle's do
+        samples[:, 0] = np.cumsum(samples[:, 0]) * DT
+    samples[:, 0] += offset
+    for pushed, (o, i) in enumerate(samples.tolist(), start=1):
         w.push(o, i)
-        seen.append((o, i))
-        outs, ins = (np.array(col) for col in zip(*seen[-w.capacity:]))
-        got_outs, got_ins = w.chronological()
-        assert np.array_equal(got_outs, outs) and np.array_equal(got_ins, ins)
+        oracle.push(o, i)
         if pushed < w.capacity:
             assert w.estimate() == 0.0
         else:
-            assert w.estimate() == float(w._w_out @ outs + w._w_in @ ins)
+            assert_matches(w, oracle)
+    assert w.last_estimate == w.estimate()
+
+
+@pytest.mark.parametrize("t_window, gain", [(0.05, 2.0), (0.3, 1.0)])
+def test_long_runs_stay_on_the_dot_products(t_window, gain):
+    # 30 000 pushes (5 minutes of samples) of a position wandering 25 m from
+    # zero: without the once-per-lap re-sum the running moments drift past
+    # 1e-11 of the scale here
+    w = FWindow(t_window, DT, input_gain=gain)
+    oracle = DotWindow(t_window, DT, input_gain=gain)
+    samples = np.random.default_rng(0).normal(size=(30_000, 2))
+    samples[:, 0] = 25.0 + np.cumsum(samples[:, 0]) * DT
+    for pushed, (o, i) in enumerate(samples.tolist(), start=1):
+        w.push(o, i)
+        oracle.push(o, i)
+        if pushed >= w.capacity and pushed % 7 == 0:
+            assert_matches(w, oracle)

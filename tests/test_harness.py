@@ -51,6 +51,13 @@ def test_config_round_trip_and_validation(tmp_path):
         ScenarioConfig.from_dict({"bogus_key": 1})
 
 
+@pytest.mark.parametrize("threshold", [-1.0, -1e-12, math.nan])
+def test_negative_startup_threshold_is_refused(threshold):
+    with pytest.raises(ConfigError, match="startup_threshold"):
+        ScenarioConfig(sync=SyncConfig(startup_threshold=threshold))
+    ScenarioConfig(sync=SyncConfig(startup_threshold=0.0))   # sync whenever off the start
+
+
 def test_series_lengths_and_time_grid():
     r = run_scenario(nominal_tracking("heol", "line"))
     n = int(round(20.0 / DT)) + 1

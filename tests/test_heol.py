@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dot_window import DotWindow, assert_matches
 from dubinsim.errors import ControllerFault
 from dubinsim.heol import HeolConfig, HeolController
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
@@ -52,15 +53,26 @@ def test_non_finite_measurement_faults():
 
 
 def test_step_pushes_samples_after_output():
-    ctl = fresh_controller(HeolConfig(kx=2.0, ky=2.0))
+    gains = HeolConfig(kx=2.0, ky=2.0)
+    ctl = fresh_controller(gains)
     traj = stationary_traj()
-    ctl.step(0.5, -0.25, 0.0, traj.lookup(0.0))
-    outs, ins = ctl.win_x.chronological()
-    assert outs[-1] == 0.5
-    assert ins[-1] == pytest.approx(-1.0)  # -(0 + 2*0.5)
-    outs_y, ins_y = ctl.win_y.chronological()
-    assert outs_y[-1] == -0.25
-    assert ins_y[-1] == pytest.approx(0.5)
+    # full windows, and the same samples in dot-product oracles
+    oracles = (DotWindow(gains.t_window, DT), DotWindow(gains.t_window, DT))
+    rng = np.random.default_rng(4)
+    for win, oracle in zip((ctl.win_x, ctl.win_y), oracles):
+        for o, i in rng.normal(scale=0.1, size=(win.capacity, 2)).tolist():
+            win.push(o, i)
+            oracle.push(o, i)
+    fx, fy = (oracle.estimate() for oracle in oracles)
+    ctrl = ctl.step(0.5, -0.25, 0.0, traj.lookup(0.0))
+    # the output is formed from the windows before this step's samples
+    assert ctrl.nu1 == pytest.approx(-(fx + 2.0 * 0.5), abs=1e-12)
+    assert ctrl.nu2 == pytest.approx(-(fy + 2.0 * -0.25), abs=1e-12)
+    # then (error, auxiliary-control error) is pushed on each axis
+    oracles[0].push(0.5, ctrl.nu1)
+    oracles[1].push(-0.25, ctrl.nu2)
+    for win, oracle in zip((ctl.win_x, ctl.win_y), oracles):
+        assert_matches(win, oracle)
 
 
 def test_constant_disturbance_absorbed_by_estimate():

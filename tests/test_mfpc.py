@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dot_window import DotWindow, assert_matches
 from dubinsim.errors import ConfigError, ControllerFault, HorizonTooLongError
 from dubinsim.mfpc import (MAX_EXP_ARG, MfpcConfig, MfpcController, UltraLocalAxis,
                            check_reference, solve_two_point)
+from dubinsim.presets import (TRACKING_PATHS, nominal_tracking, robustness_scenario,
+                              safety_scenario)
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory, SinePath,
                                build_reference)
+from dubinsim.scenario import ScenarioConfig
 
 DT = 0.01
 
@@ -126,6 +130,23 @@ def test_one_horizon_for_both_axes_and_the_lookahead():
     assert 200.0 * ctl.lookahead <= MAX_EXP_ARG
 
 
+MFPC_CONFIGS = ([nominal_tracking("mfpc", path) for path in TRACKING_PATHS]
+                + [safety_scenario("mfpc", 0), robustness_scenario("mfpc", 0),
+                   ScenarioConfig(controller="mfpc")])
+
+
+@pytest.mark.parametrize("cfg", MFPC_CONFIGS, ids=lambda cfg: cfg.name)
+def test_setpoint_row_is_the_sample_one_horizon_ahead(cfg):
+    # the run loop reads row k + round(T/dt); position(k*dt + T) rounds to
+    # the same sample unless T/dt sits on a .5 tie
+    horizon = cfg.mfpc.effective_horizon(cfg.dt)
+    steps = horizon / cfg.dt
+    assert abs(abs(steps - math.floor(steps)) - 0.5) > 1e-6
+    traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
+    for k in range(cfg.n_steps + 1):
+        assert traj.row(k + round(steps))[:2] == traj.position(k * cfg.dt + horizon)
+
+
 def test_axis_refuses_a_horizon_over_the_exponent_guard():
     with pytest.raises(HorizonTooLongError):
         UltraLocalAxis(1.0, 0.3, DT, 100.0)
@@ -133,12 +154,15 @@ def test_axis_refuses_a_horizon_over_the_exponent_guard():
 
 def test_axis_step_pushes_applied_input():
     axis = UltraLocalAxis(1.0, 0.3, DT, 1.0, u_min=-0.5, u_max=0.5)
+    oracle = DotWindow(0.3, DT, input_gain=1.0)
+    for k in range(axis.window.capacity):    # a full window: ramp out, constant in
+        axis.window.push(0.01 * k, 0.2)
+        oracle.push(0.01 * k, 0.2)
     u, raw = axis.step(3.0, 0.0)
     assert u == -0.5
     assert raw < -0.5
-    outs, ins = axis.window.chronological()
-    assert ins[-1] == -0.5  # clamped value, not the raw demand
-    assert outs[-1] == 3.0
+    oracle.push(3.0, -0.5)  # clamped value, not the raw demand
+    assert_matches(axis.window, oracle)
 
 
 def test_solution_independent_of_drift_estimate():
