@@ -20,21 +20,24 @@ Moment form.  For a kernel k(s) = a0 + a1*s + a2*s^2 an interior weight is
          = dt * (k(j*dt) + a2*dt^2/6),
 
 a quadratic q(m) = q0 + q1*m + q2*m^2 in the centred index m = j - c,
-c = (n - 1)/2.  Only the two end weights leave it, by e_old = w[0] - q(-c)
-and e_new = w[n-1] - q(c), so each buffer's term is
+c = (n - 1)/2, with q2 = a2*dt^3.  Only the two end weights leave it, by
+e_old = w[0] - q(-c) and e_new = w[n-1] - q(c), so each buffer's term is
 
     w . f = q0*S0 + q1*S1 + q2*S2 + e_old*f_oldest + e_new*f_newest,
     S_k = sum_j m^k * f[j].
 
-Sliding the window by one sample updates the three sums in O(1), so a push
-and an estimate cost the same whatever the window length.  The running sums
-lose a few ulps per update (S2 grows as n^2*|f|, and positions can sit tens
-of metres from zero), so they are summed afresh from the samples, with
-``math.fsum``, once per lap: when the ring head wraps to 0 the ring is
-already oldest to newest.  The estimate then stays within 4e-15 *
-(|w_out|.|outs| + |w_in|.|ins|) of the two dot products, measured over
-30 000 pushes on windows of 6 to 71 samples with offsets to 25 m and gains
-to +-5; the tests hold it to 1e-12 of the same scale.
+The output kernel T - 2s is linear, a2 = 0, so its q2 is exactly 0 and the
+output buffer needs only S0 and S1; the input kernel s*(T - s) needs all
+three.  That is five running sums per window.  Sliding the window by one
+sample updates them in O(1), so a push and an estimate cost the same
+whatever the window length.  The running sums lose a few ulps per update
+(S2 grows as n^2*|f|, and positions can sit tens of metres from zero), so
+they are summed afresh from the samples, with ``math.fsum``, once per lap:
+when the ring head wraps to 0 the ring is already oldest to newest.  The
+estimate then stays within 4e-15 * (|w_out|.|outs| + |w_in|.|ins|) of the
+two dot products, measured over 30 000 pushes on windows of 6 to 71 samples
+with offsets to 25 m and gains to +-5; the tests hold it to 1e-12 of the
+same scale.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ def moment_weights(a0: float, a1: float, a2: float, n: int,
 
 class FWindow:
     """Ring of (output, input) samples with the drift estimate above, kept
-    as the sliding moments S0, S1, S2 of each buffer.
+    as five sliding moments: S0, S1 of the output buffer (its q2 is 0) and
+    S0, S1, S2 of the input buffer.
 
     Until the ring has filled once the estimate is defined to be 0 (warm-up);
     early partial-window estimates are badly biased and the feedforward
@@ -102,7 +106,8 @@ class FWindow:
         T = float(t_window)
         n = self.capacity = window_capacity(t_window, dt)
         scale = -6.0 / T ** 3
-        (self._qo0, self._qo1, self._qo2, self._eo_old, self._eo_new) = (
+        # the output kernel T - 2s has a2 = 0, so its q2 is exactly 0
+        (self._qo0, self._qo1, _, self._eo_old, self._eo_new) = (
             scale * v for v in moment_weights(T, -2.0, 0.0, n, dt))
         scale *= float(input_gain)
         (self._qi0, self._qi1, self._qi2, self._ei_old, self._ei_new) = (
@@ -113,7 +118,7 @@ class FWindow:
         self._m = [j - c for j in range(n)]
         self._outs = [0.0] * n
         self._ins = [0.0] * n
-        self._so0 = self._so1 = self._so2 = 0.0
+        self._so0 = self._so1 = 0.0
         self._si0 = self._si1 = self._si2 = 0.0
         self._head = 0       # slot of the oldest sample, written next
         self._warm = False   # the ring has filled once
@@ -127,22 +132,21 @@ class FWindow:
         and S2 <- S2 - 2*S1 + r - (c^2 + 2c)*f_old + c^2*f, old S1 on the right.
         """
         h = self._head
-        c, c_sq, c_sq_old = self._c, self._c_sq, self._c_sq_old
+        c = self._c
         outs, ins = self._outs, self._ins
         f_old = outs[h]
         outs[h] = out_sample
         r = self._so0 - f_old
-        s1 = self._so1
         self._so0 = r + out_sample
-        self._so1 = s1 - r + c * (f_old + out_sample)
-        self._so2 = self._so2 - 2.0 * s1 + r - c_sq_old * f_old + c_sq * out_sample
+        self._so1 = self._so1 - r + c * (f_old + out_sample)
         f_old = ins[h]
         ins[h] = in_sample
         r = self._si0 - f_old
         s1 = self._si1
         self._si0 = r + in_sample
         self._si1 = s1 - r + c * (f_old + in_sample)
-        self._si2 = self._si2 - 2.0 * s1 + r - c_sq_old * f_old + c_sq * in_sample
+        self._si2 = (self._si2 - 2.0 * s1 + r - self._c_sq_old * f_old
+                     + self._c_sq * in_sample)
         h += 1
         if h == self.capacity:
             h = 0
@@ -153,9 +157,8 @@ class FWindow:
     def _resum(self) -> None:
         """Moments summed afresh from a ring that is oldest to newest (head at 0)."""
         m, fsum = self._m, math.fsum
-        m_outs = list(map(mul, m, self._outs))
         m_ins = list(map(mul, m, self._ins))
-        self._so0, self._so1, self._so2 = fsum(self._outs), fsum(m_outs), fsum(map(mul, m, m_outs))
+        self._so0, self._so1 = fsum(self._outs), fsum(map(mul, m, self._outs))
         self._si0, self._si1, self._si2 = fsum(self._ins), fsum(m_ins), fsum(map(mul, m, m_ins))
 
     def estimate(self) -> float:
@@ -164,7 +167,7 @@ class FWindow:
             return 0.0
         h = self._head
         outs, ins = self._outs, self._ins
-        value = (self._qo0 * self._so0 + self._qo1 * self._so1 + self._qo2 * self._so2
+        value = (self._qo0 * self._so0 + self._qo1 * self._so1
                  + self._eo_old * outs[h] + self._eo_new * outs[h - 1]
                  + self._qi0 * self._si0 + self._qi1 * self._si1 + self._qi2 * self._si2
                  + self._ei_old * ins[h] + self._ei_new * ins[h - 1])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -46,6 +47,9 @@ ABORT_PREFIXES = {
 
 # Rows per formatting block in emit_csv.
 CSV_BLOCK_ROWS = 256
+
+# Samples the run loop buffers as tuples before copying them into its table.
+RECORD_BLOCK_ROWS = 256
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -88,7 +92,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             traj = apply_sync(traj, tau, 0.0)
             events.append({"kind": "sync", "t": 0.0, "tau": tau, "reason": "startup"})
 
+    # Each sample's record is buffered as a tuple in ``block`` and copied into
+    # the NaN-filled ``rows`` a block at a time, the rest after the loop (an
+    # abort included): no numpy call per sample, and one block held at most.
     rows = np.full((n + 1, len(SERIES)), np.nan)
+    block = []
+    filled = 0      # rows copied from earlier blocks
 
     zones = {}          # obstacle index -> DangerZone, once discovered
     pending_ends = []   # t_end of spliced bypasses not yet completed
@@ -128,17 +137,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
             row = traj.row(k)
             ctrl = controller.step(xm, ym, t, row,
-                                   traj.row(k + ahead_steps)[:2] if ahead_steps else None)
+                                   traj.row(k + ahead_steps) if ahead_steps else None)
             x_ref, y_ref, dx_ref, dy_ref = row
             u1, u2, nu1, nu2 = ctrl
             fx, fy = controller.last_fhat
             p = levels[k]
-            rows[k] = (t, x, y, xm, ym, x_ref, y_ref, u1, u2, nu1, nu2, fx, fy, p,
-                       dx_ref, dy_ref)
+            block.append((t, x, y, xm, ym, x_ref, y_ref, u1, u2, nu1, nu2, fx, fy, p,
+                          dx_ref, dy_ref))
+            if len(block) == RECORD_BLOCK_ROWS:
+                filled = _copy_block(rows, filled, block)
             if k < n:
                 state = step_plant(state, ctrl, p, dt)
     except tuple(ABORT_PREFIXES) as exc:
         aborted, abort_reason = True, f"{ABORT_PREFIXES[type(exc)]}{exc} at t={t}"
+    _copy_block(rows, filled, block)
 
     events.extend(controller.events)
     events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
@@ -149,6 +161,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(config=cfg, **{name: series[name] for name in _RESULT_SERIES},
                           events=events, metrics=metrics, aborted=aborted,
                           abort_reason=abort_reason)
+
+
+def _copy_block(rows: np.ndarray, lo: int, block: list) -> int:
+    """Copy the buffered sample tuples into ``rows`` from row lo on and
+    empty the buffer; returns the next row to fill."""
+    hi = lo + len(block)
+    rows[lo:hi] = np.fromiter(chain.from_iterable(block), float,
+                              len(block) * len(SERIES)).reshape(-1, len(SERIES))
+    block.clear()
+    return hi
 
 
 def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, t: float,

@@ -76,7 +76,7 @@ class HeolController:
         self.win_x.push(ex, dnu1)
         self.win_y.push(ey, dnu2)
         self.prev_u2 = u2
-        return ControlInput(u1=u1, u2=u2, nu1=nu1, nu2=nu2)
+        return tuple.__new__(ControlInput, (u1, u2, nu1, nu2))
 
     @property
     def last_fhat(self) -> tuple[float, float]:

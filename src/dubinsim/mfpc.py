@@ -174,25 +174,28 @@ class MfpcController:
                                      u_min=-u2_lim, u_max=u2_lim,
                                      eval_at_next=config.eval_at_next)
         self.events: list = []
-        self._clamped = (False, False)    # (u1, u2) clamped on the last step
+        self._u1_clamped = self._u2_clamped = False   # on the last step
 
     def step(self, x_meas: float, y_meas: float, t: float, row,
-             ahead: tuple[float, float]) -> ControlInput:
+             ahead) -> ControlInput:
         """Full MIMO step: x axis -> u1, y axis -> u2, toward the setpoint
-        ``ahead`` read one horizon ahead on the (possibly revised) reference."""
+        ``ahead[:2]``, the reference row one horizon ahead on the (possibly
+        revised) reference."""
         if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
             raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas})")
-        x_sp, y_sp = ahead
-        u1, raw1 = self.axis_x.step(x_meas, x_sp)
-        u2, raw2 = self.axis_y.step(y_meas, y_sp)
-        clamped = (u1 != raw1, u2 != raw2)
-        if clamped != self._clamped:
-            for name, raw, now, before in zip(("u1", "u2"), (raw1, raw2), clamped,
-                                              self._clamped):
-                if now and not before:
-                    self.events.append({"kind": "clamp", "t": t, "input": name, "raw": raw})
-            self._clamped = clamped
-        return ControlInput(u1, u2)
+        u1, raw1 = self.axis_x.step(x_meas, ahead[0])
+        u2, raw2 = self.axis_y.step(y_meas, ahead[1])
+        clamped = u1 != raw1
+        if clamped != self._u1_clamped:
+            if clamped:
+                self.events.append({"kind": "clamp", "t": t, "input": "u1", "raw": raw1})
+            self._u1_clamped = clamped
+        clamped = u2 != raw2
+        if clamped != self._u2_clamped:
+            if clamped:
+                self.events.append({"kind": "clamp", "t": t, "input": "u2", "raw": raw2})
+            self._u2_clamped = clamped
+        return tuple.__new__(ControlInput, (u1, u2, math.nan, math.nan))
 
     @property
     def last_fhat(self) -> tuple[float, float]:

@@ -42,6 +42,11 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), int(stream)]))
 
 
+# The per-sample paths build VehicleState and ControlInput with
+# tuple.__new__(Cls, fields), which skips the NamedTuple's Python-level
+# __new__ and gives the same tuple.
+
+
 class VehicleState(NamedTuple):
     """Planar position of the rear-axle midpoint; the sample index, not the
     state, carries the time."""
@@ -101,7 +106,7 @@ def step_plant(state: VehicleState, control: ControlInput, p: float = 0.0,
     y = y + dt * u1 * (1.0 + p) * math.sin(u2)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise StateIntegrityError("plant state diverged")
-    return VehicleState(x, y)
+    return tuple.__new__(VehicleState, (x, y))
 
 
 @dataclass

@@ -19,7 +19,6 @@ SINE_PATH = {"kind": "sinusoid", "amplitude": 1.0, "wavelength": 12.0, "speed": 
 # Gentle arc: heading runs 0 -> ~57 degrees over 20 s at unit speed.
 ARC_PATH = {"kind": "circle", "cx": 0.0, "cy": 20.0, "radius": 20.0,
             "omega": 0.05, "phase": -1.5707963267948966}
-FULL_CIRCLE_PATH = {"kind": "circle", "cx": 0.0, "cy": 0.0, "radius": 5.0, "omega": 0.2}
 
 TRACKING_PATHS = {"line": LINE_PATH, "sinusoid": SINE_PATH, "arc": ARC_PATH}
 

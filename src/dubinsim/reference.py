@@ -80,10 +80,6 @@ class ReferenceTrajectory:
     def tf(self) -> float:
         return self._tf
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self._n)
-
     def index_of(self, t: float) -> int:
         i = int(round(t / self.dt))
         if i < 0:
@@ -331,9 +327,11 @@ def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,
 
     Candidates are ordered 0, +dt, -dt, +2dt, ... and only strict improvements
     are kept, which realizes the tie rules: smallest |tau| first, positive
-    before negative.
+    before negative.  Past |k| = n + round(t_now/dt) every candidate lands on
+    an endpoint that a smaller |k| already reached, so the search stops
+    there whatever tau_max is.
     """
-    k_max = int(round(tau_max / traj.dt))
+    k_max = min(int(round(tau_max / traj.dt)), traj.n + round(t_now / traj.dt) + 1)
     ks = np.empty(2 * k_max + 1, dtype=int)
     ks[0] = 0
     ks[1::2] = np.arange(1, k_max + 1)

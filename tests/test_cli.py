@@ -14,8 +14,11 @@ from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
 from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
-from dubinsim.presets import FULL_CIRCLE_PATH, nominal_tracking, safety_scenario
+from dubinsim.presets import nominal_tracking, safety_scenario
 from dubinsim.scenario import AvoidanceConfig, HeolConfig, NoiseConfig, ScenarioConfig
+
+
+FULL_CIRCLE_PATH = {"kind": "circle", "cx": 0.0, "cy": 0.0, "radius": 5.0, "omega": 0.2}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):

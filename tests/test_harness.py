@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from dubinsim import harness
 from dubinsim.avoidance import Obstacle
-from dubinsim.errors import ConfigError
+from dubinsim.errors import ConfigError, StateIntegrityError
 from dubinsim.harness import emit, place_crossing_obstacle, run_scenario, run_sweep
 from dubinsim.presets import (LINE_PATH, SINE_PATH, nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
@@ -148,6 +149,18 @@ def test_startup_sync_event_and_benefit():
     assert r_on.metrics["reverse_distance"] <= 0.5 * r_off.metrics["reverse_distance"]
 
 
+def test_a_sync_search_wider_than_the_run_writes_the_same_files(tmp_path):
+    # the 25 s path and the 20 s run put every sample within 100 s of any
+    # other, so no candidate past that changes the search
+    files = []
+    for tau_max in (100.0, 1e300):
+        cfg = startup_offset_scenario(True)
+        cfg = replace(cfg, sync=replace(cfg.sync, tau_max=tau_max))
+        paths = emit(run_scenario(cfg), tmp_path / str(tau_max), name="run")
+        files.append([open(p, "rb").read() for p in paths])
+    assert files[0] == files[1]
+
+
 def test_reverse_distance_metric_counts_backtracking():
     # the no-sync startup run must log the backtracking the controller causes
     r_off = run_scenario(startup_offset_scenario(False))
@@ -187,6 +200,63 @@ def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffi
     assert r.aborted and r.abort_reason.startswith(prefix)
     assert r.abort_reason.endswith(suffix)   # the sample time k * dt
     assert len(r.x) == cfg.n_steps + 1 and np.isnan(r.x[-1])
+
+
+# -- the per-sample record -------------------------------------------------------
+
+
+RECORD_CASES = [robustness_scenario(controller, 5) for controller in ("heol", "mfpc")]
+
+
+@pytest.fixture(scope="module")
+def full_records():
+    """The 2001-sample series of each RECORD_CASES run, by controller."""
+    return {cfg.controller: run_series(run_scenario(cfg)) for cfg in RECORD_CASES}
+
+
+def run_series(result):
+    return {name: getattr(result, name) for name in harness._RESULT_SERIES
+            if getattr(result, name) is not None}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cfg", RECORD_CASES, ids=lambda c: c.controller)
+@pytest.mark.parametrize("samples", [2, 255, 256, 257, 512, 513])
+def test_a_shorter_run_records_a_prefix_of_the_longer_one(full_records, cfg, samples):
+    # the record is copied in blocks of RECORD_BLOCK_ROWS samples; runs that
+    # end on, just before and just after a block edge keep every sample
+    assert harness.RECORD_BLOCK_ROWS == 256
+    short = run_series(run_scenario(replace(cfg, duration=(samples - 1) * DT)))
+    full = full_records[cfg.controller]
+    assert short.keys() == full.keys()
+    for name, series in short.items():
+        assert len(series) == samples
+        assert same_bits(series, full[name][:samples]), name
+
+
+@pytest.mark.parametrize("cfg", RECORD_CASES, ids=lambda c: c.controller)
+@pytest.mark.parametrize("fail_at", [255, 256, 257])
+def test_an_abort_at_a_block_edge_keeps_the_recorded_samples(monkeypatch, full_records,
+                                                             cfg, fail_at):
+    calls = itertools.count()
+    step_plant = harness.step_plant
+
+    def failing_step_plant(*args):
+        if next(calls) == fail_at:
+            raise StateIntegrityError("injected")
+        return step_plant(*args)
+
+    monkeypatch.setattr(harness, "step_plant", failing_step_plant)
+    r = run_scenario(cfg)
+    assert r.aborted and r.abort_reason == f"state integrity: injected at t={fail_at * DT}"
+    full = full_records[cfg.controller]
+    for name, series in run_series(r).items():
+        # sample fail_at is recorded before its plant step raises
+        assert same_bits(series[:fail_at + 1], full[name][:fail_at + 1]), name
+        assert np.isnan(series[fail_at + 1:]).all(), name
 
 
 def test_discovery_uses_the_sample_clock():

@@ -60,8 +60,11 @@ def test_derivative_consistency_invariant(spec):
 
 
 def test_samples_uniformly_spaced():
+    # sample k sits at time k * dt: the grid read rules agree on every index
     traj = build_reference(SinePath(), DT, 20.0)
-    assert np.allclose(np.diff(traj.times), DT, atol=1e-12)
+    assert traj.n == 2001
+    assert all(traj.index_of(k * DT) == k and traj.row(k) == traj.lookup(k * DT)
+               for k in range(traj.n))
 
 
 def test_polyline_speed_constant_along_fillets():
@@ -195,6 +198,37 @@ def test_sync_offset_is_global_grid_minimum():
             assert best <= (x - px) ** 2 + (y - py) ** 2 + 1e-12
 
 
+def _sync_offset_unclamped(x_sync, y_sync, traj, t_now, tau_max):
+    # every candidate up to tau_max, in the documented order 0, +dt, -dt, ...
+    k_max = int(round(tau_max / traj.dt))
+    ks = [0] + [s * k for k in range(1, k_max + 1) for s in (1, -1)]
+    best_k, best = 0, math.inf
+    for k in ks:
+        i = min(max(int(round((t_now + k * traj.dt) / traj.dt)), 0), traj.n - 1)
+        d2 = (traj.x[i] - x_sync) ** 2 + (traj.y[i] - y_sync) ** 2
+        if d2 < best:
+            best_k, best = k, d2
+    return best_k * traj.dt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(legs=st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+       t_frac=st.floats(0.0, 1.0), tau_frac=st.floats(0.01, 3.0),
+       px=st.floats(-2.0, 14.0), py=st.floats(-4.0, 4.0))
+def test_sync_offset_stops_where_every_candidate_is_clipped(legs, t_frac, tau_frac, px, py):
+    # a tau_max past the table ends gives the full search's answer
+    pts = [(0.0, 0.0)]
+    for dx_, dy_ in legs:
+        pts.append((pts[-1][0] + dx_, pts[-1][1] + dy_))
+    traj = build_reference(PolylinePath(waypoints=tuple(pts), fillet_radius=0.0), 0.05, 1.0)
+    t_now = round(t_frac * traj.tf / traj.dt) * traj.dt
+    tau_max = tau_frac * (traj.tf + t_now) + traj.dt
+    assert sync_offset(px, py, traj, t_now, tau_max) == _sync_offset_unclamped(
+        px, py, traj, t_now, tau_max)
+    assert sync_offset(px, py, traj, t_now, 1e300) == sync_offset(
+        px, py, traj, t_now, 2.0 * (traj.tf + t_now) + traj.dt)
+
+
 def test_apply_sync_identity():
     traj = line_traj()
     shifted = apply_sync(traj, 0.0, 0.0)
@@ -228,7 +262,7 @@ def test_apply_sync_composition():
 def test_apply_sync_preserves_spacing_and_consistency():
     traj = build_reference(SinePath(amplitude=1.0, wavelength=12.0, speed=1.0), DT, 20.0)
     shifted = apply_sync(traj, 1.5, 0.0)
-    assert np.allclose(np.diff(shifted.times), DT, atol=1e-12)
+    assert shifted.dt == traj.dt and shifted.n == traj.n
     # interior of the shifted region is a pure reindex: consistency carries over
     interior = slice(1, shifted.n - int(1.5 / DT) - 2)
     cd_y = (shifted.y[2:] - shifted.y[:-2]) / (2 * DT)
