@@ -60,8 +60,6 @@ class DangerZone:
 @dataclass(frozen=True)
 class BypassPlan:
     side: str  # "left" | "right"
-    arc_radius: float
-    arc_sweep: float    # unsigned sweep, radians
     detour_length: float
     t_start: float      # splice interval on the reference timeline
     t_end: float
@@ -215,7 +213,7 @@ def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     xs[n_b], ys[n_b] = bx, by
 
     detour = total - traj.path_length(t_start, t_exit_original)
-    return BypassPlan(side=side, arc_radius=R, arc_sweep=sweep, detour_length=detour,
+    return BypassPlan(side=side, detour_length=detour,
                       t_start=t_start, t_end=t_end,
                       t_exit_original=t_exit_original,
                       tau_tail=t_exit_original - t_end,

@@ -8,9 +8,11 @@ d(out)/dt = F + gain*in from the last T seconds of data via
 
 The integral is evaluated as exact product integration of the polynomial
 kernels against the piecewise-linear interpolant of the stored samples
-(per-interval Simpson, which is exact for the cubic products involved):
-``product_weights`` gives weights w_out, w_in over the n samples of the
-window, oldest first, and F_hat = w_out . outs + w_in . ins.  Plain
+(per-interval Simpson, which is exact for the cubic products involved): with
+weights w_out, w_in over the n samples of the window, oldest first,
+F_hat = w_out . outs + w_in . ins.  Interval [a, a + dt] adds
+dt/6*(k(a) + 2k(a + dt/2)) to the weight of its left sample and
+dt/6*(k(a + dt) + 2k(a + dt/2)) to its right one.  Plain
 point-sampled trapezoid would bias ramp inputs by O(dt^2/T^2), which is far
 above the accuracy this estimator is relied on for.
 
@@ -45,8 +47,6 @@ from __future__ import annotations
 import math
 from operator import mul
 
-import numpy as np
-
 
 def window_capacity(t_window: float, dt: float) -> int:
     """Number of samples spanning t_window at spacing dt (endpoints included)."""
@@ -57,22 +57,6 @@ def window_capacity(t_window: float, dt: float) -> int:
     if n_steps < 4:
         raise ValueError(f"window needs at least 5 samples, got {n_steps + 1}")
     return n_steps + 1
-
-
-def product_weights(kernel, n: int, dt: float) -> np.ndarray:
-    """Weights w with w @ f = integral of kernel(s) * lininterp(f)(s) over [0, (n-1)*dt].
-
-    Exact whenever kernel is polynomial of degree <= 2 (per-interval Simpson
-    on a cubic integrand).
-    """
-    w = np.zeros(n)
-    for j in range(n - 1):
-        a = j * dt
-        m = a + 0.5 * dt
-        b = a + dt
-        w[j] += dt / 6.0 * (kernel(a) + 2.0 * kernel(m))
-        w[j + 1] += dt / 6.0 * (kernel(b) + 2.0 * kernel(m))
-    return w
 
 
 def moment_weights(a0: float, a1: float, a2: float, n: int,
@@ -87,9 +71,12 @@ def moment_weights(a0: float, a1: float, a2: float, n: int,
     q0 = dt * (kernel(c * dt) + a2 * dt * dt / 6.0)
     q1 = dt * dt * (a1 + 2.0 * a2 * c * dt)
     q2 = a2 * dt ** 3
-    w = product_weights(kernel, n, dt)
-    return (q0, q1, q2, w.item(0) - (q0 - q1 * c + q2 * c * c),
-            w.item(-1) - (q0 + q1 * c + q2 * c * c))
+    # each end sample gets a weight from its one interval only
+    a = (n - 2) * dt
+    w_old = dt / 6.0 * (kernel(0.0) + 2.0 * kernel(0.5 * dt))
+    w_new = dt / 6.0 * (kernel(a + dt) + 2.0 * kernel(a + 0.5 * dt))
+    return (q0, q1, q2, w_old - (q0 - q1 * c + q2 * c * c),
+            w_new - (q0 + q1 * c + q2 * c * c))
 
 
 class FWindow:

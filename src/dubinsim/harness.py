@@ -31,6 +31,11 @@ SERIES = ("t", "x", "y", "x_meas", "y_meas", "x_ref", "y_ref",
           "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y", "p", "dx_ref", "dy_ref")
 _RESULT_SERIES = SERIES[:14]
 CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in _RESULT_SERIES)
+# The record's columns that a sample computes, in the order the loop buffers
+# them; the clock, perturbation and reference columns are filled after it.
+_SAMPLE_COLUMNS = [SERIES.index(name) for name in (
+    "x", "y", "x_meas", "y_meas", "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y")]
+_REFERENCE_COLUMNS = [SERIES.index(name) for name in ("x_ref", "y_ref", "dx_ref", "dy_ref")]
 
 # Cap on replans within a single sample; more than this means the planner is
 # thrashing and the run is flagged instead of looping.
@@ -78,8 +83,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     levels = pert.levels(n, dt)
     controller = (HeolController(cfg.heol, dt) if cfg.controller == "heol"
                   else MfpcController(cfg.mfpc, dt))
-    # MFPC reads its setpoint one horizon ahead, this many samples on
+    # the controller reads the reference this many samples ahead: one
+    # horizon for MFPC's setpoint, 0 for HEOL
     ahead_steps = round(controller.lookahead / dt)
+    win_x, win_y = controller.windows
 
     start = cfg.start if cfg.start is not None else traj.position(0.0)
     state = VehicleState(float(start[0]), float(start[1]))
@@ -92,9 +99,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             traj = apply_sync(traj, tau, 0.0)
             events.append({"kind": "sync", "t": 0.0, "tau": tau, "reason": "startup"})
 
-    # Each sample's record is buffered as a tuple in ``block`` and copied into
-    # the NaN-filled ``rows`` a block at a time, the rest after the loop (an
-    # abort included): no numpy call per sample, and one block held at most.
+    # Each sample's computed values are buffered as a tuple in ``block`` and
+    # copied into the NaN-filled ``rows`` a block at a time, the rest after
+    # the loop (an abort included): no numpy call per sample, and one block
+    # held at most.  The other columns are filled after the loop as well.
     rows = np.full((n + 1, len(SERIES)), np.nan)
     block = []
     filled = 0      # rows copied from earlier blocks
@@ -135,22 +143,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             if scan:
                 traj = _replan(cfg, traj, zones, scan, t, events, pending_ends)
 
-            row = traj.row(k)
-            ctrl = controller.step(xm, ym, t, row,
-                                   traj.row(k + ahead_steps) if ahead_steps else None)
-            x_ref, y_ref, dx_ref, dy_ref = row
+            ctrl = controller.step(xm, ym, t, traj.row(k + ahead_steps))
             u1, u2, nu1, nu2 = ctrl
-            fx, fy = controller.last_fhat
-            p = levels[k]
-            block.append((t, x, y, xm, ym, x_ref, y_ref, u1, u2, nu1, nu2, fx, fy, p,
-                          dx_ref, dy_ref))
+            block.append((x, y, xm, ym, u1, u2, nu1, nu2,
+                          win_x.last_estimate, win_y.last_estimate))
             if len(block) == RECORD_BLOCK_ROWS:
                 filled = _copy_block(rows, filled, block)
             if k < n:
-                state = step_plant(state, ctrl, p, dt)
+                state = step_plant(state, ctrl, levels[k], dt)
     except tuple(ABORT_PREFIXES) as exc:
         aborted, abort_reason = True, f"{ABORT_PREFIXES[type(exc)]}{exc} at t={t}"
-    _copy_block(rows, filled, block)
+    filled = _copy_block(rows, filled, block)
+    _fill_after_loop(rows, filled, traj, levels, dt)
 
     events.extend(controller.events)
     events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
@@ -164,13 +168,30 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _copy_block(rows: np.ndarray, lo: int, block: list) -> int:
-    """Copy the buffered sample tuples into ``rows`` from row lo on and
-    empty the buffer; returns the next row to fill."""
+    """Copy the buffered sample tuples into the computed columns of ``rows``
+    from row lo on and empty the buffer; returns the next row to fill."""
     hi = lo + len(block)
-    rows[lo:hi] = np.fromiter(chain.from_iterable(block), float,
-                              len(block) * len(SERIES)).reshape(-1, len(SERIES))
+    width = len(_SAMPLE_COLUMNS)
+    rows[lo:hi, _SAMPLE_COLUMNS] = np.fromiter(chain.from_iterable(block), float,
+                                               len(block) * width).reshape(-1, width)
     block.clear()
     return hi
+
+
+def _fill_after_loop(rows: np.ndarray, filled: int, traj: ReferenceTrajectory,
+                     levels: list, dt: float) -> None:
+    """Fill the clock, perturbation and reference columns of rows [0, filled).
+
+    A revision at sample k (a sync or a splice) rewrites only rows >= k, so
+    the final ``traj`` holds the row each sample read as its own; rows from
+    ``traj.n`` on are parked as ``traj.row`` parks them.
+    """
+    rows[:filled, SERIES.index("t")] = np.arange(filled) * dt
+    rows[:filled, SERIES.index("p")] = levels[:filled]
+    m = min(filled, traj.n)
+    rows[:m, _REFERENCE_COLUMNS] = np.column_stack((traj.x[:m], traj.y[:m],
+                                                    traj.dx[:m], traj.dy[:m]))
+    rows[m:filled, _REFERENCE_COLUMNS] = (traj.x[-1], traj.y[-1], 0.0, 0.0)
 
 
 def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, t: float,

@@ -46,13 +46,11 @@ class HeolController:
 
     def __init__(self, config: HeolConfig, dt: float):
         self.config = config
-        self.win_x = FWindow(config.t_window, dt)
-        self.win_y = FWindow(config.t_window, dt)
+        self.windows = (FWindow(config.t_window, dt), FWindow(config.t_window, dt))
         self.prev_u2 = 0.0
         self.events: list = []
 
-    def step(self, x_meas: float, y_meas: float, t: float, row,
-             ahead=None) -> ControlInput:
+    def step(self, x_meas: float, y_meas: float, t: float, row) -> ControlInput:
         """One closed-loop step: feedforward plus the iP correction.
 
         ``row`` is the reference sample ``(x, y, dx, dy)`` at time t.  Each
@@ -66,18 +64,15 @@ class HeolController:
         x_ref, y_ref, dx_ref, dy_ref = row
         ex = x_meas - x_ref
         ey = y_meas - y_ref
-        fx = self.win_x.estimate()
-        fy = self.win_y.estimate()
+        win_x, win_y = self.windows
+        fx = win_x.estimate()
+        fy = win_y.estimate()
         dnu1 = -(fx + gains.kx * ex)
         dnu2 = -(fy + gains.ky * ey)
         nu1 = dx_ref + dnu1
         nu2 = dy_ref + dnu2
         u1, u2 = aux_to_true(nu1, nu2, self.prev_u2)
-        self.win_x.push(ex, dnu1)
-        self.win_y.push(ey, dnu2)
+        win_x.push(ex, dnu1)
+        win_y.push(ey, dnu2)
         self.prev_u2 = u2
         return tuple.__new__(ControlInput, (u1, u2, nu1, nu2))
-
-    @property
-    def last_fhat(self) -> tuple[float, float]:
-        return self.win_x.last_estimate, self.win_y.last_estimate

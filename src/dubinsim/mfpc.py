@@ -76,7 +76,8 @@ def solve_two_point(y_i: float, y_setpoint: float, t_i: float, t_f: float,
 
 
 class UltraLocalAxis:
-    """Per-axis state: scaling constant, sample window, input limits.
+    """Per-axis constants and sample window; ``MfpcController.step`` applies
+    the law.
 
     On a fixed receding horizon the optimal arc's initial velocity is linear
     in the setpoint error, so the arc is solved once here, in horizon-relative
@@ -94,21 +95,6 @@ class UltraLocalAxis:
         self.window = FWindow(t_window, dt, input_gain=self.alpha)
         self.u_min = u_min
         self.u_max = u_max
-
-    def step(self, y_meas: float, y_setpoint: float) -> tuple[float, float]:
-        """One receding-horizon step; returns the applied and the raw input.
-
-        The optimal velocity toward the setpoint, minus the drift estimate,
-        scaled by 1/alpha.  The input pushed into the estimation window is
-        the clamped value actually applied.
-        """
-        u = raw = (self.gain * (y_meas - y_setpoint) - self.window.estimate()) / self.alpha
-        if raw < self.u_min:
-            u = self.u_min
-        elif raw > self.u_max:
-            u = self.u_max
-        self.window.push(y_meas, u)
-        return u, raw
 
 
 def check_reference(traj) -> None:
@@ -173,18 +159,37 @@ class MfpcController:
         self.axis_y = UltraLocalAxis(config.alpha2, config.t_window, dt, horizon,
                                      u_min=-u2_lim, u_max=u2_lim,
                                      eval_at_next=config.eval_at_next)
+        self.windows = (self.axis_x.window, self.axis_y.window)
         self.events: list = []
         self._u1_clamped = self._u2_clamped = False   # on the last step
 
-    def step(self, x_meas: float, y_meas: float, t: float, row,
-             ahead) -> ControlInput:
+    def step(self, x_meas: float, y_meas: float, t: float, row) -> ControlInput:
         """Full MIMO step: x axis -> u1, y axis -> u2, toward the setpoint
-        ``ahead[:2]``, the reference row one horizon ahead on the (possibly
-        revised) reference."""
+        ``row[:2]``, the reference row one horizon ahead on the (possibly
+        revised) reference.
+
+        Per axis: the optimal velocity toward the setpoint, minus the drift
+        estimate, scaled by 1/alpha and clamped to the axis limits; the
+        window is pushed the clamped input actually applied.
+        """
         if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
             raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas})")
-        u1, raw1 = self.axis_x.step(x_meas, ahead[0])
-        u2, raw2 = self.axis_y.step(y_meas, ahead[1])
+        ax = self.axis_x
+        win = ax.window
+        u1 = raw1 = (ax.gain * (x_meas - row[0]) - win.estimate()) / ax.alpha
+        if raw1 < ax.u_min:
+            u1 = ax.u_min
+        elif raw1 > ax.u_max:
+            u1 = ax.u_max
+        win.push(x_meas, u1)
+        ax = self.axis_y
+        win = ax.window
+        u2 = raw2 = (ax.gain * (y_meas - row[1]) - win.estimate()) / ax.alpha
+        if raw2 < ax.u_min:
+            u2 = ax.u_min
+        elif raw2 > ax.u_max:
+            u2 = ax.u_max
+        win.push(y_meas, u2)
         clamped = u1 != raw1
         if clamped != self._u1_clamped:
             if clamped:
@@ -196,7 +201,3 @@ class MfpcController:
                 self.events.append({"kind": "clamp", "t": t, "input": "u2", "raw": raw2})
             self._u2_clamped = clamped
         return tuple.__new__(ControlInput, (u1, u2, math.nan, math.nan))
-
-    @property
-    def last_fhat(self) -> tuple[float, float]:
-        return self.axis_x.window.last_estimate, self.axis_y.window.last_estimate

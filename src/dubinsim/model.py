@@ -80,11 +80,6 @@ def aux_to_true(nu1: float, nu2: float, prev_u2: float = 0.0) -> tuple[float, fl
     return u1, math.atan2(nu2, nu1)
 
 
-def true_to_aux(u1: float, u2: float) -> tuple[float, float]:
-    """Map true controls to auxiliary controls (nu1, nu2)."""
-    return u1 * math.cos(u2), u1 * math.sin(u2)
-
-
 def step_plant(state: VehicleState, control: ControlInput, p: float = 0.0,
                dt: float = 0.01) -> VehicleState:
     """One explicit-Euler step of the (possibly perturbed) plant.
@@ -183,14 +178,9 @@ class PerturbationSchedule:
         vals = tuple(float(v) for v in rng.uniform(low, high, size=n))
         return cls(switch_interval=float(switch_interval), values=vals)
 
-    def at(self, t: float) -> float:
-        if t < 0.0:
-            t = 0.0
-        i = 0 if math.isinf(self.switch_interval) else int(t / self.switch_interval)
-        return self.values[min(i, len(self.values) - 1)]
-
     def levels(self, n: int, dt: float) -> list:
-        """``[at(k * dt) for k in 0..n]``, sharing the floats of ``values``."""
+        """p at each sample time k * dt, k in 0..n, sharing the floats of
+        ``values``."""
         idx = np.minimum(np.arange(n + 1) * dt / self.switch_interval,
                          len(self.values) - 1).astype(int)
         return list(map(self.values.__getitem__, idx.tolist()))

@@ -1,4 +1,4 @@
-"""Reference trajectory generation, lookup, feedforward and time synchronization.
+"""Reference trajectory generation, lookup and time synchronization.
 
 A trajectory is a uniformly sampled table of flat outputs (x, y) and their
 time derivatives.  Lookups outside the sampled domain clamp to the endpoint
@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePathError
-from .model import ControlInput, aux_to_true
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +309,7 @@ def path_spec_from_dict(d: dict):
 
 
 # ---------------------------------------------------------------------------
-# Feedforward and synchronization
-
-
-def flat_feedforward(traj: ReferenceTrajectory, t: float, prev_u2: float = 0.0) -> ControlInput:
-    """Open-loop controls that replay the reference exactly: nu = (dx, dy)."""
-    _, _, dx_, dy_ = traj.lookup(t)
-    u1, u2 = aux_to_true(dx_, dy_, prev_u2)
-    return ControlInput(u1=u1, u2=u2, nu1=dx_, nu2=dy_)
+# Synchronization
 
 
 def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,

@@ -5,14 +5,31 @@
 the samples of the last window, oldest first, dotted with the product
 weights, ``w_out @ outs + w_in @ ins``.  Its floats are those of the ring
 that FWindow replaced, so a run with it swapped in reproduces that engine's
-output bytes.
+output bytes.  ``product_weights`` builds those weights interval by
+interval, as the module docstring of ``dubinsim.estimation`` sets out.
 """
 
 from collections import deque
 
 import numpy as np
 
-from dubinsim.estimation import product_weights, window_capacity
+from dubinsim.estimation import window_capacity
+
+
+def product_weights(kernel, n, dt):
+    """Weights w with w @ f = integral of kernel(s) * lininterp(f)(s) over [0, (n-1)*dt].
+
+    Exact whenever kernel is polynomial of degree <= 2 (per-interval Simpson
+    on a cubic integrand).
+    """
+    w = np.zeros(n)
+    for j in range(n - 1):
+        a = j * dt
+        m = a + 0.5 * dt
+        b = a + dt
+        w[j] += dt / 6.0 * (kernel(a) + 2.0 * kernel(m))
+        w[j + 1] += dt / 6.0 * (kernel(b) + 2.0 * kernel(m))
+    return w
 
 
 class DotWindow:

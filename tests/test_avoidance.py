@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dubinsim.avoidance import (DangerZone, Obstacle, discover,
+from dubinsim.avoidance import (CLEARANCE_PAD, DangerZone, Obstacle, discover,
                                 path_crosses_zone, plan_both_sides,
                                 plan_bypass, select_side, splice)
 from dubinsim.errors import InfeasibleBypassError
@@ -119,10 +119,18 @@ def test_detour_lengths_match_geometry_oracle():
             ax, ay = traj.position(plan.t_start)
             bx, by = traj.position(plan.t_exit_original)
             expect = tangent_arc_tangent_length(ax, ay, bx, by, zone.cx, zone.cy,
-                                                plan.arc_radius, plan.side)
+                                                zone.r_danger + CLEARANCE_PAD, plan.side)
             replaced = traj.path_length(plan.t_start, plan.t_exit_original)
             assert plan.detour_length == pytest.approx(expect - replaced, abs=1e-9)
             assert plan.detour_length >= -1e-9
+
+
+def arc_sweep(plan, zone):
+    """Angle the plan's samples on the planning circle span around its centre."""
+    r = np.hypot(plan.x - zone.cx, plan.y - zone.cy)
+    on = np.abs(r - (zone.r_danger + CLEARANCE_PAD)) <= 1e-9
+    angles = np.unwrap(np.arctan2(plan.y[on] - zone.cy, plan.x[on] - zone.cx))
+    return abs(angles[-1] - angles[0])
 
 
 def test_offset_zone_shorter_wrap_is_away_from_center():
@@ -133,7 +141,7 @@ def test_offset_zone_shorter_wrap_is_away_from_center():
     crossing = path_crosses_zone(traj, zone)
     left, right = plan_both_sides(traj, zone, crossing, 1.0, lead=0.5)
     assert right.detour_length < left.detour_length
-    assert right.arc_sweep < left.arc_sweep
+    assert arc_sweep(right, zone) < arc_sweep(left, zone)
     # mirrored center flips the comparison
     zone2 = DangerZone(5.0, -0.5, 1.0)
     left2, right2 = plan_both_sides(traj, zone2, path_crosses_zone(traj, zone2), 1.0)

@@ -8,13 +8,15 @@ so a pure ramp out(s) = F*s returns F exactly and a constant input u0 with
 gain g contributes exactly -g*u0, cancelling the g*u0 slope it induces.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dot_window import DotWindow, assert_matches
-from dubinsim.estimation import FWindow, moment_weights, product_weights, window_capacity
+from dot_window import DotWindow, assert_matches, product_weights
+from dubinsim.estimation import FWindow, moment_weights, window_capacity
 from dubinsim.mfpc import UltraLocalAxis
 
 DT = 0.01
@@ -137,6 +139,22 @@ def test_moment_weights_rebuild_the_product_weights(n, kernel):
     w[-1] += e_new
     want = product_weights(lambda s: a0 + a1 * s + a2 * s * s, n, DT)
     assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_moment_weights_end_corrections_are_the_oracle_ends_bit_for_bit():
+    # the end weights come from one interval each, in product_weights' own
+    # expressions; checked on both FWindow kernels and the three above
+    for dt, n in itertools.product((DT, 0.05), range(5, 401)):
+        T = (n - 1) * dt
+        for a0, a1, a2 in ((T, -2.0, 0.0), (0.0, T, -1.0), (0.7, -2.0, 0.0),
+                           (0.0, 0.7, -1.0), (1.3, -0.4, 2.5)):
+            q0, q1, q2, e_old, e_new = moment_weights(a0, a1, a2, n, dt)
+            w = product_weights(lambda s: a0 + (a1 + a2 * s) * s, n, dt)
+            c = 0.5 * (n - 1)
+            want_old = w.item(0) - (q0 - q1 * c + q2 * c * c)
+            want_new = w.item(-1) - (q0 + q1 * c + q2 * c * c)
+            assert e_old.hex() == want_old.hex(), (dt, n, a0, a1, a2)
+            assert e_new.hex() == want_new.hex(), (dt, n, a0, a1, a2)
 
 
 # Windows of 6, 31, 32 and 71 samples: both controllers' capacities, odd and

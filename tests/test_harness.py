@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dubinsim import harness
+from dubinsim import avoidance, harness
 from dubinsim.avoidance import Obstacle
 from dubinsim.errors import ConfigError, StateIntegrityError
 from dubinsim.harness import emit, place_crossing_obstacle, run_scenario, run_sweep
 from dubinsim.presets import (LINE_PATH, SINE_PATH, nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
-from dubinsim.reference import build_reference
+from dubinsim.reference import ReferenceTrajectory, build_reference
 from dubinsim.scenario import (HeolConfig, NoiseConfig, PerturbationConfig,
                                ScenarioConfig, SyncConfig)
 
@@ -257,6 +257,98 @@ def test_an_abort_at_a_block_edge_keeps_the_recorded_samples(monkeypatch, full_r
         # sample fail_at is recorded before its plant step raises
         assert same_bits(series[:fail_at + 1], full[name][:fail_at + 1]), name
         assert np.isnan(series[fail_at + 1:]).all(), name
+
+
+# -- what the loop reads and what it records --------------------------------------
+#
+# The loop records only what a sample computes; the clock, perturbation and
+# reference columns are filled after it, the reference ones from the final
+# trajectory.  That holds because a revision at sample k rewrites rows >= k only.
+
+SHORT_POLYLINE = {"kind": "polyline", "waypoints": ((0.0, 0.0), (5.0, 0.0)), "speed": 1.0}
+
+
+def revision_cases():
+    """Per controller: a bypass with a post-bypass sync, a startup sync, and
+    a 5 m polyline with a bypass that the 12 s run outlasts, so it parks."""
+    cases = []
+    for controller in ("heol", "mfpc"):
+        bypass = safety_scenario(controller, 9)
+        cases += [
+            replace(bypass, obstacles=(crossing_obstacle(bypass, 9),)),
+            replace(startup_offset_scenario(True), name=f"startup-sync-{controller}",
+                    controller=controller),
+            ScenarioConfig(name=f"short-{controller}", controller=controller, duration=12.0,
+                           path=SHORT_POLYLINE, obstacles=(Obstacle(2.5, 0.1, 0.4),)),
+        ]
+    return cases
+
+
+REVISION_CASES = revision_cases()
+# the revisions each case makes at least
+REVISIONS = {"safety": {"splice", "post-bypass sync"}, "startup": {"startup sync"},
+             "short": {"splice"}}
+
+
+@pytest.mark.parametrize("cfg", REVISION_CASES, ids=lambda c: c.name)
+def test_revisions_leave_earlier_rows_alone(monkeypatch, cfg):
+    sample = [0]    # the current sample: measure runs first in each
+    samples = itertools.count()
+    revisions = []  # (kind, sample, input trajectory, revised trajectory)
+    measure = harness.measure
+
+    def counting_measure(state, noise):
+        sample[0] = next(samples)
+        return measure(state, noise)
+
+    def logged(revise, kind):
+        def wrapper(traj, *args):
+            revised = revise(traj, *args)
+            revisions.append((kind, sample[0], traj, revised))
+            return revised
+        return wrapper
+
+    monkeypatch.setattr(harness, "measure", counting_measure)
+    monkeypatch.setattr(harness, "apply_sync", logged(harness.apply_sync, "sync"))
+    monkeypatch.setattr(avoidance, "splice", logged(avoidance.splice, "splice"))
+    r = run_scenario(cfg)
+    assert not r.aborted
+    kinds = {kind if kind == "splice" else ("startup sync" if k == 0 else "post-bypass sync")
+             for kind, k, _, _ in revisions}
+    assert kinds >= REVISIONS[cfg.name.split("-")[0]]
+    if cfg.name.startswith("short"):   # the run parks past the reference's end
+        assert cfg.n_steps + 1 > revisions[0][2].n
+    for kind, k, before, after in revisions:
+        for name in ("x", "y", "dx", "dy"):
+            assert same_bits(getattr(after, name)[:k], getattr(before, name)[:k]), (kind, k, name)
+
+
+@pytest.mark.parametrize("cfg", [c for c in REVISION_CASES if c.controller == "heol"],
+                         ids=lambda c: c.name)
+def test_the_record_holds_the_rows_the_loop_read(monkeypatch, cfg):
+    # HEOL reads row k at sample k, so the reference columns are those rows
+    read = []
+    row = ReferenceTrajectory.row
+
+    def logged_row(traj, k):
+        value = row(traj, k)
+        read.append((k, value))
+        return value
+
+    recorded = {}
+    compute_metrics = harness.compute_metrics
+
+    def capturing_compute_metrics(cfg, series, events):
+        recorded.update(series)
+        return compute_metrics(cfg, series, events)
+
+    monkeypatch.setattr(ReferenceTrajectory, "row", logged_row)
+    monkeypatch.setattr(harness, "compute_metrics", capturing_compute_metrics)
+    run_scenario(cfg)
+    assert [k for k, _ in read] == list(range(cfg.n_steps + 1))
+    want = np.array([value for _, value in read])
+    for j, name in enumerate(("x_ref", "y_ref", "dx_ref", "dy_ref")):
+        assert same_bits(recorded[name], want[:, j]), name
 
 
 def test_discovery_uses_the_sample_clock():

@@ -6,8 +6,9 @@ import pytest
 from dot_window import DotWindow, assert_matches
 from dubinsim.errors import ControllerFault
 from dubinsim.heol import HeolConfig, HeolController
+from dubinsim.model import aux_to_true
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
-                                build_reference, flat_feedforward)
+                                build_reference)
 
 DT = 0.01
 
@@ -33,10 +34,12 @@ def test_on_reference_reduces_to_feedforward():
     t = 3.0
     x_ref, y_ref, _, _ = traj.lookup(t)
     ctrl = fresh_controller().step(x_ref, y_ref, t, traj.lookup(t))
-    ff = flat_feedforward(traj, t)
-    assert ctrl.u1 == pytest.approx(ff.u1, abs=1e-12)
-    assert ctrl.u2 == pytest.approx(ff.u2, abs=1e-12)
-    assert ctrl.nu1 == pytest.approx(ff.nu1, abs=1e-12)
+    # the flat feedforward: nu = (dx, dy) of the reference row
+    ff_nu1, ff_nu2 = traj.row(round(t / DT))[2:]
+    ff_u1, ff_u2 = aux_to_true(ff_nu1, ff_nu2)
+    assert ctrl.u1 == pytest.approx(ff_u1, abs=1e-12)
+    assert ctrl.u2 == pytest.approx(ff_u2, abs=1e-12)
+    assert ctrl.nu1 == pytest.approx(ff_nu1, abs=1e-12)
 
 
 def test_ip_law_arithmetic():
@@ -59,7 +62,7 @@ def test_step_pushes_samples_after_output():
     # full windows, and the same samples in dot-product oracles
     oracles = (DotWindow(gains.t_window, DT), DotWindow(gains.t_window, DT))
     rng = np.random.default_rng(4)
-    for win, oracle in zip((ctl.win_x, ctl.win_y), oracles):
+    for win, oracle in zip(ctl.windows, oracles):
         for o, i in rng.normal(scale=0.1, size=(win.capacity, 2)).tolist():
             win.push(o, i)
             oracle.push(o, i)
@@ -71,7 +74,7 @@ def test_step_pushes_samples_after_output():
     # then (error, auxiliary-control error) is pushed on each axis
     oracles[0].push(0.5, ctrl.nu1)
     oracles[1].push(-0.25, ctrl.nu2)
-    for win, oracle in zip((ctl.win_x, ctl.win_y), oracles):
+    for win, oracle in zip(ctl.windows, oracles):
         assert_matches(win, oracle)
 
 
@@ -90,7 +93,7 @@ def test_constant_disturbance_absorbed_by_estimate():
         ctrl = ctl.step(0.0, y, t, traj.lookup(t))
         ts.append(t)
         ys.append(y)
-        fhats.append(ctl.win_y.last_estimate)
+        fhats.append(ctl.windows[1].last_estimate)
         y += DT * (ctrl.nu2 + F)
     ts, ys, fhats = map(np.array, (ts, ys, fhats))
     settled = ts >= 4 * gains.t_window
@@ -120,7 +123,7 @@ def test_contraction_with_exact_estimates(k):
     gains = HeolConfig(kx=k, ky=k)
     F = 0.7
     ctl = fresh_controller(gains)
-    ctl.win_x, ctl.win_y = _ConstEstimate(F), _ConstEstimate(F)
+    ctl.windows = (_ConstEstimate(F), _ConstEstimate(F))
     x = 1.0
     for _ in range(50):
         ctrl = ctl.step(x, 0.0, 0.0, traj.lookup(0.0))
@@ -166,4 +169,4 @@ def test_controller_wrapper_tracks_heading_and_estimates():
     ctl = HeolController(HeolConfig(), DT)
     c = ctl.step(*traj.position(0.0), 0.0, traj.row(0))
     assert ctl.prev_u2 == c.u2
-    assert ctl.last_fhat == (0.0, 0.0)  # warm-up
+    assert [w.last_estimate for w in ctl.windows] == [0.0, 0.0]  # warm-up

@@ -89,35 +89,43 @@ def test_solve_guards():
 
 
 # -- per-axis receding-horizon step ------------------------------------------
+#
+# MfpcController.step applies one law per axis: the x axis drives u1 in
+# [0, u1_max], the y axis drives u2 in +-(pi/2 - u2_margin).
+
+ZERO_ROW = (0.0, 0.0, 0.0, 0.0)
 
 
 def test_axis_step_zero_at_setpoint_without_drift():
-    axis = UltraLocalAxis(1.0, 0.3, DT, 1.0)
-    assert axis.step(0.0, 0.0) == (0.0, 0.0)
+    ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=1.0, t_window=0.3), DT)
+    c = ctl.step(0.0, 0.0, 0.0, ZERO_ROW)
+    assert (c.u1, c.u2) == (0.0, 0.0)
+    assert ctl.events == []   # no input was clamped
 
 
 def test_axis_step_cancels_pure_drift():
     # window filled with (y=0, u=-f/alpha) makes F_est = f; at the setpoint the
     # optimal velocity is zero so u = -f/alpha
     alpha, f = 2.0, 0.6
-    axis = UltraLocalAxis(alpha, 0.3, DT, 1.0)
+    ctl = MfpcController(MfpcConfig(alpha2=alpha, horizon=1.0, t_window=0.3), DT)
+    win_y = ctl.windows[1]
     for _ in range(31):
-        axis.window.push(0.0, -f / alpha)
-    u, _ = axis.step(0.0, 0.0)
-    assert axis.window.last_estimate == pytest.approx(f, abs=1e-9)
-    assert u == pytest.approx(-f / alpha, abs=1e-9)
+        win_y.push(0.0, -f / alpha)
+    c = ctl.step(0.0, 0.0, 0.0, ZERO_ROW)
+    assert win_y.last_estimate == pytest.approx(f, abs=1e-9)
+    assert c.u2 == pytest.approx(-f / alpha, abs=1e-9)
 
 
 def test_axis_step_matches_boundary_velocity():
-    axis = UltraLocalAxis(1.0, 0.3, DT, 1.0)
-    u, _ = axis.step(1.0, 0.0)
-    assert u == pytest.approx(-1.313035, abs=1e-6)  # velocity of the closed form at t_i
+    ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=1.0, t_window=0.3), DT)
+    c = ctl.step(0.0, 1.0, 0.0, ZERO_ROW)
+    assert c.u2 == pytest.approx(-1.313035, abs=1e-6)  # velocity of the closed form at t_i
 
 
 def test_controller_shrinks_long_horizons():
     ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=100.0), DT)
     assert ctl.lookahead <= 40.0 / 1.0   # 100 s would overflow unshrunk
-    c = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(0), (0.0, 0.0))
+    c = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(round(ctl.lookahead / DT)))
     assert math.isfinite(c.u1) and math.isfinite(c.u2)
     assert math.isfinite(ctl.axis_x.gain)
 
@@ -153,44 +161,49 @@ def test_axis_refuses_a_horizon_over_the_exponent_guard():
 
 
 def test_axis_step_pushes_applied_input():
-    axis = UltraLocalAxis(1.0, 0.3, DT, 1.0, u_min=-0.5, u_max=0.5)
+    ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=1.0, t_window=0.3,
+                                    u1_max=0.5), DT)
+    win_x = ctl.windows[0]
     oracle = DotWindow(0.3, DT, input_gain=1.0)
-    for k in range(axis.window.capacity):    # a full window: ramp out, constant in
-        axis.window.push(0.01 * k, 0.2)
+    for k in range(win_x.capacity):    # a full window: ramp out, constant in
+        win_x.push(0.01 * k, 0.2)
         oracle.push(0.01 * k, 0.2)
-    u, raw = axis.step(3.0, 0.0)
-    assert u == -0.5
-    assert raw < -0.5
-    oracle.push(3.0, -0.5)  # clamped value, not the raw demand
-    assert_matches(axis.window, oracle)
+    c = ctl.step(-3.0, 0.0, 0.0, ZERO_ROW)
+    assert c.u1 == 0.5
+    [clamp] = ctl.events
+    assert clamp["input"] == "u1" and clamp["raw"] > 0.5
+    oracle.push(-3.0, 0.5)  # clamped value, not the raw demand
+    assert_matches(win_x, oracle)
 
 
 def test_solution_independent_of_drift_estimate():
     # same measurement and setpoint, different window contents -> identical gain
-    a = UltraLocalAxis(1.5, 0.3, DT, 1.0)
-    b = UltraLocalAxis(1.5, 0.3, DT, 1.0)
+    config = MfpcConfig(alpha2=1.5, horizon=1.0, t_window=0.3)
+    a, b = MfpcController(config, DT), MfpcController(config, DT)
     for _ in range(31):
-        a.window.push(0.0, 0.9)
-        b.window.push(0.0, -0.4)
-    ua, _ = a.step(2.0, 1.0)
-    ub, _ = b.step(2.0, 1.0)
-    assert a.window.last_estimate != b.window.last_estimate
-    assert a.gain == b.gain
+        a.windows[1].push(0.0, 0.9)
+        b.windows[1].push(0.0, -0.4)
+    ua = a.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0)).u2
+    ub = b.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0)).u2
+    assert a.windows[1].last_estimate != b.windows[1].last_estimate
+    assert a.axis_y.gain == b.axis_y.gain
     assert ua != ub  # drift correction differs
 
 
 def test_receding_horizon_consistency_on_exact_model():
-    # synthetic plant follows dy/dt = F + alpha*u exactly: successive optimal
-    # curves stay within O(dt) of each other
-    alpha, F, y_sp = 1.0, 0.4, 2.0
-    axis = UltraLocalAxis(alpha, 0.3, DT, 1.0)
-    y = 0.0
+    # synthetic plant follows dx/dt = F + alpha*u1 exactly: successive optimal
+    # curves stay within O(dt) of each other; u1 never reaches its clamps
+    alpha, F, x_sp = 1.0, -0.4, 2.0
+    ctl = MfpcController(MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=1.0, t_window=0.3,
+                                    u1_max=100.0), DT)
+    x = 0.0
     sols = []
     for k in range(200):
         t = k * DT
-        sols.append(solve_two_point(y, y_sp, t, t + 1.0, alpha))
-        u, _ = axis.step(y, y_sp)
-        y += DT * (F + alpha * u)
+        sols.append(solve_two_point(x, x_sp, t, t + 1.0, alpha))
+        u = ctl.step(x, 0.0, t, (x_sp, 0.0, 0.0, 0.0)).u1
+        x += DT * (F + alpha * u)
+    assert ctl.events == []
     for k in range(80, 150):
         a, b = sols[k], sols[k + 1]
         ts = np.linspace(b.t_i, min(a.t_f, b.t_f), 40)
@@ -228,7 +241,7 @@ def test_mimo_step_stationary_at_rest():
     params = MfpcConfig(t_window=0.3)
     ctl = MfpcController(params, DT)
     traj = stationary_traj()
-    c = ctl.step(0.0, 0.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
+    c = ctl.step(0.0, 0.0, 0.0, traj.row(round(ctl.lookahead / DT)))
     assert c.u1 == 0.0
     assert c.u2 == 0.0
     assert math.isnan(c.nu1) and math.isnan(c.nu2)
@@ -238,13 +251,13 @@ def test_mimo_step_clamps_heading_and_logs_episode():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
     # huge lateral error -> raw u2 >> pi/2
-    c = ctl.step(0.0, -3.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
+    c = ctl.step(0.0, -3.0, 0.0, traj.row(round(ctl.lookahead / DT)))
     assert c.u2 == pytest.approx(math.pi / 2 - 0.01)
     clamps = [e for e in ctl.events if e["kind"] == "clamp" and e["input"] == "u2"]
     assert len(clamps) == 1
     assert clamps[0]["raw"] > math.pi / 2
     # same episode, no duplicate event
-    ctl.step(0.0, -3.0, DT, traj.row(1), traj.position(DT + ctl.lookahead))
+    ctl.step(0.0, -3.0, DT, traj.row(1 + round(ctl.lookahead / DT)))
     assert len([e for e in ctl.events if e["input"] == "u2"]) == 1
 
 
@@ -252,7 +265,7 @@ def test_mimo_step_faults_on_non_finite():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
     with pytest.raises(ControllerFault):
-        ctl.step(float("inf"), 0.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
+        ctl.step(float("inf"), 0.0, 0.0, traj.row(round(ctl.lookahead / DT)))
 
 
 def test_check_reference_refuses_headings_outside_half_plane():
@@ -268,7 +281,7 @@ def test_u1_never_negative():
     # vehicle ahead of a stationary target: the speed demand clamps at zero
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
-    c = ctl.step(5.0, 0.0, 0.0, traj.row(0), traj.position(ctl.lookahead))
+    c = ctl.step(5.0, 0.0, 0.0, traj.row(round(ctl.lookahead / DT)))
     assert c.u1 == 0.0
 
 
@@ -277,11 +290,12 @@ def test_line_tracking_settles_near_unit_speed():
     traj = build_reference(PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1.0),
                            DT, 20.0)
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
+    ahead = round(ctl.lookahead / DT)
     s = VehicleState(0.0, 0.0)
     u1s, u2s = [], []
     for k in range(2001):
         t = k * DT
-        c = ctl.step(s.x, s.y, t, traj.row(k), traj.position(t + ctl.lookahead))
+        c = ctl.step(s.x, s.y, t, traj.row(k + ahead))
         u1s.append(c.u1)
         u2s.append(c.u2)
         if k < 2000:

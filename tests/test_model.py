@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from dubinsim.errors import StateIntegrityError
 from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, ControlInput,
                             NoiseModel, PerturbationSchedule, VehicleState,
-                            aux_to_true, measure, step_plant, stream_rng,
-                            true_to_aux)
+                            aux_to_true, measure, step_plant, stream_rng)
 
 
 def test_step_plant_pure_x_motion():
@@ -84,11 +83,15 @@ def test_aux_to_true_freezes_heading_at_rest():
 
 
 def test_true_to_aux_examples():
-    assert true_to_aux(1, 0) == pytest.approx((1, 0))
-    nu1, nu2 = true_to_aux(1, math.pi / 2)
+    # the nominal plant's rates are the auxiliary controls u1*(cos u2, sin u2)
+    def rates(u1, u2):
+        return step_plant(VehicleState(0.0, 0.0), ControlInput(u1, u2), 0.0, 1.0)
+
+    assert rates(1, 0) == pytest.approx((1, 0))
+    nu1, nu2 = rates(1, math.pi / 2)
     assert nu1 == pytest.approx(0, abs=1e-12)
     assert nu2 == pytest.approx(1)
-    nu1, nu2 = true_to_aux(2, math.pi / 6)
+    nu1, nu2 = rates(2, math.pi / 6)
     assert nu1 == pytest.approx(math.sqrt(3))
     assert nu2 == pytest.approx(1)
 
@@ -98,7 +101,7 @@ def test_aux_round_trip():
     for _ in range(500):
         u1 = rng.uniform(1e-6, 10)
         u2 = rng.uniform(-math.pi, math.pi)
-        r1, r2 = aux_to_true(*true_to_aux(u1, u2))
+        r1, r2 = aux_to_true(u1 * math.cos(u2), u1 * math.sin(u2))
         assert r1 == pytest.approx(u1, abs=1e-9)
         assert r2 == pytest.approx(u2, abs=1e-9)
 
@@ -146,11 +149,12 @@ def test_perturbation_schedule_values_in_range_and_piecewise():
     sched = PerturbationSchedule.draw(20.0, switch_interval=2.0, seed=9)
     assert all(-0.5 <= v <= 0.5 for v in sched.values)
     assert len(sched.values) == 11
+    levels = sched.levels(100_000, 0.01)
     for k, t in enumerate(np.arange(0.0, 20.0, 0.01)):
-        assert sched.at(t) == sched.values[int(t / 2.0)]
+        assert levels[k] == sched.values[int(t / 2.0)]
     # constant within each interval, clamped at the end
-    assert sched.at(20.0) == sched.values[10]
-    assert sched.at(1000.0) == sched.values[-1]
+    assert levels[2000] == sched.values[10]
+    assert levels[100_000] == sched.values[-1]
 
 
 def test_perturbation_schedule_seed_determinism():
@@ -163,8 +167,7 @@ def test_perturbation_schedule_seed_determinism():
 
 def test_perturbation_zero_schedule():
     z = PerturbationSchedule.zero()
-    assert z.at(0.0) == 0.0
-    assert z.at(19.99) == 0.0
+    assert z.levels(2000, 0.01) == [0.0] * 2001
 
 
 def test_perturbation_rejects_bad_range():
@@ -203,5 +206,8 @@ def test_levels_equal_at_on_the_sample_grid(zero, duration, switch, seed, dt, ex
     n = int(round(duration / dt)) + extra   # runs past the last level too
     levels = sched.levels(n, dt)
     assert len(levels) == n + 1
+    values = sched.values
     for k, level in enumerate(levels):
-        assert level is sched.at(k * dt)   # the same float object, not a copy
+        i = 0 if zero else int(k * dt / switch)
+        # the same float object, not a copy
+        assert level is values[min(i, len(values) - 1)]

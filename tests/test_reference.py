@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from dubinsim.avoidance import DangerZone, path_crosses_zone, plan_bypass, splice
 from dubinsim.errors import DegeneratePathError, InfeasibleBypassError
-from dubinsim.model import VehicleState, step_plant
+from dubinsim.model import ControlInput, VehicleState, aux_to_true, step_plant
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
                                 SinePath, apply_sync, build_reference,
-                                flat_feedforward, path_spec_from_dict,
-                                sync_offset)
+                                path_spec_from_dict, sync_offset)
 
 DT = 0.01
 
@@ -106,24 +105,29 @@ def test_path_spec_from_dict_round_trip():
         path_spec_from_dict({"kind": "circle", "bogus": 1})
 
 
+# The flat feedforward replays the reference: nu = (dx, dy) of a row, and
+# (u1, u2) = aux_to_true(nu).
+
+
 def test_flat_feedforward_line():
-    c = flat_feedforward(line_traj(), 3.0)
-    assert c.u1 == pytest.approx(1.0)
-    assert c.u2 == pytest.approx(0.0)
-    assert (c.nu1, c.nu2) == (1.0, 0.0)
+    row = line_traj().row(300)
+    u1, u2 = aux_to_true(*row[2:])
+    assert u1 == pytest.approx(1.0)
+    assert u2 == pytest.approx(0.0)
+    assert row[2:] == (1.0, 0.0)
 
 
 def test_flat_feedforward_circle_constant_speed():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
-    for t in np.arange(0.0, 20.0, 0.5):
-        assert flat_feedforward(traj, t).u1 == pytest.approx(1.0, abs=1e-12)
+    for k in range(0, 2000, 50):
+        assert aux_to_true(*traj.row(k)[2:])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flat_feedforward_parks_with_frozen_heading():
     traj = line_traj()
-    c = flat_feedforward(traj, traj.tf + 1.0, prev_u2=0.42)
-    assert c.u1 == 0.0
-    assert c.u2 == 0.42
+    u1, u2 = aux_to_true(*traj.row(traj.n + 100)[2:], 0.42)
+    assert u1 == 0.0
+    assert u2 == 0.42
 
 
 def test_open_loop_flatness_tracks_at_first_order():
@@ -133,7 +137,7 @@ def test_open_loop_flatness_tracks_at_first_order():
         s = VehicleState(*traj.position(0.0))
         prev, worst = 0.0, 0.0
         for k in range(int(round(20.0 / dt))):
-            c = flat_feedforward(traj, k * dt, prev)
+            c = ControlInput(*aux_to_true(*traj.row(k)[2:], prev))
             prev = c.u2
             s = step_plant(s, c, 0.0, dt)
             xr, yr = traj.position((k + 1) * dt)
