@@ -61,10 +61,9 @@ class DangerZone:
 class BypassPlan:
     side: str  # "left" | "right"
     detour_length: float
-    t_start: float      # splice interval on the reference timeline
-    t_end: float
-    t_exit_original: float  # original-timeline instant of the exit anchor
-    tau_tail: float         # t_exit_original - t_end; tail re-timing offset
+    i_start: int    # first and last sample the bypass overwrites
+    i_end: int
+    i_exit: int     # the exit anchor's sample on the unrevised reference
     x: np.ndarray
     y: np.ndarray
     dx: np.ndarray
@@ -107,12 +106,10 @@ def _bisect_boundary(xa, ya, xb, yb, ta, tb, cx, cy, r2, iters=60):
     return ta + s * (tb - ta)
 
 
-def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone,
-                      t_from: float = 0.0):
+def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
     """First maximal interval [t_in, t_out] where the reference runs strictly
-    inside the danger circle, scanning forward from t_from; None if it never
-    enters.  Boundary times come from bisection on the sample segments."""
-    i0 = traj.first_index_at(t_from)
+    inside the danger circle, scanning forward from sample i0; None if it
+    never enters.  Boundary times come from bisection on the sample segments."""
     if i0 > traj.n - 1:
         return None
     r2 = zone.r_danger ** 2
@@ -148,13 +145,14 @@ def _tangent_geometry(px, py, cx, cy, r):
 
 def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
                 side: str, speed_hint: float, lead: float = 0.5,
-                t_min: float = 0.0) -> BypassPlan:
+                i_min: int = 0) -> BypassPlan:
     """Tangent-arc-tangent wrap of the danger circle on one side.
 
     Anchors are reference samples ``lead`` seconds outside the crossing,
     pushed further out while still inside the zone (entry anchors never move
-    before t_min, the current time).  The wrap is re-timed at ``speed_hint``
-    onto the sample grid; its last sample coincides with the exit anchor.
+    before sample i_min, the current one).  The wrap is re-timed at
+    ``speed_hint`` onto the sample grid; its last sample coincides with the
+    exit anchor.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -166,13 +164,14 @@ def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     R = zone.r_danger + CLEARANCE_PAD
     cx, cy = zone.cx, zone.cy
 
-    i_min = traj.first_index_at(t_min)
+    # the crossing's times become samples here only: the last one at or
+    # before t_in - lead, the first one at or after t_out + lead
     i_a = min(n - 1, max(i_min, int(math.floor((t_in - lead) / dt + 1e-9))))
     while i_a >= i_min and math.hypot(traj.x[i_a] - cx, traj.y[i_a] - cy) <= R + 1e-9:
         i_a -= 1
     if i_a < i_min:
         raise InfeasibleBypassError("no entry anchor outside the danger zone")
-    i_b = max(i_a + 1, traj.first_index_at(t_out + lead))
+    i_b = max(i_a + 1, int(math.ceil((t_out + lead) / dt - 1e-9)))
     while i_b <= n - 1 and math.hypot(traj.x[i_b] - cx, traj.y[i_b] - cy) <= R + 1e-9:
         i_b += 1
     if i_b > n - 1:
@@ -198,9 +197,6 @@ def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     total = len_a + R * sweep + len_b
 
     n_b = max(2, int(math.ceil(total / (speed_hint * dt) - 1e-9)))
-    t_start = i_a * dt
-    t_end = t_start + n_b * dt
-    t_exit_original = i_b * dt
     v = total / (n_b * dt)
 
     seg1 = ((p1[0] - ax) / len_a, (p1[1] - ay) / len_a)
@@ -212,21 +208,18 @@ def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     xs[0], ys[0] = ax, ay
     xs[n_b], ys[n_b] = bx, by
 
-    detour = total - traj.path_length(t_start, t_exit_original)
-    return BypassPlan(side=side, detour_length=detour,
-                      t_start=t_start, t_end=t_end,
-                      t_exit_original=t_exit_original,
-                      tau_tail=t_exit_original - t_end,
+    return BypassPlan(side=side, detour_length=total - traj.path_length(i_a, i_b),
+                      i_start=i_a, i_end=i_a + n_b, i_exit=i_b,
                       x=xs, y=ys, dx=dxs, dy=dys)
 
 
-def plan_both_sides(traj, zone, crossing, speed_hint, lead=0.5, t_min=0.0):
+def plan_both_sides(traj, zone, crossing, speed_hint, lead=0.5, i_min=0):
     """(left, right) plans; a side that cannot be built is None."""
     plans = []
     for side in ("left", "right"):
         try:
             plans.append(plan_bypass(traj, zone, crossing, side, speed_hint,
-                                     lead=lead, t_min=t_min))
+                                     lead=lead, i_min=i_min))
         except InfeasibleBypassError:
             plans.append(None)
     return plans[0], plans[1]
@@ -253,14 +246,13 @@ def splice(traj: ReferenceTrajectory, plan: BypassPlan) -> ReferenceTrajectory:
     """Replace the reference between the plan's anchors with the bypass samples.
 
     The bypass generally takes longer than the segment it replaces, so the
-    remainder of the reference is re-timed to start right after it.  Both
-    junctions are position-continuous by construction.
+    remainder of the reference is re-timed to start right after it: the tail
+    shifts by ``i_exit - i_end`` samples.  Both junctions are
+    position-continuous by construction.
     """
-    i_start = traj.index_of(plan.t_start)
-    i_end = i_start + len(plan.x) - 1
-    if i_end > traj.n - 1:
+    if plan.i_end > traj.n - 1:
         raise InfeasibleBypassError("bypass extends past the end of the trajectory")
     samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
     for arr, bypass in zip(samples, (plan.x, plan.y, plan.dx, plan.dy)):
-        arr[i_start:i_end + 1] = bypass
-    return reindex_tail(traj, samples, i_end + 1, int(round(plan.tau_tail / traj.dt)))
+        arr[plan.i_start:plan.i_end + 1] = bypass
+    return reindex_tail(traj, samples, plan.i_end + 1, plan.i_exit - plan.i_end)

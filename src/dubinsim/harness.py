@@ -23,7 +23,8 @@ from .mfpc import MfpcController, check_reference
 from .model import (STREAM_PLACEMENT, NoiseModel, PerturbationSchedule,
                     VehicleState, measure, step_plant, stream_rng)
 from .reference import ReferenceTrajectory, apply_sync, build_reference, sync_offset
-from .scenario import ScenarioConfig, ScenarioResult, compute_metrics, json_safe, write_json
+from .scenario import (ScenarioConfig, ScenarioResult, check_name, compute_metrics, json_safe,
+                       write_json)
 
 # Per-sample record of a run: ScenarioResult's series in CSV column order,
 # then the reference derivatives that only the metrics read.
@@ -83,21 +84,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     levels = pert.levels(n, dt)
     controller = (HeolController(cfg.heol, dt) if cfg.controller == "heol"
                   else MfpcController(cfg.mfpc, dt))
-    # the controller reads the reference this many samples ahead: one
-    # horizon for MFPC's setpoint, 0 for HEOL
-    ahead_steps = round(controller.lookahead / dt)
+    ahead = controller.ahead
     win_x, win_y = controller.windows
 
-    start = cfg.start if cfg.start is not None else traj.position(0.0)
+    x0, y0 = traj.row(0)[:2]
+    start = cfg.start if cfg.start is not None else (x0, y0)
     state = VehicleState(float(start[0]), float(start[1]))
 
     events: list[dict] = []
-    if cfg.sync.enabled:
-        rx, ry = traj.position(0.0)
-        if math.hypot(state.x - rx, state.y - ry) > cfg.sync.startup_threshold:
-            tau = sync_offset(state.x, state.y, traj, 0.0, cfg.sync.tau_max)
-            traj = apply_sync(traj, tau, 0.0)
-            events.append({"kind": "sync", "t": 0.0, "tau": tau, "reason": "startup"})
+    # the widest sync shift, in samples; no shift past n + n_steps reaches a
+    # sample that a shorter one does not, and the cap keeps the count finite
+    reach = round(min(cfg.sync.tau_max / dt, traj.n + n + 1))
+    if cfg.sync.enabled and math.hypot(state.x - x0, state.y - y0) > cfg.sync.startup_threshold:
+        shift = sync_offset(state.x, state.y, traj, 0, reach)
+        traj = apply_sync(traj, shift, 0)
+        events.append({"kind": "sync", "t": 0.0, "tau": shift * dt, "reason": "startup"})
 
     # Each sample's computed values are buffered as a tuple in ``block`` and
     # copied into the NaN-filled ``rows`` a block at a time, the rest after
@@ -108,7 +109,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     filled = 0      # rows copied from earlier blocks
 
     zones = {}          # obstacle index -> DangerZone, once discovered
-    pending_ends = []   # t_end of spliced bypasses not yet completed
+    pending_ends = []   # last sample of each spliced bypass not yet completed
     n_obstacles = len(cfg.obstacles)
     aborted = False
     abort_reason = ""
@@ -127,23 +128,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     zones[i] = cfg.obstacles[i].danger_zone(cfg.avoidance.margin)
                     events.append({"kind": "discovery", "t": t, "obstacle": i})
 
-            if pending_ends and t >= min(pending_ends) - 1e-9:
-                completed = [te for te in pending_ends if t >= te - 1e-9]
-                pending_ends = [te for te in pending_ends if t < te - 1e-9]
-                for te in completed:
-                    events.append({"kind": "bypass_end", "t": t})
+            if pending_ends and k >= min(pending_ends):
+                events.extend({"kind": "bypass_end", "t": t} for e in pending_ends if k >= e)
+                pending_ends = [e for e in pending_ends if k < e]
                 if cfg.sync.enabled:
-                    tau = sync_offset(xm, ym, traj, t, cfg.sync.tau_max)
-                    if abs(tau) > 0.5 * dt:
-                        traj = apply_sync(traj, tau, t)
-                        events.append({"kind": "sync", "t": t, "tau": tau,
+                    shift = sync_offset(xm, ym, traj, k, reach)
+                    if shift != 0:
+                        traj = apply_sync(traj, shift, k)
+                        events.append({"kind": "sync", "t": t, "tau": shift * dt,
                                        "reason": "post_bypass"})
                         scan = zones
 
             if scan:
-                traj = _replan(cfg, traj, zones, scan, t, events, pending_ends)
+                traj = _replan(cfg, traj, zones, scan, k, events, pending_ends)
 
-            ctrl = controller.step(xm, ym, t, traj.row(k + ahead_steps))
+            ctrl = controller.step(xm, ym, t, traj.row(k + ahead))
             u1, u2, nu1, nu2 = ctrl
             block.append((x, y, xm, ym, u1, u2, nu1, nu2,
                           win_x.last_estimate, win_y.last_estimate))
@@ -194,23 +193,24 @@ def _fill_after_loop(rows: np.ndarray, filled: int, traj: ReferenceTrajectory,
     rows[m:filled, _REFERENCE_COLUMNS] = (traj.x[-1], traj.y[-1], 0.0, 0.0)
 
 
-def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, t: float,
+def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, k: int,
             events: list, pending_ends: list) -> ReferenceTrajectory:
     """Bypass, earliest crossing first, each zone in ``scan`` that the
-    reference crosses after t; returns the revised reference.
+    reference crosses from sample k on; returns the revised reference.
 
-    Every bypass is logged to ``events`` and its end to ``pending_ends``.
-    After a splice every zone is scanned again from t against the new
-    samples, except the zone just bypassed: its own wrap is skipped, since
-    the tail may cross it again.
+    Every bypass is logged to ``events`` and its last sample to
+    ``pending_ends``.  After a splice every zone is scanned again from k
+    against the new samples, except the zone just bypassed: its own wrap is
+    skipped, since the tail may cross it again.
     """
+    dt = cfg.dt
     planned = []    # obstacles bypassed in this sample, in planning order
-    bypassed, t_resume = None, t
+    bypassed, i_resume = None, k
     while True:
         best = None
         for i in sorted(scan):
             crossing = avoidance.path_crosses_zone(traj, zones[i],
-                                                   t_from=t_resume if i == bypassed else t)
+                                                   i_resume if i == bypassed else k)
             if crossing is not None and (best is None or crossing[0] < best[1][0]):
                 best = (i, crossing)
         if best is None:
@@ -224,18 +224,18 @@ def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, t
             _, _, dxa, dya = traj.lookup(crossing[0])
             hint = max(math.hypot(dxa, dya), 0.1)
         left, right = avoidance.plan_both_sides(traj, zones[i], crossing, hint,
-                                                lead=cfg.avoidance.lead, t_min=t)
+                                                lead=cfg.avoidance.lead, i_min=k)
         plan = avoidance.select_side(left, right, cfg.controller)
         traj = avoidance.splice(traj, plan)
-        pending_ends.append(plan.t_end)
+        pending_ends.append(plan.i_end)
         events.append({
-            "kind": "bypass_start", "t": t, "obstacle": i, "side": plan.side,
-            "detour": plan.detour_length, "t_start": plan.t_start,
-            "t_end": plan.t_end, "tau_tail": plan.tau_tail,
+            "kind": "bypass_start", "t": k * dt, "obstacle": i, "side": plan.side,
+            "detour": plan.detour_length, "t_start": plan.i_start * dt,
+            "t_end": plan.i_end * dt, "tau_tail": (plan.i_exit - plan.i_end) * dt,
             "detour_left": left.detour_length if left else None,
             "detour_right": right.detour_length if right else None,
         })
-        scan, bypassed, t_resume = zones, i, plan.t_end
+        scan, bypassed, i_resume = zones, i, plan.i_end
         planned.append(i)
 
 
@@ -298,6 +298,7 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
     bad = [s for s in randomize if s not in _RANDOMIZE_ASPECTS]
     if bad:
         raise ConfigError(f"unknown randomize aspects: {bad}")
+    check_name(f"{cfg.name}-r{n_runs - 1:03d}")   # the longest run name
     base_seed = cfg.seed if seed is None else int(seed)
     # the base reference, built once; crossing obstacles are placed on it
     traj = build_reference(cfg.path_spec(), dt=cfg.dt, duration=cfg.duration)

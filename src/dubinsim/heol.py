@@ -42,7 +42,7 @@ class HeolConfig:
 class HeolController:
     """Owns the two estimator windows and the last heading."""
 
-    lookahead = 0.0   # reads only the reference row at t
+    ahead = 0   # reads the reference row of the current sample
 
     def __init__(self, config: HeolConfig, dt: float):
         self.config = config

@@ -89,7 +89,6 @@ class UltraLocalAxis:
                  u_min: float = -math.inf, u_max: float = math.inf,
                  eval_at_next: bool = False):
         self.alpha = float(alpha)
-        self.horizon = horizon
         self.gain = solve_two_point(1.0, 0.0, 0.0, horizon, self.alpha).velocity(
             dt if eval_at_next else 0.0)
         self.window = FWindow(t_window, dt, input_gain=self.alpha)
@@ -150,8 +149,10 @@ class MfpcController:
     """Stateful wrapper owning the two ultra-local axes; logs clamp episodes."""
 
     def __init__(self, config: MfpcConfig, dt: float):
-        # setpoints are read one horizon ahead, the horizon both axes solve over
-        self.lookahead = horizon = config.effective_horizon(dt)
+        # setpoints are read one horizon ahead, the horizon both axes solve
+        # over: ``ahead`` counts it in samples
+        horizon = config.effective_horizon(dt)
+        self.ahead = round(horizon / dt)
         u2_lim = math.pi / 2 - config.u2_margin
         self.axis_x = UltraLocalAxis(config.alpha1, config.t_window, dt, horizon,
                                      u_min=0.0, u_max=config.u1_max,

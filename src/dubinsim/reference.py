@@ -3,7 +3,7 @@
 A trajectory is a uniformly sampled table of flat outputs (x, y) and their
 time derivatives.  Lookups outside the sampled domain clamp to the endpoint
 with zero derivative, so a vehicle that outruns its path simply parks at the
-goal.  All revision operations (time offsets, bypass splices) return new
+goal.  All revision operations (sample shifts, bypass splices) return new
 trajectories; nothing is mutated in place.
 """
 
@@ -79,21 +79,9 @@ class ReferenceTrajectory:
     def tf(self) -> float:
         return self._tf
 
-    def index_of(self, t: float) -> int:
-        i = int(round(t / self.dt))
-        if i < 0:
-            return 0
-        if i >= self._n:
-            return self._n - 1
-        return i
-
-    def first_index_at(self, t: float) -> int:
-        """Index of the first sample at or after t (not clamped at the end)."""
-        return max(0, int(math.ceil(t / self.dt - 1e-9)))
-
     def lookup(self, t: float) -> tuple[float, float, float, float]:
         """(x, y, dx, dy) at the grid sample nearest t; parked beyond the domain."""
-        i = self.index_of(t)
+        i = min(max(int(round(t / self.dt)), 0), self._n - 1)
         if t < -1e-12 or t > self._tf + 1e-12:
             return float(self.x[i]), float(self.y[i]), 0.0, 0.0
         return float(self.x[i]), float(self.y[i]), float(self.dx[i]), float(self.dy[i])
@@ -105,13 +93,8 @@ class ReferenceTrajectory:
             return self.x.item(-1), self.y.item(-1), 0.0, 0.0
         return self.x.item(k), self.y.item(k), self.dx.item(k), self.dy.item(k)
 
-    def position(self, t: float) -> tuple[float, float]:
-        i = self.index_of(t)
-        return float(self.x[i]), float(self.y[i])
-
-    def path_length(self, t_a: float, t_b: float) -> float:
-        """Polyline length of the sample chain between the grid times nearest t_a, t_b."""
-        ia, ib = self.index_of(t_a), self.index_of(t_b)
+    def path_length(self, ia: int, ib: int) -> float:
+        """Polyline length of the sample chain from sample ia to sample ib."""
         if ib <= ia:
             return 0.0
         return float(np.hypot(np.diff(self.x[ia:ib + 1]), np.diff(self.y[ia:ib + 1])).sum())
@@ -313,25 +296,24 @@ def path_spec_from_dict(d: dict):
 
 
 def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,
-                t_now: float, tau_max: float = 5.0) -> float:
-    """Grid-search the time offset minimizing the squared distance between
-    (x_sync, y_sync) and the reference at t_now + tau.
+                k: int, reach: int) -> int:
+    """Grid-search the shift, in samples, minimizing the squared distance
+    between (x_sync, y_sync) and the reference at sample k + shift.
 
-    Candidates are ordered 0, +dt, -dt, +2dt, ... and only strict improvements
-    are kept, which realizes the tie rules: smallest |tau| first, positive
-    before negative.  Past |k| = n + round(t_now/dt) every candidate lands on
-    an endpoint that a smaller |k| already reached, so the search stops
-    there whatever tau_max is.
+    Candidates are ordered 0, +1, -1, +2, ... up to +-reach and only strict
+    improvements are kept, which realizes the tie rules: smallest |shift|
+    first, positive before negative.  Past |shift| = n + k every candidate
+    lands on an endpoint that a smaller |shift| already reached, so the
+    search stops there whatever reach is.
     """
-    k_max = min(int(round(tau_max / traj.dt)), traj.n + round(t_now / traj.dt) + 1)
-    ks = np.empty(2 * k_max + 1, dtype=int)
-    ks[0] = 0
-    ks[1::2] = np.arange(1, k_max + 1)
-    ks[2::2] = -np.arange(1, k_max + 1)
-    idx = np.clip(np.round((t_now + ks * traj.dt) / traj.dt).astype(int),
-                  0, traj.n - 1)
+    m = min(reach, traj.n + k + 1)
+    shifts = np.empty(2 * m + 1, dtype=int)
+    shifts[0] = 0
+    shifts[1::2] = np.arange(1, m + 1)
+    shifts[2::2] = -np.arange(1, m + 1)
+    idx = np.clip(k + shifts, 0, traj.n - 1)
     d2 = (traj.x[idx] - x_sync) ** 2 + (traj.y[idx] - y_sync) ** 2
-    return float(ks[int(np.argmin(d2))] * traj.dt)
+    return int(shifts[int(np.argmin(d2))])
 
 
 def reindex_tail(traj: ReferenceTrajectory, samples, i0: int,
@@ -352,9 +334,8 @@ def reindex_tail(traj: ReferenceTrajectory, samples, i0: int,
     return replace(traj, x=x, y=y, dx=dx_, dy=dy_)
 
 
-def apply_sync(traj: ReferenceTrajectory, tau: float, t_event: float) -> ReferenceTrajectory:
-    """Re-index the trajectory: lookups at/after t_event read the original at
-    t + tau."""
-    i0 = traj.first_index_at(t_event)
+def apply_sync(traj: ReferenceTrajectory, shift: int, k: int) -> ReferenceTrajectory:
+    """Re-index the trajectory: samples from k on read the original
+    ``shift`` samples later."""
     samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
-    return reindex_tail(traj, samples, i0, int(round(tau / traj.dt)))
+    return reindex_tail(traj, samples, k, shift)

@@ -74,10 +74,11 @@ def test_tangent_contact_is_not_a_crossing():
 
 
 def test_crossing_scan_starts_at_t_from():
+    # the scan starts at sample i0, the time i0 * dt
     traj = line_traj()
     zone = DangerZone(5.0, 0.0, 1.0)
-    assert path_crosses_zone(traj, zone, t_from=7.0) is None
-    t_in, _ = path_crosses_zone(traj, zone, t_from=5.0)
+    assert path_crosses_zone(traj, zone, 700) is None
+    t_in, _ = path_crosses_zone(traj, zone, 500)
     assert t_in == pytest.approx(5.0)  # already inside at scan start
 
 
@@ -116,11 +117,11 @@ def test_detour_lengths_match_geometry_oracle():
         crossing = path_crosses_zone(traj, zone)
         left, right = plan_both_sides(traj, zone, crossing, 1.0, lead=0.5)
         for plan in (left, right):
-            ax, ay = traj.position(plan.t_start)
-            bx, by = traj.position(plan.t_exit_original)
+            ax, ay = traj.row(plan.i_start)[:2]
+            bx, by = traj.row(plan.i_exit)[:2]
             expect = tangent_arc_tangent_length(ax, ay, bx, by, zone.cx, zone.cy,
                                                 zone.r_danger + CLEARANCE_PAD, plan.side)
-            replaced = traj.path_length(plan.t_start, plan.t_exit_original)
+            replaced = traj.path_length(plan.i_start, plan.i_exit)
             assert plan.detour_length == pytest.approx(expect - replaced, abs=1e-9)
             assert plan.detour_length >= -1e-9
 
@@ -166,9 +167,9 @@ def test_bypass_endpoints_sit_on_reference():
     traj = line_traj()
     zone = DangerZone(5.0, 0.0, 1.0)
     plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), "right", 1.0)
-    assert (plan.x[0], plan.y[0]) == traj.position(plan.t_start)
-    assert (plan.x[-1], plan.y[-1]) == traj.position(plan.t_exit_original)
-    assert plan.t_end == pytest.approx(plan.t_start + (len(plan.x) - 1) * DT)
+    assert (plan.x[0], plan.y[0]) == traj.row(plan.i_start)[:2]
+    assert (plan.x[-1], plan.y[-1]) == traj.row(plan.i_exit)[:2]
+    assert plan.i_end == plan.i_start + len(plan.x) - 1
 
 
 def test_anchor_pushed_out_of_zone():
@@ -177,17 +178,17 @@ def test_anchor_pushed_out_of_zone():
     zone = DangerZone(6.0, 0.0, 2.5)
     crossing = path_crosses_zone(traj, zone)
     plan = plan_bypass(traj, zone, crossing, "right", 1.0, lead=0.1)
-    ax, ay = traj.position(plan.t_start)
+    ax, ay = traj.row(plan.i_start)[:2]
     assert math.hypot(ax - zone.cx, ay - zone.cy) > zone.r_danger
 
 
 def test_infeasible_when_no_outside_anchor():
-    # current time already inside the zone: no entry anchor can exist
+    # current sample already inside the zone: no entry anchor can exist
     traj = line_traj()
     zone = DangerZone(10.0, 0.0, 1.0)
-    crossing = path_crosses_zone(traj, zone, t_from=9.5)
+    crossing = path_crosses_zone(traj, zone, 950)
     with pytest.raises(InfeasibleBypassError):
-        plan_bypass(traj, zone, crossing, "right", 1.0, t_min=9.5)
+        plan_bypass(traj, zone, crossing, "right", 1.0, i_min=950)
 
 
 def test_select_side_rules():
@@ -222,16 +223,16 @@ def spliced_line(zone=None):
 
 def test_splice_preserves_prefix_exactly():
     traj, _, plan, new = spliced_line()
-    i = traj.index_of(plan.t_start)
+    i = plan.i_start
     assert np.array_equal(new.x[:i], traj.x[:i])
     assert np.array_equal(new.y[:i], traj.y[:i])
 
 
 def test_splice_junction_continuity():
     traj, _, plan, new = spliced_line()
-    for t in (plan.t_start, plan.t_end):
-        before = new.position(t - DT)
-        here = new.position(t)
+    for i in (plan.i_start, plan.i_end):
+        before = new.row(i - 1)[:2]
+        here = new.row(i)[:2]
         assert math.hypot(here[0] - before[0], here[1] - before[1]) <= 1.5 * DT
 
 
@@ -243,21 +244,21 @@ def test_splice_minimum_distance_is_danger_radius():
 
 def test_splice_retimes_the_tail():
     traj, _, plan, new = spliced_line()
-    assert plan.tau_tail <= 0.0  # the wrap takes longer than the chord
-    # every sample after the bypass reads the original tau_tail later
-    i0 = traj.index_of(plan.t_end) + 1
-    shift = round(plan.tau_tail / DT)
+    shift = plan.i_exit - plan.i_end
+    assert shift <= 0  # the wrap takes longer than the chord
+    # every sample after the bypass reads the original shift samples later
+    i0 = plan.i_end + 1
     assert np.array_equal(new.x[i0:], traj.x[i0 + shift:traj.n + shift])
     assert np.array_equal(new.dx[i0:], traj.dx[i0 + shift:traj.n + shift])
     # tail resumes the original path right after the exit anchor
-    bx, by = traj.position(plan.t_exit_original)
-    assert new.position(plan.t_end) == pytest.approx((bx, by), abs=1e-9)
-    assert new.position(plan.t_end + 1.0)[0] == pytest.approx(bx + 1.0, abs=1e-9)
+    bx, by = traj.row(plan.i_exit)[:2]
+    assert new.row(plan.i_end)[:2] == pytest.approx((bx, by), abs=1e-9)
+    assert new.row(plan.i_end + 100)[0] == pytest.approx(bx + 1.0, abs=1e-9)
 
 
 def test_splice_is_idempotent_against_same_zone():
     _, zone, plan, new = spliced_line()
-    assert path_crosses_zone(new, zone, t_from=0.0) is None
+    assert path_crosses_zone(new, zone, 0) is None
 
 
 def test_sequential_obstacles_replan_on_spliced_reference():
@@ -266,12 +267,12 @@ def test_sequential_obstacles_replan_on_spliced_reference():
     z2 = DangerZone(12.0, 0.2, 1.0)
     plan1 = plan_bypass(traj, z1, path_crosses_zone(traj, z1), "right", 1.0)
     t1 = splice(traj, plan1)
-    crossing2 = path_crosses_zone(t1, z2, t_from=0.0)
+    crossing2 = path_crosses_zone(t1, z2, 0)
     assert crossing2 is not None
     plan2 = plan_bypass(t1, z2, crossing2, "left", 1.0)
     t2 = splice(t1, plan2)
     for z in (z1, z2):
-        assert path_crosses_zone(t2, z, t_from=0.0) is None
+        assert path_crosses_zone(t2, z, 0) is None
         assert np.hypot(t2.x - z.cx, t2.y - z.cy).min() >= z.r_danger - 1e-6
 
 
@@ -281,7 +282,7 @@ def test_sequential_obstacles_replan_on_spliced_reference():
 @st.composite
 def crossings(draw):
     """A reference (the 25 m line or a filleted polyline at speed v), a danger
-    zone centred near the middle of one of its legs, and the current time,
+    zone centred near the middle of one of its legs, and the current sample,
     early enough that the vehicle is still outside the zone.  Turns of at most
     0.5 rad keep the path from re-entering the zone after it leaves."""
     v = draw(st.floats(0.5, 1.5))
@@ -307,31 +308,31 @@ def crossings(draw):
     r = draw(st.floats(0.5, 1.2))
     s_centre = sum(math.dist(p, q) for p, q in zip(waypoints[:leg], waypoints[1:leg + 1]))
     s_centre += frac * length
-    t_now = draw(st.floats(0.0, 1.0)) * (s_centre - r - 1.0) / v
-    return traj, DangerZone(cx, cy, r), t_now, v
+    k = int(draw(st.floats(0.0, 1.0)) * (s_centre - r - 1.0) / (v * DT))
+    return traj, DangerZone(cx, cy, r), k, v
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(crossings())
 def test_bypass_plans_clear_the_zone_and_splice_cleanly(case):
-    traj, zone, t_now, v = case
-    crossing = path_crosses_zone(traj, zone, t_from=t_now)
+    traj, zone, k, v = case
+    crossing = path_crosses_zone(traj, zone, k)
     assert crossing is not None
-    plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, t_min=t_now)
+    plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
     assert None not in plans
     for plan in plans:
         assert np.hypot(plan.x - zone.cx, plan.y - zone.cy).min() >= zone.r_danger - 1e-9
-        assert (plan.x[0], plan.y[0]) == traj.position(plan.t_start)
-        assert (plan.x[-1], plan.y[-1]) == traj.position(plan.t_exit_original)
+        assert (plan.x[0], plan.y[0]) == traj.row(plan.i_start)[:2]
+        assert (plan.x[-1], plan.y[-1]) == traj.row(plan.i_exit)[:2]
         speed = np.hypot(plan.dx, plan.dy)
         assert np.allclose(speed, speed[0], rtol=0.0, atol=1e-9)
 
         new = splice(traj, plan)
-        i_start = traj.index_of(plan.t_start)
+        i_start = plan.i_start
         for a, b in ((new.x, traj.x), (new.y, traj.y), (new.dx, traj.dx), (new.dy, traj.dy)):
             assert np.array_equal(a[:i_start], b[:i_start])
         i_end = i_start + len(plan.x) - 1
         for i in (i_start, i_start + 1, i_end, i_end + 1):
             step = math.hypot(new.x[i] - new.x[i - 1], new.y[i] - new.y[i - 1])
             assert step <= 1.5 * v * DT
-        assert path_crosses_zone(new, zone, t_from=plan.t_start) is None
+        assert path_crosses_zone(new, zone, plan.i_start) is None

@@ -2,6 +2,7 @@ import itertools
 import math
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dubinsim.scenario import (HeolConfig, NoiseConfig, PerturbationConfig,
                                ScenarioConfig, SyncConfig)
 
 DT = 0.01
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def crossing_obstacle(cfg, seed):
@@ -151,14 +153,15 @@ def test_startup_sync_event_and_benefit():
 
 def test_a_sync_search_wider_than_the_run_writes_the_same_files(tmp_path):
     # the 25 s path and the 20 s run put every sample within 100 s of any
-    # other, so no candidate past that changes the search
+    # other, so no candidate past that changes the search; 1e308 / dt
+    # overflows to inf
     files = []
-    for tau_max in (100.0, 1e300):
+    for tau_max in (100.0, 1e300, 1e308):
         cfg = startup_offset_scenario(True)
         cfg = replace(cfg, sync=replace(cfg.sync, tau_max=tau_max))
         paths = emit(run_scenario(cfg), tmp_path / str(tau_max), name="run")
         files.append([open(p, "rb").read() for p in paths])
-    assert files[0] == files[1]
+    assert files[0] == files[1] == files[2]
 
 
 def test_reverse_distance_metric_counts_backtracking():
@@ -326,13 +329,22 @@ def test_revisions_leave_earlier_rows_alone(monkeypatch, cfg):
 @pytest.mark.parametrize("cfg", [c for c in REVISION_CASES if c.controller == "heol"],
                          ids=lambda c: c.name)
 def test_the_record_holds_the_rows_the_loop_read(monkeypatch, cfg):
-    # HEOL reads row k at sample k, so the reference columns are those rows
+    # HEOL reads row k at sample k, so the reference columns are those rows;
+    # only the reads from the first sample on are logged, not the start
+    # point's and the startup sync check's row 0 before the loop
     read = []
     row = ReferenceTrajectory.row
+    measure = harness.measure
+    in_loop = [False]   # set by the first sample's measure
+
+    def marking_measure(state, noise):
+        in_loop[0] = True
+        return measure(state, noise)
 
     def logged_row(traj, k):
         value = row(traj, k)
-        read.append((k, value))
+        if in_loop[0]:
+            read.append((k, value))
         return value
 
     recorded = {}
@@ -343,6 +355,7 @@ def test_the_record_holds_the_rows_the_loop_read(monkeypatch, cfg):
         return compute_metrics(cfg, series, events)
 
     monkeypatch.setattr(ReferenceTrajectory, "row", logged_row)
+    monkeypatch.setattr(harness, "measure", marking_measure)
     monkeypatch.setattr(harness, "compute_metrics", capturing_compute_metrics)
     run_scenario(cfg)
     assert [k for k, _ in read] == list(range(cfg.n_steps + 1))
@@ -423,6 +436,29 @@ def test_sweep_rejects_unknown_randomize_aspects():
         run_sweep(safety_scenario("heol", 1), 1, randomize=("obstcles",))
 
 
+class _FirstRun(Exception):
+    pass
+
+
+def test_a_sweep_checks_its_longest_run_name_before_the_first_run(monkeypatch):
+    # "-r999" fits a 237-byte base name in 255 bytes with "_summary.json";
+    # "-r1000" does not, so 1001 runs are refused before any run
+    names = []
+
+    def first_run(cfg):
+        names.append(cfg.name)
+        raise _FirstRun
+
+    monkeypatch.setattr(harness, "run_scenario", first_run)
+    cfg = ScenarioConfig(name="n" * 237)
+    with pytest.raises(ConfigError, match="-r1000_summary.json"):
+        run_sweep(cfg, 1001)
+    assert names == []
+    with pytest.raises(_FirstRun):
+        run_sweep(cfg, 1000)
+    assert names == ["n" * 237 + "-r000"]
+
+
 def test_sweep_pins_unrandomized_streams():
     cfg = safety_scenario("heol", seed=70)
     rep, results = run_sweep(cfg, 3, randomize=("obstacles",), keep_results=True)
@@ -476,6 +512,32 @@ def test_a_bypass_that_starts_inside_an_earlier_wrap_is_checked_against_it():
     assert bypasses[1]["t_start"] < bypasses[0]["t_end"]
     for ob in obs:
         assert np.hypot(r.x_ref - ob.cx, r.y_ref - ob.cy).min() >= ob.r + cfg.avoidance.margin
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_event_times_sit_on_the_sample_grid(monkeypatch, index):
+    # bypass and sync times are sample indices times dt, so a bypass ends at
+    # exactly the t_end its start announced
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    cfg = ScenarioConfig.from_dict(workloads.cli_scenario(index))
+    events = run_scenario(cfg).events
+    starts = [e for e in events if e["kind"] == "bypass_start"]
+    syncs = [e for e in events if e["kind"] == "sync"]
+    ends = [e for e in events if e["kind"] == "bypass_end"]
+    assert starts and syncs and ends
+
+    def on_grid(v):
+        return v == round(v / cfg.dt) * cfg.dt
+
+    for e in starts:
+        assert on_grid(e["t_start"]) and on_grid(e["t_end"]) and on_grid(e["tau_tail"]), e
+    for e in syncs:
+        assert on_grid(e["tau"]), e
+    t_ends = {e["t_end"] for e in starts}
+    for e in ends:
+        assert e["t"] in t_ends, e
 
 
 def test_same_time_events_keep_causal_order():

@@ -136,12 +136,12 @@ def closed_loop(spec, gains=HeolConfig(), duration=20.0):
     traj = build_reference(spec, DT, duration)
     ctl = HeolController(gains, DT)
     from dubinsim.model import VehicleState, step_plant
-    s = VehicleState(*traj.position(0.0))
+    s = VehicleState(*traj.row(0)[:2])
     errs, ctrls = [], []
     for k in range(int(round(duration / DT)) + 1):
         t = k * DT
         c = ctl.step(s.x, s.y, t, traj.row(k))
-        xr, yr = traj.position(t)
+        xr, yr = traj.row(k)[:2]
         errs.append(math.hypot(s.x - xr, s.y - yr))
         ctrls.append((c.nu1, c.nu2))
         if t < duration:
@@ -167,6 +167,6 @@ def test_output_continuity_on_nominal_run():
 def test_controller_wrapper_tracks_heading_and_estimates():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     ctl = HeolController(HeolConfig(), DT)
-    c = ctl.step(*traj.position(0.0), 0.0, traj.row(0))
+    c = ctl.step(*traj.row(0)[:2], 0.0, traj.row(0))
     assert ctl.prev_u2 == c.u2
     assert [w.last_estimate for w in ctl.windows] == [0.0, 0.0]  # warm-up

@@ -124,18 +124,22 @@ def test_axis_step_matches_boundary_velocity():
 
 def test_controller_shrinks_long_horizons():
     ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=100.0), DT)
-    assert ctl.lookahead <= 40.0 / 1.0   # 100 s would overflow unshrunk
-    c = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(round(ctl.lookahead / DT)))
+    assert ctl.ahead * DT <= 40.0 / 1.0   # 100 s would overflow unshrunk
+    c = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(ctl.ahead))
     assert math.isfinite(c.u1) and math.isfinite(c.u2)
     assert math.isfinite(ctl.axis_x.gain)
 
 
 def test_one_horizon_for_both_axes_and_the_lookahead():
     # 40 / 200 = 0.2 s: the y axis's guard shortens the x axis's horizon too
-    ctl = MfpcController(MfpcConfig(alpha2=200.0, horizon=0.3), DT)
-    assert ctl.lookahead == ctl.axis_x.horizon == ctl.axis_y.horizon
-    assert ctl.lookahead == pytest.approx(0.2, rel=1e-15)
-    assert 200.0 * ctl.lookahead <= MAX_EXP_ARG
+    cfg = MfpcConfig(alpha2=200.0, horizon=0.3)
+    ctl = MfpcController(cfg, DT)
+    T = cfg.effective_horizon(DT)
+    assert ctl.ahead == round(T / DT) == 20
+    for axis, alpha in ((ctl.axis_x, cfg.alpha1), (ctl.axis_y, cfg.alpha2)):
+        assert axis.gain == solve_two_point(1.0, 0.0, 0.0, T, alpha).velocity(0.0)
+    assert T == pytest.approx(0.2, rel=1e-15)
+    assert 200.0 * T <= MAX_EXP_ARG
 
 
 MFPC_CONFIGS = ([nominal_tracking("mfpc", path) for path in TRACKING_PATHS]
@@ -145,14 +149,16 @@ MFPC_CONFIGS = ([nominal_tracking("mfpc", path) for path in TRACKING_PATHS]
 
 @pytest.mark.parametrize("cfg", MFPC_CONFIGS, ids=lambda cfg: cfg.name)
 def test_setpoint_row_is_the_sample_one_horizon_ahead(cfg):
-    # the run loop reads row k + round(T/dt); position(k*dt + T) rounds to
-    # the same sample unless T/dt sits on a .5 tie
+    # the run loop reads row k + ahead, ahead = round(T/dt); the time
+    # k*dt + T rounds to the same sample unless T/dt sits on a .5 tie
     horizon = cfg.mfpc.effective_horizon(cfg.dt)
     steps = horizon / cfg.dt
     assert abs(abs(steps - math.floor(steps)) - 0.5) > 1e-6
+    ahead = MfpcController(cfg.mfpc, cfg.dt).ahead
+    assert ahead == round(steps)
     traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
     for k in range(cfg.n_steps + 1):
-        assert traj.row(k + round(steps))[:2] == traj.position(k * cfg.dt + horizon)
+        assert traj.row(k + ahead)[:2] == traj.lookup(k * cfg.dt + horizon)[:2]
 
 
 def test_axis_refuses_a_horizon_over_the_exponent_guard():
@@ -241,7 +247,7 @@ def test_mimo_step_stationary_at_rest():
     params = MfpcConfig(t_window=0.3)
     ctl = MfpcController(params, DT)
     traj = stationary_traj()
-    c = ctl.step(0.0, 0.0, 0.0, traj.row(round(ctl.lookahead / DT)))
+    c = ctl.step(0.0, 0.0, 0.0, traj.row(ctl.ahead))
     assert c.u1 == 0.0
     assert c.u2 == 0.0
     assert math.isnan(c.nu1) and math.isnan(c.nu2)
@@ -251,13 +257,13 @@ def test_mimo_step_clamps_heading_and_logs_episode():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
     # huge lateral error -> raw u2 >> pi/2
-    c = ctl.step(0.0, -3.0, 0.0, traj.row(round(ctl.lookahead / DT)))
+    c = ctl.step(0.0, -3.0, 0.0, traj.row(ctl.ahead))
     assert c.u2 == pytest.approx(math.pi / 2 - 0.01)
     clamps = [e for e in ctl.events if e["kind"] == "clamp" and e["input"] == "u2"]
     assert len(clamps) == 1
     assert clamps[0]["raw"] > math.pi / 2
     # same episode, no duplicate event
-    ctl.step(0.0, -3.0, DT, traj.row(1 + round(ctl.lookahead / DT)))
+    ctl.step(0.0, -3.0, DT, traj.row(1 + ctl.ahead))
     assert len([e for e in ctl.events if e["input"] == "u2"]) == 1
 
 
@@ -265,7 +271,7 @@ def test_mimo_step_faults_on_non_finite():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
     with pytest.raises(ControllerFault):
-        ctl.step(float("inf"), 0.0, 0.0, traj.row(round(ctl.lookahead / DT)))
+        ctl.step(float("inf"), 0.0, 0.0, traj.row(ctl.ahead))
 
 
 def test_check_reference_refuses_headings_outside_half_plane():
@@ -281,7 +287,7 @@ def test_u1_never_negative():
     # vehicle ahead of a stationary target: the speed demand clamps at zero
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
-    c = ctl.step(5.0, 0.0, 0.0, traj.row(round(ctl.lookahead / DT)))
+    c = ctl.step(5.0, 0.0, 0.0, traj.row(ctl.ahead))
     assert c.u1 == 0.0
 
 
@@ -290,7 +296,7 @@ def test_line_tracking_settles_near_unit_speed():
     traj = build_reference(PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1.0),
                            DT, 20.0)
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
-    ahead = round(ctl.lookahead / DT)
+    ahead = ctl.ahead
     s = VehicleState(0.0, 0.0)
     u1s, u2s = [], []
     for k in range(2001):

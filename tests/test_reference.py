@@ -62,7 +62,7 @@ def test_samples_uniformly_spaced():
     # sample k sits at time k * dt: the grid read rules agree on every index
     traj = build_reference(SinePath(), DT, 20.0)
     assert traj.n == 2001
-    assert all(traj.index_of(k * DT) == k and traj.row(k) == traj.lookup(k * DT)
+    assert all(traj.row(k) == traj.lookup(k * DT) == (traj.x[k], traj.y[k], traj.dx[k], traj.dy[k])
                for k in range(traj.n))
 
 
@@ -134,13 +134,13 @@ def test_open_loop_flatness_tracks_at_first_order():
     # replaying the feedforward through the nominal plant stays within C*dt
     def max_err(dt):
         traj = build_reference(CirclePath(radius=5.0, omega=0.2), dt, 20.0)
-        s = VehicleState(*traj.position(0.0))
+        s = VehicleState(*traj.row(0)[:2])
         prev, worst = 0.0, 0.0
         for k in range(int(round(20.0 / dt))):
             c = ControlInput(*aux_to_true(*traj.row(k)[2:], prev))
             prev = c.u2
             s = step_plant(s, c, 0.0, dt)
-            xr, yr = traj.position((k + 1) * dt)
+            xr, yr = traj.row(k + 1)[:2]
             worst = max(worst, math.hypot(s.x - xr, s.y - yr))
         return worst
 
@@ -154,20 +154,19 @@ def test_open_loop_flatness_tracks_at_first_order():
 
 def test_sync_offset_zero_when_on_reference():
     traj = line_traj()
-    assert sync_offset(4.0, 0.0, traj, 4.0) == 0.0
+    assert sync_offset(4.0, 0.0, traj, 400, 500) == 0
 
 
 def test_sync_offset_recovers_known_shift():
-    # exhaustive grid-search oracle: the true point of time t_now + 0.5 is the
+    # exhaustive grid-search oracle: the true point of sample 400 + 50 is the
     # unique zero-distance candidate on a unit-speed line
     traj = line_traj()
-    px, py = traj.position(4.5)
-    tau = sync_offset(px, py, traj, 4.0)
-    assert tau == pytest.approx(0.5, abs=1e-12)
-    taus = np.arange(-5.0, 5.0 + DT / 2, DT)
-    d2 = [(traj.position(4.0 + tt)[0] - px) ** 2 + (traj.position(4.0 + tt)[1] - py) ** 2
-          for tt in taus]
-    assert taus[int(np.argmin(d2))] == pytest.approx(0.5)
+    px, py = traj.row(450)[:2]
+    assert sync_offset(px, py, traj, 400, 500) == 50
+    shifts = range(-500, 501)
+    d2 = [(traj.row(400 + j)[0] - px) ** 2 + (traj.row(400 + j)[1] - py) ** 2
+          for j in shifts]
+    assert shifts[int(np.argmin(d2))] == 50
 
 
 def vee_trajectory():
@@ -181,38 +180,38 @@ def vee_trajectory():
 def test_sync_offset_tie_prefers_positive():
     traj = vee_trajectory()
     assert traj.x[70] == traj.x[130]  # exact tie by construction
-    assert sync_offset(float(traj.x[130]), 0.0, traj, 1.0) == pytest.approx(0.3)
+    assert sync_offset(float(traj.x[130]), 0.0, traj, 100, 500) == 30
 
 
 def test_sync_offset_tie_prefers_smallest_magnitude():
-    # beyond the table end every tau >= 0.5 hits the clamped endpoint
+    # beyond the table end every shift >= 50 hits the clamped endpoint
     traj = vee_trajectory()
-    assert sync_offset(25.0, 0.0, traj, 19.5) == pytest.approx(0.5)
+    assert sync_offset(25.0, 0.0, traj, 1950, 500) == 50
 
 
 def test_sync_offset_is_global_grid_minimum():
     traj = build_reference(SinePath(amplitude=1.0, wavelength=12.0, speed=1.0), DT, 20.0)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        px, py, t_now = rng.uniform(0, 18), rng.uniform(-2, 2), rng.uniform(1, 18)
-        tau = sync_offset(px, py, traj, t_now)
-        best = (traj.position(t_now + tau)[0] - px) ** 2 + (traj.position(t_now + tau)[1] - py) ** 2
-        for tt in np.arange(-5.0, 5.0 + DT / 2, DT):
-            x, y = traj.position(t_now + tt)
+        px, py, k = rng.uniform(0, 18), rng.uniform(-2, 2), int(rng.integers(100, 1800))
+        shift = sync_offset(px, py, traj, k, 500)
+        x, y = traj.lookup((k + shift) * DT)[:2]
+        best = (x - px) ** 2 + (y - py) ** 2
+        for j in range(-500, 501):
+            x, y = traj.lookup((k + j) * DT)[:2]
             assert best <= (x - px) ** 2 + (y - py) ** 2 + 1e-12
 
 
-def _sync_offset_unclamped(x_sync, y_sync, traj, t_now, tau_max):
-    # every candidate up to tau_max, in the documented order 0, +dt, -dt, ...
-    k_max = int(round(tau_max / traj.dt))
-    ks = [0] + [s * k for k in range(1, k_max + 1) for s in (1, -1)]
+def _sync_offset_unclamped(x_sync, y_sync, traj, k_now, reach):
+    # every candidate up to reach, in the documented order 0, +1, -1, ...
+    ks = [0] + [s * k for k in range(1, reach + 1) for s in (1, -1)]
     best_k, best = 0, math.inf
     for k in ks:
-        i = min(max(int(round((t_now + k * traj.dt) / traj.dt)), 0), traj.n - 1)
+        i = min(max(k_now + k, 0), traj.n - 1)
         d2 = (traj.x[i] - x_sync) ** 2 + (traj.y[i] - y_sync) ** 2
         if d2 < best:
             best_k, best = k, d2
-    return best_k * traj.dt
+    return best_k
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -220,55 +219,54 @@ def _sync_offset_unclamped(x_sync, y_sync, traj, t_now, tau_max):
        t_frac=st.floats(0.0, 1.0), tau_frac=st.floats(0.01, 3.0),
        px=st.floats(-2.0, 14.0), py=st.floats(-4.0, 4.0))
 def test_sync_offset_stops_where_every_candidate_is_clipped(legs, t_frac, tau_frac, px, py):
-    # a tau_max past the table ends gives the full search's answer
+    # a reach past the table ends gives the full search's answer
     pts = [(0.0, 0.0)]
     for dx_, dy_ in legs:
         pts.append((pts[-1][0] + dx_, pts[-1][1] + dy_))
     traj = build_reference(PolylinePath(waypoints=tuple(pts), fillet_radius=0.0), 0.05, 1.0)
-    t_now = round(t_frac * traj.tf / traj.dt) * traj.dt
-    tau_max = tau_frac * (traj.tf + t_now) + traj.dt
-    assert sync_offset(px, py, traj, t_now, tau_max) == _sync_offset_unclamped(
-        px, py, traj, t_now, tau_max)
-    assert sync_offset(px, py, traj, t_now, 1e300) == sync_offset(
-        px, py, traj, t_now, 2.0 * (traj.tf + t_now) + traj.dt)
+    k = round(t_frac * (traj.n - 1))
+    reach = round(tau_frac * (traj.n - 1 + k)) + 1
+    assert sync_offset(px, py, traj, k, reach) == _sync_offset_unclamped(
+        px, py, traj, k, reach)
+    assert sync_offset(px, py, traj, k, round(1e300 / traj.dt)) == sync_offset(
+        px, py, traj, k, 2 * (traj.n - 1 + k) + 1)
 
 
 def test_apply_sync_identity():
     traj = line_traj()
-    shifted = apply_sync(traj, 0.0, 0.0)
+    shifted = apply_sync(traj, 0, 0)
     assert np.array_equal(shifted.x, traj.x)
     assert np.array_equal(shifted.y, traj.y)
 
 
 def test_apply_sync_reindexes():
     traj = line_traj()
-    shifted = apply_sync(traj, 0.5, 0.0)
-    for t in (0.0, 1.0, 10.0):
-        assert shifted.position(t)[0] == pytest.approx(min(t + 0.5, traj.x[-1]), abs=1e-9)
+    shifted = apply_sync(traj, 50, 0)
+    for k in (0, 100, 1000):
+        assert shifted.row(k)[0] == pytest.approx(min(k * DT + 0.5, traj.x[-1]), abs=1e-9)
 
 
 def test_apply_sync_before_event_unchanged():
     traj = line_traj()
-    shifted = apply_sync(traj, 1.0, 10.0)
-    i = traj.index_of(9.99)
-    assert np.array_equal(shifted.x[:i + 1], traj.x[:i + 1])
-    assert shifted.position(10.0)[0] == pytest.approx(11.0, abs=1e-9)
+    shifted = apply_sync(traj, 100, 1000)
+    assert np.array_equal(shifted.x[:1000], traj.x[:1000])
+    assert shifted.row(1000)[0] == pytest.approx(11.0, abs=1e-9)
 
 
 def test_apply_sync_composition():
     traj = line_traj()
-    a = apply_sync(apply_sync(traj, 0.3, 2.0), 0.4, 2.0)
-    b = apply_sync(traj, 0.7, 2.0)
+    a = apply_sync(apply_sync(traj, 30, 200), 40, 200)
+    b = apply_sync(traj, 70, 200)
     assert np.allclose(a.x, b.x, atol=1e-12)
     assert np.allclose(a.dx, b.dx, atol=1e-12)
 
 
 def test_apply_sync_preserves_spacing_and_consistency():
     traj = build_reference(SinePath(amplitude=1.0, wavelength=12.0, speed=1.0), DT, 20.0)
-    shifted = apply_sync(traj, 1.5, 0.0)
+    shifted = apply_sync(traj, 150, 0)
     assert shifted.dt == traj.dt and shifted.n == traj.n
     # interior of the shifted region is a pure reindex: consistency carries over
-    interior = slice(1, shifted.n - int(1.5 / DT) - 2)
+    interior = slice(1, shifted.n - 150 - 2)
     cd_y = (shifted.y[2:] - shifted.y[:-2]) / (2 * DT)
     err = np.abs(cd_y - shifted.dy[1:-1])[interior]
     assert err.max() <= 1e-3
@@ -276,8 +274,8 @@ def test_apply_sync_preserves_spacing_and_consistency():
 
 def test_apply_sync_clamped_region_parks():
     traj = line_traj()
-    shifted = apply_sync(traj, 10.0, traj.tf - 5.0)
-    x, y, dx, dy = shifted.lookup(traj.tf - 1.0)
+    shifted = apply_sync(traj, 1000, traj.n - 501)
+    x, y, dx, dy = shifted.row(traj.n - 101)
     assert x == traj.x[-1]
     assert (dx, dy) == (0.0, 0.0)
 
@@ -334,8 +332,7 @@ def revised_references(draw):
     traj = build_reference(spec, dt, draw(st.sampled_from([5.0, 12.0, 20.0])))
     revision = draw(st.sampled_from(["none", "sync", "splice"]))
     if revision == "sync":
-        traj = apply_sync(traj, draw(st.integers(-300, 300)) * dt,
-                          draw(st.floats(0.0, traj.tf)))
+        traj = apply_sync(traj, draw(st.integers(-300, 300)), draw(st.integers(0, traj.n - 1)))
     elif revision == "splice":
         i = draw(st.integers(traj.n // 3, 2 * traj.n // 3))
         zone = DangerZone(float(traj.x[i]), float(traj.y[i]), draw(st.floats(0.2, 0.6)))
@@ -360,8 +357,8 @@ def test_row_equals_lookup_bit_for_bit(traj):
 
 @st.composite
 def synced_references(draw):
-    """A line or a filleted polyline, with a random offset applied at a
-    random time (possibly past the end)."""
+    """A line or a filleted polyline, with a random shift applied from a
+    random sample (possibly past the end)."""
     dt = draw(st.sampled_from([0.01, 0.02]))
     speed = draw(st.floats(0.5, 1.5))
     if draw(st.booleans()):
@@ -376,18 +373,16 @@ def synced_references(draw):
             waypoints.append((x + length * math.cos(heading), y + length * math.sin(heading)))
         spec = PolylinePath(tuple(waypoints), speed=speed, fillet_radius=draw(st.floats(0.0, 0.8)))
     traj = build_reference(spec, dt)
-    tau = draw(st.floats(-1.2 * traj.tf, 1.2 * traj.tf))
-    t_event = draw(st.floats(0.0, traj.tf + 1.0))
-    return traj, tau, t_event
+    shift = draw(st.integers(round(-1.2 * traj.n), round(1.2 * traj.n)))
+    k = draw(st.integers(0, traj.n + round(1.0 / dt)))
+    return traj, shift, k
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(synced_references())
 def test_apply_sync_shifts_only_the_tail(case):
-    traj, tau, t_event = case
-    shifted = apply_sync(traj, tau, t_event)
-    i0 = traj.first_index_at(t_event)
-    shift = round(tau / traj.dt)
+    traj, shift, i0 = case
+    shifted = apply_sync(traj, shift, i0)
     n = traj.n
     assert shifted.n == n and shifted.dt == traj.dt
     for name in ("x", "y", "dx", "dy"):
