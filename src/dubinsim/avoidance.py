@@ -89,47 +89,56 @@ def discover(obstacles, state: tuple[float, float, float], sensing_radius: float
     return newly
 
 
-def _bisect_boundary(xa, ya, xb, yb, ta, tb, cx, cy, r2, iters=60):
-    """Time of the zone-boundary crossing on the segment (a outside, b inside
-    or vice versa), refined well past 1e-6 m."""
-    lo, hi = 0.0, 1.0
-    inside_b = (xb - cx) ** 2 + (yb - cy) ** 2 < r2
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        mx = xa + mid * (xb - xa)
-        my = ya + mid * (yb - ya)
-        if (((mx - cx) ** 2 + (my - cy) ** 2) < r2) == inside_b:
-            hi = mid
-        else:
-            lo = mid
-    s = 0.5 * (lo + hi)
-    return ta + s * (tb - ta)
+def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r2):
+    """Time at which the segment from a (at ta) to b (at tb), one end
+    strictly inside the zone, crosses its boundary: the root s in [0, 1] of
+    |a - c + s*(b - a)|^2 = r^2, the smaller one when the segment enters
+    (a outside) and the larger one when it leaves."""
+    ex, ey = xb - xa, yb - ya
+    fx, fy = xa - cx, ya - cy
+    a2 = ex * ex + ey * ey
+    b1 = fx * ex + fy * ey
+    c0 = fx * fx + fy * fy - r2
+    # the roots are q/a2 and c0/q; neither subtracts near-equal terms
+    q = -(b1 + math.copysign(math.sqrt(max(b1 * b1 - a2 * c0, 0.0)), b1))
+    if q == 0.0:    # both roots 0: a on the boundary, b - a tangent to it
+        s = 0.0
+    elif c0 >= 0.0:
+        s = min(q / a2, c0 / q)
+    else:
+        s = max(q / a2, c0 / q)
+    # where an end is inside or outside only by rounding, the root can fall
+    # just off the segment
+    return ta + min(max(s, 0.0), 1.0) * (tb - ta)
 
 
 def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
     """First maximal interval [t_in, t_out] where the reference runs strictly
     inside the danger circle, scanning forward from sample i0; None if it
-    never enters.  Boundary times come from bisection on the sample segments."""
+    never enters.  Boundary times are solved in closed form on the sample
+    segments."""
     if i0 > traj.n - 1:
         return None
+    cx, cy, dt = zone.cx, zone.cy, traj.dt
     r2 = zone.r_danger ** 2
-    d2 = (traj.x[i0:] - zone.cx) ** 2 + (traj.y[i0:] - zone.cy) ** 2
+    x, y = traj.x, traj.y
+    d2 = (x[i0:] - cx) ** 2 + (y[i0:] - cy) ** 2
     inside = d2 < r2
     if not inside.any():
         return None
     j = i0 + int(np.argmax(inside))
     if j == i0:
-        t_in = i0 * traj.dt
+        t_in = i0 * dt
     else:
-        t_in = _bisect_boundary(traj.x[j - 1], traj.y[j - 1], traj.x[j], traj.y[j],
-                                (j - 1) * traj.dt, j * traj.dt, zone.cx, zone.cy, r2)
+        t_in = _boundary_time(x.item(j - 1), y.item(j - 1), x.item(j), y.item(j),
+                              (j - 1) * dt, j * dt, cx, cy, r2)
     tail = inside[j - i0:]
     if tail.all():
         t_out = traj.tf
     else:
         k = j + int(np.argmin(tail))
-        t_out = _bisect_boundary(traj.x[k - 1], traj.y[k - 1], traj.x[k], traj.y[k],
-                                 (k - 1) * traj.dt, k * traj.dt, zone.cx, zone.cy, r2)
+        t_out = _boundary_time(x.item(k - 1), y.item(k - 1), x.item(k), y.item(k),
+                               (k - 1) * dt, k * dt, cx, cy, r2)
     return float(t_in), float(t_out)
 
 

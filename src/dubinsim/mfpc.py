@@ -75,27 +75,6 @@ def solve_two_point(y_i: float, y_setpoint: float, t_i: float, t_f: float,
                             y_setpoint=y_setpoint)
 
 
-class UltraLocalAxis:
-    """Per-axis constants and sample window; ``MfpcController.step`` applies
-    the law.
-
-    On a fixed receding horizon the optimal arc's initial velocity is linear
-    in the setpoint error, so the arc is solved once here, in horizon-relative
-    time, for a unit error: ``gain`` is its velocity at the evaluation offset
-    (0, or one step with ``eval_at_next``), -r*cosh(r(T - delta))/sinh(rT).
-    """
-
-    def __init__(self, alpha: float, t_window: float, dt: float, horizon: float,
-                 u_min: float = -math.inf, u_max: float = math.inf,
-                 eval_at_next: bool = False):
-        self.alpha = float(alpha)
-        self.gain = solve_two_point(1.0, 0.0, 0.0, horizon, self.alpha).velocity(
-            dt if eval_at_next else 0.0)
-        self.window = FWindow(t_window, dt, input_gain=self.alpha)
-        self.u_min = u_min
-        self.u_max = u_max
-
-
 def check_reference(traj) -> None:
     """Refuse a reference whose heading leaves (-pi/2, pi/2) anywhere.
 
@@ -135,32 +114,43 @@ class MfpcConfig:
     def effective_horizon(self, dt: float) -> float:
         """The horizon both axes solve over and the setpoints are read
         ahead: ``horizon``, shortened so that max|alpha| * T stays within
-        MAX_EXP_ARG, and refused unless it is longer than one step dt."""
+        MAX_EXP_ARG, and refused unless it is longer than one step dt and
+        spans a finite number of steps."""
         rate = max(abs(self.alpha1), abs(self.alpha2))
         T = min(float(self.horizon), MAX_EXP_ARG / rate)
         while rate * T > MAX_EXP_ARG:   # the quotient can round a hair long
             T = math.nextafter(T, 0.0)
         if not T > dt:
             raise ConfigError(f"mfpc: effective horizon {T:.3g} s is not longer than dt = {dt} s")
+        if not math.isfinite(T / dt):
+            raise ConfigError(f"mfpc: effective horizon {T:.3g} s spans more samples "
+                              f"than a float holds at dt = {dt} s")
         return T
 
 
 class MfpcController:
-    """Stateful wrapper owning the two ultra-local axes; logs clamp episodes."""
+    """Both ultra-local axes' constants and sample windows; logs clamp
+    episodes.
+
+    On a fixed receding horizon the optimal arc's initial velocity is linear
+    in the setpoint error, so each axis's arc is solved once here, in
+    horizon-relative time, for a unit error: ``gains`` holds its velocity at
+    the evaluation offset (0, or one step with ``eval_at_next``),
+    -r*cosh(r(T - delta))/sinh(rT).
+    """
 
     def __init__(self, config: MfpcConfig, dt: float):
         # setpoints are read one horizon ahead, the horizon both axes solve
         # over: ``ahead`` counts it in samples
         horizon = config.effective_horizon(dt)
         self.ahead = round(horizon / dt)
+        self.alphas = (float(config.alpha1), float(config.alpha2))
+        self.gains = tuple(solve_two_point(1.0, 0.0, 0.0, horizon, alpha).velocity(
+            dt if config.eval_at_next else 0.0) for alpha in self.alphas)
+        self.windows = tuple(FWindow(config.t_window, dt, input_gain=alpha)
+                             for alpha in self.alphas)
         u2_lim = math.pi / 2 - config.u2_margin
-        self.axis_x = UltraLocalAxis(config.alpha1, config.t_window, dt, horizon,
-                                     u_min=0.0, u_max=config.u1_max,
-                                     eval_at_next=config.eval_at_next)
-        self.axis_y = UltraLocalAxis(config.alpha2, config.t_window, dt, horizon,
-                                     u_min=-u2_lim, u_max=u2_lim,
-                                     eval_at_next=config.eval_at_next)
-        self.windows = (self.axis_x.window, self.axis_y.window)
+        self.limits = (0.0, config.u1_max, -u2_lim, u2_lim)
         self.events: list = []
         self._u1_clamped = self._u2_clamped = False   # on the last step
 
@@ -175,22 +165,22 @@ class MfpcController:
         """
         if not (math.isfinite(x_meas) and math.isfinite(y_meas)):
             raise ControllerFault(f"non-finite measurement ({x_meas}, {y_meas})")
-        ax = self.axis_x
-        win = ax.window
-        u1 = raw1 = (ax.gain * (x_meas - row[0]) - win.estimate()) / ax.alpha
-        if raw1 < ax.u_min:
-            u1 = ax.u_min
-        elif raw1 > ax.u_max:
-            u1 = ax.u_max
-        win.push(x_meas, u1)
-        ax = self.axis_y
-        win = ax.window
-        u2 = raw2 = (ax.gain * (y_meas - row[1]) - win.estimate()) / ax.alpha
-        if raw2 < ax.u_min:
-            u2 = ax.u_min
-        elif raw2 > ax.u_max:
-            u2 = ax.u_max
-        win.push(y_meas, u2)
+        gain_x, gain_y = self.gains
+        alpha_x, alpha_y = self.alphas
+        win_x, win_y = self.windows
+        u1_min, u1_max, u2_min, u2_max = self.limits
+        u1 = raw1 = (gain_x * (x_meas - row[0]) - win_x.estimate()) / alpha_x
+        if raw1 < u1_min:
+            u1 = u1_min
+        elif raw1 > u1_max:
+            u1 = u1_max
+        win_x.push(x_meas, u1)
+        u2 = raw2 = (gain_y * (y_meas - row[1]) - win_y.estimate()) / alpha_y
+        if raw2 < u2_min:
+            u2 = u2_min
+        elif raw2 > u2_max:
+            u2 = u2_max
+        win_y.push(y_meas, u2)
         clamped = u1 != raw1
         if clamped != self._u1_clamped:
             if clamped:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .scenario import (AvoidanceConfig, NoiseConfig, PerturbationConfig,
-                       ScenarioConfig, SyncConfig)
+from .scenario import NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig
 
 LINE_PATH = {"kind": "polyline", "waypoints": ((0.0, 0.0), (25.0, 0.0)), "speed": 1.0}
 SINE_PATH = {"kind": "sinusoid", "amplitude": 1.0, "wavelength": 12.0, "speed": 1.0}
@@ -32,42 +31,29 @@ def nominal_tracking(controller: str, path_name: str = "line",
         path=TRACKING_PATHS[path_name],
         seed=seed,
         noise=NoiseConfig(enabled=False),
-        perturbation=PerturbationConfig(enabled=False),
     )
 
 
 def safety_scenario(controller: str, seed: int) -> ScenarioConfig:
-    """Line following with measurement noise; the sweep machinery drops a
-    randomly placed crossing obstacle onto the path."""
-    return ScenarioConfig(
-        name=f"safety-{controller}",
-        controller=controller,
-        path=LINE_PATH,
-        seed=seed,
-        noise=NoiseConfig(enabled=True, sigma=0.1),
-        perturbation=PerturbationConfig(enabled=False),
-        avoidance=AvoidanceConfig(margin=0.5, sensing_radius=5.0, lead=0.5),
-    )
+    """Following the default line path with the default measurement noise;
+    the sweep machinery drops a randomly placed crossing obstacle onto it."""
+    return ScenarioConfig(name=f"safety-{controller}", controller=controller, seed=seed)
 
 
 def robustness_scenario(controller: str, seed: int) -> ScenarioConfig:
     """Safety scenario plus the piecewise-constant output perturbation."""
     return replace(safety_scenario(controller, seed),
                    name=f"robust-{controller}",
-                   perturbation=PerturbationConfig(enabled=True, switch_interval=2.0,
-                                                   low=-0.5, high=0.5))
+                   perturbation=PerturbationConfig(enabled=True))
 
 
 def startup_offset_scenario(sync_enabled: bool, seed: int = 7) -> ScenarioConfig:
-    """Vehicle dropped well ahead of the reference start; with synchronization
-    off it backtracks toward the t=0 point before turning around."""
+    """HEOL on the default line path, dropped well ahead of the reference
+    start; with synchronization off it backtracks toward the t=0 point before
+    turning around."""
     return ScenarioConfig(
         name=f"startup-{'sync' if sync_enabled else 'nosync'}",
-        controller="heol",
-        path=LINE_PATH,
         start=(3.0, 0.4),
         seed=seed,
-        noise=NoiseConfig(enabled=True, sigma=0.1),
-        perturbation=PerturbationConfig(enabled=False),
         sync=SyncConfig(enabled=sync_enabled),
     )

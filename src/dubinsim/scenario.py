@@ -304,6 +304,8 @@ class ScenarioResult:
     abort_reason: str = ""
 
 
+# divergent-but-finite samples of an aborted run may overflow the squares
+@np.errstate(over="ignore")
 def compute_metrics(cfg: ScenarioConfig, series: dict, events: list) -> dict:
     """Scalar summary of one run's series.
 
@@ -311,12 +313,6 @@ def compute_metrics(cfg: ScenarioConfig, series: dict, events: list) -> dict:
     reverse_distance accumulates travel whose displacement projects negatively
     onto the local reference tangent.
     """
-    # divergent-but-finite samples of an aborted run may overflow the squares
-    with np.errstate(over="ignore"):
-        return _compute_metrics(cfg, series, events)
-
-
-def _compute_metrics(cfg: ScenarioConfig, series: dict, events: list) -> dict:
     x, y = series["x"], series["y"]
     xr, yr = series["x_ref"], series["y_ref"]
     valid = np.isfinite(x) & np.isfinite(y) & np.isfinite(xr) & np.isfinite(yr)

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dubinsim.avoidance import (CLEARANCE_PAD, DangerZone, Obstacle, discover,
                                 path_crosses_zone, plan_both_sides,
                                 plan_bypass, select_side, splice)
 from dubinsim.errors import InfeasibleBypassError
-from dubinsim.reference import PolylinePath, build_reference
+from dubinsim.reference import PolylinePath, ReferenceTrajectory, build_reference
 
 DT = 0.01
 
@@ -80,6 +80,91 @@ def test_crossing_scan_starts_at_t_from():
     assert path_crosses_zone(traj, zone, 700) is None
     t_in, _ = path_crosses_zone(traj, zone, 500)
     assert t_in == pytest.approx(5.0)  # already inside at scan start
+
+
+@pytest.mark.parametrize("a, b, zone, crossing", [
+    # a lies on the circle and the computed dot product of b - a with a - c
+    # is exactly 0, yet b rounds inside: both roots are 0, with no quotient
+    ((0.4511573444806345, 0.3504902024042167), (0.4511573443498158, 0.3504902025726089),
+     DangerZone(0.0, 0.0, 0.571302311793123), (0.0, DT)),
+    # b rounds inside, but the quadratic's root lies just past b
+    ((1.5676284760152908, -1.5405044999708053), (1.5497101566303157, -1.5710114981026595),
+     DangerZone(-0.21430464409162653, -2.964382628574544, 2.247939350694002), (DT, DT)),
+    # b rounds inside, though b - a points away from the centre: both roots
+    # lie before a
+    ((0.9963812004461974, -8.493518358390842), (0.9963812000154622, -8.49351836260997),
+     DangerZone(3.756784144015528, -8.775330759511395, 2.774750914999679), (0.0, DT)),
+], ids=["rounded-tangent", "root-past-b", "root-before-a"])
+def test_crossing_time_stays_on_its_segment_when_rounding_decides(a, b, zone, crossing):
+    z = np.zeros(2)
+    traj = ReferenceTrajectory(dt=DT, x=np.array([a[0], b[0]]), y=np.array([a[1], b[1]]),
+                               dx=z, dy=z)
+    d2 = (traj.x - zone.cx) ** 2 + (traj.y - zone.cy) ** 2    # as the scan squares
+    assert list(d2 < zone.r_danger ** 2) == [False, True]
+    assert path_crosses_zone(traj, zone) == crossing
+
+
+def bisected_crossing(xa, ya, xb, yb, ta, tb, cx, cy, r2, iters=60):
+    """The zone-boundary crossing time on the segment from a to b, one end
+    inside, by halving the segment ``iters`` times: how ``path_crosses_zone``
+    found it before it solved the quadratic."""
+    lo, hi = 0.0, 1.0
+    inside_b = (xb - cx) ** 2 + (yb - cy) ** 2 < r2
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        mx = xa + mid * (xb - xa)
+        my = ya + mid * (yb - ya)
+        if (((mx - cx) ** 2 + (my - cy) ** 2) < r2) == inside_b:
+            hi = mid
+        else:
+            lo = mid
+    s = 0.5 * (lo + hi)
+    return ta + s * (tb - ta)
+
+
+@st.composite
+def zone_segments(draw):
+    """A danger circle and a segment of length ell with one end strictly
+    inside it, entering (outside end first) or leaving.  The segment's line
+    passes h = r*(1 - 10**-e) from the centre: a diameter at e = 0, a chord of
+    half-length 0.14*r, 1% of r short of tangency, at e = 2.  Much closer to
+    tangency the float inputs no longer fix the crossing to 1e-12 of a short
+    segment: at e = 3 and ell = 0.01 both methods miss the exact root by
+    about 6e-13, in opposite directions."""
+    cx, cy = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    r = draw(st.floats(0.5, 3.0))
+    h = r * (1.0 - 10.0 ** -draw(st.floats(0.0, 2.0)))
+    half = math.sqrt(r * r - h * h)
+    ell = draw(st.floats(0.01, 2.0))
+    # the inside end lies on the chord within ell of the end it leaves by
+    u_in = half - draw(st.floats(0.0, 1.0, exclude_min=True)) * min(ell, 2.0 * half)
+    psi = draw(st.floats(0.0, 2.0 * math.pi))
+    ux, uy = math.cos(psi), math.sin(psi)
+    px, py = cx - h * uy, cy + h * ux     # the chord's midpoint
+    p_in = (px + u_in * ux, py + u_in * uy)
+    p_out = (px + (u_in + ell) * ux, py + (u_in + ell) * uy)
+    entering = draw(st.booleans())
+    a, b = (p_out, p_in) if entering else (p_in, p_out)
+    zone = DangerZone(cx, cy, r)
+    d2 = (np.array([a[0], b[0]]) - cx) ** 2 + (np.array([a[1], b[1]]) - cy) ** 2
+    assume(list(d2 < r ** 2) == [not entering, entering])    # not undone by rounding
+    return zone, a, b, draw(st.floats(0.001, 1.0)), entering
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(zone_segments())
+def test_closed_form_crossing_matches_bisection(case):
+    zone, (xa, ya), (xb, yb), dt, entering = case
+    z = np.zeros(2)
+    traj = ReferenceTrajectory(dt=dt, x=np.array([xa, xb]), y=np.array([ya, yb]), dx=z, dy=z)
+    t_in, t_out = path_crosses_zone(traj, zone)
+    want = bisected_crossing(xa, ya, xb, yb, 0.0, dt, zone.cx, zone.cy, zone.r_danger ** 2)
+    if entering:
+        assert t_out == traj.tf
+        assert abs(t_in - want) <= 1e-12 * dt
+    else:
+        assert t_in == 0.0
+        assert abs(t_out - want) <= 1e-12 * dt
 
 
 # -- bypass geometry ------------------------------------------------------------

@@ -147,6 +147,8 @@ def test_config_error_exit_code(tmp_path):
               "fillet_radius": -1}},
     {"avoidance": {"lead": -3}, "obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}]},
     {"sync": {"startup_threshold": -1}},                   # synced at t=0 on every run
+    {"controller": "mfpc",                                 # read-ahead T/dt overflows
+     "mfpc": {"alpha1": 1e-306, "alpha2": 1e-306, "horizon": 1e308}},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -162,7 +164,7 @@ def test_config_error_exit_code(tmp_path):
         "perturbation_seed-list", "startup_threshold-string", "lead-string",
         "obstacle-cx-bool", "circle-radius-bool", "start-string", "heol-kx-bool",
         "mfpc-u2_margin-bool", "seed-float", "fillet-negative", "lead-negative",
-        "startup_threshold-negative"])
+        "startup_threshold-negative", "mfpc-horizon-samples-overflow"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dot_window import DotWindow, assert_matches, product_weights
 from dubinsim.estimation import FWindow, moment_weights, window_capacity
-from dubinsim.mfpc import UltraLocalAxis
+from dubinsim.mfpc import MfpcConfig, MfpcController
 
 DT = 0.01
 T = 0.3
@@ -92,9 +92,9 @@ def test_ultra_local_window_scales_input_by_alpha(f, u0, alpha):
 
 
 def test_ultra_local_axis_window_uses_its_alpha():
-    axis = UltraLocalAxis(alpha=2.0, t_window=T, dt=DT, horizon=0.3)
-    fill(axis.window, ramp(31, 1.0 + 2.0 * 0.5), np.full(31, 0.5))
-    assert axis.window.estimate() == pytest.approx(1.0, abs=1e-9)
+    window = MfpcController(MfpcConfig(alpha1=2.0, t_window=T, horizon=0.3), DT).windows[0]
+    fill(window, ramp(31, 1.0 + 2.0 * 0.5), np.full(31, 0.5))
+    assert window.estimate() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_estimate_is_linear_in_the_samples():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dot_window import DotWindow, assert_matches
 from dubinsim.errors import ConfigError, ControllerFault, HorizonTooLongError
-from dubinsim.mfpc import (MAX_EXP_ARG, MfpcConfig, MfpcController, UltraLocalAxis,
-                           check_reference, solve_two_point)
+from dubinsim.mfpc import (MAX_EXP_ARG, MfpcConfig, MfpcController, check_reference,
+                           solve_two_point)
 from dubinsim.presets import (TRACKING_PATHS, nominal_tracking, robustness_scenario,
                               safety_scenario)
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory, SinePath,
@@ -127,7 +127,7 @@ def test_controller_shrinks_long_horizons():
     assert ctl.ahead * DT <= 40.0 / 1.0   # 100 s would overflow unshrunk
     c = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(ctl.ahead))
     assert math.isfinite(c.u1) and math.isfinite(c.u2)
-    assert math.isfinite(ctl.axis_x.gain)
+    assert math.isfinite(ctl.gains[0])
 
 
 def test_one_horizon_for_both_axes_and_the_lookahead():
@@ -136,8 +136,8 @@ def test_one_horizon_for_both_axes_and_the_lookahead():
     ctl = MfpcController(cfg, DT)
     T = cfg.effective_horizon(DT)
     assert ctl.ahead == round(T / DT) == 20
-    for axis, alpha in ((ctl.axis_x, cfg.alpha1), (ctl.axis_y, cfg.alpha2)):
-        assert axis.gain == solve_two_point(1.0, 0.0, 0.0, T, alpha).velocity(0.0)
+    for gain, alpha in zip(ctl.gains, (cfg.alpha1, cfg.alpha2)):
+        assert gain == solve_two_point(1.0, 0.0, 0.0, T, alpha).velocity(0.0)
     assert T == pytest.approx(0.2, rel=1e-15)
     assert 200.0 * T <= MAX_EXP_ARG
 
@@ -159,11 +159,6 @@ def test_setpoint_row_is_the_sample_one_horizon_ahead(cfg):
     traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
     for k in range(cfg.n_steps + 1):
         assert traj.row(k + ahead)[:2] == traj.lookup(k * cfg.dt + horizon)[:2]
-
-
-def test_axis_refuses_a_horizon_over_the_exponent_guard():
-    with pytest.raises(HorizonTooLongError):
-        UltraLocalAxis(1.0, 0.3, DT, 100.0)
 
 
 def test_axis_step_pushes_applied_input():
@@ -192,7 +187,7 @@ def test_solution_independent_of_drift_estimate():
     ua = a.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0)).u2
     ub = b.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0)).u2
     assert a.windows[1].last_estimate != b.windows[1].last_estimate
-    assert a.axis_y.gain == b.axis_y.gain
+    assert a.gains[1] == b.gains[1]
     assert ua != ub  # drift correction differs
 
 
@@ -230,14 +225,15 @@ def test_gain_is_the_arc_velocity_at_any_absolute_time(alpha, negative, horizon,
                                                        eval_at_next):
     alpha = -alpha if negative else alpha
     T = MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon).effective_horizon(DT)
-    axis = UltraLocalAxis(alpha, 0.3, DT, T, eval_at_next=eval_at_next)
+    gain = MfpcController(MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon,
+                                     t_window=0.3, eval_at_next=eval_at_next), DT).gains[0]
     assert T <= horizon and abs(alpha) * T <= MAX_EXP_ARG
     assert T == pytest.approx(min(horizon, MAX_EXP_ARG / abs(alpha)), rel=1e-15)
     t_f = t + T
     while abs(alpha) * (t_f - t) > MAX_EXP_ARG:   # t + T can round past the guard
         t_f = math.nextafter(t_f, t)
     want = solve_two_point(y, y_sp, t, t_f, alpha).velocity(t + DT if eval_at_next else t)
-    assert axis.gain * (y - y_sp) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert gain * (y - y_sp) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # -- MIMO step ----------------------------------------------------------------
