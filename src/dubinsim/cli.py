@@ -13,6 +13,7 @@ The default output directory comes from $DUBINSIM_OUT (falling back to
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -26,6 +27,7 @@ def _default_out() -> str:
     return os.environ.get("DUBINSIM_OUT", "dubinsim-out")
 
 
+@functools.cache   # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dubinsim",

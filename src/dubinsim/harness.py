@@ -15,6 +15,7 @@ from itertools import chain
 import numpy as np
 
 from . import avoidance
+from ._csvfmt import format_block
 from .avoidance import Obstacle
 from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
                      ReplanLimitError, StateIntegrityError)
@@ -349,22 +350,23 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
 
 
 def emit_csv(result: ScenarioResult, path) -> None:
-    """Write the run's time series; one row per sample, 9 significant digits.
+    """Write the run's time series; one row per sample, each value as
+    ``"%.9g"`` writes it.
 
     The auxiliary-control columns are left empty for controllers that do not
     populate them.
     """
     series = [getattr(result, name) for name in _RESULT_SERIES]
-    # "%.9g" and f"{v:.9g}" share CPython's float repr, nan/inf/-0 included
-    row_format = ",".join("" if s is None else "%.9g" for s in series) + "\n"
-    columns = [s for s in series if s is not None]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        # One %-format per block of rows; a block, not the whole table, keeps
-        # the formatted strings of a 2000-sample run out of peak memory.
+    empty = np.array([s is None for s in series])
+    filler = np.zeros(len(result.t))    # stands in for an empty column
+    columns = [filler if s is None else s for s in series]
+    with open(path, "wb") as f:
+        f.write((",".join(CSV_COLUMNS) + "\n").encode())
+        # A block, not the whole table, keeps the formatting buffers of a
+        # 2000-sample run out of peak memory.
         for lo in range(0, len(result.t), CSV_BLOCK_ROWS):
             block = np.column_stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns])
-            f.write(row_format * len(block) % tuple(block.ravel().tolist()))
+            f.write(format_block(block, empty))
 
 
 def emit_summary(result: ScenarioResult, path) -> None:

@@ -22,9 +22,13 @@ from .errors import ConfigError
 from .estimation import window_capacity
 from .heol import HeolConfig
 from .mfpc import MfpcConfig
-from .reference import path_spec_from_dict
+from .reference import PolylinePath, path_spec_from_dict
 
 CONFIG_VERSION = 1
+
+# Most samples a run's record table or reference may hold: at 16 float64
+# columns a record table of 10**7 samples takes 1.28 GB.
+MAX_SAMPLES = 10**7
 
 CONTROLLERS = ("heol", "mfpc")
 
@@ -101,9 +105,20 @@ class ScenarioConfig:
             raise ConfigError(f"duration/dt = {steps} is not finite")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"duration/dt = {steps} is not an integer")
+        if self.n_steps >= MAX_SAMPLES:   # the record holds n_steps + 1 samples
+            raise ConfigError(f"duration/dt = {steps:.6g} steps: more than "
+                              f"MAX_SAMPLES = {MAX_SAMPLES} samples")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
-        path_spec_from_dict(self.path)
+        spec = path_spec_from_dict(self.path)
+        if isinstance(spec, PolylinePath) and spec.speed > 0.0:
+            # Its reference holds floor(length / speed / dt + 1e-9) + 1
+            # samples; the fillets only shorten the waypoint-to-waypoint length.
+            length = sum(map(math.dist, spec.waypoints[:-1], spec.waypoints[1:]))
+            ref_steps = length / spec.speed / self.dt
+            if not ref_steps + 1e-9 < MAX_SAMPLES:
+                raise ConfigError(f"path: polyline length/speed/dt = {ref_steps:.6g} steps: "
+                                  f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
         if self.noise.sigma < 0.0:
             raise ConfigError("noise sigma must be non-negative")
         p = self.perturbation

@@ -15,7 +15,8 @@ from dubinsim.cli import main
 from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.presets import nominal_tracking, safety_scenario
-from dubinsim.scenario import AvoidanceConfig, HeolConfig, NoiseConfig, ScenarioConfig
+from dubinsim.scenario import (MAX_SAMPLES, AvoidanceConfig, HeolConfig, NoiseConfig,
+                               ScenarioConfig)
 
 
 FULL_CIRCLE_PATH = {"kind": "circle", "cx": 0.0, "cy": 0.0, "radius": 5.0, "omega": 0.2}
@@ -149,6 +150,9 @@ def test_config_error_exit_code(tmp_path):
     {"sync": {"startup_threshold": -1}},                   # synced at t=0 on every run
     {"controller": "mfpc",                                 # read-ahead T/dt overflows
      "mfpc": {"alpha1": 1e-306, "alpha2": 1e-306, "horizon": 1e308}},
+    {"dt": 1e-300},                                        # 2e301 samples
+    {"path": {"kind": "polyline", "waypoints": [[0, 0], [25, 0]], "speed": 1e-300}},
+    {"duration": 1e6},                                     # a 12.8 GB record table
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -164,7 +168,8 @@ def test_config_error_exit_code(tmp_path):
         "perturbation_seed-list", "startup_threshold-string", "lead-string",
         "obstacle-cx-bool", "circle-radius-bool", "start-string", "heol-kx-bool",
         "mfpc-u2_margin-bool", "seed-float", "fillet-negative", "lead-negative",
-        "startup_threshold-negative", "mfpc-horizon-samples-overflow"])
+        "startup_threshold-negative", "mfpc-horizon-samples-overflow",
+        "dt-tiny", "polyline-speed-tiny", "duration-1e6"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -173,6 +178,20 @@ def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]   # nothing written
+
+
+def test_sample_bound_admits_max_samples_and_no_more():
+    dt = 0.01
+    assert ScenarioConfig(dt=dt, duration=(MAX_SAMPLES - 1) * dt).n_steps + 1 == MAX_SAMPLES
+    with pytest.raises(ConfigError, match="duration/dt"):
+        ScenarioConfig(dt=dt, duration=MAX_SAMPLES * dt)
+    # the polyline's reference holds floor(length / speed / dt) + 1 samples
+    line = {"kind": "polyline", "waypoints": ((0.0, 0.0), ((MAX_SAMPLES - 1) * dt, 0.0)),
+            "speed": 1.0}
+    ScenarioConfig(dt=dt, duration=1.0, path=line)
+    line["waypoints"] = ((0.0, 0.0), (MAX_SAMPLES * dt, 0.0))
+    with pytest.raises(ConfigError, match="path: polyline"):
+        ScenarioConfig(dt=dt, duration=1.0, path=line)
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -33,26 +33,58 @@ def per_cell_csv(result, path):
             f.write(",".join("" if v is None else f"{v:.9g}" for v in row) + "\n")
 
 
-def random_result(n_rows, mfpc, seed, special_frac):
-    """Normal floats over 24 decades with SPECIALS mixed in."""
+def hard_values():
+    """Values where a digit-by-digit formatter goes wrong, each with its two
+    neighbouring doubles and its negation: decimal ties (k + 0.5) * 10**(e-8),
+    as near as a double gets, across the fixed range and past it; exact
+    binary ties k + 0.5; powers of ten; carries across a decade; and the
+    1e-4 and 1e9 edges of fixed notation."""
+    rng = np.random.default_rng(5)
+    k = rng.integers(10**8, 10**9, 40).astype(float)
+    ties = np.concatenate([(k + 0.5) * 10.0 ** (e - 8) for e in range(-6, 11)])
+    powers = [10.0 ** j for j in range(-6, 11)] + [float(f"1e{j}") for j in range(-6, 11)]
+    carries = [9.9999999995, 999999999.5, 0.000099999999995, 99999999.95, 0.99999999995]
+    edges = [1e-4, 9.99999999e-5, 9.999999995e-5, 1e9, 999999999.4999999]
+    base = np.concatenate((ties, k + 0.5, powers, carries, edges))
+    near = np.concatenate((base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)))
+    return np.concatenate((near, -near))
+
+
+HARD = hard_values()
+
+
+def random_result(n_rows, mfpc, seed, special_frac, draw="normal", nan_from=None):
+    """A result whose values are normal floats over 24 decades, the hard
+    cases, or raw float64 bit patterns, with SPECIALS mixed in; rows from
+    nan_from on are NaN, as in an aborted run."""
     rng = np.random.default_rng(seed)
-    table = rng.standard_normal((len(RESULT_SERIES), n_rows)) \
-        * 10.0 ** rng.uniform(-12, 12, (len(RESULT_SERIES), n_rows))
+    shape = (len(RESULT_SERIES), n_rows)
+    if draw == "normal":
+        table = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 12, shape)
+    elif draw == "hard":
+        table = rng.choice(HARD, size=shape)
+    else:
+        table = rng.integers(0, 2**64, shape, dtype=np.uint64).view(np.float64)
     mask = rng.random(table.shape) < special_frac
     table[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    if nan_from is not None:
+        table[:, int(nan_from * n_rows):] = np.nan
     series = dict(zip(RESULT_SERIES, table))
     if mfpc:
         series.update(nu1=None, nu2=None)
     return ScenarioResult(config=ScenarioConfig(), events=[], metrics={}, **series)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(n_rows=st.sampled_from((1, 255, 256, 257, 513, 2001)),
        mfpc=st.booleans(),
        seed=st.integers(0, 2**32 - 1),
-       special_frac=st.sampled_from((0.0, 0.01, 0.3, 1.0)))
-def test_block_writer_matches_per_cell_writer(n_rows, mfpc, seed, special_frac):
-    result = random_result(n_rows, mfpc, seed, special_frac)
+       special_frac=st.sampled_from((0.0, 0.01, 0.3, 1.0)),
+       draw=st.sampled_from(("normal", "hard", "bits")),
+       nan_from=st.none() | st.sampled_from((0.0, 0.5, 0.9)))
+def test_block_writer_matches_per_cell_writer(n_rows, mfpc, seed, special_frac, draw,
+                                              nan_from):
+    result = random_result(n_rows, mfpc, seed, special_frac, draw, nan_from)
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
         emit_csv(result, got)
