@@ -12,8 +12,9 @@ exponent and significant-digit count, holds the sign, the ``0.000`` prefix
 and the point, and masks the digits that ``%g`` drops; it is OR'd with
 4-digit ASCII lookup words.  Unused bytes are NUL, removed by one
 ``bytes.translate`` per block.  Values that ``%.9g`` writes in exponent
-form (nonzero below 1e-4 or at least 1e9 after rounding) and infinities are
-formatted one at a time with ``"%.9g"`` into their 24-byte slot.
+form (nonzero below 1e-4 or at least 1e9 after rounding), infinities and
+values whose 9-digit product lands exactly on .5 are formatted one at a
+time with ``"%.9g"`` into their 24-byte slot.
 """
 
 from __future__ import annotations
@@ -97,18 +98,9 @@ def format_block(block: np.ndarray, empty: np.ndarray) -> bytes:
     e[off] = 0
     p[off] = 0.0
     fallback = off[a[off] > 0]
-    m = np.rint(p)                        # half to even, as the exact product
-    tie = np.flatnonzero(np.abs(p - m) == 0.5)
-    if tie.size:
-        # p landed on .5: the exact product's error term decides (Dekker)
-        x, y, pt = a[tie], _POW10[_E_MAX - e[tie]], p[tie]
-        xh = x * 134217729.0
-        xh -= xh - x
-        yh = y * 134217729.0
-        yh -= yh - y
-        xl, yl = x - xh, y - yh
-        err = ((xh * yh - pt) + xh * yl + xl * yh) + xl * yl
-        m[tie] = np.where(err > 0, pt + 0.5, np.where(err < 0, pt - 0.5, m[tie]))
+    m = np.rint(p)
+    # p landed on .5: the exact product may lie on either side, so %.9g decides
+    fallback = np.concatenate((fallback, np.flatnonzero(np.abs(p - m) == 0.5)))
     carry = np.flatnonzero(m == 1e9)
     if carry.size:   # rounded up to the next decade
         m[carry] = 1e8

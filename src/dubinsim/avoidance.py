@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBypassError
+from .errors import ConfigError, InfeasibleBypassError
 from .reference import ReferenceTrajectory, reindex_tail, sample_pieces
 
 TWO_PI = 2.0 * math.pi
@@ -40,13 +40,13 @@ class Obstacle:
         for name in ("cx", "cy", "r", "t_appear"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.r <= 0.0:
-            raise ValueError("obstacle radius must be positive")
+            raise ConfigError("obstacle radius must be positive")
         if self.t_appear < 0.0:
-            raise ValueError("t_appear must be non-negative")
+            raise ConfigError("t_appear must be non-negative")
 
     def danger_zone(self, margin: float) -> "DangerZone":
         if margin <= 0.0:
-            raise ValueError("safety margin must be positive")
+            raise ConfigError("safety margin must be positive")
         return DangerZone(cx=self.cx, cy=self.cy, r_danger=self.r + margin)
 
 

@@ -47,10 +47,21 @@ from __future__ import annotations
 import math
 from operator import mul
 
+from .reference import MAX_SAMPLES
+
 
 def window_capacity(t_window: float, dt: float) -> int:
     """Number of samples spanning t_window at spacing dt (endpoints included)."""
     steps = t_window / dt
+    if not steps < MAX_SAMPLES - 0.5:   # round(steps) + 1 <= MAX_SAMPLES; inf and NaN too
+        raise ValueError(f"window of {steps:.6g} steps: more than MAX_SAMPLES = {MAX_SAMPLES}")
+    try:   # FWindow scales the estimate by -6 / t_window**3
+        scale = 6.0 / t_window ** 3
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"t_window={t_window}: the estimate's scale 6 / t_window**3 "
+                         "is not finite")
     n_steps = round(steps)
     if abs(steps - n_steps) > 1e-9 * max(1.0, abs(steps)):
         raise ValueError(f"t_window={t_window} is not an integer multiple of dt={dt}")

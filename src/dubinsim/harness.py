@@ -21,8 +21,8 @@ from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
                      ReplanLimitError, StateIntegrityError)
 from .heol import HeolController
 from .mfpc import MfpcController, check_reference
-from .model import (STREAM_PLACEMENT, NoiseModel, PerturbationSchedule,
-                    VehicleState, measure, step_plant, stream_rng)
+from .model import (STREAM_PLACEMENT, NoiseModel, VehicleState, measure,
+                    perturbation_levels, step_plant, stream_rng)
 from .reference import ReferenceTrajectory, apply_sync, build_reference, sync_offset
 from .scenario import (ScenarioConfig, ScenarioResult, check_name, compute_metrics, json_safe,
                        write_json)
@@ -71,18 +71,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     traj = build_reference(cfg.path_spec(), dt=dt, duration=cfg.duration)
     if cfg.controller == "mfpc":
         check_reference(traj)
-    noise = NoiseModel(sigma=cfg.noise.sigma,
-                       seed=cfg.seed if cfg.noise_seed is None else cfg.noise_seed,
-                       enabled=cfg.noise.enabled)
-    if cfg.perturbation.enabled:
-        pc = cfg.perturbation
-        pert = PerturbationSchedule.draw(
-            cfg.duration, switch_interval=pc.switch_interval,
-            seed=cfg.seed if cfg.perturbation_seed is None else cfg.perturbation_seed,
-            low=pc.low, high=pc.high)
-    else:
-        pert = PerturbationSchedule.zero()
-    levels = pert.levels(n, dt)
+    noise = NoiseModel(cfg.noise, cfg.seed if cfg.noise_seed is None else cfg.noise_seed)
+    levels = perturbation_levels(
+        cfg.perturbation, cfg.duration, n, dt,
+        cfg.seed if cfg.perturbation_seed is None else cfg.perturbation_seed)
     controller = (HeolController(cfg.heol, dt) if cfg.controller == "heol"
                   else MfpcController(cfg.mfpc, dt))
     ahead = controller.ahead

@@ -14,12 +14,12 @@ integrators, which is what the flatness-based controller works with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import StateIntegrityError
+from .errors import ConfigError, StateIntegrityError
 
 # Below this speed atan2(nu2, nu1) is ill-conditioned; the heading is frozen
 # at its previous value instead.
@@ -104,7 +104,30 @@ def step_plant(state: VehicleState, control: ControlInput, p: float = 0.0,
     return tuple.__new__(VehicleState, (x, y))
 
 
-@dataclass
+@dataclass(frozen=True)
+class NoiseConfig:
+    enabled: bool = True
+    sigma: float = 0.1
+
+    def __post_init__(self):
+        if self.sigma < 0.0:
+            raise ConfigError("noise sigma must be non-negative")
+
+
+@dataclass(frozen=True)
+class PerturbationConfig:
+    enabled: bool = False
+    switch_interval: float = 2.0
+    low: float = -0.5
+    high: float = 0.5
+
+    def __post_init__(self):
+        if not -0.5 <= self.low <= self.high <= 0.5:
+            raise ConfigError("perturbation range must satisfy -0.5 <= low <= high <= 0.5")
+        if self.switch_interval <= 0.0:
+            raise ConfigError("perturbation switch_interval must be positive")
+
+
 class NoiseModel:
     """Additive i.i.d. Gaussian measurement noise on x and y.
 
@@ -114,16 +137,11 @@ class NoiseModel:
     by one.  A disabled model returns the true state and consumes no draws.
     """
 
-    sigma: float = 0.1
-    seed: int = 0
-    enabled: bool = True
-    _draws: Iterator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        self._draws = _normal_pairs(stream_rng(self.seed, STREAM_NOISE_X),
-                                    stream_rng(self.seed, STREAM_NOISE_Y))
+    def __init__(self, config: NoiseConfig, seed: int):
+        self.sigma = config.sigma
+        self.enabled = config.enabled
+        self._draws = _normal_pairs(stream_rng(seed, STREAM_NOISE_X),
+                                    stream_rng(seed, STREAM_NOISE_Y))
 
 
 def _normal_pairs(rng_x: np.random.Generator,
@@ -146,41 +164,16 @@ def measure(state: VehicleState, noise: NoiseModel) -> tuple[float, float]:
     return state.x + noise.sigma * nx, state.y + noise.sigma * ny
 
 
-@dataclass(frozen=True)
-class PerturbationSchedule:
-    """Piecewise-constant perturbation signal p(t).
-
-    p(t) = values[floor(t / switch_interval)], clamped to the last level.
-    """
-
-    switch_interval: float
-    values: tuple
-
-    def __post_init__(self):
-        if self.switch_interval <= 0.0:
-            raise ValueError("switch_interval must be positive")
-        if not self.values:
-            raise ValueError("values must be non-empty")
-
-    @classmethod
-    def zero(cls) -> "PerturbationSchedule":
-        """Nominal plant: p identically zero."""
-        return cls(switch_interval=math.inf, values=(0.0,))
-
-    @classmethod
-    def draw(cls, duration: float, switch_interval: float = 2.0, seed: int = 0,
-             low: float = -0.5, high: float = 0.5) -> "PerturbationSchedule":
-        """Draw enough uniform levels on [low, high] to cover [0, duration]."""
-        if not -0.5 <= low <= high <= 0.5:
-            raise ValueError(f"perturbation range [{low}, {high}] must lie in [-0.5, 0.5]")
-        n = max(1, int(math.floor(duration / switch_interval + 1e-9)) + 1)
-        rng = stream_rng(seed, STREAM_PERTURBATION)
-        vals = tuple(float(v) for v in rng.uniform(low, high, size=n))
-        return cls(switch_interval=float(switch_interval), values=vals)
-
-    def levels(self, n: int, dt: float) -> list:
-        """p at each sample time k * dt, k in 0..n, sharing the floats of
-        ``values``."""
-        idx = np.minimum(np.arange(n + 1) * dt / self.switch_interval,
-                         len(self.values) - 1).astype(int)
-        return list(map(self.values.__getitem__, idx.tolist()))
+def perturbation_levels(config: PerturbationConfig, duration: float, n: int, dt: float,
+                        seed: int) -> list:
+    """p at each sample time k * dt, k in 0..n: level floor(t / switch_interval),
+    clamped to the last, of levels drawn uniformly on [low, high] to cover
+    [0, duration]; one interval's samples share its float.  0.0 when disabled."""
+    if not config.enabled:
+        return [0.0] * (n + 1)
+    count = max(1, math.floor(duration / config.switch_interval + 1e-9) + 1)
+    values = stream_rng(seed, STREAM_PERTURBATION).uniform(config.low, config.high,
+                                                           size=count).tolist()
+    idx = np.minimum(np.arange(n + 1) * dt / config.switch_interval,
+                     count - 1).astype(int)
+    return list(map(values.__getitem__, idx.tolist()))

@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import DegeneratePathError
 
+# Most samples a reference or a run's record table may hold: at 16 float64
+# columns a record table of 10**7 samples takes 1.28 GB.
+MAX_SAMPLES = 10**7
+
 
 # ---------------------------------------------------------------------------
 # Path specifications
@@ -30,6 +34,14 @@ class PolylinePath:
     speed: float = 1.0
     fillet_radius: float = 0.5
 
+    def __post_init__(self):
+        if len(self.waypoints) < 2:
+            raise DegeneratePathError("polyline needs at least two waypoints")
+        if self.speed <= 0.0:
+            raise DegeneratePathError("polyline speed must be positive")
+        if self.fillet_radius < 0.0:
+            raise DegeneratePathError("polyline fillet_radius must be non-negative")
+
 
 @dataclass(frozen=True)
 class CirclePath:
@@ -41,6 +53,10 @@ class CirclePath:
     omega: float = 0.2
     phase: float = 0.0
 
+    def __post_init__(self):
+        if self.radius <= 0.0 or self.omega == 0.0:
+            raise DegeneratePathError("circle needs positive radius and nonzero omega")
+
 
 @dataclass(frozen=True)
 class SinePath:
@@ -51,6 +67,10 @@ class SinePath:
     speed: float = 1.0
     x0: float = 0.0
     y0: float = 0.0
+
+    def __post_init__(self):
+        if self.speed <= 0.0 or self.wavelength <= 0.0:
+            raise DegeneratePathError("sinusoid needs positive speed and wavelength")
 
 
 PATH_KINDS = {"polyline": PolylinePath, "circle": CirclePath, "sinusoid": SinePath}
@@ -118,13 +138,7 @@ def _polyline_pieces(spec: PolylinePath):
     ("arc", center, radius, start_angle, signed_sweep) entries.
     """
     pts = [(float(px), float(py)) for px, py in spec.waypoints]
-    if len(pts) < 2:
-        raise DegeneratePathError("polyline needs at least two waypoints")
-    if spec.speed <= 0.0:
-        raise DegeneratePathError("polyline speed must be positive")
     r = float(spec.fillet_radius)
-    if r < 0.0:
-        raise DegeneratePathError("polyline fillet_radius must be non-negative")
 
     # Per-leg unit directions and lengths.
     dirs, lens = [], []
@@ -217,23 +231,39 @@ def sample_pieces(pieces, s, v: float):
     return xs, ys, dxs, dys
 
 
-def _sample_polyline(spec: PolylinePath, dt: float):
-    pieces = _polyline_pieces(spec)
+def _sample_polyline(pieces, v: float, dt: float, count: int):
     lengths = [_piece_length(p) for p in pieces]
     total = sum(lengths)
-    v = spec.speed
-    n = int(math.floor(total / v / dt + 1e-9))
-    if n < 1:
-        raise DegeneratePathError("polyline shorter than one sample step")
-    xs, ys, dxs, dys = sample_pieces(pieces, np.minimum(np.arange(n + 1) * dt * v, total), v)
+    xs, ys, dxs, dys = sample_pieces(pieces, np.minimum(np.arange(count) * dt * v, total), v)
     # Near piece junctions the analytic tangent has a curvature kink; store the
     # central difference there instead so the table stays self-consistent.
     k = np.round(np.cumsum(lengths[:-1]) / (v * dt)).astype(int)
     kk = (k[:, None] + np.array([-1, 0, 1])).ravel()
-    kk = kk[(kk >= 1) & (kk <= n - 1)]   # a repeated index rewrites the same value
+    kk = kk[(kk >= 1) & (kk <= count - 2)]   # a repeated index rewrites the same value
     dxs[kk] = (xs[kk + 1] - xs[kk - 1]) / (2.0 * dt)
     dys[kk] = (ys[kk + 1] - ys[kk - 1]) / (2.0 * dt)
     return xs, ys, dxs, dys
+
+
+def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
+    """Number of samples in ``build_reference(spec, dt, duration)``: a
+    polyline's full traversal, floor(length / speed / dt + 1e-9) + 1, which
+    checks its geometry (``pieces``, when the caller has them, are not built
+    again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused."""
+    if isinstance(spec, PolylinePath):
+        length = sum(map(_piece_length, pieces or _polyline_pieces(spec)))
+        steps = length / spec.speed / dt + 1e-9
+        if not steps < MAX_SAMPLES:   # NaN too
+            raise DegeneratePathError(f"polyline length/speed/dt = {steps:.6g} steps: "
+                                      f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
+        if steps < 1.0:
+            raise DegeneratePathError("polyline shorter than one sample step")
+        return math.floor(steps) + 1
+    steps = duration / dt
+    if not steps < MAX_SAMPLES - 0.5:   # round(steps) + 1 <= MAX_SAMPLES
+        raise DegeneratePathError(f"duration/dt = {steps:.6g} steps: "
+                                  f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
+    return round(steps) + 1
 
 
 def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> ReferenceTrajectory:
@@ -246,20 +276,18 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
     if dt <= 0.0:
         raise DegeneratePathError("dt must be positive")
     if isinstance(spec, PolylinePath):
-        xs, ys, dxs, dys = _sample_polyline(spec, dt)
+        pieces = _polyline_pieces(spec)
+        xs, ys, dxs, dys = _sample_polyline(pieces, spec.speed, dt,
+                                            sample_count(spec, dt, duration, pieces))
     elif isinstance(spec, CirclePath):
-        if spec.radius <= 0.0 or spec.omega == 0.0:
-            raise DegeneratePathError("circle needs positive radius and nonzero omega")
-        t = dt * np.arange(int(round(duration / dt)) + 1)
+        t = dt * np.arange(sample_count(spec, dt, duration))
         a = spec.omega * t + spec.phase
         xs = spec.cx + spec.radius * np.cos(a)
         ys = spec.cy + spec.radius * np.sin(a)
         dxs = -spec.radius * spec.omega * np.sin(a)
         dys = spec.radius * spec.omega * np.cos(a)
     elif isinstance(spec, SinePath):
-        if spec.speed <= 0.0 or spec.wavelength <= 0.0:
-            raise DegeneratePathError("sinusoid needs positive speed and wavelength")
-        t = dt * np.arange(int(round(duration / dt)) + 1)
+        t = dt * np.arange(sample_count(spec, dt, duration))
         k = 2.0 * math.pi / spec.wavelength
         xs = spec.x0 + spec.speed * t
         ys = spec.y0 + spec.amplitude * np.sin(k * spec.speed * t)
@@ -287,6 +315,8 @@ def path_spec_from_dict(d: dict):
         d = {key: (tuple((float(x), float(y)) for x, y in value) if key == "waypoints"
                    else float(value)) for key, value in d.items()}
         return PATH_KINDS[kind](**d)
+    except DegeneratePathError:
+        raise
     except (TypeError, ValueError) as exc:
         raise DegeneratePathError(f"bad {kind} path spec: {exc}") from exc
 

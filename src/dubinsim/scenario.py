@@ -22,29 +22,12 @@ from .errors import ConfigError
 from .estimation import window_capacity
 from .heol import HeolConfig
 from .mfpc import MfpcConfig
-from .reference import PolylinePath, path_spec_from_dict
+from .model import NoiseConfig, PerturbationConfig
+from .reference import MAX_SAMPLES, path_spec_from_dict, sample_count
 
 CONFIG_VERSION = 1
 
-# Most samples a run's record table or reference may hold: at 16 float64
-# columns a record table of 10**7 samples takes 1.28 GB.
-MAX_SAMPLES = 10**7
-
 CONTROLLERS = ("heol", "mfpc")
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    enabled: bool = True
-    sigma: float = 0.1
-
-
-@dataclass(frozen=True)
-class PerturbationConfig:
-    enabled: bool = False
-    switch_interval: float = 2.0
-    low: float = -0.5
-    high: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -52,6 +35,12 @@ class SyncConfig:
     enabled: bool = True
     tau_max: float = 5.0
     startup_threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.tau_max <= 0.0:
+            raise ConfigError("tau_max must be positive")
+        if not self.startup_threshold >= 0.0:
+            raise ConfigError("sync startup_threshold must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -110,22 +99,15 @@ class ScenarioConfig:
                               f"MAX_SAMPLES = {MAX_SAMPLES} samples")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
-        spec = path_spec_from_dict(self.path)
-        if isinstance(spec, PolylinePath) and spec.speed > 0.0:
-            # Its reference holds floor(length / speed / dt + 1e-9) + 1
-            # samples; the fillets only shorten the waypoint-to-waypoint length.
-            length = sum(map(math.dist, spec.waypoints[:-1], spec.waypoints[1:]))
-            ref_steps = length / spec.speed / self.dt
-            if not ref_steps + 1e-9 < MAX_SAMPLES:
-                raise ConfigError(f"path: polyline length/speed/dt = {ref_steps:.6g} steps: "
-                                  f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
-        if self.noise.sigma < 0.0:
-            raise ConfigError("noise sigma must be non-negative")
+        try:   # the reference's geometry and size, as a run builds it
+            sample_count(self.path_spec(), self.dt, self.duration)
+        except ConfigError as exc:
+            raise ConfigError(f"path: {exc}") from exc
         p = self.perturbation
-        if not -0.5 <= p.low <= p.high <= 0.5:
-            raise ConfigError("perturbation range must satisfy -0.5 <= low <= high <= 0.5")
-        if p.switch_interval <= 0.0:
-            raise ConfigError("perturbation switch_interval must be positive")
+        # floor(duration / switch_interval + 1e-9) + 1 levels are drawn
+        if p.enabled and not self.duration / p.switch_interval + 1e-9 < MAX_SAMPLES:
+            raise ConfigError(f"perturbation.switch_interval = {p.switch_interval}: more than "
+                              f"MAX_SAMPLES = {MAX_SAMPLES} levels over {self.duration} s")
         # Only the active controller's window is built, so only it has to
         # fit the sample grid.
         try:
@@ -134,10 +116,6 @@ class ScenarioConfig:
             raise ConfigError(f"{self.controller}: {exc}") from exc
         if self.controller == "mfpc":
             self.mfpc.effective_horizon(self.dt)
-        if self.sync.tau_max <= 0.0:
-            raise ConfigError("tau_max must be positive")
-        if not self.sync.startup_threshold >= 0.0:
-            raise ConfigError("sync startup_threshold must be non-negative")
         if self.start is not None and len(self.start) != 2:
             raise ConfigError("start must be null or a pair of numbers")
 
@@ -179,7 +157,7 @@ class ScenarioConfig:
                 if key in kwargs:
                     kwargs[key] = section(**kwargs[key])
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:   # an unknown block key or a missing obstacle key
             raise ConfigError(f"bad config: {exc}") from exc
 
     @classmethod

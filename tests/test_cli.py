@@ -15,8 +15,8 @@ from dubinsim.cli import main
 from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.presets import nominal_tracking, safety_scenario
-from dubinsim.scenario import (MAX_SAMPLES, AvoidanceConfig, HeolConfig, NoiseConfig,
-                               ScenarioConfig)
+from dubinsim.scenario import (MAX_SAMPLES, AvoidanceConfig, HeolConfig, MfpcConfig,
+                               NoiseConfig, PerturbationConfig, ScenarioConfig)
 
 
 FULL_CIRCLE_PATH = {"kind": "circle", "cx": 0.0, "cy": 0.0, "radius": 5.0, "omega": 0.2}
@@ -153,6 +153,13 @@ def test_config_error_exit_code(tmp_path):
     {"dt": 1e-300},                                        # 2e301 samples
     {"path": {"kind": "polyline", "waypoints": [[0, 0], [25, 0]], "speed": 1e-300}},
     {"duration": 1e6},                                     # a 12.8 GB record table
+    {"perturbation": {"enabled": True, "switch_interval": 1e-300}},          # 2e301 levels
+    {"heol": {"t_window": 1e300}},                         # its cube overflows
+    {"heol": {"t_window": 1e6}},                           # a window of 10**8 samples
+    {"dt": 1e200, "duration": 2e202, "path": {"kind": "sinusoid"},
+     "heol": {"t_window": 4e200}},                         # 5 samples, cube overflows
+    {"dt": 1e-301, "duration": 1e-299, "path": {"kind": "sinusoid"},
+     "heol": {"t_window": 5e-301}},                        # 5 samples, cube is 0
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -169,7 +176,9 @@ def test_config_error_exit_code(tmp_path):
         "obstacle-cx-bool", "circle-radius-bool", "start-string", "heol-kx-bool",
         "mfpc-u2_margin-bool", "seed-float", "fillet-negative", "lead-negative",
         "startup_threshold-negative", "mfpc-horizon-samples-overflow",
-        "dt-tiny", "polyline-speed-tiny", "duration-1e6"])
+        "dt-tiny", "polyline-speed-tiny", "duration-1e6", "switch_interval-tiny",
+        "heol-t_window-cube-overflow", "heol-t_window-1e6", "t_window-5-samples-cube-overflow",
+        "t_window-5-samples-cube-zero"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -192,6 +201,59 @@ def test_sample_bound_admits_max_samples_and_no_more():
     line["waypoints"] = ((0.0, 0.0), (MAX_SAMPLES * dt, 0.0))
     with pytest.raises(ConfigError, match="path: polyline"):
         ScenarioConfig(dt=dt, duration=1.0, path=line)
+
+
+def test_perturbation_levels_and_estimator_windows_are_bounded_at_load():
+    with pytest.raises(ConfigError, match="^perturbation.switch_interval = 1e-300: .*MAX_SAMPLES"):
+        ScenarioConfig(perturbation=PerturbationConfig(enabled=True, switch_interval=1e-300))
+    ScenarioConfig(perturbation=PerturbationConfig(enabled=False, switch_interval=1e-300))
+    # the window of 10**8 samples is refused before anything is allocated
+    with pytest.raises(ConfigError, match="^heol: .*MAX_SAMPLES"):
+        ScenarioConfig(heol=HeolConfig(t_window=1e6))
+    with pytest.raises(ConfigError, match="^mfpc: .*MAX_SAMPLES"):
+        ScenarioConfig(controller="mfpc", mfpc=MfpcConfig(t_window=1e6))
+    with pytest.raises(ConfigError, match="^heol: .*scale"):
+        ScenarioConfig(dt=1e200, duration=2e202, path={"kind": "sinusoid"},
+                       heol=HeolConfig(t_window=4e200))
+
+
+@pytest.mark.parametrize("path", [
+    {"kind": "circle", "radius": 0.0},
+    {"kind": "polyline", "waypoints": [[0, 0], [1, 0], [1, 5]], "fillet_radius": 2.0},
+    {"kind": "polyline", "waypoints": [[0, 0], [0, 0], [5, 0]]},
+    {"kind": "polyline", "waypoints": [[0, 0], [5, 0], [0, 0]]},
+], ids=["circle-radius-zero", "fillet-does-not-fit", "waypoint-repeated", "reverses"])
+def test_unbuildable_paths_are_refused_at_load(path):
+    with pytest.raises(ConfigError, match="^path: "):
+        ScenarioConfig.from_dict({"version": 1, "path": path})
+
+
+@pytest.mark.parametrize("doc", [
+    {"dt": 1e-300},                                              # from validate
+    {"noise": {"sigma": -1}},                                    # from its block
+    {"obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0}]},             # from an obstacle
+    {"controller": "mfpc", "mfpc": {"horizon": 0.01}},           # from effective_horizon
+], ids=["validate", "noise-block", "obstacle", "mfpc-horizon"])
+def test_config_errors_print_one_prefix(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, **doc}))
+    with pytest.raises(ConfigError) as refused:
+        ScenarioConfig.from_file(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
+    assert "bad config" not in str(refused.value)
+
+
+def test_compare_refuses_a_bad_b_before_running_a(tmp_path, capsys, monkeypatch):
+    a = write_cfg(tmp_path, ScenarioConfig(name="a", duration=2.0), "a.json")
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"version": 1, "path": {
+        "kind": "polyline", "waypoints": [[0, 0], [1, 0], [1, 5]], "fillet_radius": 2.0}}))
+    runs = []
+    monkeypatch.setattr("dubinsim.cli.run_scenario", runs.append)
+    assert main(["compare", "--a", a, "--b", str(b), "--out", str(tmp_path / "out")]) == 2
+    assert "does not fit" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -1,4 +1,5 @@
-"""Random valid configs survive the JSON round trip unchanged."""
+"""Random valid configs survive the JSON round trip unchanged, and every
+config that loads can build its reference."""
 
 import math
 import os
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dubinsim.avoidance import Obstacle
+from dubinsim.errors import ConfigError
+from dubinsim.reference import build_reference, path_spec_from_dict, sample_count
 from dubinsim.scenario import (AvoidanceConfig, HeolConfig, MfpcConfig,
                                NoiseConfig, PerturbationConfig, ScenarioConfig,
                                SyncConfig)
@@ -51,19 +54,30 @@ perturbations = st.builds(
     st.booleans(), positive(5), reals(-0.5, 0.5), reals(-0.5, 0.5))
 
 
+def buildable(path, dt, duration):
+    """Whether the path's reference can be built: ``sample_count`` checks
+    its geometry and size as ``ScenarioConfig`` does at load."""
+    try:
+        sample_count(path_spec_from_dict(path), dt, duration)
+    except ConfigError:
+        return False
+    return True
+
+
 @st.composite
 def configs(draw):
     dt = draw(st.sampled_from((0.005, 0.01, 0.02, 0.05)))
+    duration = draw(st.integers(1, 30).map(float))
     steps = st.integers(4, 80)  # window lengths: whole multiples of dt, >= 5 samples
     return ScenarioConfig(
         name=draw(names),
         dt=dt,
-        duration=draw(st.integers(1, 30).map(float)),
+        duration=duration,
         seed=draw(seeds),
         noise_seed=draw(st.none() | seeds),
         perturbation_seed=draw(st.none() | seeds),
         controller=draw(st.sampled_from(("heol", "mfpc"))),
-        path=draw(paths),
+        path=draw(paths.filter(lambda path: buildable(path, dt, duration))),
         start=draw(st.none() | point),
         obstacles=tuple(draw(st.lists(obstacles, max_size=3))),
         noise=NoiseConfig(enabled=draw(st.booleans()), sigma=draw(reals(0, 1))),
@@ -95,3 +109,37 @@ def test_config_round_trip_is_exact(cfg):
         ScenarioConfig.from_file(first).save(second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+# Paths with the degenerate values a config can hold: repeated waypoints and
+# reversals on an integer grid, fillets too big for their legs, zero or
+# negative radii, omegas, speeds and wavelengths, and speeds too small for
+# any table.
+grid_point = st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=2)
+wild_paths = st.one_of(
+    st.builds(lambda pts, speed, fillet: {"kind": "polyline", "waypoints": pts,
+                                          "speed": speed, "fillet_radius": fillet},
+              st.lists(grid_point, min_size=1, max_size=4),
+              st.sampled_from((-1.0, 0.0, 1e-300, 1e-9, 1e300)) | reals(0.05, 3),
+              st.sampled_from((-1.0, 0.0)) | reals(0, 5)),
+    st.builds(lambda radius, omega: {"kind": "circle", "radius": radius, "omega": omega},
+              st.sampled_from((-1.0, 0.0)) | reals(0, 20),
+              st.sampled_from((0.0,)) | reals(-1, 1)),
+    st.builds(lambda a, wl, v: {"kind": "sinusoid", "amplitude": a,
+                                "wavelength": wl, "speed": v},
+              reals(-3, 3), st.sampled_from((-1.0, 0.0)) | reals(0, 30),
+              st.sampled_from((-1.0, 0.0)) | reals(0, 3)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(path=wild_paths, dt=st.sampled_from((0.01, 0.02, 0.05)),
+       duration=st.integers(1, 30).map(float))
+def test_a_config_that_loads_builds_its_reference(path, dt, duration):
+    try:
+        cfg = ScenarioConfig.from_dict({"version": 1, "dt": dt, "duration": duration,
+                                        "path": path})
+    except ConfigError:
+        return
+    spec = cfg.path_spec()
+    assert build_reference(spec, cfg.dt, cfg.duration).n == sample_count(spec, dt, duration)

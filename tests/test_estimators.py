@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from dot_window import DotWindow, assert_matches, product_weights
 from dubinsim.estimation import FWindow, moment_weights, window_capacity
+from dubinsim.reference import MAX_SAMPLES
 from dubinsim.mfpc import MfpcConfig, MfpcController
 
 DT = 0.01
@@ -39,6 +40,14 @@ def test_window_capacity_validation():
         window_capacity(0.305, 0.01)  # not a multiple of dt
     with pytest.raises(ValueError):
         window_capacity(0.03, 0.01)   # fewer than 5 samples
+    assert window_capacity((MAX_SAMPLES - 1) * 0.01, 0.01) == MAX_SAMPLES
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        window_capacity(MAX_SAMPLES * 0.01, 0.01)
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        window_capacity(1e300, 1e-10)   # inf steps
+    for t_window in (4e200, 5e-301, 5e-106):   # 5 samples each
+        with pytest.raises(ValueError, match="scale"):   # T^3 overflows, is 0, is subnormal
+            FWindow(t_window, t_window / 4)
 
 
 def test_product_weights_integrate_constant_kernel():

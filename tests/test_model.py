@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dubinsim.errors import StateIntegrityError
-from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, ControlInput,
-                            NoiseModel, PerturbationSchedule, VehicleState,
-                            aux_to_true, measure, step_plant, stream_rng)
+from dubinsim.errors import ConfigError
+from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_PERTURBATION,
+                            ControlInput, NoiseConfig, NoiseModel, PerturbationConfig,
+                            VehicleState, aux_to_true, measure, perturbation_levels,
+                            step_plant, stream_rng)
 
 
 def test_step_plant_pure_x_motion():
@@ -119,14 +121,14 @@ def test_control_input_representation_consistency():
 
 
 def test_measure_disabled_is_identity():
-    noise = NoiseModel(sigma=0.1, seed=5, enabled=False)
+    noise = NoiseModel(NoiseConfig(enabled=False, sigma=0.1), 5)
     st = VehicleState(2.5, -3.5)
     assert measure(st, noise) == (2.5, -3.5)
 
 
 def test_measure_seeded_statistics():
     # Monte-Carlo oracle on the seeded generator
-    noise = NoiseModel(sigma=0.1, seed=42, enabled=True)
+    noise = NoiseModel(NoiseConfig(enabled=True, sigma=0.1), 42)
     st = VehicleState(0, 0)
     draws = np.array([measure(st, noise) for _ in range(100_000)])
     for axis in (0, 1):
@@ -136,48 +138,64 @@ def test_measure_seeded_statistics():
 
 def test_measure_determinism():
     st = VehicleState(1, 2)
-    a = [measure(st, NoiseModel(sigma=0.1, seed=7)) for _ in range(0, 1)]
-    na, nb = NoiseModel(sigma=0.1, seed=7), NoiseModel(sigma=0.1, seed=7)
+    a = [measure(st, NoiseModel(NoiseConfig(sigma=0.1), 7)) for _ in range(0, 1)]
+    na, nb = NoiseModel(NoiseConfig(sigma=0.1), 7), NoiseModel(NoiseConfig(sigma=0.1), 7)
     seq_a = [measure(st, na) for _ in range(100)]
     seq_b = [measure(st, nb) for _ in range(100)]
     assert seq_a == seq_b
-    nc = NoiseModel(sigma=0.1, seed=8)
+    nc = NoiseModel(NoiseConfig(sigma=0.1), 8)
     assert [measure(st, nc) for _ in range(100)] != seq_a
 
 
+def drawn_levels(duration, config, seed):
+    """The levels perturbation_levels draws: one per switch interval."""
+    count = math.floor(duration / config.switch_interval + 1e-9) + 1
+    return stream_rng(seed, STREAM_PERTURBATION).uniform(config.low, config.high,
+                                                         size=count).tolist()
+
+
 def test_perturbation_schedule_values_in_range_and_piecewise():
-    sched = PerturbationSchedule.draw(20.0, switch_interval=2.0, seed=9)
-    assert all(-0.5 <= v <= 0.5 for v in sched.values)
-    assert len(sched.values) == 11
-    levels = sched.levels(100_000, 0.01)
+    config = PerturbationConfig(enabled=True, switch_interval=2.0)
+    values = drawn_levels(20.0, config, 9)
+    assert all(-0.5 <= v <= 0.5 for v in values)
+    assert len(values) == 11
+    levels = perturbation_levels(config, 20.0, 100_000, 0.01, 9)
     for k, t in enumerate(np.arange(0.0, 20.0, 0.01)):
-        assert levels[k] == sched.values[int(t / 2.0)]
+        assert levels[k] == values[int(t / 2.0)]
     # constant within each interval, clamped at the end
-    assert levels[2000] == sched.values[10]
-    assert levels[100_000] == sched.values[-1]
+    assert levels[2000] == values[10]
+    assert levels[100_000] == values[-1]
 
 
 def test_perturbation_schedule_seed_determinism():
-    a = PerturbationSchedule.draw(20.0, seed=123)
-    b = PerturbationSchedule.draw(20.0, seed=123)
-    c = PerturbationSchedule.draw(20.0, seed=124)
-    assert a.values == b.values
-    assert a.values != c.values
+    config = PerturbationConfig(enabled=True)
+    a = perturbation_levels(config, 20.0, 2000, 0.01, 123)
+    b = perturbation_levels(config, 20.0, 2000, 0.01, 123)
+    c = perturbation_levels(config, 20.0, 2000, 0.01, 124)
+    assert a == b
+    assert a != c
 
 
 def test_perturbation_zero_schedule():
-    z = PerturbationSchedule.zero()
-    assert z.levels(2000, 0.01) == [0.0] * 2001
+    assert perturbation_levels(PerturbationConfig(enabled=False), 20.0, 2000, 0.01, 7) \
+        == [0.0] * 2001
 
 
 def test_perturbation_rejects_bad_range():
     with pytest.raises(ValueError):
-        PerturbationSchedule.draw(20.0, seed=1, low=-0.6, high=0.5)
+        PerturbationConfig(enabled=True, low=-0.6, high=0.5)
+    with pytest.raises(ConfigError):
+        PerturbationConfig(switch_interval=0.0)
+
+
+def test_noise_rejects_negative_sigma():
+    with pytest.raises(ConfigError, match="sigma"):
+        NoiseConfig(sigma=-0.1)
 
 
 def test_measure_blocks_equal_scalar_draws():
     # 1200 samples cross two NOISE_BLOCK boundaries
-    noise = NoiseModel(sigma=0.1, seed=31)
+    noise = NoiseModel(NoiseConfig(sigma=0.1), 31)
     rx, ry = stream_rng(31, STREAM_NOISE_X), stream_rng(31, STREAM_NOISE_Y)
     st = VehicleState(1.5, -2.0)
     for _ in range(1200):
@@ -201,13 +219,15 @@ def test_state_and_control_are_immutable_records():
        seed=st.integers(0, 2**32), dt=st.sampled_from([0.005, 0.01, 0.02, 0.1]),
        extra=st.integers(0, 300))
 def test_levels_equal_at_on_the_sample_grid(zero, duration, switch, seed, dt, extra):
-    sched = (PerturbationSchedule.zero() if zero else
-             PerturbationSchedule.draw(duration, switch_interval=switch, seed=seed))
+    config = PerturbationConfig(enabled=not zero, switch_interval=switch)
     n = int(round(duration / dt)) + extra   # runs past the last level too
-    levels = sched.levels(n, dt)
+    levels = perturbation_levels(config, duration, n, dt, seed)
     assert len(levels) == n + 1
-    values = sched.values
+    values = [0.0] if zero else drawn_levels(duration, config, seed)
+    first = {}   # level index -> the first sample that reads it
     for k, level in enumerate(levels):
         i = 0 if zero else int(k * dt / switch)
-        # the same float object, not a copy
-        assert level is values[min(i, len(values) - 1)]
+        i = min(i, len(values) - 1)
+        assert level == values[i]
+        # samples of one level share its float object, not copies
+        assert level is levels[first.setdefault(i, k)]

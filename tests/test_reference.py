@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from dubinsim.avoidance import DangerZone, path_crosses_zone, plan_bypass, splice
 from dubinsim.errors import DegeneratePathError, InfeasibleBypassError
 from dubinsim.model import ControlInput, VehicleState, aux_to_true, step_plant
-from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
+from dubinsim.reference import (MAX_SAMPLES, CirclePath, PolylinePath, ReferenceTrajectory,
                                 SinePath, apply_sync, build_reference,
-                                path_spec_from_dict, sync_offset)
+                                path_spec_from_dict, sample_count, sync_offset)
 
 DT = 0.01
 
@@ -83,17 +84,37 @@ def test_lookup_clamps_and_parks():
     assert (dx0, dy0) == (0.0, 0.0)
 
 
+# Each spec is built inside the check: the first ones are refused by their
+# own constructor, the reversing polyline and the rest by the build.
 @pytest.mark.parametrize("bad", [
-    PolylinePath(waypoints=((0.0, 0.0),), speed=1.0),
-    PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=0.0),
-    PolylinePath(waypoints=((0, 0), (1, 0), (0, 0)), speed=1.0),  # reverses
-    CirclePath(radius=0.0),
-    CirclePath(omega=0.0),
-    SinePath(wavelength=0.0),
+    partial(PolylinePath, waypoints=((0.0, 0.0),), speed=1.0),
+    partial(PolylinePath, waypoints=((0.0, 0.0), (25.0, 0.0)), speed=0.0),
+    partial(PolylinePath, waypoints=((0, 0), (1, 0), (0, 0)), speed=1.0),  # reverses
+    partial(CirclePath, radius=0.0),
+    partial(CirclePath, omega=0.0),
+    partial(SinePath, wavelength=0.0),
+    partial(PolylinePath, waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1e-300),   # 2.5e303 samples
+    partial(PolylinePath, waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1e300),    # under one step
+    partial(PolylinePath, waypoints=((0.0, 0.0), (0.0, 0.0), (5.0, 0.0))),      # zero-length leg
+    partial(PolylinePath, waypoints=((0.0, 0.0), (1.0, 0.0), (1.0, 5.0)),
+            fillet_radius=2.0),                                                  # does not fit
 ])
 def test_degenerate_specs_rejected(bad):
     with pytest.raises(DegeneratePathError):
-        build_reference(bad, DT, 20.0)
+        build_reference(bad(), DT, 20.0)
+
+
+@pytest.mark.parametrize("spec, count", [
+    (PolylinePath(((0.0, 0.0), (25.0, 0.0))), 2501),
+    (PolylinePath(((0.0, 0.0), (6.0, 0.0), (6.0, 6.0)), speed=1.5), 786),   # 11.785 m of line and fillet
+    (CirclePath(), 2001),
+    (SinePath(), 2001),
+])
+def test_sample_count_is_the_built_length(spec, count):
+    assert sample_count(spec, DT, 20.0) == build_reference(spec, DT, 20.0).n == count
+    if not isinstance(spec, PolylinePath):   # a polyline's count ignores the duration
+        with pytest.raises(DegeneratePathError, match="MAX_SAMPLES"):
+            build_reference(spec, DT, MAX_SAMPLES * DT)
 
 
 def test_path_spec_from_dict_round_trip():
