@@ -80,7 +80,9 @@ _TEMPLATES, _MASKS, _DIGITS, _SIG = _tables()
 def format_block(block: np.ndarray, empty: np.ndarray) -> bytes:
     """The rows of ``block`` (float64, rows x columns) as CSV lines, each
     value as ``"%.9g"`` writes it; the columns flagged in ``empty`` are
-    written as empty fields, and must hold zeros."""
+    written as empty fields, and must hold no infinities (zeros and NaN are
+    fine: an infinity takes the one-at-a-time fallback, which fills the
+    field)."""
     a = np.abs(block).ravel()
     # decimal exponent e, 10**e <= a < 10**(e+1): log10's guess, clipped to
     # the fixed-notation range and checked on the 9-digit product

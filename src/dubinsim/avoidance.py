@@ -64,10 +64,7 @@ class BypassPlan:
     i_start: int    # first and last sample the bypass overwrites
     i_end: int
     i_exit: int     # the exit anchor's sample on the unrevised reference
-    x: np.ndarray
-    y: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
+    table: np.ndarray   # (x, y, dx, dy) rows of samples i_start..i_end
 
 
 def discover(obstacles, state: tuple[float, float, float], sensing_radius: float,
@@ -120,7 +117,7 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
     if i0 > traj.n - 1:
         return None
     cx, cy, dt = zone.cx, zone.cy, traj.dt
-    r2 = zone.r_danger ** 2
+    r2 = zone.r_danger * zone.r_danger   # inf, not OverflowError, for a huge zone
     x, y = traj.x, traj.y
     d2 = (x[i0:] - cx) ** 2 + (y[i0:] - cy) ** 2
     inside = d2 < r2
@@ -213,13 +210,12 @@ def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     pieces = (("line", (ax, ay), seg1, len_a),
               ("arc", (cx, cy), R, psi1, orient * sweep),
               ("line", p2, seg2, len_b))
-    xs, ys, dxs, dys = sample_pieces(pieces, np.minimum(np.arange(n_b + 1) * dt * v, total), v)
-    xs[0], ys[0] = ax, ay
-    xs[n_b], ys[n_b] = bx, by
+    table = sample_pieces(pieces, np.minimum(np.arange(n_b + 1) * dt * v, total), v)
+    table[0, :2] = ax, ay
+    table[n_b, :2] = bx, by
 
     return BypassPlan(side=side, detour_length=total - traj.path_length(i_a, i_b),
-                      i_start=i_a, i_end=i_a + n_b, i_exit=i_b,
-                      x=xs, y=ys, dx=dxs, dy=dys)
+                      i_start=i_a, i_end=i_a + n_b, i_exit=i_b, table=table)
 
 
 def plan_both_sides(traj, zone, crossing, speed_hint, lead=0.5, i_min=0):
@@ -261,7 +257,6 @@ def splice(traj: ReferenceTrajectory, plan: BypassPlan) -> ReferenceTrajectory:
     """
     if plan.i_end > traj.n - 1:
         raise InfeasibleBypassError("bypass extends past the end of the trajectory")
-    samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
-    for arr, bypass in zip(samples, (plan.x, plan.y, plan.dx, plan.dy)):
-        arr[plan.i_start:plan.i_end + 1] = bypass
-    return reindex_tail(traj, samples, plan.i_end + 1, plan.i_exit - plan.i_end)
+    table = traj.table.copy()
+    table[plan.i_start:plan.i_end + 1] = plan.table
+    return reindex_tail(traj, table, plan.i_end + 1, plan.i_exit - plan.i_end)

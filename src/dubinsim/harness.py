@@ -24,15 +24,12 @@ from .mfpc import MfpcController, check_reference
 from .model import (STREAM_PLACEMENT, NoiseModel, VehicleState, measure,
                     perturbation_levels, step_plant, stream_rng)
 from .reference import ReferenceTrajectory, apply_sync, build_reference, sync_offset
-from .scenario import (ScenarioConfig, ScenarioResult, check_name, compute_metrics, json_safe,
-                       write_json)
+from .scenario import (SERIES, ScenarioConfig, ScenarioResult, check_name, compute_metrics,
+                       json_safe, write_json)
 
-# Per-sample record of a run: ScenarioResult's series in CSV column order,
-# then the reference derivatives that only the metrics read.
-SERIES = ("t", "x", "y", "x_meas", "y_meas", "x_ref", "y_ref",
-          "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y", "p", "dx_ref", "dy_ref")
-_RESULT_SERIES = SERIES[:14]
-CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in _RESULT_SERIES)
+CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in SERIES[:SERIES.index("dx_ref")])
+# The CSV columns that MFPC, which has no auxiliary controls, leaves empty.
+_MFPC_EMPTY = np.isin(CSV_COLUMNS, ("nu1", "nu2"))
 # The record's columns that a sample computes, in the order the loop buffers
 # them; the clock, perturbation and reference columns are filled after it.
 _SAMPLE_COLUMNS = [SERIES.index(name) for name in (
@@ -150,13 +147,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     events.extend(controller.events)
     events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
-    series = dict(zip(SERIES, rows.T))
-    metrics = compute_metrics(cfg, series, events)
-    if cfg.controller == "mfpc":
-        series.update(nu1=None, nu2=None)
-    return ScenarioResult(config=cfg, **{name: series[name] for name in _RESULT_SERIES},
-                          events=events, metrics=metrics, aborted=aborted,
-                          abort_reason=abort_reason)
+    metrics = compute_metrics(cfg, rows, events)
+    return ScenarioResult(config=cfg, record=rows, events=events, metrics=metrics,
+                          aborted=aborted, abort_reason=abort_reason)
 
 
 def _copy_block(rows: np.ndarray, lo: int, block: list) -> int:
@@ -181,8 +174,7 @@ def _fill_after_loop(rows: np.ndarray, filled: int, traj: ReferenceTrajectory,
     rows[:filled, SERIES.index("t")] = np.arange(filled) * dt
     rows[:filled, SERIES.index("p")] = levels[:filled]
     m = min(filled, traj.n)
-    rows[:m, _REFERENCE_COLUMNS] = np.column_stack((traj.x[:m], traj.y[:m],
-                                                    traj.dx[:m], traj.dy[:m]))
+    rows[:m, _REFERENCE_COLUMNS] = traj.table[:m]
     rows[m:filled, _REFERENCE_COLUMNS] = (traj.x[-1], traj.y[-1], 0.0, 0.0)
 
 
@@ -345,20 +337,17 @@ def emit_csv(result: ScenarioResult, path) -> None:
     """Write the run's time series; one row per sample, each value as
     ``"%.9g"`` writes it.
 
-    The auxiliary-control columns are left empty for controllers that do not
-    populate them.
+    The auxiliary-control columns, NaN in an MFPC record, are left empty for
+    MFPC.
     """
-    series = [getattr(result, name) for name in _RESULT_SERIES]
-    empty = np.array([s is None for s in series])
-    filler = np.zeros(len(result.t))    # stands in for an empty column
-    columns = [filler if s is None else s for s in series]
+    empty = _MFPC_EMPTY & (result.config.controller == "mfpc")
+    record = result.record
     with open(path, "wb") as f:
         f.write((",".join(CSV_COLUMNS) + "\n").encode())
         # A block, not the whole table, keeps the formatting buffers of a
         # 2000-sample run out of peak memory.
-        for lo in range(0, len(result.t), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns])
-            f.write(format_block(block, empty))
+        for lo in range(0, len(record), CSV_BLOCK_ROWS):
+            f.write(format_block(record[lo:lo + CSV_BLOCK_ROWS, :len(CSV_COLUMNS)], empty))
 
 
 def emit_summary(result: ScenarioResult, path) -> None:

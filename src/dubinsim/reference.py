@@ -78,38 +78,34 @@ PATH_KINDS = {"polyline": PolylinePath, "circle": CirclePath, "sinusoid": SinePa
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
+    """Samples at spacing dt, one row (x, y, dx, dy) each in ``table``;
+    ``x``, ``y``, ``dx`` and ``dy`` are read-only views of its columns."""
+
     dt: float
-    x: np.ndarray
-    y: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        n = len(self.x)
+        n = len(self.table)
         if n < 2:
             raise DegeneratePathError("trajectory needs at least two samples")
-        object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_tf", (n - 1) * self.dt)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def tf(self) -> float:
-        return self._tf
+        columns = self.table.T.view()   # read-only; the table itself is left as given
+        columns.flags.writeable = False
+        for name, column in zip(("x", "y", "dx", "dy"), columns):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tf", (n - 1) * self.dt)
 
     def lookup(self, t: float) -> tuple[float, float, float, float]:
         """(x, y, dx, dy) at the grid sample nearest t; parked beyond the domain."""
-        i = min(max(int(round(t / self.dt)), 0), self._n - 1)
-        if t < -1e-12 or t > self._tf + 1e-12:
+        i = min(max(int(round(t / self.dt)), 0), self.n - 1)
+        if t < -1e-12 or t > self.tf + 1e-12:
             return float(self.x[i]), float(self.y[i]), 0.0, 0.0
         return float(self.x[i]), float(self.y[i]), float(self.dx[i]), float(self.dy[i])
 
     def row(self, k: int) -> tuple[float, float, float, float]:
         """(x, y, dx, dy) of sample k, equal to ``lookup(k * dt)``; parked at
         the last sample from k = n on."""
-        if k >= self._n:
+        if k >= self.n:
             return self.x.item(-1), self.y.item(-1), 0.0, 0.0
         return self.x.item(k), self.y.item(k), self.dx.item(k), self.dy.item(k)
 
@@ -200,17 +196,15 @@ def _piece_length(piece):
 
 
 def sample_pieces(pieces, s, v: float):
-    """(x, y, dx, dy) arrays at the sorted arclengths ``s`` along a chain of
-    pieces in the ``_polyline_pieces`` format, traversed at speed v."""
+    """Table of (x, y, dx, dy) rows at the sorted arclengths ``s`` along a
+    chain of pieces in the ``_polyline_pieces`` format, traversed at speed v."""
     bounds = np.concatenate([[0.0], np.cumsum([_piece_length(p) for p in pieces])])
     # A sample belongs to the first piece whose end it does not pass by more
     # than 1e-12; s is sorted, so each piece owns one contiguous run.
     piece_of = np.minimum(np.searchsorted(bounds[1:] + 1e-12, s), len(pieces) - 1)
     edges = np.searchsorted(piece_of, np.arange(len(pieces) + 1))
-    xs = np.empty(len(s))
-    ys = np.empty(len(s))
-    dxs = np.empty(len(s))
-    dys = np.empty(len(s))
+    table = np.empty((len(s), 4))
+    xs, ys, dxs, dys = table.T   # column views
     for piece, s0, a, b in zip(pieces, bounds, edges[:-1], edges[1:]):
         sl = s[a:b] - s0   # arclength into the piece
         if piece[0] == "line":
@@ -228,28 +222,28 @@ def sample_pieces(pieces, s, v: float):
             ys[a:b] = cy + r * sin_a
             dxs[a:b] = -sign * sin_a * v
             dys[a:b] = sign * cos_a * v
-    return xs, ys, dxs, dys
+    return table
 
 
 def _sample_polyline(pieces, v: float, dt: float, count: int):
     lengths = [_piece_length(p) for p in pieces]
     total = sum(lengths)
-    xs, ys, dxs, dys = sample_pieces(pieces, np.minimum(np.arange(count) * dt * v, total), v)
+    table = sample_pieces(pieces, np.minimum(np.arange(count) * dt * v, total), v)
     # Near piece junctions the analytic tangent has a curvature kink; store the
     # central difference there instead so the table stays self-consistent.
     k = np.round(np.cumsum(lengths[:-1]) / (v * dt)).astype(int)
     kk = (k[:, None] + np.array([-1, 0, 1])).ravel()
     kk = kk[(kk >= 1) & (kk <= count - 2)]   # a repeated index rewrites the same value
-    dxs[kk] = (xs[kk + 1] - xs[kk - 1]) / (2.0 * dt)
-    dys[kk] = (ys[kk + 1] - ys[kk - 1]) / (2.0 * dt)
-    return xs, ys, dxs, dys
+    table[kk, 2:] = (table[kk + 1, :2] - table[kk - 1, :2]) / (2.0 * dt)
+    return table
 
 
 def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
     """Number of samples in ``build_reference(spec, dt, duration)``: a
     polyline's full traversal, floor(length / speed / dt + 1e-9) + 1, which
     checks its geometry (``pieces``, when the caller has them, are not built
-    again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused."""
+    again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused,
+    and so is a circle or sinusoid with a sample that is not finite."""
     if isinstance(spec, PolylinePath):
         length = sum(map(_piece_length, pieces or _polyline_pieces(spec)))
         steps = length / spec.speed / dt + 1e-9
@@ -263,6 +257,21 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
     if not steps < MAX_SAMPLES - 0.5:   # round(steps) + 1 <= MAX_SAMPLES
         raise DegeneratePathError(f"duration/dt = {steps:.6g} steps: "
                                   f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
+    # the largest |value| a sample or an angle takes, each product in the
+    # build's order; the duration terms are doubled so that the last sample
+    # time, round(steps) * dt, cannot pass them
+    if isinstance(spec, CirclePath):
+        peaks = (abs(spec.cx) + spec.radius, abs(spec.cy) + spec.radius,
+                 spec.radius * abs(spec.omega), abs(spec.omega) * duration * 2.0 + abs(spec.phase))
+    elif isinstance(spec, SinePath):
+        k = 2.0 * math.pi / spec.wavelength
+        peaks = (abs(spec.x0) + spec.speed * duration * 2.0, abs(spec.y0) + abs(spec.amplitude),
+                 abs(spec.amplitude) * k * spec.speed, k * spec.speed * duration * 2.0)
+    else:
+        peaks = ()
+    if not all(map(math.isfinite, peaks)):
+        kind = "circle" if isinstance(spec, CirclePath) else "sinusoid"
+        raise DegeneratePathError(f"{kind} samples over [0, {duration:.6g}] s are not finite")
     return round(steps) + 1
 
 
@@ -277,28 +286,25 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
         raise DegeneratePathError("dt must be positive")
     if isinstance(spec, PolylinePath):
         pieces = _polyline_pieces(spec)
-        xs, ys, dxs, dys = _sample_polyline(pieces, spec.speed, dt,
-                                            sample_count(spec, dt, duration, pieces))
+        table = _sample_polyline(pieces, spec.speed, dt,
+                                 sample_count(spec, dt, duration, pieces))
     elif isinstance(spec, CirclePath):
         t = dt * np.arange(sample_count(spec, dt, duration))
         a = spec.omega * t + spec.phase
-        xs = spec.cx + spec.radius * np.cos(a)
-        ys = spec.cy + spec.radius * np.sin(a)
-        dxs = -spec.radius * spec.omega * np.sin(a)
-        dys = spec.radius * spec.omega * np.cos(a)
+        table = np.column_stack((spec.cx + spec.radius * np.cos(a),
+                                 spec.cy + spec.radius * np.sin(a),
+                                 -spec.radius * spec.omega * np.sin(a),
+                                 spec.radius * spec.omega * np.cos(a)))
     elif isinstance(spec, SinePath):
         t = dt * np.arange(sample_count(spec, dt, duration))
         k = 2.0 * math.pi / spec.wavelength
-        xs = spec.x0 + spec.speed * t
-        ys = spec.y0 + spec.amplitude * np.sin(k * spec.speed * t)
-        dxs = np.full_like(t, spec.speed)
-        dys = spec.amplitude * k * spec.speed * np.cos(k * spec.speed * t)
+        table = np.column_stack((spec.x0 + spec.speed * t,
+                                 spec.y0 + spec.amplitude * np.sin(k * spec.speed * t),
+                                 np.full_like(t, spec.speed),
+                                 spec.amplitude * k * spec.speed * np.cos(k * spec.speed * t)))
     else:
         raise DegeneratePathError(f"unknown path spec {type(spec).__name__}")
-    return ReferenceTrajectory(dt=dt, x=np.asarray(xs, dtype=float),
-                               y=np.asarray(ys, dtype=float),
-                               dx=np.asarray(dxs, dtype=float),
-                               dy=np.asarray(dys, dtype=float))
+    return ReferenceTrajectory(dt=dt, table=table)
 
 
 def path_spec_from_dict(d: dict):
@@ -346,26 +352,19 @@ def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,
     return int(shifts[int(np.argmin(d2))])
 
 
-def reindex_tail(traj: ReferenceTrajectory, samples, i0: int,
+def reindex_tail(traj: ReferenceTrajectory, table: np.ndarray, i0: int,
                  shift: int) -> ReferenceTrajectory:
-    """Revised trajectory from ``samples``, fresh (x, y, dx, dy) arrays the
-    caller owns: entries from index i0 on are overwritten with traj's samples
-    ``shift`` steps later.  Samples shifted past either end clamp there with
-    zero derivative (the path parks rather than extrapolating)."""
-    n = traj.n
-    x, y, dx_, dy_ = samples
-    src = np.arange(i0, n) + shift
-    clipped = (src < 0) | (src > n - 1)
-    src = np.clip(src, 0, n - 1)
-    x[i0:] = traj.x[src]
-    y[i0:] = traj.y[src]
-    dx_[i0:] = np.where(clipped, 0.0, traj.dx[src])
-    dy_[i0:] = np.where(clipped, 0.0, traj.dy[src])
-    return replace(traj, x=x, y=y, dx=dx_, dy=dy_)
+    """Revised trajectory on ``table``, a fresh copy of a trajectory table
+    that the caller owns: its rows from i0 on are overwritten with traj's
+    rows ``shift`` samples later.  Rows shifted past either end clamp there
+    with zero derivative (the path parks rather than extrapolating)."""
+    src = np.arange(i0, traj.n) + shift
+    table[i0:] = traj.table.take(np.clip(src, 0, traj.n - 1), axis=0)
+    table[i0:][(src < 0) | (src > traj.n - 1), 2:] = 0.0
+    return replace(traj, table=table)
 
 
 def apply_sync(traj: ReferenceTrajectory, shift: int, k: int) -> ReferenceTrajectory:
     """Re-index the trajectory: samples from k on read the original
     ``shift`` samples later."""
-    samples = (traj.x.copy(), traj.y.copy(), traj.dx.copy(), traj.dy.copy())
-    return reindex_tail(traj, samples, k, shift)
+    return reindex_tail(traj, traj.table.copy(), k, shift)

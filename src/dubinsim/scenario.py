@@ -268,44 +268,47 @@ def write_json(path, doc) -> None:
         f.write("\n")
 
 
+# Per-sample record of a run, one column each: the CSV's columns in order,
+# then the reference derivatives that only the metrics read.
+SERIES = ("t", "x", "y", "x_meas", "y_meas", "x_ref", "y_ref",
+          "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y", "p", "dx_ref", "dy_ref")
+
+
 @dataclass
 class ScenarioResult:
-    """Full time series plus events and scalar metrics for one run.
+    """One run's record plus events and scalar metrics.
 
-    Aborted runs keep full-length arrays (NaN past the failure) so sweeps can
-    aggregate them without special cases.
+    ``record`` holds a row per sample and a column per SERIES name, and each
+    name reads its column as a read-only view: ``result.x``.  MFPC leaves
+    nu1 and nu2 NaN.  Aborted runs keep every row (NaN past the failure) so
+    sweeps can aggregate them without special cases.
     """
 
     config: ScenarioConfig
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    x_meas: np.ndarray
-    y_meas: np.ndarray
-    x_ref: np.ndarray
-    y_ref: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    nu1: np.ndarray | None
-    nu2: np.ndarray | None
-    fhat_x: np.ndarray
-    fhat_y: np.ndarray
-    p: np.ndarray
+    record: np.ndarray
     events: list
     metrics: dict
     aborted: bool = False
     abort_reason: str = ""
 
+    def __getattr__(self, name):
+        if name not in SERIES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        column = self.record[:, SERIES.index(name)]
+        column.flags.writeable = False
+        return column
+
 
 # divergent-but-finite samples of an aborted run may overflow the squares
 @np.errstate(over="ignore")
-def compute_metrics(cfg: ScenarioConfig, series: dict, events: list) -> dict:
-    """Scalar summary of one run's series.
+def compute_metrics(cfg: ScenarioConfig, record: np.ndarray, events: list) -> dict:
+    """Scalar summary of one run's record (a column per SERIES name).
 
     rms/max tracking are measured against the active (revised) reference.
     reverse_distance accumulates travel whose displacement projects negatively
     onto the local reference tangent.
     """
+    series = dict(zip(SERIES, record.T))
     x, y = series["x"], series["y"]
     xr, yr = series["x_ref"], series["y_ref"]
     valid = np.isfinite(x) & np.isfinite(y) & np.isfinite(xr) & np.isfinite(yr)

@@ -97,8 +97,7 @@ def test_crossing_scan_starts_at_t_from():
 ], ids=["rounded-tangent", "root-past-b", "root-before-a"])
 def test_crossing_time_stays_on_its_segment_when_rounding_decides(a, b, zone, crossing):
     z = np.zeros(2)
-    traj = ReferenceTrajectory(dt=DT, x=np.array([a[0], b[0]]), y=np.array([a[1], b[1]]),
-                               dx=z, dy=z)
+    traj = ReferenceTrajectory(dt=DT, table=np.column_stack(([a[0], b[0]], [a[1], b[1]], z, z)))
     d2 = (traj.x - zone.cx) ** 2 + (traj.y - zone.cy) ** 2    # as the scan squares
     assert list(d2 < zone.r_danger ** 2) == [False, True]
     assert path_crosses_zone(traj, zone) == crossing
@@ -156,7 +155,7 @@ def zone_segments(draw):
 def test_closed_form_crossing_matches_bisection(case):
     zone, (xa, ya), (xb, yb), dt, entering = case
     z = np.zeros(2)
-    traj = ReferenceTrajectory(dt=dt, x=np.array([xa, xb]), y=np.array([ya, yb]), dx=z, dy=z)
+    traj = ReferenceTrajectory(dt=dt, table=np.column_stack(([xa, xb], [ya, yb], z, z)))
     t_in, t_out = path_crosses_zone(traj, zone)
     want = bisected_crossing(xa, ya, xb, yb, 0.0, dt, zone.cx, zone.cy, zone.r_danger ** 2)
     if entering:
@@ -190,8 +189,8 @@ def test_symmetric_zone_gives_mirror_plans():
     crossing = path_crosses_zone(traj, zone)
     left, right = plan_both_sides(traj, zone, crossing, 1.0, lead=0.5)
     assert left.detour_length == pytest.approx(right.detour_length, abs=1e-9)
-    assert left.y.max() == pytest.approx(-right.y.min(), abs=1e-9)
-    assert right.y.min() < -0.9  # right wrap actually dips below
+    assert left.table[:, 1].max() == pytest.approx(-right.table[:, 1].min(), abs=1e-9)
+    assert right.table[:, 1].min() < -0.9  # right wrap actually dips below
     assert left.side == "left" and right.side == "right"
 
 
@@ -213,9 +212,10 @@ def test_detour_lengths_match_geometry_oracle():
 
 def arc_sweep(plan, zone):
     """Angle the plan's samples on the planning circle span around its centre."""
-    r = np.hypot(plan.x - zone.cx, plan.y - zone.cy)
+    x, y = plan.table[:, 0], plan.table[:, 1]
+    r = np.hypot(x - zone.cx, y - zone.cy)
     on = np.abs(r - (zone.r_danger + CLEARANCE_PAD)) <= 1e-9
-    angles = np.unwrap(np.arctan2(plan.y[on] - zone.cy, plan.x[on] - zone.cx))
+    angles = np.unwrap(np.arctan2(y[on] - zone.cy, x[on] - zone.cx))
     return abs(angles[-1] - angles[0])
 
 
@@ -240,11 +240,12 @@ def test_bypass_keeps_clearance_and_smooth_heading():
         zone = DangerZone(5.0, cy, 1.2)
         crossing = path_crosses_zone(traj, zone)
         for plan in plan_both_sides(traj, zone, crossing, 1.0, lead=0.5):
-            dist = np.hypot(plan.x - zone.cx, plan.y - zone.cy)
+            x, y, dx, dy = plan.table.T
+            dist = np.hypot(x - zone.cx, y - zone.cy)
             assert dist.min() >= zone.r_danger - 1e-9
-            heading = np.unwrap(np.arctan2(plan.dy, plan.dx))
+            heading = np.unwrap(np.arctan2(dy, dx))
             assert np.abs(np.diff(heading)).max() < 0.05  # tangent junctions are smooth
-            speed = np.hypot(plan.dx, plan.dy)
+            speed = np.hypot(dx, dy)
             assert np.allclose(speed, speed[0], atol=1e-9)
 
 
@@ -252,9 +253,9 @@ def test_bypass_endpoints_sit_on_reference():
     traj = line_traj()
     zone = DangerZone(5.0, 0.0, 1.0)
     plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), "right", 1.0)
-    assert (plan.x[0], plan.y[0]) == traj.row(plan.i_start)[:2]
-    assert (plan.x[-1], plan.y[-1]) == traj.row(plan.i_exit)[:2]
-    assert plan.i_end == plan.i_start + len(plan.x) - 1
+    assert tuple(plan.table[0, :2]) == traj.row(plan.i_start)[:2]
+    assert tuple(plan.table[-1, :2]) == traj.row(plan.i_exit)[:2]
+    assert plan.i_end == plan.i_start + len(plan.table) - 1
 
 
 def test_anchor_pushed_out_of_zone():
@@ -406,17 +407,18 @@ def test_bypass_plans_clear_the_zone_and_splice_cleanly(case):
     plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
     assert None not in plans
     for plan in plans:
-        assert np.hypot(plan.x - zone.cx, plan.y - zone.cy).min() >= zone.r_danger - 1e-9
-        assert (plan.x[0], plan.y[0]) == traj.row(plan.i_start)[:2]
-        assert (plan.x[-1], plan.y[-1]) == traj.row(plan.i_exit)[:2]
-        speed = np.hypot(plan.dx, plan.dy)
+        x, y, dx, dy = plan.table.T
+        assert np.hypot(x - zone.cx, y - zone.cy).min() >= zone.r_danger - 1e-9
+        assert tuple(plan.table[0, :2]) == traj.row(plan.i_start)[:2]
+        assert tuple(plan.table[-1, :2]) == traj.row(plan.i_exit)[:2]
+        speed = np.hypot(dx, dy)
         assert np.allclose(speed, speed[0], rtol=0.0, atol=1e-9)
 
         new = splice(traj, plan)
         i_start = plan.i_start
         for a, b in ((new.x, traj.x), (new.y, traj.y), (new.dx, traj.dx), (new.dy, traj.dy)):
             assert np.array_equal(a[:i_start], b[:i_start])
-        i_end = i_start + len(plan.x) - 1
+        i_end = i_start + len(plan.table) - 1
         for i in (i_start, i_start + 1, i_end, i_end + 1):
             step = math.hypot(new.x[i] - new.x[i - 1], new.y[i] - new.y[i - 1])
             assert step <= 1.5 * v * DT

@@ -160,6 +160,10 @@ def test_config_error_exit_code(tmp_path):
      "heol": {"t_window": 4e200}},                         # 5 samples, cube overflows
     {"dt": 1e-301, "duration": 1e-299, "path": {"kind": "sinusoid"},
      "heol": {"t_window": 5e-301}},                        # 5 samples, cube is 0
+    {"path": {"kind": "sinusoid", "wavelength": 1e-310}},  # 2*pi/wavelength overflows
+    {"path": {"kind": "circle", "radius": 1e200, "omega": 1e200}},   # R*omega overflows
+    {"path": {"kind": "sinusoid", "amplitude": 1e308, "wavelength": 0.1}},   # A*k overflows
+    {"path": {"kind": "circle", "omega": 1e307}},          # omega*t overflows
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -178,7 +182,8 @@ def test_config_error_exit_code(tmp_path):
         "startup_threshold-negative", "mfpc-horizon-samples-overflow",
         "dt-tiny", "polyline-speed-tiny", "duration-1e6", "switch_interval-tiny",
         "heol-t_window-cube-overflow", "heol-t_window-1e6", "t_window-5-samples-cube-overflow",
-        "t_window-5-samples-cube-zero"])
+        "t_window-5-samples-cube-zero", "sinusoid-wavelength-tiny", "circle-speed-overflow",
+        "sinusoid-slope-overflow", "circle-angle-overflow"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))

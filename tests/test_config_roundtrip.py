@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,8 +114,9 @@ def test_config_round_trip_is_exact(cfg):
 
 # Paths with the degenerate values a config can hold: repeated waypoints and
 # reversals on an integer grid, fillets too big for their legs, zero or
-# negative radii, omegas, speeds and wavelengths, and speeds too small for
-# any table.
+# negative radii, omegas, speeds and wavelengths, speeds too small for any
+# table, and radii, omegas, amplitudes and wavelengths whose samples are not
+# finite.
 grid_point = st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=2)
 wild_paths = st.one_of(
     st.builds(lambda pts, speed, fillet: {"kind": "polyline", "waypoints": pts,
@@ -123,11 +125,12 @@ wild_paths = st.one_of(
               st.sampled_from((-1.0, 0.0, 1e-300, 1e-9, 1e300)) | reals(0.05, 3),
               st.sampled_from((-1.0, 0.0)) | reals(0, 5)),
     st.builds(lambda radius, omega: {"kind": "circle", "radius": radius, "omega": omega},
-              st.sampled_from((-1.0, 0.0)) | reals(0, 20),
-              st.sampled_from((0.0,)) | reals(-1, 1)),
+              st.sampled_from((-1.0, 0.0, 1e200)) | reals(0, 20),
+              st.sampled_from((0.0, 1e200)) | reals(-1, 1)),
     st.builds(lambda a, wl, v: {"kind": "sinusoid", "amplitude": a,
                                 "wavelength": wl, "speed": v},
-              reals(-3, 3), st.sampled_from((-1.0, 0.0)) | reals(0, 30),
+              st.sampled_from((1e200,)) | reals(-3, 3),
+              st.sampled_from((-1.0, 0.0, 1e-310)) | reals(0, 30),
               st.sampled_from((-1.0, 0.0)) | reals(0, 3)),
 )
 
@@ -142,4 +145,6 @@ def test_a_config_that_loads_builds_its_reference(path, dt, duration):
     except ConfigError:
         return
     spec = cfg.path_spec()
-    assert build_reference(spec, cfg.dt, cfg.duration).n == sample_count(spec, dt, duration)
+    traj = build_reference(spec, cfg.dt, cfg.duration)
+    assert traj.n == sample_count(spec, dt, duration)
+    assert np.isfinite(traj.table).all()

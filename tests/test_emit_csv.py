@@ -24,9 +24,10 @@ SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072
 
 
 def per_cell_csv(result, path):
-    """Reference writer: one f"{v:.9g}" per cell, straight off the arrays."""
-    columns = [repeat(None) if series is None else series
-               for series in (getattr(result, name) for name in RESULT_SERIES)]
+    """Reference writer: one f"{v:.9g}" per cell, straight off the columns;
+    MFPC's auxiliary controls are written empty."""
+    aux = ("nu1", "nu2") if result.config.controller == "mfpc" else ()
+    columns = [repeat(None) if name in aux else getattr(result, name) for name in RESULT_SERIES]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for row in zip(*columns):
@@ -56,9 +57,10 @@ HARD = hard_values()
 def random_result(n_rows, mfpc, seed, special_frac, draw="normal", nan_from=None):
     """A result whose values are normal floats over 24 decades, the hard
     cases, or raw float64 bit patterns, with SPECIALS mixed in; rows from
-    nan_from on are NaN, as in an aborted run."""
+    nan_from on are NaN, as in an aborted run, and so are the auxiliary
+    controls of an MFPC run."""
     rng = np.random.default_rng(seed)
-    shape = (len(RESULT_SERIES), n_rows)
+    shape = (n_rows, len(SERIES))
     if draw == "normal":
         table = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 12, shape)
     elif draw == "hard":
@@ -68,11 +70,11 @@ def random_result(n_rows, mfpc, seed, special_frac, draw="normal", nan_from=None
     mask = rng.random(table.shape) < special_frac
     table[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
     if nan_from is not None:
-        table[:, int(nan_from * n_rows):] = np.nan
-    series = dict(zip(RESULT_SERIES, table))
+        table[int(nan_from * n_rows):] = np.nan
     if mfpc:
-        series.update(nu1=None, nu2=None)
-    return ScenarioResult(config=ScenarioConfig(), events=[], metrics={}, **series)
+        table[:, [SERIES.index("nu1"), SERIES.index("nu2")]] = np.nan
+    config = ScenarioConfig(controller="mfpc" if mfpc else "heol")
+    return ScenarioResult(config=config, record=table, events=[], metrics={})
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from dubinsim import avoidance, harness
 from dubinsim.avoidance import Obstacle
 from dubinsim.errors import ConfigError, StateIntegrityError
-from dubinsim.harness import emit, place_crossing_obstacle, run_scenario, run_sweep
+from dubinsim.harness import SERIES, emit, place_crossing_obstacle, run_scenario, run_sweep
 from dubinsim.presets import (LINE_PATH, SINE_PATH, nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
 from dubinsim.reference import ReferenceTrajectory, build_reference
-from dubinsim.scenario import (HeolConfig, NoiseConfig, PerturbationConfig,
+from dubinsim.scenario import (AvoidanceConfig, HeolConfig, NoiseConfig, PerturbationConfig,
                                ScenarioConfig, SyncConfig)
 
 DT = 0.01
@@ -127,7 +127,7 @@ def test_mfpc_run_has_no_aux_controls_and_bounded_heading():
     cfg = safety_scenario("mfpc", seed=33)
     cfg = replace(cfg, obstacles=(Obstacle(10.0, -0.2, 0.8),))
     r = run_scenario(cfg)
-    assert r.nu1 is None and r.nu2 is None
+    assert np.isnan(r.nu1).all() and np.isnan(r.nu2).all()
     assert np.nanmax(np.abs(r.u2)) <= math.pi / 2 - 0.01 + 1e-12
     assert all(e["side"] == "right" for e in r.events if e["kind"] == "bypass_start")
 
@@ -182,6 +182,13 @@ def test_divergent_controller_aborts_with_flag():
 SHORT_LINE = replace(nominal_tracking("heol", "line"), duration=2.0)
 
 
+def huge_zone(controller, r, margin):
+    """A zone whose radius squared overflows a float: the whole path lies
+    inside it, so no bypass anchor is outside."""
+    return ScenarioConfig(controller=controller, obstacles=(Obstacle(10.0, 0.0, r),),
+                          avoidance=AvoidanceConfig(margin=margin))
+
+
 @pytest.mark.parametrize("cfg, prefix, suffix", [
     # the start lies inside the danger zone, so no anchor is outside it
     (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)), "infeasible bypass: ",
@@ -194,7 +201,14 @@ SHORT_LINE = replace(nominal_tracking("heol", "line"), duration=2.0)
     (replace(safety_scenario("heol", 1), duration=8.0, noise=NoiseConfig(enabled=False),
              obstacles=(Obstacle(11.0, 0.1, 0.6), Obstacle(12.1, -1.45, 0.9))),
      "replanning loop exceeded limit (obstacles [0, 1])", " at t=7.32"),
-], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit"])
+    (huge_zone("heol", 1e200, 0.5), "infeasible bypass: no feasible bypass on either side",
+     " at t=4.98"),
+    (huge_zone("mfpc", 1e200, 0.5), "infeasible bypass: MFPC requires a right-side bypass",
+     " at t=4.98"),
+    (huge_zone("heol", 0.5, 1e200), "infeasible bypass: no feasible bypass on either side",
+     " at t=4.98"),
+], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit",
+        "huge-zone-heol", "huge-zone-mfpc", "huge-margin-heol"])
 def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffix):
     if cfg is None:   # a non-finite measurement faults the controller
         monkeypatch.setattr(harness, "measure", lambda state, noise: (math.nan, math.nan))
@@ -218,8 +232,7 @@ def full_records():
 
 
 def run_series(result):
-    return {name: getattr(result, name) for name in harness._RESULT_SERIES
-            if getattr(result, name) is not None}
+    return {name: getattr(result, name) for name in SERIES}
 
 
 def same_bits(a, b):
@@ -347,21 +360,13 @@ def test_the_record_holds_the_rows_the_loop_read(monkeypatch, cfg):
             read.append((k, value))
         return value
 
-    recorded = {}
-    compute_metrics = harness.compute_metrics
-
-    def capturing_compute_metrics(cfg, series, events):
-        recorded.update(series)
-        return compute_metrics(cfg, series, events)
-
     monkeypatch.setattr(ReferenceTrajectory, "row", logged_row)
     monkeypatch.setattr(harness, "measure", marking_measure)
-    monkeypatch.setattr(harness, "compute_metrics", capturing_compute_metrics)
-    run_scenario(cfg)
+    result = run_scenario(cfg)
     assert [k for k, _ in read] == list(range(cfg.n_steps + 1))
     want = np.array([value for _, value in read])
     for j, name in enumerate(("x_ref", "y_ref", "dx_ref", "dy_ref")):
-        assert same_bits(recorded[name], want[:, j]), name
+        assert same_bits(getattr(result, name), want[:, j]), name
 
 
 def test_discovery_uses_the_sample_clock():

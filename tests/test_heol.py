@@ -14,8 +14,7 @@ DT = 0.01
 
 
 def stationary_traj(n=401):
-    z = np.zeros(n)
-    return ReferenceTrajectory(dt=DT, x=z, y=z, dx=z, dy=z)
+    return ReferenceTrajectory(dt=DT, table=np.zeros((n, 4)))
 
 
 def fresh_controller(gains=HeolConfig()):

@@ -19,8 +19,7 @@ DT = 0.01
 
 
 def stationary_traj(n=2001):
-    z = np.zeros(n)
-    return ReferenceTrajectory(dt=DT, x=z, y=z, dx=z, dy=z)
+    return ReferenceTrajectory(dt=DT, table=np.zeros((n, 4)))
 
 
 # -- two-point boundary solution ---------------------------------------------

@@ -194,8 +194,8 @@ def vee_trajectory():
     # x(t) = |t - 1| built from integers so mirrored samples are bitwise equal
     n = 2001
     idx = np.arange(n)
-    return ReferenceTrajectory(dt=DT, x=np.abs(idx - 100) * DT, y=np.zeros(n),
-                               dx=np.sign(idx - 100) * 1.0, dy=np.zeros(n))
+    return ReferenceTrajectory(dt=DT, table=np.column_stack(
+        (np.abs(idx - 100) * DT, np.zeros(n), np.sign(idx - 100) * 1.0, np.zeros(n))))
 
 
 def test_sync_offset_tie_prefers_positive():
@@ -299,6 +299,22 @@ def test_apply_sync_clamped_region_parks():
     x, y, dx, dy = shifted.row(traj.n - 101)
     assert x == traj.x[-1]
     assert (dx, dy) == (0.0, 0.0)
+
+
+def test_revisions_never_write_their_input():
+    # A revision copies the caller's table before it writes.  A missing copy
+    # would not move a run's output (run_scenario never reads an old
+    # reference again), so the input is checked directly.
+    traj = build_reference(PolylinePath(((0.0, 0.0), (6.0, 0.0), (10.0, 4.0), (16.0, 4.0)),
+                                        fillet_radius=0.8), DT)
+    zone = DangerZone(float(traj.x[700]), float(traj.y[700]), 0.5)
+    plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), "right", 1.0)
+    before = traj.table.copy()
+    for revised in (apply_sync(traj, 0, 0), apply_sync(traj, 40, 300),
+                    apply_sync(traj, -40, 300), apply_sync(traj, 5000, 0), splice(traj, plan)):
+        assert traj.table.tobytes() == before.tobytes()
+        assert not np.shares_memory(revised.table, traj.table)
+    assert not np.shares_memory(revised.table, plan.table)
 
 
 # sha256 of x, y, dx, dy as recorded from the per-sample build that preceded
