@@ -4,7 +4,7 @@ obstacle bypass planning.
 The package root holds what README's "Library use" lists; everything else is
 imported from its submodule."""
 
-from .avoidance import plan_bypass, splice
+from .avoidance import plan_both_sides, splice
 from .errors import ConfigError, DubinsimError
 from .harness import emit, run_scenario, run_sweep
 from .heol import HeolConfig, HeolController
@@ -16,7 +16,7 @@ from .scenario import ScenarioConfig
 __all__ = [
     "run_scenario", "run_sweep", "emit", "ScenarioConfig",
     "HeolConfig", "MfpcConfig", "HeolController", "MfpcController",
-    "step_plant", "build_reference", "solve_two_point", "plan_bypass", "splice",
+    "step_plant", "build_reference", "solve_two_point", "plan_both_sides", "splice",
     "ConfigError", "DubinsimError",
 ]
 

@@ -64,7 +64,8 @@ class BypassPlan:
     i_start: int    # first and last sample the bypass overwrites
     i_end: int
     i_exit: int     # the exit anchor's sample on the unrevised reference
-    table: np.ndarray   # (x, y, dx, dy) rows of samples i_start..i_end
+    table: np.ndarray | None   # (x, y, dx, dy) rows of samples i_start..i_end;
+                               # None for a wrap that ends past the reference
 
 
 def discover(obstacles, state: tuple[float, float, float], sensing_radius: float,
@@ -86,16 +87,18 @@ def discover(obstacles, state: tuple[float, float, float], sensing_radius: float
     return newly
 
 
-def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r2):
+def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r):
     """Time at which the segment from a (at ta) to b (at tb), one end
     strictly inside the zone, crosses its boundary: the root s in [0, 1] of
     |a - c + s*(b - a)|^2 = r^2, the smaller one when the segment enters
     (a outside) and the larger one when it leaves."""
-    ex, ey = xb - xa, yb - ya
-    fx, fy = xa - cx, ya - cy
+    # solved in units of the power of two just above the largest component of
+    # b - a and a - c: an exact rescaling, under which no square overflows
+    e = math.frexp(max(abs(xb - xa), abs(yb - ya), abs(xa - cx), abs(ya - cy)))[1]
+    ex, ey, fx, fy, r = (math.ldexp(v, -e) for v in (xb - xa, yb - ya, xa - cx, ya - cy, r))
     a2 = ex * ex + ey * ey
     b1 = fx * ex + fy * ey
-    c0 = fx * fx + fy * fy - r2
+    c0 = fx * fx + fy * fy - r * r
     # the roots are q/a2 and c0/q; neither subtracts near-equal terms
     q = -(b1 + math.copysign(math.sqrt(max(b1 * b1 - a2 * c0, 0.0)), b1))
     if q == 0.0:    # both roots 0: a on the boundary, b - a tangent to it
@@ -109,6 +112,7 @@ def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r2):
     return ta + min(max(s, 0.0), 1.0) * (tb - ta)
 
 
+@np.errstate(over="ignore")   # a distance squared past ~1e154 is inf: outside
 def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
     """First maximal interval [t_in, t_out] where the reference runs strictly
     inside the danger circle, scanning forward from sample i0; None if it
@@ -116,11 +120,10 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
     segments."""
     if i0 > traj.n - 1:
         return None
-    cx, cy, dt = zone.cx, zone.cy, traj.dt
-    r2 = zone.r_danger * zone.r_danger   # inf, not OverflowError, for a huge zone
+    cx, cy, dt, r = zone.cx, zone.cy, traj.dt, zone.r_danger
     x, y = traj.x, traj.y
     d2 = (x[i0:] - cx) ** 2 + (y[i0:] - cy) ** 2
-    inside = d2 < r2
+    inside = d2 < r * r   # inf, not OverflowError, for a huge zone
     if not inside.any():
         return None
     j = i0 + int(np.argmax(inside))
@@ -128,123 +131,113 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
         t_in = i0 * dt
     else:
         t_in = _boundary_time(x.item(j - 1), y.item(j - 1), x.item(j), y.item(j),
-                              (j - 1) * dt, j * dt, cx, cy, r2)
+                              (j - 1) * dt, j * dt, cx, cy, r)
     tail = inside[j - i0:]
     if tail.all():
         t_out = traj.tf
     else:
         k = j + int(np.argmin(tail))
         t_out = _boundary_time(x.item(k - 1), y.item(k - 1), x.item(k), y.item(k),
-                               (k - 1) * dt, k * dt, cx, cy, r2)
+                               (k - 1) * dt, k * dt, cx, cy, r)
     return float(t_in), float(t_out)
 
 
 def _tangent_geometry(px, py, cx, cy, r):
     """Polar angle of the point around the center, tangent half-angle, and
-    tangent segment length.  The point must lie strictly outside."""
+    tangent segment length.  The point must lie strictly outside, and the
+    length must be finite."""
     mx, my = px - cx, py - cy
     d = math.hypot(mx, my)
     if d <= r * (1.0 + 1e-12):
         raise InfeasibleBypassError(f"anchor ({px:.3g}, {py:.3g}) is not outside radius {r:.3g}")
-    return math.atan2(my, mx), math.acos(r / d), math.sqrt(d * d - r * r)
+    length = math.sqrt(d * d - r * r)
+    if not math.isfinite(length):   # d * d overflows past ~1e154
+        raise InfeasibleBypassError(f"tangent from ({px:.3g}, {py:.3g}) overflows")
+    return math.atan2(my, mx), math.acos(r / d), length
 
 
-def plan_bypass(traj: ReferenceTrajectory, zone: DangerZone, crossing,
-                side: str, speed_hint: float, lead: float = 0.5,
-                i_min: int = 0) -> BypassPlan:
-    """Tangent-arc-tangent wrap of the danger circle on one side.
+def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
+                    speed_hint: float, lead: float = 0.5, i_min: int = 0):
+    """(left, right) tangent-arc-tangent wraps of the danger circle, or
+    (None, None): whatever rules a wrap out (the speed hint, an anchor, a
+    tangent) rules out both sides.
 
     Anchors are reference samples ``lead`` seconds outside the crossing,
     pushed further out while still inside the zone (entry anchors never move
-    before sample i_min, the current one).  The wrap is re-timed at
+    before sample i_min, the current one).  Each wrap is re-timed at
     ``speed_hint`` onto the sample grid; its last sample coincides with the
-    exit anchor.
+    exit anchor.  A wrap that would end past the last sample is not sampled:
+    its plan has no table, and ``splice`` refuses it.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if speed_hint <= 0.0:
-        raise InfeasibleBypassError("speed hint must be positive")
     t_in, t_out = crossing
     dt = traj.dt
     n = traj.n
     R = zone.r_danger + CLEARANCE_PAD
     cx, cy = zone.cx, zone.cy
+    if speed_hint <= 0.0:
+        return None, None
 
     # the crossing's times become samples here only: the last one at or
     # before t_in - lead, the first one at or after t_out + lead
     i_a = min(n - 1, max(i_min, int(math.floor((t_in - lead) / dt + 1e-9))))
     while i_a >= i_min and math.hypot(traj.x[i_a] - cx, traj.y[i_a] - cy) <= R + 1e-9:
         i_a -= 1
-    if i_a < i_min:
-        raise InfeasibleBypassError("no entry anchor outside the danger zone")
+    if i_a < i_min:     # no entry anchor outside the danger zone
+        return None, None
     i_b = max(i_a + 1, int(math.ceil((t_out + lead) / dt - 1e-9)))
     while i_b <= n - 1 and math.hypot(traj.x[i_b] - cx, traj.y[i_b] - cy) <= R + 1e-9:
         i_b += 1
-    if i_b > n - 1:
-        raise InfeasibleBypassError("no exit anchor outside the danger zone")
+    if i_b > n - 1:     # no exit anchor outside it
+        return None, None
 
     ax, ay = float(traj.x[i_a]), float(traj.y[i_a])
     bx, by = float(traj.x[i_b]), float(traj.y[i_b])
-    phi_a, th_a, len_a = _tangent_geometry(ax, ay, cx, cy, R)
-    phi_b, th_b, len_b = _tangent_geometry(bx, by, cx, cy, R)
+    try:
+        phi_a, th_a, len_a = _tangent_geometry(ax, ay, cx, cy, R)
+        phi_b, th_b, len_b = _tangent_geometry(bx, by, cx, cy, R)
+    except InfeasibleBypassError:
+        return None, None
+    replaced = traj.path_length(i_a, i_b)
 
-    if side == "right":
-        orient = 1
-        psi1 = phi_a + th_a
-        psi2 = phi_b - th_b
-        sweep = (psi2 - psi1) % TWO_PI
-    else:
-        orient = -1
-        psi1 = phi_a - th_a
-        psi2 = phi_b + th_b
-        sweep = (psi1 - psi2) % TWO_PI
-    p1 = (cx + R * math.cos(psi1), cy + R * math.sin(psi1))
-    p2 = (cx + R * math.cos(psi2), cy + R * math.sin(psi2))
-    total = len_a + R * sweep + len_b
-
-    n_b = max(2, int(math.ceil(total / (speed_hint * dt) - 1e-9)))
-    v = total / (n_b * dt)
-
-    seg1 = ((p1[0] - ax) / len_a, (p1[1] - ay) / len_a)
-    seg2 = ((bx - p2[0]) / len_b, (by - p2[1]) / len_b)
-    pieces = (("line", (ax, ay), seg1, len_a),
-              ("arc", (cx, cy), R, psi1, orient * sweep),
-              ("line", p2, seg2, len_b))
-    table = sample_pieces(pieces, np.minimum(np.arange(n_b + 1) * dt * v, total), v)
-    table[0, :2] = ax, ay
-    table[n_b, :2] = bx, by
-
-    return BypassPlan(side=side, detour_length=total - traj.path_length(i_a, i_b),
-                      i_start=i_a, i_end=i_a + n_b, i_exit=i_b, table=table)
-
-
-def plan_both_sides(traj, zone, crossing, speed_hint, lead=0.5, i_min=0):
-    """(left, right) plans; a side that cannot be built is None."""
     plans = []
-    for side in ("left", "right"):
-        try:
-            plans.append(plan_bypass(traj, zone, crossing, side, speed_hint,
-                                     lead=lead, i_min=i_min))
-        except InfeasibleBypassError:
-            plans.append(None)
-    return plans[0], plans[1]
+    for orient, side in ((-1, "left"), (1, "right")):   # clockwise, counterclockwise
+        psi1 = phi_a + orient * th_a
+        psi2 = phi_b - orient * th_b
+        sweep = (orient * (psi2 - psi1)) % TWO_PI
+        total = len_a + R * sweep + len_b
+        # not total / (speed_hint * dt): that product can underflow to 0
+        steps = total / speed_hint / dt
+        n_b = max(2, math.ceil(steps - 1e-9)) if steps < n else n
+        table = None
+        if i_a + n_b <= n - 1:
+            v = total / (n_b * dt)
+            p1 = (cx + R * math.cos(psi1), cy + R * math.sin(psi1))
+            p2 = (cx + R * math.cos(psi2), cy + R * math.sin(psi2))
+            seg1 = ((p1[0] - ax) / len_a, (p1[1] - ay) / len_a)
+            seg2 = ((bx - p2[0]) / len_b, (by - p2[1]) / len_b)
+            pieces = (("line", (ax, ay), seg1, len_a),
+                      ("arc", (cx, cy), R, psi1, orient * sweep),
+                      ("line", p2, seg2, len_b))
+            table = sample_pieces(pieces, np.minimum(np.arange(n_b + 1) * dt * v, total), v)
+            table[0, :2] = ax, ay
+            table[n_b, :2] = bx, by
+        plans.append(BypassPlan(side=side, detour_length=total - replaced, i_start=i_a,
+                                i_end=i_a + n_b, i_exit=i_b, table=table))
+    return tuple(plans)
 
 
 def select_side(left: BypassPlan | None, right: BypassPlan | None,
                 controller_kind: str) -> BypassPlan:
     """MFPC always bypasses on the right (its heading constraint rules out the
-    left wrap); the flatness stack takes the smaller detour, right on ties."""
-    if controller_kind == "mfpc":
-        if right is None:
-            raise InfeasibleBypassError("MFPC requires a right-side bypass")
-        return right
-    if left is None and right is None:
-        raise InfeasibleBypassError("no feasible bypass on either side")
-    if left is None:
-        return right
+    left wrap); the flatness stack takes the smaller detour, right on ties.
+    The planner builds both sides or neither."""
     if right is None:
-        return left
-    return right if right.detour_length <= left.detour_length else left
+        raise InfeasibleBypassError("MFPC requires a right-side bypass"
+                                    if controller_kind == "mfpc"
+                                    else "no feasible bypass on either side")
+    if controller_kind == "mfpc" or right.detour_length <= left.detour_length:
+        return right
+    return left
 
 
 def splice(traj: ReferenceTrajectory, plan: BypassPlan) -> ReferenceTrajectory:

@@ -217,8 +217,7 @@ def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, k
             "kind": "bypass_start", "t": k * dt, "obstacle": i, "side": plan.side,
             "detour": plan.detour_length, "t_start": plan.i_start * dt,
             "t_end": plan.i_end * dt, "tau_tail": (plan.i_exit - plan.i_end) * dt,
-            "detour_left": left.detour_length if left else None,
-            "detour_right": right.detour_length if right else None,
+            "detour_left": left.detour_length, "detour_right": right.detour_length,
         })
         scan, bypassed, i_resume = zones, i, plan.i_end
         planned.append(i)

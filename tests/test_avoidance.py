@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dubinsim.avoidance import (CLEARANCE_PAD, DangerZone, Obstacle, discover,
-                                path_crosses_zone, plan_both_sides,
-                                plan_bypass, select_side, splice)
+                                path_crosses_zone, plan_both_sides, select_side,
+                                splice)
 from dubinsim.errors import InfeasibleBypassError
 from dubinsim.reference import PolylinePath, ReferenceTrajectory, build_reference
 
@@ -252,7 +252,7 @@ def test_bypass_keeps_clearance_and_smooth_heading():
 def test_bypass_endpoints_sit_on_reference():
     traj = line_traj()
     zone = DangerZone(5.0, 0.0, 1.0)
-    plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), "right", 1.0)
+    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)[1]
     assert tuple(plan.table[0, :2]) == traj.row(plan.i_start)[:2]
     assert tuple(plan.table[-1, :2]) == traj.row(plan.i_exit)[:2]
     assert plan.i_end == plan.i_start + len(plan.table) - 1
@@ -263,7 +263,7 @@ def test_anchor_pushed_out_of_zone():
     traj = line_traj()
     zone = DangerZone(6.0, 0.0, 2.5)
     crossing = path_crosses_zone(traj, zone)
-    plan = plan_bypass(traj, zone, crossing, "right", 1.0, lead=0.1)
+    plan = plan_both_sides(traj, zone, crossing, 1.0, lead=0.1)[1]
     ax, ay = traj.row(plan.i_start)[:2]
     assert math.hypot(ax - zone.cx, ay - zone.cy) > zone.r_danger
 
@@ -273,8 +273,7 @@ def test_infeasible_when_no_outside_anchor():
     traj = line_traj()
     zone = DangerZone(10.0, 0.0, 1.0)
     crossing = path_crosses_zone(traj, zone, 950)
-    with pytest.raises(InfeasibleBypassError):
-        plan_bypass(traj, zone, crossing, "right", 1.0, i_min=950)
+    assert plan_both_sides(traj, zone, crossing, 1.0, i_min=950) == (None, None)
 
 
 def test_select_side_rules():
@@ -292,9 +291,11 @@ def test_select_side_rules():
     zone3 = DangerZone(5.0, 0.0, 1.0)
     left3, right3 = plan_both_sides(traj, zone3, path_crosses_zone(traj, zone3), 1.0)
     assert select_side(left3, right3, "heol") is right3
-    with pytest.raises(InfeasibleBypassError):
-        select_side(left3, None, "mfpc")
-    assert select_side(left3, None, "heol") is left3
+    # the planner builds both sides or neither
+    for controller, reason in (("heol", "no feasible bypass on either side"),
+                               ("mfpc", "MFPC requires a right-side bypass")):
+        with pytest.raises(InfeasibleBypassError, match=reason):
+            select_side(None, None, controller)
 
 
 # -- splice ---------------------------------------------------------------------
@@ -303,7 +304,7 @@ def test_select_side_rules():
 def spliced_line(zone=None):
     traj = line_traj()
     zone = zone or DangerZone(5.0, 0.0, 1.0)
-    plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), "right", 1.0)
+    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)[1]
     return traj, zone, plan, splice(traj, plan)
 
 
@@ -351,11 +352,11 @@ def test_sequential_obstacles_replan_on_spliced_reference():
     traj = line_traj()
     z1 = DangerZone(5.0, 0.0, 1.0)
     z2 = DangerZone(12.0, 0.2, 1.0)
-    plan1 = plan_bypass(traj, z1, path_crosses_zone(traj, z1), "right", 1.0)
+    plan1 = plan_both_sides(traj, z1, path_crosses_zone(traj, z1), 1.0)[1]
     t1 = splice(traj, plan1)
     crossing2 = path_crosses_zone(t1, z2, 0)
     assert crossing2 is not None
-    plan2 = plan_bypass(t1, z2, crossing2, "left", 1.0)
+    plan2 = plan_both_sides(t1, z2, crossing2, 1.0)[0]
     t2 = splice(t1, plan2)
     for z in (z1, z2):
         assert path_crosses_zone(t2, z, 0) is None
@@ -368,9 +369,10 @@ def test_sequential_obstacles_replan_on_spliced_reference():
 @st.composite
 def crossings(draw):
     """A reference (the 25 m line or a filleted polyline at speed v), a danger
-    zone centred near the middle of one of its legs, and the current sample,
-    early enough that the vehicle is still outside the zone.  Turns of at most
-    0.5 rad keep the path from re-entering the zone after it leaves."""
+    zone centred near the middle of one of its legs, and the current sample:
+    early enough that the vehicle is still outside the zone, or already past
+    the entry anchor, inside it.  Turns of at most 0.5 rad keep the path from
+    re-entering the zone after it leaves."""
     v = draw(st.floats(0.5, 1.5))
     if draw(st.booleans()):
         waypoints, leg, frac = [(0.0, 0.0), (25.0, 0.0)], 0, draw(st.floats(0.3, 0.7))
@@ -395,6 +397,9 @@ def crossings(draw):
     s_centre = sum(math.dist(p, q) for p, q in zip(waypoints[:leg], waypoints[1:leg + 1]))
     s_centre += frac * length
     k = int(draw(st.floats(0.0, 1.0)) * (s_centre - r - 1.0) / (v * DT))
+    if draw(st.booleans()):
+        inside = np.flatnonzero(np.hypot(traj.x - cx, traj.y - cy) < r)
+        k = int(inside[int(draw(st.floats(0.0, 1.0)) * (len(inside) - 1))])
     return traj, DangerZone(cx, cy, r), k, v
 
 
@@ -405,6 +410,9 @@ def test_bypass_plans_clear_the_zone_and_splice_cleanly(case):
     crossing = path_crosses_zone(traj, zone, k)
     assert crossing is not None
     plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
+    if math.hypot(traj.x[k] - zone.cx, traj.y[k] - zone.cy) < zone.r_danger:
+        assert plans == (None, None)   # no entry anchor: neither side is built
+        return
     assert None not in plans
     for plan in plans:
         x, y, dx, dy = plan.table.T

@@ -189,6 +189,22 @@ def huge_zone(controller, r, margin):
                           avoidance=AvoidanceConfig(margin=margin))
 
 
+def overflowing_line(length, speed, cx):
+    """A line whose sample step times its distance from the zone's centre
+    squares past a float: the crossing is found, but the tangent from either
+    anchor is too long to measure."""
+    return ScenarioConfig(path={"kind": "polyline", "waypoints": ((0.0, 0.0), (length, 0.0)),
+                                "speed": speed},
+                          obstacles=(Obstacle(cx, 0.0, 1e150),), noise=NoiseConfig(enabled=False),
+                          avoidance=AvoidanceConfig(sensing_radius=1e300))
+
+
+def slow_wrap(speed_hint):
+    """A wrap re-timed so slowly that it would end far past the reference."""
+    return ScenarioConfig(obstacles=(Obstacle(10.0, 0.1, 0.8),),
+                          avoidance=AvoidanceConfig(speed_hint=speed_hint))
+
+
 @pytest.mark.parametrize("cfg, prefix, suffix", [
     # the start lies inside the danger zone, so no anchor is outside it
     (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)), "infeasible bypass: ",
@@ -207,8 +223,16 @@ def huge_zone(controller, r, margin):
      " at t=4.98"),
     (huge_zone("heol", 0.5, 1e200), "infeasible bypass: no feasible bypass on either side",
      " at t=4.98"),
+    (overflowing_line(1e159, 1e155, 5e158),
+     "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
+    (overflowing_line(1e200, 1e196, 5e199),
+     "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
+    # speed_hint * dt underflows to 0 at 5e-324
+    *[(slow_wrap(hint), "infeasible bypass: bypass extends past the end of the trajectory",
+       " at t=4.98") for hint in (1e-300, 1e-320, 5e-324)],
 ], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit",
-        "huge-zone-heol", "huge-zone-mfpc", "huge-margin-heol"])
+        "huge-zone-heol", "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
+        "overflowing-line-1e200", "slow-wrap-1e-300", "slow-wrap-1e-320", "slow-wrap-5e-324"])
 def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffix):
     if cfg is None:   # a non-finite measurement faults the controller
         monkeypatch.setattr(harness, "measure", lambda state, noise: (math.nan, math.nan))

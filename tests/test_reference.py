@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dubinsim.avoidance import DangerZone, path_crosses_zone, plan_bypass, splice
+from dubinsim.avoidance import DangerZone, path_crosses_zone, plan_both_sides, splice
 from dubinsim.errors import DegeneratePathError, InfeasibleBypassError
 from dubinsim.model import ControlInput, VehicleState, aux_to_true, step_plant
 from dubinsim.reference import (MAX_SAMPLES, CirclePath, PolylinePath, ReferenceTrajectory,
@@ -308,7 +308,7 @@ def test_revisions_never_write_their_input():
     traj = build_reference(PolylinePath(((0.0, 0.0), (6.0, 0.0), (10.0, 4.0), (16.0, 4.0)),
                                         fillet_radius=0.8), DT)
     zone = DangerZone(float(traj.x[700]), float(traj.y[700]), 0.5)
-    plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), "right", 1.0)
+    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)[1]
     before = traj.table.copy()
     for revised in (apply_sync(traj, 0, 0), apply_sync(traj, 40, 300),
                     apply_sync(traj, -40, 300), apply_sync(traj, 5000, 0), splice(traj, plan)):
@@ -375,7 +375,9 @@ def revised_references(draw):
         zone = DangerZone(float(traj.x[i]), float(traj.y[i]), draw(st.floats(0.2, 0.6)))
         side = draw(st.sampled_from(["left", "right"]))
         try:
-            plan = plan_bypass(traj, zone, path_crosses_zone(traj, zone), side, speed)
+            plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone),
+                                   speed)[side == "right"]
+            assume(plan is not None)
             traj = splice(traj, plan)
         except InfeasibleBypassError:
             assume(False)
