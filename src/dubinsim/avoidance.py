@@ -112,7 +112,7 @@ def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r):
     return ta + min(max(s, 0.0), 1.0) * (tb - ta)
 
 
-@np.errstate(over="ignore")   # a distance squared past ~1e154 is inf: outside
+@np.errstate(over="ignore")   # a distance squared past ~1e154 radii is inf: outside
 def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
     """First maximal interval [t_in, t_out] where the reference runs strictly
     inside the danger circle, scanning forward from sample i0; None if it
@@ -122,8 +122,11 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
         return None
     cx, cy, dt, r = zone.cx, zone.cy, traj.dt, zone.r_danger
     x, y = traj.x, traj.y
-    d2 = (x[i0:] - cx) ** 2 + (y[i0:] - cy) ** 2
-    inside = d2 < r * r   # inf, not OverflowError, for a huge zone
+    # in units of the power of two just above r: an exact rescaling, under
+    # which r * r never overflows, so a huge zone still holds what it covers
+    e = math.frexp(r)[1]
+    d2 = np.ldexp(x[i0:] - cx, -e) ** 2 + np.ldexp(y[i0:] - cy, -e) ** 2
+    inside = d2 < math.ldexp(r, -e) ** 2
     if not inside.any():
         return None
     j = i0 + int(np.argmax(inside))

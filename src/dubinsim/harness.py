@@ -21,8 +21,8 @@ from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
                      ReplanLimitError, StateIntegrityError)
 from .heol import HeolController
 from .mfpc import MfpcController, check_reference
-from .model import (STREAM_PLACEMENT, NoiseModel, VehicleState, measure,
-                    perturbation_levels, step_plant, stream_rng)
+from .model import (STREAM_PLACEMENT, NoiseModel, measure, perturbation_levels, step_plant,
+                    stream_rng)
 from .reference import ReferenceTrajectory, apply_sync, build_reference, sync_offset
 from .scenario import (SERIES, ScenarioConfig, ScenarioResult, check_name, compute_metrics,
                        json_safe, write_json)
@@ -79,14 +79,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     x0, y0 = traj.row(0)[:2]
     start = cfg.start if cfg.start is not None else (x0, y0)
-    state = VehicleState(float(start[0]), float(start[1]))
+    x, y = float(start[0]), float(start[1])   # the plant's true position
 
     events: list[dict] = []
     # the widest sync shift, in samples; no shift past n + n_steps reaches a
     # sample that a shorter one does not, and the cap keeps the count finite
     reach = round(min(cfg.sync.tau_max / dt, traj.n + n + 1))
-    if cfg.sync.enabled and math.hypot(state.x - x0, state.y - y0) > cfg.sync.startup_threshold:
-        shift = sync_offset(state.x, state.y, traj, 0, reach)
+    if cfg.sync.enabled and math.hypot(x - x0, y - y0) > cfg.sync.startup_threshold:
+        shift = sync_offset(x, y, traj, 0, reach)
         traj = apply_sync(traj, shift, 0)
         events.append({"kind": "sync", "t": 0.0, "tau": shift * dt, "reason": "startup"})
 
@@ -107,8 +107,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     try:
         for k in range(n + 1):
             t = k * dt
-            xm, ym = measure(state, noise)
-            x, y = state
+            xm, ym = measure(x, y, noise)
 
             scan = ()   # zones to scan for a crossing in this sample
             if len(zones) < n_obstacles:
@@ -132,14 +131,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             if scan:
                 traj = _replan(cfg, traj, zones, scan, k, events, pending_ends)
 
-            ctrl = controller.step(xm, ym, t, traj.row(k + ahead))
-            u1, u2, nu1, nu2 = ctrl
+            u1, u2, nu1, nu2 = controller.step(xm, ym, t, traj.row(k + ahead))
             block.append((x, y, xm, ym, u1, u2, nu1, nu2,
                           win_x.last_estimate, win_y.last_estimate))
             if len(block) == RECORD_BLOCK_ROWS:
                 filled = _copy_block(rows, filled, block)
             if k < n:
-                state = step_plant(state, ctrl, levels[k], dt)
+                x, y = step_plant(x, y, u1, u2, levels[k], dt)
     except tuple(ABORT_PREFIXES) as exc:
         aborted, abort_reason = True, f"{ABORT_PREFIXES[type(exc)]}{exc} at t={t}"
     filled = _copy_block(rows, filled, block)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ControllerFault
 from .estimation import FWindow
-from .model import ControlInput, aux_to_true
+from .model import aux_to_true
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,10 @@ class HeolController:
         self.prev_u2 = 0.0
         self.events: list = []
 
-    def step(self, x_meas: float, y_meas: float, t: float, row) -> ControlInput:
-        """One closed-loop step: feedforward plus the iP correction.
+    def step(self, x_meas: float, y_meas: float, t: float,
+             row) -> tuple[float, float, float, float]:
+        """One closed-loop step: feedforward plus the iP correction;
+        returns ``(u1, u2, nu1, nu2)``.
 
         ``row`` is the reference sample ``(x, y, dx, dy)`` at time t.  Each
         window estimates F from (flat-output error, auxiliary-control error)
@@ -75,4 +77,4 @@ class HeolController:
         win_x.push(ex, dnu1)
         win_y.push(ey, dnu2)
         self.prev_u2 = u2
-        return tuple.__new__(ControlInput, (u1, u2, nu1, nu2))
+        return u1, u2, nu1, nu2

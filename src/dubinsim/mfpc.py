@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError, ControllerFault, HorizonTooLongError
 from .estimation import FWindow
-from .model import ControlInput
 
 # |rate * (t_f - t_i)| beyond this risks overflow in the exponentials;
 # MfpcConfig.effective_horizon shrinks the horizon instead.
@@ -154,10 +153,12 @@ class MfpcController:
         self.events: list = []
         self._u1_clamped = self._u2_clamped = False   # on the last step
 
-    def step(self, x_meas: float, y_meas: float, t: float, row) -> ControlInput:
+    def step(self, x_meas: float, y_meas: float, t: float,
+             row) -> tuple[float, float, float, float]:
         """Full MIMO step: x axis -> u1, y axis -> u2, toward the setpoint
         ``row[:2]``, the reference row one horizon ahead on the (possibly
-        revised) reference.
+        revised) reference; returns ``(u1, u2, nan, nan)``, since this stack
+        has no auxiliary controls.
 
         Per axis: the optimal velocity toward the setpoint, minus the drift
         estimate, scaled by 1/alpha and clamped to the axis limits; the
@@ -191,4 +192,4 @@ class MfpcController:
             if clamped:
                 self.events.append({"kind": "clamp", "t": t, "input": "u2", "raw": raw2})
             self._u2_clamped = clamped
-        return tuple.__new__(ControlInput, (u1, u2, math.nan, math.nan))
+        return u1, u2, math.nan, math.nan

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -42,32 +42,6 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), int(stream)]))
 
 
-# The per-sample paths build VehicleState and ControlInput with
-# tuple.__new__(Cls, fields), which skips the NamedTuple's Python-level
-# __new__ and gives the same tuple.
-
-
-class VehicleState(NamedTuple):
-    """Planar position of the rear-axle midpoint; the sample index, not the
-    state, carries the time."""
-
-    x: float
-    y: float
-
-
-class ControlInput(NamedTuple):
-    """True controls (u1, u2) plus optional auxiliary controls (nu1, nu2).
-
-    The auxiliary fields are populated by the flatness stack only; the
-    predictive controller commands (u1, u2) directly and leaves them NaN.
-    """
-
-    u1: float
-    u2: float
-    nu1: float = math.nan
-    nu2: float = math.nan
-
-
 def aux_to_true(nu1: float, nu2: float, prev_u2: float = 0.0) -> tuple[float, float]:
     """Map auxiliary controls to (u1, u2).
 
@@ -80,17 +54,16 @@ def aux_to_true(nu1: float, nu2: float, prev_u2: float = 0.0) -> tuple[float, fl
     return u1, math.atan2(nu2, nu1)
 
 
-def step_plant(state: VehicleState, control: ControlInput, p: float = 0.0,
-               dt: float = 0.01) -> VehicleState:
-    """One explicit-Euler step of the (possibly perturbed) plant.
+def step_plant(x: float, y: float, u1: float, u2: float, p: float = 0.0,
+               dt: float = 0.01) -> tuple[float, float]:
+    """One explicit-Euler step of the (possibly perturbed) plant from the
+    position (x, y) under the controls (u1, u2); returns the next position.
 
     The perturbation p scales the y-rate by (1 + p); p = 0 recovers the
     nominal dynamics exactly.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x, y = state
-    u1, u2 = control.u1, control.u2
     if not (math.isfinite(x) and math.isfinite(y)
             and math.isfinite(u1) and math.isfinite(u2)
             and math.isfinite(p)):
@@ -101,7 +74,7 @@ def step_plant(state: VehicleState, control: ControlInput, p: float = 0.0,
     y = y + dt * u1 * (1.0 + p) * math.sin(u2)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise StateIntegrityError("plant state diverged")
-    return tuple.__new__(VehicleState, (x, y))
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -156,12 +129,12 @@ def _normal_pairs(rng_x: np.random.Generator,
                        rng_y.standard_normal(NOISE_BLOCK).tolist())
 
 
-def measure(state: VehicleState, noise: NoiseModel) -> tuple[float, float]:
+def measure(x: float, y: float, noise: NoiseModel) -> tuple[float, float]:
     """Measured (x, y): true position plus per-axis Gaussian noise."""
     if not noise.enabled:
-        return state.x, state.y
+        return x, y
     nx, ny = next(noise._draws)
-    return state.x + noise.sigma * nx, state.y + noise.sigma * ny
+    return x + noise.sigma * nx, y + noise.sigma * ny
 
 
 def perturbation_levels(config: PerturbationConfig, duration: float, n: int, dt: float,

@@ -227,15 +227,20 @@ def slow_wrap(speed_hint):
      "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
     (overflowing_line(1e200, 1e196, 5e199),
      "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
+    # every sample's distance squared overflows, and so does the radius squared
+    (ScenarioConfig(obstacles=(Obstacle(1e160, 0.0, 1e200),),
+                    avoidance=AvoidanceConfig(sensing_radius=1e300)),
+     "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
     # speed_hint * dt underflows to 0 at 5e-324
     *[(slow_wrap(hint), "infeasible bypass: bypass extends past the end of the trajectory",
        " at t=4.98") for hint in (1e-300, 1e-320, 5e-324)],
 ], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit",
         "huge-zone-heol", "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
-        "overflowing-line-1e200", "slow-wrap-1e-300", "slow-wrap-1e-320", "slow-wrap-5e-324"])
+        "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
+        "slow-wrap-5e-324"])
 def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffix):
     if cfg is None:   # a non-finite measurement faults the controller
-        monkeypatch.setattr(harness, "measure", lambda state, noise: (math.nan, math.nan))
+        monkeypatch.setattr(harness, "measure", lambda x, y, noise: (math.nan, math.nan))
         cfg = SHORT_LINE
     r = run_scenario(cfg)
     assert r.aborted and r.abort_reason.startswith(prefix)
@@ -337,9 +342,9 @@ def test_revisions_leave_earlier_rows_alone(monkeypatch, cfg):
     revisions = []  # (kind, sample, input trajectory, revised trajectory)
     measure = harness.measure
 
-    def counting_measure(state, noise):
+    def counting_measure(x, y, noise):
         sample[0] = next(samples)
-        return measure(state, noise)
+        return measure(x, y, noise)
 
     def logged(revise, kind):
         def wrapper(traj, *args):
@@ -374,9 +379,9 @@ def test_the_record_holds_the_rows_the_loop_read(monkeypatch, cfg):
     measure = harness.measure
     in_loop = [False]   # set by the first sample's measure
 
-    def marking_measure(state, noise):
+    def marking_measure(x, y, noise):
         in_loop[0] = True
-        return measure(state, noise)
+        return measure(x, y, noise)
 
     def logged_row(traj, k):
         value = row(traj, k)

@@ -32,21 +32,22 @@ def test_on_reference_reduces_to_feedforward():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     t = 3.0
     x_ref, y_ref, _, _ = traj.lookup(t)
-    ctrl = fresh_controller().step(x_ref, y_ref, t, traj.lookup(t))
+    u1, u2, nu1, _ = fresh_controller().step(x_ref, y_ref, t, traj.lookup(t))
     # the flat feedforward: nu = (dx, dy) of the reference row
     ff_nu1, ff_nu2 = traj.row(round(t / DT))[2:]
     ff_u1, ff_u2 = aux_to_true(ff_nu1, ff_nu2)
-    assert ctrl.u1 == pytest.approx(ff_u1, abs=1e-12)
-    assert ctrl.u2 == pytest.approx(ff_u2, abs=1e-12)
-    assert ctrl.nu1 == pytest.approx(ff_nu1, abs=1e-12)
+    assert u1 == pytest.approx(ff_u1, abs=1e-12)
+    assert u2 == pytest.approx(ff_u2, abs=1e-12)
+    assert nu1 == pytest.approx(ff_nu1, abs=1e-12)
 
 
 def test_ip_law_arithmetic():
     # dx_err = 0.1, F_hat = 0 (warm-up), Kx = 2 -> dnu1 = -0.2
     traj = stationary_traj()
-    ctrl = fresh_controller(HeolConfig(kx=2.0, ky=2.0)).step(0.1, 0.0, 0.0, traj.lookup(0.0))
-    assert ctrl.nu1 == pytest.approx(-0.2, abs=1e-12)
-    assert ctrl.nu2 == pytest.approx(0.0, abs=1e-12)
+    _, _, nu1, nu2 = fresh_controller(HeolConfig(kx=2.0, ky=2.0)).step(0.1, 0.0, 0.0,
+                                                                         traj.lookup(0.0))
+    assert nu1 == pytest.approx(-0.2, abs=1e-12)
+    assert nu2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_non_finite_measurement_faults():
@@ -66,13 +67,13 @@ def test_step_pushes_samples_after_output():
             win.push(o, i)
             oracle.push(o, i)
     fx, fy = (oracle.estimate() for oracle in oracles)
-    ctrl = ctl.step(0.5, -0.25, 0.0, traj.lookup(0.0))
+    _, _, nu1, nu2 = ctl.step(0.5, -0.25, 0.0, traj.lookup(0.0))
     # the output is formed from the windows before this step's samples
-    assert ctrl.nu1 == pytest.approx(-(fx + 2.0 * 0.5), abs=1e-12)
-    assert ctrl.nu2 == pytest.approx(-(fy + 2.0 * -0.25), abs=1e-12)
+    assert nu1 == pytest.approx(-(fx + 2.0 * 0.5), abs=1e-12)
+    assert nu2 == pytest.approx(-(fy + 2.0 * -0.25), abs=1e-12)
     # then (error, auxiliary-control error) is pushed on each axis
-    oracles[0].push(0.5, ctrl.nu1)
-    oracles[1].push(-0.25, ctrl.nu2)
+    oracles[0].push(0.5, nu1)
+    oracles[1].push(-0.25, nu2)
     for win, oracle in zip(ctl.windows, oracles):
         assert_matches(win, oracle)
 
@@ -89,11 +90,11 @@ def test_constant_disturbance_absorbed_by_estimate():
     ts, ys, fhats = [], [], []
     for k in range(301):
         t = k * DT
-        ctrl = ctl.step(0.0, y, t, traj.lookup(t))
+        _, _, _, nu2 = ctl.step(0.0, y, t, traj.lookup(t))
         ts.append(t)
         ys.append(y)
         fhats.append(ctl.windows[1].last_estimate)
-        y += DT * (ctrl.nu2 + F)
+        y += DT * (nu2 + F)
     ts, ys, fhats = map(np.array, (ts, ys, fhats))
     settled = ts >= 4 * gains.t_window
     assert np.abs(ys[settled]).max() <= F / gains.ky * 0.1
@@ -125,8 +126,8 @@ def test_contraction_with_exact_estimates(k):
     ctl.windows = (_ConstEstimate(F), _ConstEstimate(F))
     x = 1.0
     for _ in range(50):
-        ctrl = ctl.step(x, 0.0, 0.0, traj.lookup(0.0))
-        x_next = x + DT * (ctrl.nu1 + F)
+        _, _, nu1, _ = ctl.step(x, 0.0, 0.0, traj.lookup(0.0))
+        x_next = x + DT * (nu1 + F)
         assert x_next / x == pytest.approx(1.0 - k * DT, abs=1e-9)
         x = x_next
 
@@ -134,17 +135,17 @@ def test_contraction_with_exact_estimates(k):
 def closed_loop(spec, gains=HeolConfig(), duration=20.0):
     traj = build_reference(spec, DT, duration)
     ctl = HeolController(gains, DT)
-    from dubinsim.model import VehicleState, step_plant
-    s = VehicleState(*traj.row(0)[:2])
+    from dubinsim.model import step_plant
+    x, y = traj.row(0)[:2]
     errs, ctrls = [], []
     for k in range(int(round(duration / DT)) + 1):
         t = k * DT
-        c = ctl.step(s.x, s.y, t, traj.row(k))
+        u1, u2, nu1, nu2 = ctl.step(x, y, t, traj.row(k))
         xr, yr = traj.row(k)[:2]
-        errs.append(math.hypot(s.x - xr, s.y - yr))
-        ctrls.append((c.nu1, c.nu2))
+        errs.append(math.hypot(x - xr, y - yr))
+        ctrls.append((nu1, nu2))
         if t < duration:
-            s = step_plant(s, c, 0.0, DT)
+            x, y = step_plant(x, y, u1, u2, 0.0, DT)
     return np.array(errs), np.array(ctrls)
 
 
@@ -166,6 +167,6 @@ def test_output_continuity_on_nominal_run():
 def test_controller_wrapper_tracks_heading_and_estimates():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     ctl = HeolController(HeolConfig(), DT)
-    c = ctl.step(*traj.row(0)[:2], 0.0, traj.row(0))
-    assert ctl.prev_u2 == c.u2
+    _, u2, _, _ = ctl.step(*traj.row(0)[:2], 0.0, traj.row(0))
+    assert ctl.prev_u2 == u2
     assert [w.last_estimate for w in ctl.windows] == [0.0, 0.0]  # warm-up

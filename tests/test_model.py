@@ -8,51 +8,50 @@ from hypothesis import strategies as st
 from dubinsim.errors import StateIntegrityError
 from dubinsim.errors import ConfigError
 from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_PERTURBATION,
-                            ControlInput, NoiseConfig, NoiseModel, PerturbationConfig,
-                            VehicleState, aux_to_true, measure, perturbation_levels,
-                            step_plant, stream_rng)
+                            NoiseConfig, NoiseModel, PerturbationConfig, aux_to_true,
+                            measure, perturbation_levels, step_plant, stream_rng)
 
 
 def test_step_plant_pure_x_motion():
-    s = step_plant(VehicleState(0, 0), ControlInput(u1=1, u2=0), p=0, dt=0.01)
-    assert s.x == pytest.approx(0.01, abs=1e-15)
-    assert s.y == pytest.approx(0.0, abs=1e-15)
+    x, y = step_plant(0, 0, u1=1, u2=0, p=0, dt=0.01)
+    assert x == pytest.approx(0.01, abs=1e-15)
+    assert y == pytest.approx(0.0, abs=1e-15)
 
 
 def test_step_plant_pure_y_motion():
-    s = step_plant(VehicleState(0, 0), ControlInput(u1=1, u2=math.pi / 2), p=0, dt=0.01)
-    assert s.x == pytest.approx(0.0, abs=1e-12)
-    assert s.y == pytest.approx(0.01, abs=1e-15)
+    x, y = step_plant(0, 0, u1=1, u2=math.pi / 2, p=0, dt=0.01)
+    assert x == pytest.approx(0.0, abs=1e-12)
+    assert y == pytest.approx(0.01, abs=1e-15)
 
 
 def test_step_plant_perturbed_closed_form():
     # hand-checked arithmetic: x' = 1 + 0.01*2*cos(pi/4), y' = 1 + 0.01*2*1.5*sin(pi/4)
-    s = step_plant(VehicleState(1, 1), ControlInput(u1=2, u2=math.pi / 4), p=0.5, dt=0.01)
-    assert s.x == pytest.approx(1 + 0.02 * math.cos(math.pi / 4), abs=1e-15)
-    assert s.y == pytest.approx(1 + 0.03 * math.sin(math.pi / 4), abs=1e-15)
+    x, y = step_plant(1, 1, u1=2, u2=math.pi / 4, p=0.5, dt=0.01)
+    assert x == pytest.approx(1 + 0.02 * math.cos(math.pi / 4), abs=1e-15)
+    assert y == pytest.approx(1 + 0.03 * math.sin(math.pi / 4), abs=1e-15)
 
 
 def test_step_plant_zero_p_matches_nominal():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        st = VehicleState(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        c = ControlInput(u1=rng.uniform(0, 3), u2=rng.uniform(-math.pi, math.pi))
-        a = step_plant(st, c, p=0.0, dt=0.01)
-        b = step_plant(st, c, dt=0.01)
-        assert (a.x, a.y) == (b.x, b.y)
+        st = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+        c = (rng.uniform(0, 3), rng.uniform(-math.pi, math.pi))
+        a = step_plant(*st, *c, p=0.0, dt=0.01)
+        b = step_plant(*st, *c, dt=0.01)
+        assert a == b
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_step_plant_rejects_non_finite(bad):
     with pytest.raises(StateIntegrityError):
-        step_plant(VehicleState(0, 0), ControlInput(u1=bad, u2=0), dt=0.01)
+        step_plant(0, 0, u1=bad, u2=0, dt=0.01)
     with pytest.raises(StateIntegrityError):
-        step_plant(VehicleState(bad, 0), ControlInput(u1=1, u2=0), dt=0.01)
+        step_plant(bad, 0, u1=1, u2=0, dt=0.01)
 
 
 def test_step_plant_rejects_bad_dt():
     with pytest.raises(ValueError):
-        step_plant(VehicleState(0, 0), ControlInput(u1=1, u2=0), dt=0.0)
+        step_plant(0, 0, u1=1, u2=0, dt=0.0)
 
 
 def test_euler_first_order_convergence():
@@ -61,10 +60,10 @@ def test_euler_first_order_convergence():
     T = 2.0
 
     def final_error(dt):
-        s = VehicleState(0, 0)
+        x, y = 0, 0
         for k in range(int(round(T / dt))):
-            s = step_plant(s, ControlInput(u1=1.0, u2=w * k * dt), 0.0, dt)
-        return math.hypot(s.x - math.sin(w * T) / w, s.y - (1 - math.cos(w * T)) / w)
+            x, y = step_plant(x, y, 1.0, w * k * dt, 0.0, dt)
+        return math.hypot(x - math.sin(w * T) / w, y - (1 - math.cos(w * T)) / w)
 
     e1, e2 = final_error(0.01), final_error(0.005)
     assert e1 / e2 == pytest.approx(2.0, rel=0.2)
@@ -87,7 +86,7 @@ def test_aux_to_true_freezes_heading_at_rest():
 def test_true_to_aux_examples():
     # the nominal plant's rates are the auxiliary controls u1*(cos u2, sin u2)
     def rates(u1, u2):
-        return step_plant(VehicleState(0.0, 0.0), ControlInput(u1, u2), 0.0, 1.0)
+        return step_plant(0.0, 0.0, u1, u2, 0.0, 1.0)
 
     assert rates(1, 0) == pytest.approx((1, 0))
     nu1, nu2 = rates(1, math.pi / 2)
@@ -113,38 +112,35 @@ def test_control_input_representation_consistency():
     for _ in range(200):
         nu1, nu2 = rng.uniform(-4, 4, size=2)
         u1, u2 = aux_to_true(nu1, nu2)
-        c = ControlInput(u1=u1, u2=u2, nu1=nu1, nu2=nu2)
-        assert c.u1 >= 0.0
-        assert c.u1 == pytest.approx(math.hypot(c.nu1, c.nu2), abs=1e-9)
-        if c.u1 > 1e-6:
-            assert c.u2 == pytest.approx(math.atan2(c.nu2, c.nu1), abs=1e-9)
+        assert u1 >= 0.0
+        assert u1 == pytest.approx(math.hypot(nu1, nu2), abs=1e-9)
+        if u1 > 1e-6:
+            assert u2 == pytest.approx(math.atan2(nu2, nu1), abs=1e-9)
 
 
 def test_measure_disabled_is_identity():
     noise = NoiseModel(NoiseConfig(enabled=False, sigma=0.1), 5)
-    st = VehicleState(2.5, -3.5)
-    assert measure(st, noise) == (2.5, -3.5)
+    assert measure(2.5, -3.5, noise) == (2.5, -3.5)
 
 
 def test_measure_seeded_statistics():
     # Monte-Carlo oracle on the seeded generator
     noise = NoiseModel(NoiseConfig(enabled=True, sigma=0.1), 42)
-    st = VehicleState(0, 0)
-    draws = np.array([measure(st, noise) for _ in range(100_000)])
+    draws = np.array([measure(0, 0, noise) for _ in range(100_000)])
     for axis in (0, 1):
         assert abs(draws[:, axis].mean()) < 0.002
         assert abs(draws[:, axis].std() - 0.1) < 0.005
 
 
 def test_measure_determinism():
-    st = VehicleState(1, 2)
-    a = [measure(st, NoiseModel(NoiseConfig(sigma=0.1), 7)) for _ in range(0, 1)]
+    st = (1, 2)
+    a = [measure(*st, NoiseModel(NoiseConfig(sigma=0.1), 7)) for _ in range(0, 1)]
     na, nb = NoiseModel(NoiseConfig(sigma=0.1), 7), NoiseModel(NoiseConfig(sigma=0.1), 7)
-    seq_a = [measure(st, na) for _ in range(100)]
-    seq_b = [measure(st, nb) for _ in range(100)]
+    seq_a = [measure(*st, na) for _ in range(100)]
+    seq_b = [measure(*st, nb) for _ in range(100)]
     assert seq_a == seq_b
     nc = NoiseModel(NoiseConfig(sigma=0.1), 8)
-    assert [measure(st, nc) for _ in range(100)] != seq_a
+    assert [measure(*st, nc) for _ in range(100)] != seq_a
 
 
 def drawn_levels(duration, config, seed):
@@ -197,21 +193,10 @@ def test_measure_blocks_equal_scalar_draws():
     # 1200 samples cross two NOISE_BLOCK boundaries
     noise = NoiseModel(NoiseConfig(sigma=0.1), 31)
     rx, ry = stream_rng(31, STREAM_NOISE_X), stream_rng(31, STREAM_NOISE_Y)
-    st = VehicleState(1.5, -2.0)
+    x, y = 1.5, -2.0
     for _ in range(1200):
-        assert measure(st, noise) == (st.x + 0.1 * float(rx.standard_normal()),
-                                      st.y + 0.1 * float(ry.standard_normal()))
-
-
-def test_state_and_control_are_immutable_records():
-    st = VehicleState(x=1.0, y=2.0)
-    assert (st.x, st.y) == (1.0, 2.0)
-    c = ControlInput(1.0, 0.2)
-    assert math.isnan(c.nu1) and math.isnan(c.nu2)
-    with pytest.raises(AttributeError):
-        st.x = 3.0
-    with pytest.raises(AttributeError):
-        c.u1 = 3.0
+        assert measure(x, y, noise) == (x + 0.1 * float(rx.standard_normal()),
+                                        y + 0.1 * float(ry.standard_normal()))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dubinsim.avoidance import DangerZone, path_crosses_zone, plan_both_sides, splice
 from dubinsim.errors import DegeneratePathError, InfeasibleBypassError
-from dubinsim.model import ControlInput, VehicleState, aux_to_true, step_plant
+from dubinsim.model import aux_to_true, step_plant
 from dubinsim.reference import (MAX_SAMPLES, CirclePath, PolylinePath, ReferenceTrajectory,
                                 SinePath, apply_sync, build_reference,
                                 path_spec_from_dict, sample_count, sync_offset)
@@ -155,14 +155,14 @@ def test_open_loop_flatness_tracks_at_first_order():
     # replaying the feedforward through the nominal plant stays within C*dt
     def max_err(dt):
         traj = build_reference(CirclePath(radius=5.0, omega=0.2), dt, 20.0)
-        s = VehicleState(*traj.row(0)[:2])
+        x, y = traj.row(0)[:2]
         prev, worst = 0.0, 0.0
         for k in range(int(round(20.0 / dt))):
-            c = ControlInput(*aux_to_true(*traj.row(k)[2:], prev))
-            prev = c.u2
-            s = step_plant(s, c, 0.0, dt)
+            u1, u2 = aux_to_true(*traj.row(k)[2:], prev)
+            prev = u2
+            x, y = step_plant(x, y, u1, u2, 0.0, dt)
             xr, yr = traj.row(k + 1)[:2]
-            worst = max(worst, math.hypot(s.x - xr, s.y - yr))
+            worst = max(worst, math.hypot(x - xr, y - yr))
         return worst
 
     e1, e2 = max_err(0.01), max_err(0.005)
