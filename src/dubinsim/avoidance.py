@@ -92,10 +92,7 @@ def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r):
     strictly inside the zone, crosses its boundary: the root s in [0, 1] of
     |a - c + s*(b - a)|^2 = r^2, the smaller one when the segment enters
     (a outside) and the larger one when it leaves."""
-    # solved in units of the power of two just above the largest component of
-    # b - a and a - c: an exact rescaling, under which no square overflows
-    e = math.frexp(max(abs(xb - xa), abs(yb - ya), abs(xa - cx), abs(ya - cy)))[1]
-    ex, ey, fx, fy, r = (math.ldexp(v, -e) for v in (xb - xa, yb - ya, xa - cx, ya - cy, r))
+    ex, ey, fx, fy = xb - xa, yb - ya, xa - cx, ya - cy
     a2 = ex * ex + ey * ey
     b1 = fx * ex + fy * ey
     c0 = fx * fx + fy * fy - r * r
@@ -112,7 +109,6 @@ def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r):
     return ta + min(max(s, 0.0), 1.0) * (tb - ta)
 
 
-@np.errstate(over="ignore")   # a distance squared past ~1e154 radii is inf: outside
 def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
     """First maximal interval [t_in, t_out] where the reference runs strictly
     inside the danger circle, scanning forward from sample i0; None if it
@@ -122,11 +118,7 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
         return None
     cx, cy, dt, r = zone.cx, zone.cy, traj.dt, zone.r_danger
     x, y = traj.x, traj.y
-    # in units of the power of two just above r: an exact rescaling, under
-    # which r * r never overflows, so a huge zone still holds what it covers
-    e = math.frexp(r)[1]
-    d2 = np.ldexp(x[i0:] - cx, -e) ** 2 + np.ldexp(y[i0:] - cy, -e) ** 2
-    inside = d2 < math.ldexp(r, -e) ** 2
+    inside = (x[i0:] - cx) ** 2 + (y[i0:] - cy) ** 2 < r * r
     if not inside.any():
         return None
     j = i0 + int(np.argmax(inside))
@@ -147,16 +139,12 @@ def path_crosses_zone(traj: ReferenceTrajectory, zone: DangerZone, i0: int = 0):
 
 def _tangent_geometry(px, py, cx, cy, r):
     """Polar angle of the point around the center, tangent half-angle, and
-    tangent segment length.  The point must lie strictly outside, and the
-    length must be finite."""
+    tangent segment length.  The point must lie strictly outside."""
     mx, my = px - cx, py - cy
     d = math.hypot(mx, my)
     if d <= r * (1.0 + 1e-12):
         raise InfeasibleBypassError(f"anchor ({px:.3g}, {py:.3g}) is not outside radius {r:.3g}")
-    length = math.sqrt(d * d - r * r)
-    if not math.isfinite(length):   # d * d overflows past ~1e154
-        raise InfeasibleBypassError(f"tangent from ({px:.3g}, {py:.3g}) overflows")
-    return math.atan2(my, mx), math.acos(r / d), length
+    return math.atan2(my, mx), math.acos(r / d), math.sqrt(d * d - r * r)
 
 
 def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
@@ -208,9 +196,10 @@ def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
         psi2 = phi_b - orient * th_b
         sweep = (orient * (psi2 - psi1)) % TWO_PI
         total = len_a + R * sweep + len_b
-        # not total / (speed_hint * dt): that product can underflow to 0
+        # in this order, not total / (speed_hint * dt): that rounds differently
+        # and would move the wrap's samples
         steps = total / speed_hint / dt
-        n_b = max(2, math.ceil(steps - 1e-9)) if steps < n else n
+        n_b = max(2, math.ceil(steps - 1e-9))
         table = None
         if i_a + n_b <= n - 1:
             v = total / (n_b * dt)

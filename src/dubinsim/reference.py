@@ -242,8 +242,7 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
     """Number of samples in ``build_reference(spec, dt, duration)``: a
     polyline's full traversal, floor(length / speed / dt + 1e-9) + 1, which
     checks its geometry (``pieces``, when the caller has them, are not built
-    again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused,
-    and so is a circle or sinusoid with a sample that is not finite."""
+    again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused."""
     if isinstance(spec, PolylinePath):
         length = sum(map(_piece_length, pieces or _polyline_pieces(spec)))
         steps = length / spec.speed / dt + 1e-9
@@ -257,21 +256,6 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
     if not steps < MAX_SAMPLES - 0.5:   # round(steps) + 1 <= MAX_SAMPLES
         raise DegeneratePathError(f"duration/dt = {steps:.6g} steps: "
                                   f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
-    # the largest |value| a sample or an angle takes, each product in the
-    # build's order; the duration terms are doubled so that the last sample
-    # time, round(steps) * dt, cannot pass them
-    if isinstance(spec, CirclePath):
-        peaks = (abs(spec.cx) + spec.radius, abs(spec.cy) + spec.radius,
-                 spec.radius * abs(spec.omega), abs(spec.omega) * duration * 2.0 + abs(spec.phase))
-    elif isinstance(spec, SinePath):
-        k = 2.0 * math.pi / spec.wavelength
-        peaks = (abs(spec.x0) + spec.speed * duration * 2.0, abs(spec.y0) + abs(spec.amplitude),
-                 abs(spec.amplitude) * k * spec.speed, k * spec.speed * duration * 2.0)
-    else:
-        peaks = ()
-    if not all(map(math.isfinite, peaks)):
-        kind = "circle" if isinstance(spec, CirclePath) else "sinusoid"
-        raise DegeneratePathError(f"{kind} samples over [0, {duration:.6g}] s are not finite")
     return round(steps) + 1
 
 

@@ -221,12 +221,21 @@ _NULLABLE = frozenset({"noise_seed", "perturbation_seed", "start", "speed_hint"}
 _TYPE_NAMES = {dict: "a JSON object", list: "an array", int: "an integer",
                bool: "true or false", str: "a string", float: "a finite number"}
 
+# Bound of the world a scenario lives in, in metres and seconds: a length (or
+# omega) holds |v| <= WORLD and a scale 1/WORLD <= |v| <= WORLD, so that no
+# sample, distance squared, step count or wrap length overflows a float.
+WORLD = 1e6
+_LENGTHS = frozenset({"cx", "cy", "r", "radius", "sensing_radius", "amplitude",
+                      "fillet_radius", "x0", "y0", "waypoints[][]", "start[]", "omega"})
+_SCALES = frozenset({"dt", "speed", "speed_hint", "wavelength", "margin"})
+
 
 def check_types(value, where: str = "", key: str = "") -> None:
     """Refuse a config value, or any value inside it, that does not hold its
     field's JSON type: a boolean or a numeric string is not a number, and a
     seed must be an integer.  ``where`` names the value in the error, such as
-    ``obstacles[0].cx``, and ``key`` is the field that holds it."""
+    ``obstacles[0].cx``, and ``key`` is the field that holds it.  A length
+    or a scale must also lie in the world (see WORLD)."""
     kind = _FIELD_TYPES.get(key, float)
     if value is None and key in _NULLABLE:
         return
@@ -245,6 +254,11 @@ def check_types(value, where: str = "", key: str = "") -> None:
                 int: number and isinstance(value, int),
                 float: number and abs(value) <= sys.float_info.max}.get(kind, False):
             raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if key in _LENGTHS and not abs(value) <= WORLD:
+            raise ConfigError(f"{where} = {value!r} is outside |v| <= WORLD = {WORLD:g}")
+        if key in _SCALES and not 1.0 / WORLD <= abs(value) <= WORLD:
+            raise ConfigError(f"{where} = {value!r} is outside "
+                              f"1/WORLD <= |v| <= WORLD = {WORLD:g}")
 
 
 def json_safe(obj):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from dubinsim.avoidance import (CLEARANCE_PAD, DangerZone, Obstacle, discover,
                                 path_crosses_zone, plan_both_sides, select_side,
                                 splice)
-from dubinsim.errors import InfeasibleBypassError
+from dubinsim.errors import ConfigError, InfeasibleBypassError
 from dubinsim.reference import PolylinePath, ReferenceTrajectory, build_reference
+from dubinsim.scenario import WORLD, AvoidanceConfig, ScenarioConfig
 
 DT = 0.01
 
@@ -431,3 +434,70 @@ def test_bypass_plans_clear_the_zone_and_splice_cleanly(case):
             step = math.hypot(new.x[i] - new.x[i - 1], new.y[i] - new.y[i - 1])
             assert step <= 1.5 * v * DT
         assert path_crosses_zone(new, zone, plan.i_start) is None
+
+
+# -- property: the edge of the world --------------------------------------------
+
+
+def log_uniform(lo, hi=WORLD):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
+
+
+lengths = st.floats(-WORLD, WORLD)
+radii = st.floats(0.0, WORLD, exclude_min=True)
+scales = log_uniform(1.0 / WORLD)
+
+
+@st.composite
+def world_edge_cases(draw):
+    """A config doc whose path has lengths up to +-WORLD and scales
+    log-uniform over [1/WORLD, WORLD], of at most ~200 samples, plus a zone
+    (radius, margin) to centre on one of its samples, the speed hint and the
+    lead."""
+    kind = draw(st.sampled_from(("polyline", "circle", "sinusoid")))
+    if kind == "polyline":
+        points = draw(st.lists(st.tuples(lengths, lengths), min_size=2, max_size=4,
+                               unique=True))
+        legs = [math.dist(p, q) for p, q in zip(points, points[1:])]
+        speed = draw(log_uniform(max(1.0 / WORLD, sum(legs) / 2e8)))
+        dt = draw(log_uniform(max(1.0 / WORLD, sum(legs) / speed / 200)))
+        path = {"waypoints": points, "speed": speed,
+                "fillet_radius": draw(st.floats(0.0, 0.25)) * min(legs)}
+    elif kind == "circle":
+        dt = draw(scales)
+        path = {"cx": draw(lengths), "cy": draw(lengths), "radius": draw(radii),
+                "omega": draw(lengths),
+                "phase": draw(st.floats(allow_nan=False, allow_infinity=False))}
+    else:
+        dt = draw(scales)
+        path = {"amplitude": draw(lengths), "wavelength": draw(scales), "speed": draw(scales),
+                "x0": draw(lengths), "y0": draw(lengths)}
+    doc = {"version": 1, "dt": dt, "duration": dt * draw(st.integers(1, 200)),
+           "path": {"kind": kind, **path},
+           "heol": {"t_window": 4 * dt}}   # the shortest window on the grid
+    return (doc, draw(st.floats(0.0, 1.0)), (draw(radii), draw(scales)), draw(scales),
+            draw(st.floats(0.0, 10.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(world_edge_cases())
+def test_in_world_configs_build_scan_and_plan_without_overflow(case):
+    # no rescaling guards the crossing scan or the planner: the world bound
+    # keeps every square, step count and wrap length finite
+    doc, pick, (r, margin), hint, lead = case
+    try:
+        cfg = ScenarioConfig.from_dict(doc)
+    except ConfigError:
+        return
+    with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
+        assert np.isfinite(traj.table).all()
+        j = int(pick * (traj.n - 1))
+        centre = (min(max(v, -WORLD), WORLD) for v in traj.row(j)[:2])
+        cfg = replace(cfg, obstacles=(Obstacle(*centre, r),),
+                      avoidance=AvoidanceConfig(margin=margin, lead=lead, speed_hint=hint))
+        zone = cfg.obstacles[0].danger_zone(margin)
+        crossing = path_crosses_zone(traj, zone)
+        if crossing is not None:
+            plan_both_sides(traj, zone, crossing, hint, lead)

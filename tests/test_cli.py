@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from dubinsim.cli import main
 from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.presets import nominal_tracking, safety_scenario
-from dubinsim.scenario import (MAX_SAMPLES, AvoidanceConfig, HeolConfig, MfpcConfig,
+from dubinsim.scenario import (MAX_SAMPLES, WORLD, AvoidanceConfig, HeolConfig, MfpcConfig,
                                NoiseConfig, PerturbationConfig, ScenarioConfig)
 
 
@@ -164,6 +165,16 @@ def test_config_error_exit_code(tmp_path):
     {"path": {"kind": "circle", "radius": 1e200, "omega": 1e200}},   # R*omega overflows
     {"path": {"kind": "sinusoid", "amplitude": 1e308, "wavelength": 0.1}},   # A*k overflows
     {"path": {"kind": "circle", "omega": 1e307}},          # omega*t overflows
+    # lengths and scales outside the world (WORLD = 1e6), refused at load
+    {"obstacles": [{"cx": 10.0, "cy": 0.0, "r": 1e200}]},
+    {"controller": "mfpc", "obstacles": [{"cx": 10.0, "cy": 0.0, "r": 1e200}]},
+    {"obstacles": [{"cx": 10.0, "cy": 0.0, "r": 0.5}], "avoidance": {"margin": 1e200}},
+    *[{"path": {"kind": "polyline", "waypoints": [[0, 0], [length, 0]], "speed": length / 1e4},
+       "obstacles": [{"cx": length / 2, "cy": 0, "r": 1e150}], "noise": {"enabled": False},
+       "avoidance": {"sensing_radius": 1e300}} for length in (1e159, 1e200)],
+    {"obstacles": [{"cx": 1e160, "cy": 0, "r": 1e200}], "avoidance": {"sensing_radius": 1e300}},
+    *[{"obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}], "avoidance": {"speed_hint": hint}}
+      for hint in (1e-300, 1e-320, 5e-324)],
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -183,7 +194,10 @@ def test_config_error_exit_code(tmp_path):
         "dt-tiny", "polyline-speed-tiny", "duration-1e6", "switch_interval-tiny",
         "heol-t_window-cube-overflow", "heol-t_window-1e6", "t_window-5-samples-cube-overflow",
         "t_window-5-samples-cube-zero", "sinusoid-wavelength-tiny", "circle-speed-overflow",
-        "sinusoid-slope-overflow", "circle-angle-overflow"])
+        "sinusoid-slope-overflow", "circle-angle-overflow", "huge-zone-heol",
+        "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
+        "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
+        "slow-wrap-5e-324"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -208,6 +222,26 @@ def test_sample_bound_admits_max_samples_and_no_more():
         ScenarioConfig(dt=dt, duration=1.0, path=line)
 
 
+@pytest.mark.parametrize("where, edge, toward, direct, doc", [
+    ("obstacles[0].cx", WORLD, math.inf, lambda v: {"obstacles": (Obstacle(v, 0.0, 1.0),)},
+     lambda v: {"obstacles": [{"cx": v, "cy": 0.0, "r": 1.0}]}),
+    ("avoidance.speed_hint", 1 / WORLD, 0.0,
+     lambda v: {"avoidance": AvoidanceConfig(speed_hint=v)},
+     lambda v: {"avoidance": {"speed_hint": v}}),
+    ("path.omega", WORLD, math.inf, lambda v: {"path": {"kind": "circle", "omega": v}},
+     lambda v: {"path": {"kind": "circle", "omega": v}}),
+], ids=["length", "scale", "omega"])
+def test_world_bound_admits_its_edge_and_no_more(where, edge, toward, direct, doc):
+    ScenarioConfig(**direct(edge))
+    ScenarioConfig.from_dict({"version": 1, **doc(edge)})
+    past = math.nextafter(edge, toward)
+    refused = "^" + re.escape(f"{where} = {past!r} is outside")
+    with pytest.raises(ConfigError, match=refused):
+        ScenarioConfig(**direct(past))
+    with pytest.raises(ConfigError, match=refused):
+        ScenarioConfig.from_dict({"version": 1, **doc(past)})
+
+
 def test_perturbation_levels_and_estimator_windows_are_bounded_at_load():
     with pytest.raises(ConfigError, match="^perturbation.switch_interval = 1e-300: .*MAX_SAMPLES"):
         ScenarioConfig(perturbation=PerturbationConfig(enabled=True, switch_interval=1e-300))
@@ -217,7 +251,7 @@ def test_perturbation_levels_and_estimator_windows_are_bounded_at_load():
         ScenarioConfig(heol=HeolConfig(t_window=1e6))
     with pytest.raises(ConfigError, match="^mfpc: .*MAX_SAMPLES"):
         ScenarioConfig(controller="mfpc", mfpc=MfpcConfig(t_window=1e6))
-    with pytest.raises(ConfigError, match="^heol: .*scale"):
+    with pytest.raises(ConfigError, match=r"^dt = 1e\+200 is outside"):
         ScenarioConfig(dt=1e200, duration=2e202, path={"kind": "sinusoid"},
                        heol=HeolConfig(t_window=4e200))
 

@@ -182,29 +182,6 @@ def test_divergent_controller_aborts_with_flag():
 SHORT_LINE = replace(nominal_tracking("heol", "line"), duration=2.0)
 
 
-def huge_zone(controller, r, margin):
-    """A zone whose radius squared overflows a float: the whole path lies
-    inside it, so no bypass anchor is outside."""
-    return ScenarioConfig(controller=controller, obstacles=(Obstacle(10.0, 0.0, r),),
-                          avoidance=AvoidanceConfig(margin=margin))
-
-
-def overflowing_line(length, speed, cx):
-    """A line whose sample step times its distance from the zone's centre
-    squares past a float: the crossing is found, but the tangent from either
-    anchor is too long to measure."""
-    return ScenarioConfig(path={"kind": "polyline", "waypoints": ((0.0, 0.0), (length, 0.0)),
-                                "speed": speed},
-                          obstacles=(Obstacle(cx, 0.0, 1e150),), noise=NoiseConfig(enabled=False),
-                          avoidance=AvoidanceConfig(sensing_radius=1e300))
-
-
-def slow_wrap(speed_hint):
-    """A wrap re-timed so slowly that it would end far past the reference."""
-    return ScenarioConfig(obstacles=(Obstacle(10.0, 0.1, 0.8),),
-                          avoidance=AvoidanceConfig(speed_hint=speed_hint))
-
-
 @pytest.mark.parametrize("cfg, prefix, suffix", [
     # the start lies inside the danger zone, so no anchor is outside it
     (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)), "infeasible bypass: ",
@@ -217,27 +194,13 @@ def slow_wrap(speed_hint):
     (replace(safety_scenario("heol", 1), duration=8.0, noise=NoiseConfig(enabled=False),
              obstacles=(Obstacle(11.0, 0.1, 0.6), Obstacle(12.1, -1.45, 0.9))),
      "replanning loop exceeded limit (obstacles [0, 1])", " at t=7.32"),
-    (huge_zone("heol", 1e200, 0.5), "infeasible bypass: no feasible bypass on either side",
-     " at t=4.98"),
-    (huge_zone("mfpc", 1e200, 0.5), "infeasible bypass: MFPC requires a right-side bypass",
-     " at t=4.98"),
-    (huge_zone("heol", 0.5, 1e200), "infeasible bypass: no feasible bypass on either side",
-     " at t=4.98"),
-    (overflowing_line(1e159, 1e155, 5e158),
-     "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
-    (overflowing_line(1e200, 1e196, 5e199),
-     "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
-    # every sample's distance squared overflows, and so does the radius squared
-    (ScenarioConfig(obstacles=(Obstacle(1e160, 0.0, 1e200),),
-                    avoidance=AvoidanceConfig(sensing_radius=1e300)),
-     "infeasible bypass: no feasible bypass on either side", " at t=0.0"),
-    # speed_hint * dt underflows to 0 at 5e-324
-    *[(slow_wrap(hint), "infeasible bypass: bypass extends past the end of the trajectory",
-       " at t=4.98") for hint in (1e-300, 1e-320, 5e-324)],
+    # a wrap re-timed so slowly that it would end over 10**8 samples on: it
+    # is planned, but not sampled
+    (ScenarioConfig(obstacles=(Obstacle(10.0, 0.1, 0.8),),
+                    avoidance=AvoidanceConfig(speed_hint=1e-6)),
+     "infeasible bypass: bypass extends past the end of the trajectory", " at t=4.98"),
 ], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit",
-        "huge-zone-heol", "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
-        "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
-        "slow-wrap-5e-324"])
+        "slow-wrap-1e-6"])
 def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffix):
     if cfg is None:   # a non-finite measurement faults the controller
         monkeypatch.setattr(harness, "measure", lambda x, y, noise: (math.nan, math.nan))
