@@ -34,12 +34,14 @@ three.  That is five running sums per window.  Sliding the window by one
 sample updates them in O(1), so a push and an estimate cost the same
 whatever the window length.  The running sums lose a few ulps per update
 (S2 grows as n^2*|f|, and positions can sit tens of metres from zero), so
-they are summed afresh from the samples, with ``math.fsum``, once per lap:
-when the ring head wraps to 0 the ring is already oldest to newest.  The
-estimate then stays within 4e-15 * (|w_out|.|outs| + |w_in|.|ins|) of the
-two dot products, measured over 30 000 pushes on windows of 6 to 71 samples
-with offsets to 25 m and gains to +-5; the tests hold it to 1e-12 of the
-same scale.
+they are summed afresh from the samples, with ``math.fsum``, on every
+RESUM_LAPS-th wrap of the ring head to 0, when the ring is already oldest
+to newest.  (A re-sum costs nearly as much as a lap of pushes.)
+The estimate then stays within 5e-14 * (|w_out|.|outs| + |w_in|.|ins|) of
+the two dot products: 4.7e-14 at worst, against 3.7e-15 with a re-sum on
+every lap, measured over 30 000 pushes of a walk 25 m from zero on windows
+of 6, 31 and 71 samples with gains to +-5.  The tests hold it to 1e-12 of
+the same scale.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ import math
 from operator import mul
 
 from .reference import MAX_SAMPLES
+
+# The ring wraps this many times between two re-sums of its moments.
+RESUM_LAPS = 8
 
 
 def window_capacity(t_window: float, dt: float) -> int:
@@ -119,6 +124,7 @@ class FWindow:
         self._so0 = self._so1 = 0.0
         self._si0 = self._si1 = self._si2 = 0.0
         self._head = 0       # slot of the oldest sample, written next
+        self._laps = 0       # wraps of the ring since the last re-sum
         self._warm = False   # the ring has filled once
         self.last_estimate = 0.0
 
@@ -149,7 +155,9 @@ class FWindow:
         if h == self.capacity:
             h = 0
             self._warm = True
-            self._resum()
+            self._laps = laps = (self._laps + 1) % RESUM_LAPS
+            if not laps:
+                self._resum()
         self._head = h
 
     def _resum(self) -> None:

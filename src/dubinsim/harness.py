@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import asdict, dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -35,6 +35,8 @@ _MFPC_EMPTY = np.isin(CSV_COLUMNS, ("nu1", "nu2"))
 _SAMPLE_COLUMNS = [SERIES.index(name) for name in (
     "x", "y", "x_meas", "y_meas", "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y")]
 _REFERENCE_COLUMNS = [SERIES.index(name) for name in ("x_ref", "y_ref", "dx_ref", "dy_ref")]
+# One sample's computed values as a float64 row of the record's block.
+_SAMPLE_ROW = struct.Struct(f"={len(_SAMPLE_COLUMNS)}d")
 
 # Cap on replans within a single sample; more than this means the planner is
 # thrashing and the run is flagged instead of looping.
@@ -52,7 +54,7 @@ ABORT_PREFIXES = {
 # Rows per formatting block in emit_csv.
 CSV_BLOCK_ROWS = 256
 
-# Samples the run loop buffers as tuples before copying them into its table.
+# Samples the run loop packs into a block before copying them into its table.
 RECORD_BLOCK_ROWS = 256
 
 
@@ -90,12 +92,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         traj = apply_sync(traj, shift, 0)
         events.append({"kind": "sync", "t": 0.0, "tau": shift * dt, "reason": "startup"})
 
-    # Each sample's computed values are buffered as a tuple in ``block`` and
-    # copied into the NaN-filled ``rows`` a block at a time, the rest after
+    # Each sample's computed values are packed into the next row of ``block``
+    # and copied into the NaN-filled ``rows`` a block at a time, the rest after
     # the loop (an abort included): no numpy call per sample, and one block
-    # held at most.  The other columns are filled after the loop as well.
+    # held.  The other columns are filled after the loop.
     rows = np.full((n + 1, len(SERIES)), np.nan)
-    block = []
+    block = np.empty((RECORD_BLOCK_ROWS, len(_SAMPLE_COLUMNS)))
+    into = memoryview(block)   # struct packs into it faster than into the array
+    pack, row_bytes, block_bytes = _SAMPLE_ROW.pack_into, _SAMPLE_ROW.size, block.nbytes
+    at = 0          # byte offset of the next row in ``block``
     filled = 0      # rows copied from earlier blocks
 
     zones = {}          # obstacle index -> DangerZone, once discovered
@@ -132,33 +137,26 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 traj = _replan(cfg, traj, zones, scan, k, events, pending_ends)
 
             u1, u2, nu1, nu2 = controller.step(xm, ym, t, traj.row(k + ahead))
-            block.append((x, y, xm, ym, u1, u2, nu1, nu2,
-                          win_x.last_estimate, win_y.last_estimate))
-            if len(block) == RECORD_BLOCK_ROWS:
-                filled = _copy_block(rows, filled, block)
+            pack(into, at, x, y, xm, ym, u1, u2, nu1, nu2,
+                 win_x.last_estimate, win_y.last_estimate)
+            at += row_bytes
+            if at == block_bytes:
+                rows[filled:filled + RECORD_BLOCK_ROWS, _SAMPLE_COLUMNS] = block
+                filled += RECORD_BLOCK_ROWS
+                at = 0
             if k < n:
                 x, y = step_plant(x, y, u1, u2, levels[k], dt)
     except tuple(ABORT_PREFIXES) as exc:
         aborted, abort_reason = True, f"{ABORT_PREFIXES[type(exc)]}{exc} at t={t}"
-    filled = _copy_block(rows, filled, block)
-    _fill_after_loop(rows, filled, traj, levels, dt)
+    held = at // row_bytes
+    rows[filled:filled + held, _SAMPLE_COLUMNS] = block[:held]
+    _fill_after_loop(rows, filled + held, traj, levels, dt)
 
     events.extend(controller.events)
     events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
     metrics = compute_metrics(cfg, rows, events)
     return ScenarioResult(config=cfg, record=rows, events=events, metrics=metrics,
                           aborted=aborted, abort_reason=abort_reason)
-
-
-def _copy_block(rows: np.ndarray, lo: int, block: list) -> int:
-    """Copy the buffered sample tuples into the computed columns of ``rows``
-    from row lo on and empty the buffer; returns the next row to fill."""
-    hi = lo + len(block)
-    width = len(_SAMPLE_COLUMNS)
-    rows[lo:hi, _SAMPLE_COLUMNS] = np.fromiter(chain.from_iterable(block), float,
-                                               len(block) * width).reshape(-1, width)
-    block.clear()
-    return hi
 
 
 def _fill_after_loop(rows: np.ndarray, filled: int, traj: ReferenceTrajectory,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterator
 
 import numpy as np
@@ -121,12 +122,12 @@ def _normal_pairs(rng_x: np.random.Generator,
                   rng_y: np.random.Generator) -> Iterator[tuple[float, float]]:
     """(x, y) standard normal pairs; a block is drawn when the last runs out.
 
-    A plain function rather than a method: a generator holding the model
-    would make a reference cycle that only the cyclic collector frees.
+    A chain over zips of the blocks, so each ``next`` runs in C; the
+    generator expression holds the two streams only, not the model.
     """
-    while True:
-        yield from zip(rng_x.standard_normal(NOISE_BLOCK).tolist(),
-                       rng_y.standard_normal(NOISE_BLOCK).tolist())
+    return chain.from_iterable(zip(rng_x.standard_normal(NOISE_BLOCK).tolist(),
+                                   rng_y.standard_normal(NOISE_BLOCK).tolist())
+                               for _ in count())
 
 
 def measure(x: float, y: float, noise: NoiseModel) -> tuple[float, float]:

@@ -107,7 +107,7 @@ class ReferenceTrajectory:
         the last sample from k = n on."""
         if k >= self.n:
             return self.x.item(-1), self.y.item(-1), 0.0, 0.0
-        return self.x.item(k), self.y.item(k), self.dx.item(k), self.dy.item(k)
+        return tuple(self.table[k].tolist())
 
     def path_length(self, ia: int, ib: int) -> float:
         """Polyline length of the sample chain from sample ia to sample ib."""

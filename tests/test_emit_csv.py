@@ -100,15 +100,16 @@ def sha256_of_csv(result, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# sha256 of each CSV (x86-64 Linux), recorded with the moment-form FWindow;
-# the test below ties these runs to the dot-product engine's bytes.  The
-# runs' floats follow the platform's libm, so a mismatch elsewhere may come
-# from the simulation; the property above checks the writer alone.
+# sha256 of each CSV (x86-64 Linux), recorded with the moment-form FWindow
+# re-summing its moments every RESUM_LAPS-th lap; the test below ties these
+# runs to the dot-product engine's bytes.  The runs' floats follow the
+# platform's libm, so a mismatch elsewhere may come from the simulation; the
+# property above checks the writer alone.
 @pytest.mark.parametrize("cfg, digest", [
     (safety_scenario("heol", seed=9),
-     "8ff65570f0ad86a9b3c31c5b91e02936097e6c84c40e4b640d85303c5900e5c4"),
+     "6e569aed369aa5672902b2530be61991a729a811a4903752c27098a74c735f21"),
     (nominal_tracking("mfpc", "line"),
-     "68137984793553a0d03e040508c1382eb6278a1874a5727e70375cb70690ad17"),
+     "32fb136e1f688665f3e0bfd27b2cf3971d6293decb9b68c5d646c99b42b191bb"),
     (replace(nominal_tracking("heol", "line"), heol=HeolConfig(kx=1e6, ky=1e6)),
      "f8bac5a159ea1c87fcd4a5d3ae533e55f778efe58edbaf4047cd300529347ceb"),
 ], ids=["safety-heol-9", "line-mfpc", "heol-kx-1e6-aborts"])

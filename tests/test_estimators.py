@@ -8,7 +8,9 @@ so a pure ramp out(s) = F*s returns F exactly and a constant input u0 with
 gain g contributes exactly -g*u0, cancelling the g*u0 slope it induces.
 """
 
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dot_window import DotWindow, assert_matches, product_weights
-from dubinsim.estimation import FWindow, moment_weights, window_capacity
+from dubinsim.estimation import RESUM_LAPS, FWindow, moment_weights, window_capacity
 from dubinsim.reference import MAX_SAMPLES
 from dubinsim.mfpc import MfpcConfig, MfpcController
 
@@ -169,7 +171,8 @@ def test_moment_weights_end_corrections_are_the_oracle_ends_bit_for_bit():
 # Windows of 6, 31, 32 and 71 samples: both controllers' capacities, odd and
 # even n.  The moment form sums in another order than the dot products, so
 # they agree to rounding, measured against |w_out|.|outs| + |w_in|.|ins|
-# (the lap re-sum keeps the worst case near 4e-15 over 30 000 pushes).
+# (the re-sum on every RESUM_LAPS-th lap keeps the worst case below 5e-14
+# over 30 000 pushes).
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(t_window=st.sampled_from([0.05, 0.3, 0.31, 0.7]),
        gain=st.floats(-5.0, 5.0, allow_nan=False).filter(lambda g: g != 0.0),
@@ -199,7 +202,7 @@ def test_estimate_equals_dot_products_of_the_last_window(t_window, gain, seed, l
 @pytest.mark.parametrize("t_window, gain", [(0.05, 2.0), (0.3, 1.0)])
 def test_long_runs_stay_on_the_dot_products(t_window, gain):
     # 30 000 pushes (5 minutes of samples) of a position wandering 25 m from
-    # zero: without the once-per-lap re-sum the running moments drift past
+    # zero: without the periodic re-sum the running moments drift past
     # 1e-11 of the scale here
     w = FWindow(t_window, DT, input_gain=gain)
     oracle = DotWindow(t_window, DT, input_gain=gain)
@@ -210,3 +213,34 @@ def test_long_runs_stay_on_the_dot_products(t_window, gain):
         oracle.push(o, i)
         if pushed >= w.capacity and pushed % 7 == 0:
             assert_matches(w, oracle)
+
+
+def moments(w):
+    return (w._so0, w._so1, w._si0, w._si1, w._si2)
+
+
+@pytest.mark.parametrize("t_window", [0.05, 0.3, 0.7])   # 6, 31 and 71 samples
+def test_moments_are_summed_afresh_on_every_resum_laps_th_wrap(t_window):
+    w = FWindow(t_window, DT, input_gain=1.5)
+    n = w.capacity
+    samples = np.random.default_rng(3).normal(size=(2 * RESUM_LAPS * n, 2))
+    samples[:, 0] = 25.0 + np.cumsum(samples[:, 0]) * DT
+    for lap in range(1, 2 * RESUM_LAPS + 1):
+        *pushes, last = samples[(lap - 1) * n:lap * n].tolist()
+        for o, i in pushes:
+            w.push(o, i)
+        running = copy.deepcopy(w)
+        running._resum = lambda: None   # the sliding update alone
+        w.push(*last)
+        running.push(*last)
+        assert w._head == 0
+        if lap % RESUM_LAPS:
+            assert moments(w) == moments(running), lap
+        else:
+            # fsum of the ring, oldest to newest, products formed as _resum forms them
+            m = [j - 0.5 * (n - 1) for j in range(n)]
+            m_ins = [a * b for a, b in zip(m, w._ins)]
+            fresh = (math.fsum(w._outs), math.fsum(a * b for a, b in zip(m, w._outs)),
+                     math.fsum(w._ins), math.fsum(m_ins),
+                     math.fsum(a * b for a, b in zip(m, m_ins)))
+            assert [v.hex() for v in moments(w)] == [v.hex() for v in fresh], lap

@@ -394,6 +394,46 @@ def test_a_run_never_raises_and_repeats_byte_for_byte(cfg):
     assert csv_a == csv_b and summary_a == summary_b
 
 
+@st.composite
+def shifted_runs(draw):
+    """A 3-5 s run with noise on, a bent polyline, a start off the reference
+    and one obstacle near the path, and the same run moved by a vector of up
+    to 500 m in each axis."""
+    bend = draw(st.tuples(st.floats(2.0, 4.0), st.floats(-1.0, 1.0)))
+    waypoints = ((0.0, 0.0), bend, (12.0, draw(st.floats(-1.0, 1.0))))
+    obstacle = draw(st.tuples(st.floats(1.5, 3.5), st.floats(-0.5, 0.5)))
+    r = draw(st.floats(0.3, 0.7))
+    start = draw(st.tuples(st.floats(-0.2, 0.6), st.floats(-0.3, 0.3)))
+    shift = draw(st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)))
+    base = ScenarioConfig(name="shift", controller=draw(st.sampled_from(("heol", "mfpc"))),
+                          duration=draw(st.sampled_from((3.0, 4.0, 5.0))),
+                          seed=draw(st.integers(0, 2**16)))
+
+    def moved(dx, dy):
+        return replace(base, path={"kind": "polyline",
+                                   "waypoints": tuple((x + dx, y + dy) for x, y in waypoints)},
+                       start=(start[0] + dx, start[1] + dy),
+                       obstacles=(Obstacle(obstacle[0] + dx, obstacle[1] + dy, r),))
+    return moved(0.0, 0.0), moved(*shift)
+
+
+# Positions hundreds of metres from zero feed the estimator's moments samples
+# far larger than their differences (S2 grows as n^2*|f|); a translated run
+# must still follow the same course.  HEOL's 31-sample windows re-sum their
+# moments at sample 248, inside every run drawn here.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shifted_runs())
+def test_a_translated_run_keeps_its_course(pair):
+    a, b = (run_scenario(cfg) for cfg in pair)
+
+    def course(result):
+        return [(e["kind"], round(e["t"] / DT), e.get("side")) for e in result.events]
+    assert course(a) == course(b)
+    assert a.aborted == b.aborted
+    assert b.metrics["rms_tracking"] == pytest.approx(a.metrics["rms_tracking"], rel=1e-9)
+    assert b.metrics["min_clearance"] == pytest.approx(a.metrics["min_clearance"], abs=1e-9)
+
+
 def test_rms_matches_definition():
     cfg = safety_scenario("heol", seed=41)
     r = run_scenario(cfg)
