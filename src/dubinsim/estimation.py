@@ -126,7 +126,6 @@ class FWindow:
         self._head = 0       # slot of the oldest sample, written next
         self._laps = 0       # wraps of the ring since the last re-sum
         self._warm = False   # the ring has filled once
-        self.last_estimate = 0.0
 
     def push(self, out_sample: float, in_sample: float) -> None:
         """Replace the oldest sample f_old (at m = -c) by f (at m = c).
@@ -169,13 +168,10 @@ class FWindow:
 
     def estimate(self) -> float:
         if not self._warm:
-            self.last_estimate = 0.0
             return 0.0
         h = self._head
         outs, ins = self._outs, self._ins
-        value = (self._qo0 * self._so0 + self._qo1 * self._so1
-                 + self._eo_old * outs[h] + self._eo_new * outs[h - 1]
-                 + self._qi0 * self._si0 + self._qi1 * self._si1 + self._qi2 * self._si2
-                 + self._ei_old * ins[h] + self._ei_new * ins[h - 1])
-        self.last_estimate = value
-        return value
+        return (self._qo0 * self._so0 + self._qo1 * self._so1
+                + self._eo_old * outs[h] + self._eo_new * outs[h - 1]
+                + self._qi0 * self._si0 + self._qi1 * self._si1 + self._qi2 * self._si2
+                + self._ei_old * ins[h] + self._ei_new * ins[h - 1])

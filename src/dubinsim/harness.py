@@ -30,13 +30,9 @@ from .scenario import (SERIES, ScenarioConfig, ScenarioResult, check_name, compu
 CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in SERIES[:SERIES.index("dx_ref")])
 # The CSV columns that MFPC, which has no auxiliary controls, leaves empty.
 _MFPC_EMPTY = np.isin(CSV_COLUMNS, ("nu1", "nu2"))
-# The record's columns that a sample computes, in the order the loop buffers
-# them; the clock, perturbation and reference columns are filled after it.
-_SAMPLE_COLUMNS = [SERIES.index(name) for name in (
-    "x", "y", "x_meas", "y_meas", "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y")]
 _REFERENCE_COLUMNS = [SERIES.index(name) for name in ("x_ref", "y_ref", "dx_ref", "dy_ref")]
-# One sample's computed values as a float64 row of the record's block.
-_SAMPLE_ROW = struct.Struct(f"={len(_SAMPLE_COLUMNS)}d")
+# The columns t to p of a record row, as float64, which one sample writes.
+_SAMPLE_ROW = struct.Struct(f"={SERIES.index('p') + 1}d")
 
 # Cap on replans within a single sample; more than this means the planner is
 # thrashing and the run is flagged instead of looping.
@@ -53,9 +49,6 @@ ABORT_PREFIXES = {
 
 # Rows per formatting block in emit_csv.
 CSV_BLOCK_ROWS = 256
-
-# Samples the run loop packs into a block before copying them into its table.
-RECORD_BLOCK_ROWS = 256
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -77,7 +70,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     controller = (HeolController(cfg.heol, dt) if cfg.controller == "heol"
                   else MfpcController(cfg.mfpc, dt))
     ahead = controller.ahead
-    win_x, win_y = controller.windows
 
     x0, y0 = traj.row(0)[:2]
     start = cfg.start if cfg.start is not None else (x0, y0)
@@ -92,16 +84,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         traj = apply_sync(traj, shift, 0)
         events.append({"kind": "sync", "t": 0.0, "tau": shift * dt, "reason": "startup"})
 
-    # Each sample's computed values are packed into the next row of ``block``
-    # and copied into the NaN-filled ``rows`` a block at a time, the rest after
-    # the loop (an abort included): no numpy call per sample, and one block
-    # held.  The other columns are filled after the loop.
+    # Each sample packs the columns t to p of its own row of the NaN-filled
+    # ``rows`` in place, no numpy call per sample.  Its x_ref and y_ref stay
+    # NaN: MFPC reads the row ``ahead`` samples on, so the reference columns
+    # are filled from the final reference after the loop.
     rows = np.full((n + 1, len(SERIES)), np.nan)
-    block = np.empty((RECORD_BLOCK_ROWS, len(_SAMPLE_COLUMNS)))
-    into = memoryview(block)   # struct packs into it faster than into the array
-    pack, row_bytes, block_bytes = _SAMPLE_ROW.pack_into, _SAMPLE_ROW.size, block.nbytes
-    at = 0          # byte offset of the next row in ``block``
-    filled = 0      # rows copied from earlier blocks
+    into = memoryview(rows)   # struct packs into it faster than into the array
+    pack, stride, nan = _SAMPLE_ROW.pack_into, rows.strides[0], math.nan
+    at = 0   # byte offset of the next sample's row
 
     zones = {}          # obstacle index -> DangerZone, once discovered
     pending_ends = []   # last sample of each spliced bypass not yet completed
@@ -136,42 +126,27 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             if scan:
                 traj = _replan(cfg, traj, zones, scan, k, events, pending_ends)
 
-            u1, u2, nu1, nu2 = controller.step(xm, ym, t, traj.row(k + ahead))
-            pack(into, at, x, y, xm, ym, u1, u2, nu1, nu2,
-                 win_x.last_estimate, win_y.last_estimate)
-            at += row_bytes
-            if at == block_bytes:
-                rows[filled:filled + RECORD_BLOCK_ROWS, _SAMPLE_COLUMNS] = block
-                filled += RECORD_BLOCK_ROWS
-                at = 0
+            u1, u2, nu1, nu2, fx, fy = controller.step(xm, ym, t, traj.row(k + ahead))
+            p = levels[k]
+            pack(into, at, t, x, y, xm, ym, nan, nan, u1, u2, nu1, nu2, fx, fy, p)
+            at += stride
             if k < n:
-                x, y = step_plant(x, y, u1, u2, levels[k], dt)
+                x, y = step_plant(x, y, u1, u2, p, dt)
     except tuple(ABORT_PREFIXES) as exc:
         aborted, abort_reason = True, f"{ABORT_PREFIXES[type(exc)]}{exc} at t={t}"
-    held = at // row_bytes
-    rows[filled:filled + held, _SAMPLE_COLUMNS] = block[:held]
-    _fill_after_loop(rows, filled + held, traj, levels, dt)
+    filled = at // stride
+    # A revision at sample k (a sync or a splice) rewrites only rows >= k, so
+    # the final ``traj`` holds the row each recorded sample read as its own;
+    # rows from ``traj.n`` on are parked as ``traj.row`` parks them.
+    m = min(filled, traj.n)
+    rows[:m, _REFERENCE_COLUMNS] = traj.table[:m]
+    rows[m:filled, _REFERENCE_COLUMNS] = (traj.x[-1], traj.y[-1], 0.0, 0.0)
 
     events.extend(controller.events)
     events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
     metrics = compute_metrics(cfg, rows, events)
     return ScenarioResult(config=cfg, record=rows, events=events, metrics=metrics,
                           aborted=aborted, abort_reason=abort_reason)
-
-
-def _fill_after_loop(rows: np.ndarray, filled: int, traj: ReferenceTrajectory,
-                     levels: list, dt: float) -> None:
-    """Fill the clock, perturbation and reference columns of rows [0, filled).
-
-    A revision at sample k (a sync or a splice) rewrites only rows >= k, so
-    the final ``traj`` holds the row each sample read as its own; rows from
-    ``traj.n`` on are parked as ``traj.row`` parks them.
-    """
-    rows[:filled, SERIES.index("t")] = np.arange(filled) * dt
-    rows[:filled, SERIES.index("p")] = levels[:filled]
-    m = min(filled, traj.n)
-    rows[:m, _REFERENCE_COLUMNS] = traj.table[:m]
-    rows[m:filled, _REFERENCE_COLUMNS] = (traj.x[-1], traj.y[-1], 0.0, 0.0)
 
 
 def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, k: int,

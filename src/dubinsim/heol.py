@@ -51,9 +51,10 @@ class HeolController:
         self.events: list = []
 
     def step(self, x_meas: float, y_meas: float, t: float,
-             row) -> tuple[float, float, float, float]:
+             row) -> tuple[float, float, float, float, float, float]:
         """One closed-loop step: feedforward plus the iP correction;
-        returns ``(u1, u2, nu1, nu2)``.
+        returns ``(u1, u2, nu1, nu2, fhat_x, fhat_y)``, the drift estimates
+        being the ones this step used.
 
         ``row`` is the reference sample ``(x, y, dx, dy)`` at time t.  Each
         window estimates F from (flat-output error, auxiliary-control error)
@@ -77,4 +78,4 @@ class HeolController:
         win_x.push(ex, dnu1)
         win_y.push(ey, dnu2)
         self.prev_u2 = u2
-        return u1, u2, nu1, nu2
+        return u1, u2, nu1, nu2, fx, fy

@@ -154,11 +154,12 @@ class MfpcController:
         self._u1_clamped = self._u2_clamped = False   # on the last step
 
     def step(self, x_meas: float, y_meas: float, t: float,
-             row) -> tuple[float, float, float, float]:
+             row) -> tuple[float, float, float, float, float, float]:
         """Full MIMO step: x axis -> u1, y axis -> u2, toward the setpoint
         ``row[:2]``, the reference row one horizon ahead on the (possibly
-        revised) reference; returns ``(u1, u2, nan, nan)``, since this stack
-        has no auxiliary controls.
+        revised) reference; returns ``(u1, u2, nan, nan, fhat_x, fhat_y)``,
+        since this stack has no auxiliary controls, with the drift estimates
+        this step used.
 
         Per axis: the optimal velocity toward the setpoint, minus the drift
         estimate, scaled by 1/alpha and clamped to the axis limits; the
@@ -170,13 +171,15 @@ class MfpcController:
         alpha_x, alpha_y = self.alphas
         win_x, win_y = self.windows
         u1_min, u1_max, u2_min, u2_max = self.limits
-        u1 = raw1 = (gain_x * (x_meas - row[0]) - win_x.estimate()) / alpha_x
+        fx = win_x.estimate()
+        u1 = raw1 = (gain_x * (x_meas - row[0]) - fx) / alpha_x
         if raw1 < u1_min:
             u1 = u1_min
         elif raw1 > u1_max:
             u1 = u1_max
         win_x.push(x_meas, u1)
-        u2 = raw2 = (gain_y * (y_meas - row[1]) - win_y.estimate()) / alpha_y
+        fy = win_y.estimate()
+        u2 = raw2 = (gain_y * (y_meas - row[1]) - fy) / alpha_y
         if raw2 < u2_min:
             u2 = u2_min
         elif raw2 > u2_max:
@@ -192,4 +195,4 @@ class MfpcController:
             if clamped:
                 self.events.append({"kind": "clamp", "t": t, "input": "u2", "raw": raw2})
             self._u2_clamped = clamped
-        return u1, u2, math.nan, math.nan
+        return u1, u2, math.nan, math.nan, fx, fy

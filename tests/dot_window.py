@@ -1,12 +1,12 @@
 """The dot-product drift window, kept as the reference for FWindow.
 
-``DotWindow`` has FWindow's surface (``push``, ``estimate``,
-``last_estimate``, ``capacity``) and computes the estimate the direct way:
-the samples of the last window, oldest first, dotted with the product
-weights, ``w_out @ outs + w_in @ ins``.  Its floats are those of the ring
-that FWindow replaced, so a run with it swapped in reproduces that engine's
-output bytes.  ``product_weights`` builds those weights interval by
-interval, as the module docstring of ``dubinsim.estimation`` sets out.
+``DotWindow`` has FWindow's surface (``push``, ``estimate``, ``capacity``)
+and computes the estimate the direct way: the samples of the last window,
+oldest first, dotted with the product weights, ``w_out @ outs + w_in @ ins``.
+Its floats are those of the ring that FWindow replaced, so a run with it
+swapped in reproduces that engine's output bytes.  ``product_weights``
+builds those weights interval by interval, as the module docstring of
+``dubinsim.estimation`` sets out.
 """
 
 from collections import deque
@@ -43,7 +43,6 @@ class DotWindow:
         # an empty window holds zeros, as the old ring did
         self.samples = deque([(0.0, 0.0)] * self.capacity, maxlen=self.capacity)
         self.pushed = 0
-        self.last_estimate = 0.0
 
     def push(self, out_sample, in_sample):
         self.samples.append((out_sample, in_sample))
@@ -55,12 +54,10 @@ class DotWindow:
         return outs, ins
 
     def estimate(self):
-        value = 0.0
-        if self.pushed >= self.capacity:
-            outs, ins = self.columns()
-            value = float(self.w_out.dot(outs) + self.w_in.dot(ins))
-        self.last_estimate = value
-        return value
+        if self.pushed < self.capacity:
+            return 0.0
+        outs, ins = self.columns()
+        return float(self.w_out.dot(outs) + self.w_in.dot(ins))
 
     def scale(self):
         """|w_out|.|outs| + |w_in|.|ins|: the size the estimate's rounding

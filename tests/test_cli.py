@@ -149,7 +149,7 @@ def test_config_error_exit_code(tmp_path):
               "fillet_radius": -1}},
     {"avoidance": {"lead": -3}, "obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}]},
     {"sync": {"startup_threshold": -1}},                   # synced at t=0 on every run
-    {"controller": "mfpc",                                 # read-ahead T/dt overflows
+    {"controller": "mfpc",                                 # alphas outside the world
      "mfpc": {"alpha1": 1e-306, "alpha2": 1e-306, "horizon": 1e308}},
     {"dt": 1e-300},                                        # 2e301 samples
     {"path": {"kind": "polyline", "waypoints": [[0, 0], [25, 0]], "speed": 1e-300}},
@@ -175,6 +175,8 @@ def test_config_error_exit_code(tmp_path):
     {"obstacles": [{"cx": 1e160, "cy": 0, "r": 1e200}], "avoidance": {"sensing_radius": 1e300}},
     *[{"obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}], "avoidance": {"speed_hint": hint}}
       for hint in (1e-300, 1e-320, 5e-324)],
+    {"controller": "mfpc", "mfpc": {"alpha1": 1e-17}},    # exp(-rT) == exp(rT)
+    {"noise": {"sigma": 1e300}},                          # rms_tracking = inf
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -197,7 +199,7 @@ def test_config_error_exit_code(tmp_path):
         "sinusoid-slope-overflow", "circle-angle-overflow", "huge-zone-heol",
         "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
         "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
-        "slow-wrap-5e-324"])
+        "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))

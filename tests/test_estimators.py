@@ -196,7 +196,6 @@ def test_estimate_equals_dot_products_of_the_last_window(t_window, gain, seed, l
             assert w.estimate() == 0.0
         else:
             assert_matches(w, oracle)
-    assert w.last_estimate == w.estimate()
 
 
 @pytest.mark.parametrize("t_window, gain", [(0.05, 2.0), (0.3, 1.0)])

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from dubinsim import avoidance, harness
 from dubinsim.avoidance import Obstacle
 from dubinsim.errors import ConfigError, StateIntegrityError
+from dubinsim.estimation import FWindow
 from dubinsim.harness import SERIES, emit, place_crossing_obstacle, run_scenario, run_sweep
+from dubinsim.model import perturbation_levels
 from dubinsim.presets import (LINE_PATH, SINE_PATH, nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
 from dubinsim.reference import ReferenceTrajectory, build_reference
@@ -234,9 +236,6 @@ def same_bits(a, b):
 @pytest.mark.parametrize("cfg", RECORD_CASES, ids=lambda c: c.controller)
 @pytest.mark.parametrize("samples", [2, 255, 256, 257, 512, 513])
 def test_a_shorter_run_records_a_prefix_of_the_longer_one(full_records, cfg, samples):
-    # the record is copied in blocks of RECORD_BLOCK_ROWS samples; runs that
-    # end on, just before and just after a block edge keep every sample
-    assert harness.RECORD_BLOCK_ROWS == 256
     short = run_series(run_scenario(replace(cfg, duration=(samples - 1) * DT)))
     full = full_records[cfg.controller]
     assert short.keys() == full.keys()
@@ -267,11 +266,74 @@ def test_an_abort_at_a_block_edge_keeps_the_recorded_samples(monkeypatch, full_r
         assert np.isnan(series[fail_at + 1:]).all(), name
 
 
+@pytest.mark.parametrize("cfg", RECORD_CASES, ids=lambda c: c.controller)
+def test_an_abort_before_the_sample_is_recorded_leaves_its_row_nan(monkeypatch, full_records,
+                                                                   cfg):
+    # from sample 300 on the measurement is NaN, so the controller faults
+    # before the sample's row is written
+    calls = itertools.count()
+    measure = harness.measure
+
+    def failing_measure(x, y, noise):
+        xm, ym = measure(x, y, noise)
+        return (xm, ym) if next(calls) < 300 else (math.nan, math.nan)
+
+    monkeypatch.setattr(harness, "measure", failing_measure)
+    r = run_scenario(cfg)
+    assert r.aborted and r.abort_reason.startswith("controller fault: ")
+    assert r.abort_reason.endswith(f" at t={300 * DT}")
+    full = full_records[cfg.controller]
+    for name, series in run_series(r).items():
+        assert len(series) == cfg.n_steps + 1
+        assert same_bits(series[:300], full[name][:300]), name
+        assert np.isnan(series[300:]).all(), name
+
+
+@pytest.mark.parametrize("cfg", RECORD_CASES, ids=lambda c: c.controller)
+def test_the_record_holds_what_each_step_returned_and_used(monkeypatch, cfg):
+    # t and the step's six outputs come from each sample's controller step,
+    # F_hat being the two window estimates that step read, and p is the
+    # level the plant step was given
+    steps, estimates, levels = [], [], []
+    controller = harness.HeolController if cfg.controller == "heol" else harness.MfpcController
+    step, estimate, step_plant = controller.step, FWindow.estimate, harness.step_plant
+
+    def logged_step(self, x_meas, y_meas, t, row):
+        out = step(self, x_meas, y_meas, t, row)
+        steps.append((t, *out))
+        return out
+
+    def logged_estimate(self):
+        value = estimate(self)
+        estimates.append(value)
+        return value
+
+    def logged_step_plant(x, y, u1, u2, p, dt):
+        levels.append(p)
+        return step_plant(x, y, u1, u2, p, dt)
+
+    monkeypatch.setattr(controller, "step", logged_step)
+    monkeypatch.setattr(FWindow, "estimate", logged_estimate)
+    monkeypatch.setattr(harness, "step_plant", logged_step_plant)
+    r = run_scenario(cfg)
+    assert not r.aborted
+    n = cfg.n_steps
+    assert len(steps) == len(estimates) // 2 == n + 1
+    logged = np.array(steps)
+    for j, name in enumerate(("t", "u1", "u2", "nu1", "nu2", "fhat_x", "fhat_y")):
+        assert same_bits(getattr(r, name), logged[:, j]), name
+    assert same_bits(r.fhat_x, np.array(estimates[0::2]))
+    assert same_bits(r.fhat_y, np.array(estimates[1::2]))
+    assert same_bits(r.p[:n], np.array(levels))
+    assert same_bits(r.p, np.array(perturbation_levels(cfg.perturbation, cfg.duration, n,
+                                                       cfg.dt, cfg.seed)))
+
+
 # -- what the loop reads and what it records --------------------------------------
 #
-# The loop records only what a sample computes; the clock, perturbation and
-# reference columns are filled after it, the reference ones from the final
-# trajectory.  That holds because a revision at sample k rewrites rows >= k only.
+# The loop writes each sample's row but its reference columns, which are
+# filled after it from the final trajectory.  That holds because a revision at
+# sample k rewrites rows >= k only.
 
 SHORT_POLYLINE = {"kind": "polyline", "waypoints": ((0.0, 0.0), (5.0, 0.0)), "speed": 1.0}
 

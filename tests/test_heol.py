@@ -32,7 +32,7 @@ def test_on_reference_reduces_to_feedforward():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     t = 3.0
     x_ref, y_ref, _, _ = traj.lookup(t)
-    u1, u2, nu1, _ = fresh_controller().step(x_ref, y_ref, t, traj.lookup(t))
+    u1, u2, nu1, _, _, _ = fresh_controller().step(x_ref, y_ref, t, traj.lookup(t))
     # the flat feedforward: nu = (dx, dy) of the reference row
     ff_nu1, ff_nu2 = traj.row(round(t / DT))[2:]
     ff_u1, ff_u2 = aux_to_true(ff_nu1, ff_nu2)
@@ -44,8 +44,8 @@ def test_on_reference_reduces_to_feedforward():
 def test_ip_law_arithmetic():
     # dx_err = 0.1, F_hat = 0 (warm-up), Kx = 2 -> dnu1 = -0.2
     traj = stationary_traj()
-    _, _, nu1, nu2 = fresh_controller(HeolConfig(kx=2.0, ky=2.0)).step(0.1, 0.0, 0.0,
-                                                                         traj.lookup(0.0))
+    ctl = fresh_controller(HeolConfig(kx=2.0, ky=2.0))
+    _, _, nu1, nu2, _, _ = ctl.step(0.1, 0.0, 0.0, traj.lookup(0.0))
     assert nu1 == pytest.approx(-0.2, abs=1e-12)
     assert nu2 == pytest.approx(0.0, abs=1e-12)
 
@@ -67,8 +67,11 @@ def test_step_pushes_samples_after_output():
             win.push(o, i)
             oracle.push(o, i)
     fx, fy = (oracle.estimate() for oracle in oracles)
-    _, _, nu1, nu2 = ctl.step(0.5, -0.25, 0.0, traj.lookup(0.0))
-    # the output is formed from the windows before this step's samples
+    held = tuple(win.estimate() for win in ctl.windows)
+    _, _, nu1, nu2, fhat_x, fhat_y = ctl.step(0.5, -0.25, 0.0, traj.lookup(0.0))
+    # the output is formed from the windows before this step's samples, and
+    # the step returns the estimates it used
+    assert (fhat_x, fhat_y) == held
     assert nu1 == pytest.approx(-(fx + 2.0 * 0.5), abs=1e-12)
     assert nu2 == pytest.approx(-(fy + 2.0 * -0.25), abs=1e-12)
     # then (error, auxiliary-control error) is pushed on each axis
@@ -90,10 +93,10 @@ def test_constant_disturbance_absorbed_by_estimate():
     ts, ys, fhats = [], [], []
     for k in range(301):
         t = k * DT
-        _, _, _, nu2 = ctl.step(0.0, y, t, traj.lookup(t))
+        _, _, _, nu2, _, fhat_y = ctl.step(0.0, y, t, traj.lookup(t))
         ts.append(t)
         ys.append(y)
-        fhats.append(ctl.windows[1].last_estimate)
+        fhats.append(fhat_y)
         y += DT * (nu2 + F)
     ts, ys, fhats = map(np.array, (ts, ys, fhats))
     settled = ts >= 4 * gains.t_window
@@ -107,7 +110,6 @@ class _ConstEstimate:
 
     def __init__(self, value):
         self.value = value
-        self.last_estimate = value
 
     def estimate(self):
         return self.value
@@ -126,7 +128,7 @@ def test_contraction_with_exact_estimates(k):
     ctl.windows = (_ConstEstimate(F), _ConstEstimate(F))
     x = 1.0
     for _ in range(50):
-        _, _, nu1, _ = ctl.step(x, 0.0, 0.0, traj.lookup(0.0))
+        _, _, nu1, _, _, _ = ctl.step(x, 0.0, 0.0, traj.lookup(0.0))
         x_next = x + DT * (nu1 + F)
         assert x_next / x == pytest.approx(1.0 - k * DT, abs=1e-9)
         x = x_next
@@ -140,7 +142,7 @@ def closed_loop(spec, gains=HeolConfig(), duration=20.0):
     errs, ctrls = [], []
     for k in range(int(round(duration / DT)) + 1):
         t = k * DT
-        u1, u2, nu1, nu2 = ctl.step(x, y, t, traj.row(k))
+        u1, u2, nu1, nu2, _, _ = ctl.step(x, y, t, traj.row(k))
         xr, yr = traj.row(k)[:2]
         errs.append(math.hypot(x - xr, y - yr))
         ctrls.append((nu1, nu2))
@@ -167,6 +169,6 @@ def test_output_continuity_on_nominal_run():
 def test_controller_wrapper_tracks_heading_and_estimates():
     traj = build_reference(CirclePath(radius=5.0, omega=0.2), DT, 20.0)
     ctl = HeolController(HeolConfig(), DT)
-    _, u2, _, _ = ctl.step(*traj.row(0)[:2], 0.0, traj.row(0))
+    _, u2, _, _, fhat_x, fhat_y = ctl.step(*traj.row(0)[:2], 0.0, traj.row(0))
     assert ctl.prev_u2 == u2
-    assert [w.last_estimate for w in ctl.windows] == [0.0, 0.0]  # warm-up
+    assert (fhat_x, fhat_y) == (0.0, 0.0)  # warm-up

@@ -97,7 +97,7 @@ ZERO_ROW = (0.0, 0.0, 0.0, 0.0)
 
 def test_axis_step_zero_at_setpoint_without_drift():
     ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=1.0, t_window=0.3), DT)
-    u1, u2, _, _ = ctl.step(0.0, 0.0, 0.0, ZERO_ROW)
+    u1, u2, _, _, _, _ = ctl.step(0.0, 0.0, 0.0, ZERO_ROW)
     assert (u1, u2) == (0.0, 0.0)
     assert ctl.events == []   # no input was clamped
 
@@ -110,21 +110,21 @@ def test_axis_step_cancels_pure_drift():
     win_y = ctl.windows[1]
     for _ in range(31):
         win_y.push(0.0, -f / alpha)
-    _, u2, _, _ = ctl.step(0.0, 0.0, 0.0, ZERO_ROW)
-    assert win_y.last_estimate == pytest.approx(f, abs=1e-9)
+    _, u2, _, _, _, fhat_y = ctl.step(0.0, 0.0, 0.0, ZERO_ROW)
+    assert fhat_y == pytest.approx(f, abs=1e-9)
     assert u2 == pytest.approx(-f / alpha, abs=1e-9)
 
 
 def test_axis_step_matches_boundary_velocity():
     ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=1.0, t_window=0.3), DT)
-    _, u2, _, _ = ctl.step(0.0, 1.0, 0.0, ZERO_ROW)
+    _, u2, _, _, _, _ = ctl.step(0.0, 1.0, 0.0, ZERO_ROW)
     assert u2 == pytest.approx(-1.313035, abs=1e-6)  # velocity of the closed form at t_i
 
 
 def test_controller_shrinks_long_horizons():
     ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=100.0), DT)
     assert ctl.ahead * DT <= 40.0 / 1.0   # 100 s would overflow unshrunk
-    u1, u2, _, _ = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(ctl.ahead))
+    u1, u2, _, _, _, _ = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(ctl.ahead))
     assert math.isfinite(u1) and math.isfinite(u2)
     assert math.isfinite(ctl.gains[0])
 
@@ -168,7 +168,7 @@ def test_axis_step_pushes_applied_input():
     for k in range(win_x.capacity):    # a full window: ramp out, constant in
         win_x.push(0.01 * k, 0.2)
         oracle.push(0.01 * k, 0.2)
-    u1, _, _, _ = ctl.step(-3.0, 0.0, 0.0, ZERO_ROW)
+    u1, _, _, _, _, _ = ctl.step(-3.0, 0.0, 0.0, ZERO_ROW)
     assert u1 == 0.5
     [clamp] = ctl.events
     assert clamp["input"] == "u1" and clamp["raw"] > 0.5
@@ -183,9 +183,9 @@ def test_solution_independent_of_drift_estimate():
     for _ in range(31):
         a.windows[1].push(0.0, 0.9)
         b.windows[1].push(0.0, -0.4)
-    _, ua, _, _ = a.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0))
-    _, ub, _, _ = b.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0))
-    assert a.windows[1].last_estimate != b.windows[1].last_estimate
+    _, ua, _, _, _, fa = a.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0))
+    _, ub, _, _, _, fb = b.step(0.0, 2.0, 0.0, (0.0, 1.0, 0.0, 0.0))
+    assert fa != fb
     assert a.gains[1] == b.gains[1]
     assert ua != ub  # drift correction differs
 
@@ -201,7 +201,7 @@ def test_receding_horizon_consistency_on_exact_model():
     for k in range(200):
         t = k * DT
         sols.append(solve_two_point(x, x_sp, t, t + 1.0, alpha))
-        u, _, _, _ = ctl.step(x, 0.0, t, (x_sp, 0.0, 0.0, 0.0))
+        u, _, _, _, _, _ = ctl.step(x, 0.0, t, (x_sp, 0.0, 0.0, 0.0))
         x += DT * (F + alpha * u)
     assert ctl.events == []
     for k in range(80, 150):
@@ -242,7 +242,7 @@ def test_mimo_step_stationary_at_rest():
     params = MfpcConfig(t_window=0.3)
     ctl = MfpcController(params, DT)
     traj = stationary_traj()
-    u1, u2, nu1, nu2 = ctl.step(0.0, 0.0, 0.0, traj.row(ctl.ahead))
+    u1, u2, nu1, nu2, _, _ = ctl.step(0.0, 0.0, 0.0, traj.row(ctl.ahead))
     assert u1 == 0.0
     assert u2 == 0.0
     assert math.isnan(nu1) and math.isnan(nu2)
@@ -252,7 +252,7 @@ def test_mimo_step_clamps_heading_and_logs_episode():
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
     # huge lateral error -> raw u2 >> pi/2
-    _, u2, _, _ = ctl.step(0.0, -3.0, 0.0, traj.row(ctl.ahead))
+    _, u2, _, _, _, _ = ctl.step(0.0, -3.0, 0.0, traj.row(ctl.ahead))
     assert u2 == pytest.approx(math.pi / 2 - 0.01)
     clamps = [e for e in ctl.events if e["kind"] == "clamp" and e["input"] == "u2"]
     assert len(clamps) == 1
@@ -282,7 +282,7 @@ def test_u1_never_negative():
     # vehicle ahead of a stationary target: the speed demand clamps at zero
     ctl = MfpcController(MfpcConfig(t_window=0.3), DT)
     traj = stationary_traj()
-    u1, _, _, _ = ctl.step(5.0, 0.0, 0.0, traj.row(ctl.ahead))
+    u1, _, _, _, _, _ = ctl.step(5.0, 0.0, 0.0, traj.row(ctl.ahead))
     assert u1 == 0.0
 
 
@@ -296,7 +296,7 @@ def test_line_tracking_settles_near_unit_speed():
     u1s, u2s = [], []
     for k in range(2001):
         t = k * DT
-        u1, u2, _, _ = ctl.step(x, y, t, traj.row(k + ahead))
+        u1, u2, _, _, _, _ = ctl.step(x, y, t, traj.row(k + ahead))
         u1s.append(u1)
         u2s.append(u2)
         if k < 2000:
