@@ -100,7 +100,7 @@ class ScenarioConfig:
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
         try:   # the reference's geometry and size, as a run builds it
-            sample_count(self.path_spec(), self.dt, self.duration)
+            samples = sample_count(self.path_spec(), self.dt, self.duration)
         except ConfigError as exc:
             raise ConfigError(f"path: {exc}") from exc
         p = self.perturbation
@@ -115,7 +115,15 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.controller}: {exc}") from exc
         if self.controller == "mfpc":
-            self.mfpc.effective_horizon(self.dt)
+            # MFPC reads each setpoint round(T / dt) samples ahead, as
+            # MfpcController counts them; a horizon that reaches the
+            # reference's last sample makes every setpoint its end point
+            horizon = self.mfpc.effective_horizon(self.dt)
+            if round(horizon / self.dt) >= samples - 1:
+                raise ConfigError(f"mfpc.horizon = {self.mfpc.horizon!r}: the effective horizon "
+                                  f"{horizon:.6g} s is not shorter than the reference's "
+                                  f"{(samples - 1) * self.dt:.6g} s, so every setpoint "
+                                  "would be its end point")
         if self.start is not None and len(self.start) != 2:
             raise ConfigError("start must be null or a pair of numbers")
 

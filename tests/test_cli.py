@@ -177,6 +177,7 @@ def test_config_error_exit_code(tmp_path):
       for hint in (1e-300, 1e-320, 5e-324)],
     {"controller": "mfpc", "mfpc": {"alpha1": 1e-17}},    # exp(-rT) == exp(rT)
     {"noise": {"sigma": 1e300}},                          # rms_tracking = inf
+    {"controller": "mfpc", "mfpc": {"horizon": 1e300}},   # 26.7 s ahead on a 25 s reference
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -199,7 +200,8 @@ def test_config_error_exit_code(tmp_path):
         "sinusoid-slope-overflow", "circle-angle-overflow", "huge-zone-heol",
         "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
         "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
-        "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge"])
+        "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge",
+        "mfpc-horizon-past-reference"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -222,6 +224,20 @@ def test_sample_bound_admits_max_samples_and_no_more():
     line["waypoints"] = ((0.0, 0.0), (MAX_SAMPLES * dt, 0.0))
     with pytest.raises(ConfigError, match="path: polyline"):
         ScenarioConfig(dt=dt, duration=1.0, path=line)
+
+
+@pytest.mark.parametrize("path", [
+    {"kind": "polyline", "waypoints": ((0.0, 0.0), (2.0, 0.0)), "speed": 1.0},   # 2 s reference
+    {"kind": "sinusoid"},                                 # sampled over the 2 s run
+])
+def test_mfpc_horizon_must_end_before_the_reference(path):
+    dt, duration = 0.01, 2.0   # the reference's last sample is 200
+    ScenarioConfig(controller="mfpc", dt=dt, duration=duration, path=path,
+                   mfpc=MfpcConfig(alpha1=0.1, alpha2=0.1, horizon=199 * dt))
+    with pytest.raises(ConfigError, match=r"^mfpc\.horizon = 2\.0: .* not shorter than "
+                                          r"the reference's 2 s"):
+        ScenarioConfig(controller="mfpc", dt=dt, duration=duration, path=path,
+                       mfpc=MfpcConfig(alpha1=0.1, alpha2=0.1, horizon=200 * dt))
 
 
 @pytest.mark.parametrize("where, edge, toward, direct, doc", [

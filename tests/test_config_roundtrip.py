@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dubinsim.avoidance import Obstacle
@@ -70,6 +70,13 @@ def configs(draw):
     dt = draw(st.sampled_from((0.005, 0.01, 0.02, 0.05)))
     duration = draw(st.integers(1, 30).map(float))
     steps = st.integers(4, 80)  # window lengths: whole multiples of dt, >= 5 samples
+    path = draw(paths.filter(lambda path: buildable(path, dt, duration)))
+    horizon = draw(reals(0.1, 3))
+    controller = draw(st.sampled_from(("heol", "mfpc")))
+    # an MFPC horizon must end before the reference's last sample; the
+    # effective horizon is never longer than ``horizon``
+    assume(controller == "heol" or round(horizon / dt)
+           < sample_count(path_spec_from_dict(path), dt, duration) - 1)
     return ScenarioConfig(
         name=draw(names),
         dt=dt,
@@ -77,8 +84,8 @@ def configs(draw):
         seed=draw(seeds),
         noise_seed=draw(st.none() | seeds),
         perturbation_seed=draw(st.none() | seeds),
-        controller=draw(st.sampled_from(("heol", "mfpc"))),
-        path=draw(paths.filter(lambda path: buildable(path, dt, duration))),
+        controller=controller,
+        path=path,
         start=draw(st.none() | point),
         obstacles=tuple(draw(st.lists(obstacles, max_size=3))),
         noise=NoiseConfig(enabled=draw(st.booleans()), sigma=draw(reals(0, 1))),
@@ -87,7 +94,7 @@ def configs(draw):
                         t_window=draw(steps) * dt),
         mfpc=MfpcConfig(alpha1=draw(reals(0.1, 10) | reals(-10, -0.1)),
                         alpha2=draw(reals(0.1, 10) | reals(-10, -0.1)),
-                        horizon=draw(reals(0.1, 3)), t_window=draw(steps) * dt,
+                        horizon=horizon, t_window=draw(steps) * dt,
                         u1_max=draw(positive(10)),
                         u2_margin=draw(reals(1e-3, math.pi / 2 - 1e-3)),
                         eval_at_next=draw(st.booleans())),

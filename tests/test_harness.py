@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dubinsim import avoidance, harness
@@ -429,6 +429,64 @@ def test_discovery_uses_the_sample_clock():
                          obstacles=(Obstacle(53.0, 0.1, 0.5, t_appear=50.0),))
     r = run_scenario(cfg)
     assert [e["t"] for e in r.events if e["kind"] == "discovery"] == [50.0]
+
+
+@st.composite
+def discovery_runs(draw):
+    """A 2-4 s run with 1-4 obstacles near the path's first metres, each
+    appearing at t=0, mid-run or exactly on a sample time, and sensed from
+    0.1-8 m; HEOL or MFPC, perturbation on or off."""
+    duration = draw(st.sampled_from((2.0, 3.0, 4.0)))
+    appear = (st.just(0.0) | st.floats(0.0, duration)
+              | st.integers(0, round(duration / DT)).map(lambda k: k * DT))
+    obstacles = draw(st.lists(st.builds(
+        Obstacle, cx=st.floats(0.5, 5.0), cy=st.floats(-3.0, 3.0), r=st.floats(0.1, 0.6),
+        t_appear=appear), min_size=1, max_size=4))
+    return ScenarioConfig(
+        name="look", controller=draw(st.sampled_from(("heol", "mfpc"))), duration=duration,
+        seed=draw(st.integers(0, 2**16)), path=draw(st.sampled_from((LINE_PATH, SINE_PATH))),
+        obstacles=tuple(obstacles),
+        perturbation=PerturbationConfig(enabled=draw(st.booleans())),
+        avoidance=AvoidanceConfig(sensing_radius=draw(st.floats(0.1, 8.0))))
+
+
+# the diverging run reaches positions near 1e300 before it aborts at t=0.85
+@example(replace(SHORT_LINE, heol=HeolConfig(kx=1e6, ky=1e6),
+                 obstacles=(Obstacle(1.0, 0.2, 0.3), Obstacle(3.0, -0.5, 0.4, t_appear=0.5),
+                            Obstacle(50.0, 40.0, 0.5, t_appear=0.8))))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(discovery_runs())
+def test_discovery_on_demand_equals_discovery_on_every_sample(cfg):
+    lazy = run_scenario(cfg)
+    with pytest.MonkeyPatch.context() as mp:   # look again on the next sample, always
+        mp.setattr(harness, "_next_look", lambda cfg, known, k, x, y: (k + 1, 0.0))
+        eager = run_scenario(cfg)
+    assert same_bits(lazy.record, eager.record)
+    assert lazy.events == eager.events
+    assert lazy.abort_reason == eager.abort_reason
+
+
+def test_discover_runs_only_when_an_obstacle_can_come_into_range(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    one = robustness_scenario("heol", 0)
+    one = replace(one, obstacles=(crossing_obstacle(one, 0),))
+    # four obstacles that appear from t=5 s to 16 s; the decoy is never found
+    four = ScenarioConfig.from_dict(workloads.cli_scenario(3))
+    calls = []
+    discover = avoidance.discover
+
+    def counted(obstacles, state, *args, **kwargs):
+        calls.append(state)
+        return discover(obstacles, state, *args, **kwargs)
+
+    monkeypatch.setattr(avoidance, "discover", counted)
+    for cfg, found in ((one, [0]), (four, [0, 1, 2])):
+        calls.clear()
+        r = run_scenario(cfg)
+        assert sorted(e["obstacle"] for e in r.events if e["kind"] == "discovery") == found
+        assert calls[0][0] == 0.0 and len(calls) < 60   # of 2001 samples
 
 
 @st.composite
