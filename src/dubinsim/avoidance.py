@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleBypassError
+from .errors import ConfigError, InfeasibleBypassError, check_types
 from .reference import ReferenceTrajectory, reindex_tail, sample_pieces
 
 TWO_PI = 2.0 * math.pi
@@ -37,12 +37,9 @@ class Obstacle:
     t_appear: float = 0.0
 
     def __post_init__(self):
+        check_types(self, "obstacle", "obstacles[]")
         for name in ("cx", "cy", "r", "t_appear"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.r <= 0.0:
-            raise ConfigError("obstacle radius must be positive")
-        if self.t_appear < 0.0:
-            raise ConfigError("t_appear must be non-negative")
 
     def danger_zone(self, margin: float) -> "DangerZone":
         if margin <= 0.0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, ControllerFault
+from .errors import ControllerFault, check_types
 from .estimation import FWindow
 from .model import aux_to_true
 
@@ -33,10 +33,7 @@ class HeolConfig:
     t_window: float = 0.3
 
     def __post_init__(self):
-        if self.kx <= 0.0 or self.ky <= 0.0:
-            raise ConfigError("HEOL gains must be positive")
-        if self.t_window <= 0.0:
-            raise ConfigError("HEOL t_window must be positive")
+        check_types(self, "heol")
 
 
 class HeolController:

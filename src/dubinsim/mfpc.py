@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ControllerFault, HorizonTooLongError
+from .errors import ConfigError, ControllerFault, HorizonTooLongError, check_types
 from .estimation import FWindow
 
 # |rate * (t_f - t_i)| beyond this risks overflow in the exponentials;
@@ -99,16 +99,9 @@ class MfpcConfig:
     eval_at_next: bool = False
 
     def __post_init__(self):
-        if self.alpha1 == 0.0 or self.alpha2 == 0.0:
-            raise ConfigError("MFPC alphas must be nonzero")
-        if self.horizon <= 0.0:
-            raise ConfigError("MFPC horizon must be positive")
-        if self.t_window <= 0.0:
-            raise ConfigError("MFPC t_window must be positive")
-        if not self.u1_max > 0.0:
-            raise ConfigError("MFPC u1_max must be positive")
-        if not 0.0 < self.u2_margin < math.pi / 2:
-            raise ConfigError("MFPC u2_margin must lie in (0, pi/2)")
+        check_types(self, "mfpc")
+        if not self.u2_margin < math.pi / 2:
+            raise ConfigError(f"mfpc.u2_margin = {self.u2_margin!r} must lie in (0, pi/2)")
 
     def effective_horizon(self, dt: float) -> float:
         """The horizon both axes solve over and the setpoints are read

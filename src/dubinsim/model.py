@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, StateIntegrityError
+from .errors import ConfigError, StateIntegrityError, check_types
 
 # Below this speed atan2(nu2, nu1) is ill-conditioned; the heading is frozen
 # at its previous value instead.
@@ -84,8 +84,7 @@ class NoiseConfig:
     sigma: float = 0.1
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ConfigError("noise sigma must be non-negative")
+        check_types(self, "noise")
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,9 @@ class PerturbationConfig:
     high: float = 0.5
 
     def __post_init__(self):
+        check_types(self, "perturbation")
         if not -0.5 <= self.low <= self.high <= 0.5:
             raise ConfigError("perturbation range must satisfy -0.5 <= low <= high <= 0.5")
-        if self.switch_interval <= 0.0:
-            raise ConfigError("perturbation switch_interval must be positive")
 
 
 class NoiseModel:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .avoidance import Obstacle
-from .errors import ConfigError
+from .errors import WORLD, ConfigError, check_types  # WORLD: re-exported
 from .estimation import window_capacity
 from .heol import HeolConfig
 from .mfpc import MfpcConfig
@@ -37,10 +36,7 @@ class SyncConfig:
     startup_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.tau_max <= 0.0:
-            raise ConfigError("tau_max must be positive")
-        if not self.startup_threshold >= 0.0:
-            raise ConfigError("sync startup_threshold must be non-negative")
+        check_types(self, "sync")
 
 
 @dataclass(frozen=True)
@@ -51,14 +47,7 @@ class AvoidanceConfig:
     speed_hint: float | None = None  # None: reference speed at the crossing
 
     def __post_init__(self):
-        if self.margin <= 0.0:
-            raise ConfigError("avoidance margin must be positive")
-        if not self.sensing_radius > 0.0:
-            raise ConfigError("avoidance sensing_radius must be positive")
-        if self.lead < 0.0:   # a bypass would start inside the zone
-            raise ConfigError("avoidance lead must be non-negative")
-        if self.speed_hint is not None and not self.speed_hint > 0.0:
-            raise ConfigError("avoidance speed_hint must be positive or null")
+        check_types(self, "avoidance")
 
 
 @dataclass(frozen=True)
@@ -87,8 +76,6 @@ class ScenarioConfig:
     def validate(self):
         check_types(self)
         check_name(self.name)
-        if self.dt <= 0.0 or self.duration <= 0.0:
-            raise ConfigError("dt and duration must be positive")
         steps = self.duration / self.dt
         if not math.isfinite(steps):
             raise ConfigError(f"duration/dt = {steps} is not finite")
@@ -215,62 +202,6 @@ def check_file_name(file_name: str) -> None:
 # whose default is itself a config dataclass.
 _SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig)
              if is_dataclass(f.default)}
-
-
-# The JSON type of each config field, by key, that is not a finite number;
-# "obstacles[]" is an element of "obstacles" and "" the config itself.
-_FIELD_TYPES = {
-    "": dict, "path": dict, "obstacles[]": dict, **dict.fromkeys(_SECTIONS, dict),
-    "start": list, "obstacles": list, "waypoints": list, "waypoints[]": list,
-    "seed": int, "noise_seed": int, "perturbation_seed": int,
-    "enabled": bool, "eval_at_next": bool, "name": str, "controller": str, "kind": str,
-}
-_NULLABLE = frozenset({"noise_seed", "perturbation_seed", "start", "speed_hint"})
-_TYPE_NAMES = {dict: "a JSON object", list: "an array", int: "an integer",
-               bool: "true or false", str: "a string", float: "a finite number"}
-
-# Bound of the world a scenario lives in, in metres and seconds: a length (or
-# omega, or the noise sigma) holds |v| <= WORLD and a scale (or an MFPC alpha)
-# 1/WORLD <= |v| <= WORLD, so that no sample, distance squared, step count or
-# wrap length overflows a float, and the two-point solve's exp(-rT) and exp(rT)
-# stay apart.
-WORLD = 1e6
-_LENGTHS = frozenset({"cx", "cy", "r", "radius", "sensing_radius", "amplitude",
-                      "fillet_radius", "x0", "y0", "waypoints[][]", "start[]", "omega",
-                      "sigma"})
-_SCALES = frozenset({"dt", "speed", "speed_hint", "wavelength", "margin",
-                     "alpha1", "alpha2"})
-
-
-def check_types(value, where: str = "", key: str = "") -> None:
-    """Refuse a config value, or any value inside it, that does not hold its
-    field's JSON type: a boolean or a numeric string is not a number, and a
-    seed must be an integer.  ``where`` names the value in the error, such as
-    ``obstacles[0].cx``, and ``key`` is the field that holds it.  A length
-    or a scale must also lie in the world (see WORLD)."""
-    kind = _FIELD_TYPES.get(key, float)
-    if value is None and key in _NULLABLE:
-        return
-    if is_dataclass(value):   # a config block or obstacle built from its object
-        value = vars(value)
-    if kind is dict and isinstance(value, dict):
-        for k, v in value.items():
-            check_types(v, f"{where}.{k}" if where else k, k)
-    elif kind is list and isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            check_types(v, f"{where}[{i}]", key + "[]")
-    else:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        # a leaf of its kind; NaN fails the bound, and an object or array is not a leaf
-        if not {bool: isinstance(value, bool), str: isinstance(value, str),
-                int: number and isinstance(value, int),
-                float: number and abs(value) <= sys.float_info.max}.get(kind, False):
-            raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
-        if key in _LENGTHS and not abs(value) <= WORLD:
-            raise ConfigError(f"{where} = {value!r} is outside |v| <= WORLD = {WORLD:g}")
-        if key in _SCALES and not 1.0 / WORLD <= abs(value) <= WORLD:
-            raise ConfigError(f"{where} = {value!r} is outside "
-                              f"1/WORLD <= |v| <= WORLD = {WORLD:g}")
 
 
 def json_safe(obj):

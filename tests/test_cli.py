@@ -15,9 +15,10 @@ from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
 from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
+from dubinsim.mfpc import MfpcController
 from dubinsim.presets import nominal_tracking, safety_scenario
 from dubinsim.scenario import (MAX_SAMPLES, WORLD, AvoidanceConfig, HeolConfig, MfpcConfig,
-                               NoiseConfig, PerturbationConfig, ScenarioConfig)
+                               NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig)
 
 
 FULL_CIRCLE_PATH = {"kind": "circle", "cx": 0.0, "cy": 0.0, "radius": 5.0, "omega": 0.2}
@@ -240,23 +241,26 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
                        mfpc=MfpcConfig(alpha1=0.1, alpha2=0.1, horizon=200 * dt))
 
 
-@pytest.mark.parametrize("where, edge, toward, direct, doc", [
-    ("obstacles[0].cx", WORLD, math.inf, lambda v: {"obstacles": (Obstacle(v, 0.0, 1.0),)},
+# ``direct_where`` names the field as the block built in code refuses it:
+# an Obstacle refuses itself before any config holds it.
+@pytest.mark.parametrize("direct_where, where, edge, toward, direct, doc", [
+    ("obstacle.cx", "obstacles[0].cx", WORLD, math.inf,
+     lambda v: {"obstacles": (Obstacle(v, 0.0, 1.0),)},
      lambda v: {"obstacles": [{"cx": v, "cy": 0.0, "r": 1.0}]}),
-    ("avoidance.speed_hint", 1 / WORLD, 0.0,
+    ("avoidance.speed_hint", "avoidance.speed_hint", 1 / WORLD, 0.0,
      lambda v: {"avoidance": AvoidanceConfig(speed_hint=v)},
      lambda v: {"avoidance": {"speed_hint": v}}),
-    ("path.omega", WORLD, math.inf, lambda v: {"path": {"kind": "circle", "omega": v}},
+    ("path.omega", "path.omega", WORLD, math.inf,
+     lambda v: {"path": {"kind": "circle", "omega": v}},
      lambda v: {"path": {"kind": "circle", "omega": v}}),
 ], ids=["length", "scale", "omega"])
-def test_world_bound_admits_its_edge_and_no_more(where, edge, toward, direct, doc):
+def test_world_bound_admits_its_edge_and_no_more(direct_where, where, edge, toward, direct, doc):
     ScenarioConfig(**direct(edge))
     ScenarioConfig.from_dict({"version": 1, **doc(edge)})
     past = math.nextafter(edge, toward)
-    refused = "^" + re.escape(f"{where} = {past!r} is outside")
-    with pytest.raises(ConfigError, match=refused):
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{direct_where} = {past!r} is outside")):
         ScenarioConfig(**direct(past))
-    with pytest.raises(ConfigError, match=refused):
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{where} = {past!r} is outside")):
         ScenarioConfig.from_dict({"version": 1, **doc(past)})
 
 
@@ -407,6 +411,34 @@ def test_a_config_with_one_bad_field_exits_2(case):
         assert code == 2, (path, value)
         assert err.getvalue().startswith("config error:") and "Traceback" not in err.getvalue()
         assert [p.name for p in Path(tmp).iterdir()] == ["bad.json"]   # nothing written
+
+
+# The config blocks a library caller builds in code, by config key.
+BLOCKS = {"heol": HeolConfig, "mfpc": MfpcConfig, "noise": NoiseConfig,
+          "perturbation": PerturbationConfig, "sync": SyncConfig,
+          "avoidance": AvoidanceConfig, "obstacles": Obstacle}
+
+
+def test_a_block_built_in_code_refuses_what_the_loader_refuses():
+    problems, cases = [], 0
+    for path, value in BAD_FIELDS:
+        *block, key = path
+        if path[0] not in BLOCKS or len(block) != (2 if path[0] == "obstacles" else 1):
+            continue   # not a field inside a block
+        cases += 1
+        fields = VALID_DOC
+        for k in block:
+            fields = fields[k]
+        try:
+            BLOCKS[path[0]](**{**fields, key: value})
+            problems.append((path, value, "accepted"))
+        except ConfigError:
+            pass
+        except Exception as exc:
+            problems.append((path, value, repr(exc)))
+    assert cases == 176 and problems == []
+    with pytest.raises(ConfigError, match=r"^mfpc\.alpha1 = 1e-17 is outside"):
+        MfpcController(MfpcConfig(alpha1=1e-17), 0.01)
 
 
 @pytest.mark.parametrize("name", ["../x", "a/b", "", ".."])

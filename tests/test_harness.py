@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dubinsim import avoidance, harness
@@ -552,6 +552,50 @@ def test_a_translated_run_keeps_its_course(pair):
     assert a.aborted == b.aborted
     assert b.metrics["rms_tracking"] == pytest.approx(a.metrics["rms_tracking"], rel=1e-9)
     assert b.metrics["min_clearance"] == pytest.approx(a.metrics["min_clearance"], abs=1e-9)
+
+
+@st.composite
+def mirrored_runs(draw):
+    """A 5 s HEOL run with noise off and the perturbation on or off, over a
+    3-leg filleted polyline with one obstacle near its first corner and a
+    start off the reference, and the same run reflected in the x axis."""
+    corner = (draw(st.floats(1.5, 2.5)), draw(st.floats(-0.8, 0.8)))
+    waypoints = ((0.0, 0.0), corner,
+                 (corner[0] + draw(st.floats(2.0, 3.0)), draw(st.floats(-1.0, 1.0))),
+                 (corner[0] + draw(st.floats(5.0, 6.0)), draw(st.floats(-1.0, 1.0))))
+    obstacle = (corner[0] + draw(st.floats(-0.3, 0.3)), corner[1] + draw(st.floats(-0.3, 0.3)),
+                draw(st.floats(0.3, 0.6)))
+    start = draw(st.tuples(st.floats(-0.2, 0.4), st.floats(-0.3, 0.3)))
+    base = ScenarioConfig(name="mirror", duration=5.0, seed=draw(st.integers(0, 2**16)),
+                          noise=NoiseConfig(enabled=False),
+                          perturbation=PerturbationConfig(enabled=draw(st.booleans())))
+
+    def reflected(s):
+        return replace(base, path={"kind": "polyline",
+                                   "waypoints": tuple((x, s * y) for x, y in waypoints)},
+                       start=(start[0], s * start[1]),
+                       obstacles=(Obstacle(obstacle[0], s * obstacle[1], obstacle[2]),))
+    return reflected(1.0), reflected(-1.0)
+
+
+# Reflecting y -> -y negates every heading and y-error of a noise-free run
+# (the perturbation scales the y-rate either way), so the vehicle flies the
+# mirror image of its course and every bypass takes the other side, unless
+# the two sides' detours tie (to rounding, as on a symmetric course) and the
+# tie rule picks the same side for both.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mirrored_runs())
+def test_a_mirrored_run_flies_the_mirror_image(pair):
+    a, b = (run_scenario(cfg) for cfg in pair)
+    bypasses = [[e for e in run.events if e["kind"] == "bypass_start"] for run in (a, b)]
+    assume(not any(math.isclose(e["detour_left"], e["detour_right"], rel_tol=1e-9)
+                   for e in bypasses[0]))
+    other = {"left": "right", "right": "left"}
+    assert [other[e["side"]] for e in bypasses[0]] == [e["side"] for e in bypasses[1]]
+    assert a.aborted == b.aborted
+    assert b.metrics["rms_tracking"] == pytest.approx(a.metrics["rms_tracking"], rel=1e-9)
+    assert np.array_equal(b.x, a.x, equal_nan=True)
+    assert np.array_equal(b.y, -a.y, equal_nan=True)
 
 
 def test_rms_matches_definition():

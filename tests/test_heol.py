@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dot_window import DotWindow, assert_matches
 from dubinsim.errors import ControllerFault
+from dubinsim.harness import run_scenario
 from dubinsim.heol import HeolConfig, HeolController
 from dubinsim.model import aux_to_true
+from dubinsim.presets import nominal_tracking
 from dubinsim.reference import (CirclePath, PolylinePath, ReferenceTrajectory,
                                 build_reference)
 
@@ -172,3 +175,16 @@ def test_controller_wrapper_tracks_heading_and_estimates():
     _, u2, _, _, fhat_x, fhat_y = ctl.step(*traj.row(0)[:2], 0.0, traj.row(0))
     assert ctl.prev_u2 == u2
     assert (fhat_x, fhat_y) == (0.0, 0.0)  # warm-up
+
+
+# Explicit Euler is first order: halving dt, with the window kept at 0.3 s,
+# about halves the nominal tracking error.  The line is left out: its error
+# is rounding (about 4e-15) at every dt.
+@pytest.mark.parametrize("path_name", ["sinusoid", "arc"])
+def test_halving_the_step_halves_the_tracking_error(path_name):
+    base = nominal_tracking("heol", path_name)
+    assert base.heol.t_window == 0.3
+    rms = [run_scenario(replace(base, dt=dt)).metrics["rms_tracking"]
+           for dt in (0.01, 0.005, 0.0025)]
+    ratios = [fine / coarse for coarse, fine in zip(rms, rms[1:])]
+    assert all(0.4 <= ratio <= 0.6 for ratio in ratios), ratios
