@@ -75,6 +75,15 @@ class ScenarioConfig:
 
     def validate(self):
         check_types(self)
+        # check_types reads any dict or dataclass as a block's JSON object
+        for key, section in _SECTIONS.items():
+            block = getattr(self, key)
+            if not isinstance(block, section):
+                raise ConfigError(f"{key} must be a {section.__name__}, "
+                                  f"got {type(block).__name__}")
+        for i, ob in enumerate(self.obstacles):
+            if not isinstance(ob, Obstacle):
+                raise ConfigError(f"obstacles[{i}] must be an Obstacle, got {type(ob).__name__}")
         check_name(self.name)
         steps = self.duration / self.dt
         if not math.isfinite(steps):

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dubinsim
 from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
 from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.mfpc import MfpcController
-from dubinsim.presets import nominal_tracking, safety_scenario
+from dubinsim.presets import nominal_tracking, robustness_scenario, safety_scenario
 from dubinsim.scenario import (MAX_SAMPLES, WORLD, AvoidanceConfig, HeolConfig, MfpcConfig,
                                NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig)
 
@@ -439,6 +443,49 @@ def test_a_block_built_in_code_refuses_what_the_loader_refuses():
     assert cases == 176 and problems == []
     with pytest.raises(ConfigError, match=r"^mfpc\.alpha1 = 1e-17 is outside"):
         MfpcController(MfpcConfig(alpha1=1e-17), 0.01)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"heol": {"kx": 1.0}}, "heol must be a HeolConfig, got dict"),
+    ({"heol": MfpcConfig()}, "heol must be a HeolConfig, got MfpcConfig"),
+    ({"obstacles": ({"cx": 8.0, "cy": 0.1, "r": 0.8},)},
+     "obstacles[0] must be an Obstacle, got dict"),
+], ids=["dict-block", "other-block", "dict-obstacle"])
+def test_a_config_built_in_code_refuses_a_block_of_another_type(kwargs, message):
+    # check_types reads any dict or dataclass as a block's JSON object, so
+    # without the type check these fail mid-run with AttributeError
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**kwargs)
+
+
+# Run in a fresh interpreter: every command of the CLI, in-process, then the
+# numpy modules that they loaded beyond what `import numpy` itself loads.
+FOOTPRINT_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+from dubinsim.cli import main
+a, b, out = sys.argv[1:]
+for argv in (["run", "--config", a], ["sweep", "--config", a, "--runs", "2"],
+             ["sweep", "--config", b, "--runs", "3"], ["compare", "--a", a, "--b", b]):
+    assert main(argv + ["--out", out]) == 0, argv
+print(" ".join(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")))
+"""
+
+
+def test_a_run_or_sweep_loads_no_numpy_module_beyond_numpy_random(tmp_path):
+    # the noise, perturbation and placement streams need numpy.random; the
+    # sweep summary's median must not pull in numpy.ma, as np.median does
+    a = write_cfg(tmp_path, replace(safety_scenario("heol", 1), duration=4.0), "a.json")
+    b = write_cfg(tmp_path, replace(robustness_scenario("mfpc", 1), duration=4.0), "b.json")
+    src = os.path.dirname(os.path.dirname(dubinsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, a, b, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = done.stdout.splitlines()[-1].split()
+    assert "numpy.random" in loaded
+    assert [m for m in loaded if not m.startswith("numpy.random")] == []
 
 
 @pytest.mark.parametrize("name", ["../x", "a/b", "", ".."])

@@ -620,6 +620,54 @@ def test_sweep_single_run_equals_scenario_metrics():
     assert s["min"] == s["median"] == s["max"] == single.metrics["rms_tracking"]
 
 
+@pytest.mark.parametrize("n_runs", [2, 3, 4])
+@pytest.mark.parametrize("abort_run_1", [False, True], ids=["all-finite", "run-1-aborts-at-t0"])
+def test_sweep_summary_median_is_numpys(monkeypatch, n_runs, abort_run_1):
+    # the summary's median is np.median of each metric's finite per-run
+    # values, bit for bit; a run that faults on its first sample has NaN
+    # metrics and no clearance, and drops out of the summary
+    real_run_scenario = harness.run_scenario
+
+    def run_scenario(cfg):
+        if not (abort_run_1 and cfg.seed == 91):
+            return real_run_scenario(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "measure", lambda x, y, noise: (math.nan, math.nan))
+            return real_run_scenario(cfg)
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    report = run_sweep(replace(robustness_scenario("heol", 90), duration=4.0), n_runs)
+    assert [a["run"] for a in report.aborted_runs] == ([1] if abort_run_1 else [])
+    if abort_run_1:
+        dropped = {m for m, v in report.per_run[1].items() if v is None or math.isnan(v)}
+        assert dropped == {"rms_tracking", "max_tracking", "min_clearance"}
+    for m, s in report.metrics_summary.items():
+        vals = [r[m] for r in report.per_run if r[m] is not None and math.isfinite(r[m])]
+        assert s["min"] == min(vals) and s["max"] == max(vals)
+        assert np.float64(s["median"]).tobytes() == np.float64(np.median(vals)).tobytes(), m
+
+
+def test_the_summary_median_matches_numpys_bits_on_random_values():
+    # enough draws that a midpoint rounded otherwise than np.median's (a + b) / 2,
+    # such as a + (b - a) / 2, differs in some last bit
+    rng = np.random.default_rng(0)
+    for n in range(1, 7):
+        for vals in rng.uniform(0.0, 1.0, (500, n)) * 10.0 ** rng.integers(-3, 4, (500, 1)):
+            vals = vals.tolist()
+            assert harness._median(vals) == float(np.median(vals)), vals
+
+
+def test_sensing_at_1_75_m_still_bypasses_every_safety_obstacle():
+    # a floor under the late-discovery envelope: the obstacles are sensed
+    # 0.25-0.75 m before their danger circle, not 3.5-4 m
+    for controller in ("heol", "mfpc"):
+        cfg = replace(safety_scenario(controller, 100),
+                      avoidance=AvoidanceConfig(sensing_radius=1.75))
+        report = run_sweep(cfg, 50, randomize=("obstacles", "noise"))
+        assert report.aborted_runs == [], controller
+        assert report.safety_violations == 0, controller
+
+
 def test_sweep_determinism():
     cfg = robustness_scenario("mfpc", seed=60)
     a = run_sweep(cfg, 5)
