@@ -221,9 +221,7 @@ def select_side(left: BypassPlan | None, right: BypassPlan | None,
     left wrap); the flatness stack takes the smaller detour, right on ties.
     The planner builds both sides or neither."""
     if right is None:
-        raise InfeasibleBypassError("MFPC requires a right-side bypass"
-                                    if controller_kind == "mfpc"
-                                    else "no feasible bypass on either side")
+        raise InfeasibleBypassError("no feasible bypass on either side")
     if controller_kind == "mfpc" or right.detour_length <= left.detour_length:
         return right
     return left

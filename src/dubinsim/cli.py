@@ -20,7 +20,7 @@ import sys
 
 from .errors import ConfigError, DubinsimError
 from .harness import emit, emit_sweep, run_scenario, run_sweep
-from .scenario import ScenarioConfig, check_file_name, check_name, json_safe, write_json
+from .scenario import ScenarioConfig, check_file_name, check_name, write_json
 
 
 def _default_out() -> str:
@@ -97,9 +97,9 @@ def _cmd_compare(args) -> int:
                 and math.isfinite(va) and math.isfinite(vb):
             deltas[key] = vb - va
     doc = {
-        "a": {"name": cfg_a.name, "metrics": json_safe(res_a.metrics),
+        "a": {"name": cfg_a.name, "metrics": res_a.metrics,
               "aborted": res_a.aborted},
-        "b": {"name": cfg_b.name, "metrics": json_safe(res_b.metrics),
+        "b": {"name": cfg_b.name, "metrics": res_b.metrics,
               "aborted": res_b.aborted},
         "delta_b_minus_a": deltas,
     }

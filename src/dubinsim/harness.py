@@ -21,11 +21,11 @@ from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
                      ReplanLimitError, StateIntegrityError)
 from .heol import HeolController
 from .mfpc import MfpcController, check_reference
-from .model import (STREAM_PLACEMENT, NoiseModel, measure, perturbation_levels, step_plant,
-                    stream_rng)
+from .model import (STREAM_PLACEMENT, measure, measurement_noise, perturbation_levels,
+                    step_plant, stream_rng)
 from .reference import ReferenceTrajectory, apply_sync, build_reference, sync_offset
 from .scenario import (SERIES, ScenarioConfig, ScenarioResult, check_name, compute_metrics,
-                       json_safe, write_json)
+                       write_json)
 
 CSV_COLUMNS = tuple(name.replace("fhat", "Fhat") for name in SERIES[:SERIES.index("dx_ref")])
 # The CSV columns that MFPC, which has no auxiliary controls, leaves empty.
@@ -63,7 +63,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     traj = build_reference(cfg.path_spec(), dt=dt, duration=cfg.duration)
     if cfg.controller == "mfpc":
         check_reference(traj)
-    noise = NoiseModel(cfg.noise, cfg.seed if cfg.noise_seed is None else cfg.noise_seed)
+    noise = measurement_noise(cfg.noise,
+                              cfg.seed if cfg.noise_seed is None else cfg.noise_seed)
     levels = perturbation_levels(
         cfg.perturbation, cfg.duration, n, dt,
         cfg.seed if cfg.perturbation_seed is None else cfg.perturbation_seed)
@@ -75,10 +76,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     start = cfg.start if cfg.start is not None else (x0, y0)
     x, y = float(start[0]), float(start[1])   # the plant's true position
 
-    events: list[dict] = []
-    # the widest sync shift, in samples; no shift past n + n_steps reaches a
-    # sample that a shorter one does not, and the cap keeps the count finite
-    reach = round(min(cfg.sync.tau_max / dt, traj.n + n + 1))
+    # one log in time order: the controller appends its clamps to it as it steps
+    events = controller.events
+    reach = cfg.sync.tau_max / dt   # the widest sync shift, in samples
     if cfg.sync.enabled and math.hypot(x - x0, y - y0) > cfg.sync.startup_threshold:
         shift = sync_offset(x, y, traj, 0, reach)
         traj = apply_sync(traj, shift, 0)
@@ -150,8 +150,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rows[:m, _REFERENCE_COLUMNS] = traj.table[:m]
     rows[m:filled, _REFERENCE_COLUMNS] = (traj.x[-1], traj.y[-1], 0.0, 0.0)
 
-    events.extend(controller.events)
-    events.sort(key=lambda e: e["t"])   # stable: same-t events stay in causal order
     metrics = compute_metrics(cfg, rows, events)
     return ScenarioResult(config=cfg, record=rows, events=events, metrics=metrics,
                           aborted=aborted, abort_reason=abort_reason)
@@ -369,8 +367,8 @@ def emit_summary(result: ScenarioResult, path) -> None:
         "seed": result.config.seed,
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
-        "metrics": json_safe(result.metrics),
-        "events": json_safe(result.events),
+        "metrics": result.metrics,
+        "events": result.events,
     }
     write_json(path, doc)
 
@@ -390,5 +388,5 @@ def emit_sweep(report: SweepReport, out_dir, name: str | None = None) -> str:
     os.makedirs(out_dir, exist_ok=True)
     stem = name or f"{report.base_name}_sweep"
     path = os.path.join(out_dir, f"{stem}.json")
-    write_json(path, json_safe(asdict(report)))
+    write_json(path, asdict(report))
     return path

@@ -100,40 +100,31 @@ class PerturbationConfig:
             raise ConfigError("perturbation range must satisfy -0.5 <= low <= high <= 0.5")
 
 
-class NoiseModel:
-    """Additive i.i.d. Gaussian measurement noise on x and y.
+def measurement_noise(config: NoiseConfig, seed: int) -> Iterator[tuple[float, float]] | None:
+    """The (dx, dy) offsets, sigma times standard normals, that ``measure``
+    adds to each sample; None when the noise is disabled.
 
     Each axis draws from its own seeded stream so that measurement order
-    never couples the axes.  Normals are drawn NOISE_BLOCK at a time and
-    handed out in order, which gives the same sequence as drawing them one
-    by one.  A disabled model returns the true state and consumes no draws.
+    never couples the axes.  Normals are drawn NOISE_BLOCK at a time, which
+    gives the same sequence as drawing them one by one, and handed out by a
+    chain over zips of the blocks, so each ``next`` runs in C.
     """
-
-    def __init__(self, config: NoiseConfig, seed: int):
-        self.sigma = config.sigma
-        self.enabled = config.enabled
-        self._draws = _normal_pairs(stream_rng(seed, STREAM_NOISE_X),
-                                    stream_rng(seed, STREAM_NOISE_Y))
-
-
-def _normal_pairs(rng_x: np.random.Generator,
-                  rng_y: np.random.Generator) -> Iterator[tuple[float, float]]:
-    """(x, y) standard normal pairs; a block is drawn when the last runs out.
-
-    A chain over zips of the blocks, so each ``next`` runs in C; the
-    generator expression holds the two streams only, not the model.
-    """
-    return chain.from_iterable(zip(rng_x.standard_normal(NOISE_BLOCK).tolist(),
-                                   rng_y.standard_normal(NOISE_BLOCK).tolist())
+    if not config.enabled:
+        return None
+    sigma = config.sigma
+    rng_x, rng_y = stream_rng(seed, STREAM_NOISE_X), stream_rng(seed, STREAM_NOISE_Y)
+    return chain.from_iterable(zip((sigma * rng_x.standard_normal(NOISE_BLOCK)).tolist(),
+                                   (sigma * rng_y.standard_normal(NOISE_BLOCK)).tolist())
                                for _ in count())
 
 
-def measure(x: float, y: float, noise: NoiseModel) -> tuple[float, float]:
-    """Measured (x, y): true position plus per-axis Gaussian noise."""
-    if not noise.enabled:
+def measure(x: float, y: float, noise) -> tuple[float, float]:
+    """Measured (x, y): true position plus the next offset of the
+    ``measurement_noise`` stream, or the true position when it is None."""
+    if noise is None:
         return x, y
-    nx, ny = next(noise._draws)
-    return x + noise.sigma * nx, y + noise.sigma * ny
+    dx, dy = next(noise)
+    return x + dx, y + dy
 
 
 def perturbation_levels(config: PerturbationConfig, duration: float, n: int, dt: float,

@@ -316,17 +316,17 @@ def path_spec_from_dict(d: dict):
 
 
 def sync_offset(x_sync: float, y_sync: float, traj: ReferenceTrajectory,
-                k: int, reach: int) -> int:
+                k: int, reach: float) -> int:
     """Grid-search the shift, in samples, minimizing the squared distance
     between (x_sync, y_sync) and the reference at sample k + shift.
 
-    Candidates are ordered 0, +1, -1, +2, ... up to +-reach and only strict
-    improvements are kept, which realizes the tie rules: smallest |shift|
-    first, positive before negative.  Past |shift| = n + k every candidate
-    lands on an endpoint that a smaller |shift| already reached, so the
-    search stops there whatever reach is.
+    Candidates are ordered 0, +1, -1, +2, ... up to +-round(reach) and only
+    strict improvements are kept, which realizes the tie rules: smallest
+    |shift| first, positive before negative.  Past |shift| = n + k every
+    candidate lands on an endpoint that a smaller |shift| already reached,
+    so the search stops there whatever reach is, infinite included.
     """
-    m = min(reach, traj.n + k + 1)
+    m = round(min(reach, traj.n + k + 1))
     shifts = np.empty(2 * m + 1, dtype=int)
     shifts[0] = 0
     shifts[1::2] = np.arange(1, m + 1)

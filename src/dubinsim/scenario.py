@@ -215,22 +215,21 @@ _SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig)
 
 def json_safe(obj):
     """Copy of obj that json.dump writes as standard JSON: tuples become
-    lists, numpy scalars Python numbers, and non-finite floats null."""
+    lists and non-finite floats null."""
     if isinstance(obj, dict):
         return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     return obj
 
 
 def write_json(path, doc) -> None:
-    """Write doc as indented, key-sorted UTF-8 JSON, LF line ends, final newline."""
+    """Write doc as indented, key-sorted UTF-8 JSON, LF line ends, final
+    newline; a non-finite float is written as null (see json_safe)."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(json_safe(doc), f, indent=2, sort_keys=True)
         f.write("\n")
 
 

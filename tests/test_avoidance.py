@@ -296,7 +296,7 @@ def test_select_side_rules():
     assert select_side(left3, right3, "heol") is right3
     # the planner builds both sides or neither
     for controller, reason in (("heol", "no feasible bypass on either side"),
-                               ("mfpc", "MFPC requires a right-side bypass")):
+                               ("mfpc", "no feasible bypass on either side")):
         with pytest.raises(InfeasibleBypassError, match=reason):
             select_side(None, None, controller)
 

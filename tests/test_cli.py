@@ -22,7 +22,8 @@ from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.mfpc import MfpcController
 from dubinsim.presets import nominal_tracking, robustness_scenario, safety_scenario
 from dubinsim.scenario import (MAX_SAMPLES, WORLD, AvoidanceConfig, HeolConfig, MfpcConfig,
-                               NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig)
+                               NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig,
+                               write_json)
 
 
 FULL_CIRCLE_PATH = {"kind": "circle", "cx": 0.0, "cy": 0.0, "radius": 5.0, "omega": 0.2}
@@ -614,3 +615,18 @@ def test_aborted_run_csv_ends_in_a_nan_row(tmp_path):
     first_nan = next(k for k, line in enumerate(lines[1:]) if line.startswith("nan"))
     assert 0.5 < first_nan * cfg.dt < 1.0
     assert "nan" not in lines[1]
+
+
+def test_the_json_writer_writes_standard_json(tmp_path):
+    # non-finite numbers become null and tuples lists, at any depth
+    doc = {"a": math.nan, "b": [math.inf, (1, -math.inf)],
+           "c": {"d": ({"e": math.nan, "f": 0.5},), "g": (math.inf,)}}
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+
+    def refuse(name):
+        raise AssertionError(f"{name} in {path.read_text()}")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "a": None, "b": [None, [1, None]],
+        "c": {"d": [{"e": None, "f": 0.5}], "g": [None]}}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -14,6 +15,7 @@ from dubinsim.avoidance import Obstacle
 from dubinsim.errors import ConfigError, StateIntegrityError
 from dubinsim.estimation import FWindow
 from dubinsim.harness import SERIES, emit, place_crossing_obstacle, run_scenario, run_sweep
+from dubinsim.mfpc import MfpcController
 from dubinsim.model import perturbation_levels
 from dubinsim.presets import (LINE_PATH, SINE_PATH, nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
@@ -797,3 +799,42 @@ def test_same_time_events_keep_causal_order():
     assert kinds[:3] == ["discovery", "bypass_start", "bypass_start"]
     assert all(e["t"] == first for e in r.events[:3])
     assert [e["t"] for e in r.events] == sorted(e["t"] for e in r.events)
+
+
+def test_a_clamp_at_the_first_sample_follows_its_discovery():
+    # harness and controller share one log: the clamp MFPC's first step logs
+    # comes after the discovery the harness logged before that step
+    cfg = ScenarioConfig(controller="mfpc", start=(3.0, 0.4), sync=SyncConfig(enabled=False),
+                         duration=4.0, obstacles=(Obstacle(6.0, 2.0, 0.5),))
+    first, second = run_scenario(cfg).events[:2]
+    assert (first["kind"], first["t"]) == ("discovery", 0.0)
+    assert (second["kind"], second["input"], second["t"]) == ("clamp", "u1", 0.0)
+
+
+@pytest.fixture(scope="module")
+def mfpc_batch():
+    return run_sweep(robustness_scenario("mfpc", seed=100), 6, keep_results=True)[1]
+
+
+def test_clamp_events_are_the_onsets_of_a_limit_in_the_record(mfpc_batch):
+    total = 0
+    for r in mfpc_batch:
+        lo1, hi1, lo2, hi2 = MfpcController(r.config.mfpc, r.config.dt).limits
+        onsets = []
+        for name, lo, hi in (("u1", lo1, hi1), ("u2", lo2, hi2)):
+            u = getattr(r, name)
+            at = (u == lo) | (u == hi)
+            onsets += [(r.t[k], name) for k in np.flatnonzero(at & ~np.r_[False, at[:-1]])]
+        clamps = [(e["t"], e["input"]) for e in r.events if e["kind"] == "clamp"]
+        assert sorted(clamps) == sorted(onsets)
+        total += len(clamps)
+    assert total > 0
+
+
+def test_the_event_log_is_in_time_order_and_the_summary_holds_it(mfpc_batch, tmp_path):
+    for i, r in enumerate(mfpc_batch):
+        times = [e["t"] for e in r.events]
+        assert times == sorted(times)
+        path = tmp_path / f"{i}.json"
+        harness.emit_summary(r, path)
+        assert json.loads(path.read_text())["events"] == r.events

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dubinsim.errors import StateIntegrityError
 from dubinsim.errors import ConfigError
 from dubinsim.model import (STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_PERTURBATION,
-                            NoiseConfig, NoiseModel, PerturbationConfig, aux_to_true,
-                            measure, perturbation_levels, step_plant, stream_rng)
+                            NoiseConfig, PerturbationConfig, aux_to_true, measure,
+                            measurement_noise, perturbation_levels, step_plant, stream_rng)
 
 
 def test_step_plant_pure_x_motion():
@@ -119,13 +119,13 @@ def test_control_input_representation_consistency():
 
 
 def test_measure_disabled_is_identity():
-    noise = NoiseModel(NoiseConfig(enabled=False, sigma=0.1), 5)
+    noise = measurement_noise(NoiseConfig(enabled=False, sigma=0.1), 5)
     assert measure(2.5, -3.5, noise) == (2.5, -3.5)
 
 
 def test_measure_seeded_statistics():
     # Monte-Carlo oracle on the seeded generator
-    noise = NoiseModel(NoiseConfig(enabled=True, sigma=0.1), 42)
+    noise = measurement_noise(NoiseConfig(enabled=True, sigma=0.1), 42)
     draws = np.array([measure(0, 0, noise) for _ in range(100_000)])
     for axis in (0, 1):
         assert abs(draws[:, axis].mean()) < 0.002
@@ -134,12 +134,13 @@ def test_measure_seeded_statistics():
 
 def test_measure_determinism():
     st = (1, 2)
-    a = [measure(*st, NoiseModel(NoiseConfig(sigma=0.1), 7)) for _ in range(0, 1)]
-    na, nb = NoiseModel(NoiseConfig(sigma=0.1), 7), NoiseModel(NoiseConfig(sigma=0.1), 7)
+    a = [measure(*st, measurement_noise(NoiseConfig(sigma=0.1), 7)) for _ in range(0, 1)]
+    na = measurement_noise(NoiseConfig(sigma=0.1), 7)
+    nb = measurement_noise(NoiseConfig(sigma=0.1), 7)
     seq_a = [measure(*st, na) for _ in range(100)]
     seq_b = [measure(*st, nb) for _ in range(100)]
     assert seq_a == seq_b
-    nc = NoiseModel(NoiseConfig(sigma=0.1), 8)
+    nc = measurement_noise(NoiseConfig(sigma=0.1), 8)
     assert [measure(*st, nc) for _ in range(100)] != seq_a
 
 
@@ -191,7 +192,7 @@ def test_noise_rejects_negative_sigma():
 
 def test_measure_blocks_equal_scalar_draws():
     # 1200 samples cross two NOISE_BLOCK boundaries
-    noise = NoiseModel(NoiseConfig(sigma=0.1), 31)
+    noise = measurement_noise(NoiseConfig(sigma=0.1), 31)
     rx, ry = stream_rng(31, STREAM_NOISE_X), stream_rng(31, STREAM_NOISE_Y)
     x, y = 1.5, -2.0
     for _ in range(1200):

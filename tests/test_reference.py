@@ -253,6 +253,26 @@ def test_sync_offset_stops_where_every_candidate_is_clipped(legs, t_frac, tau_fr
         px, py, traj, k, 2 * (traj.n - 1 + k) + 1)
 
 
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(legs=st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+       t_frac=st.floats(0.0, 1.0), later=st.integers(0, 300),
+       reach=st.one_of(st.just(math.inf), st.just(1e300), st.floats(0.0, 2000.0),
+                       st.integers(0, 1200).map(lambda i: i / 2)),
+       px=st.floats(-2.0, 14.0), py=st.floats(-4.0, 4.0))
+def test_sync_offset_caps_a_float_reach_itself(legs, t_frac, later, reach, px, py):
+    # a reach in samples, as tau_max / dt gives it, finds the shift that the
+    # reach a run at sample k of n = k + later capped to an integer found:
+    # round(min(reach, traj.n + n + 1))
+    pts = [(0.0, 0.0)]
+    for dx_, dy_ in legs:
+        pts.append((pts[-1][0] + dx_, pts[-1][1] + dy_))
+    traj = build_reference(PolylinePath(waypoints=tuple(pts), fillet_radius=0.0), 0.05, 1.0)
+    k = round(t_frac * (traj.n - 1))
+    capped = round(min(reach, traj.n + k + later + 1))
+    assert sync_offset(px, py, traj, k, reach) == _sync_offset_unclamped(
+        px, py, traj, k, capped)
+
 def test_apply_sync_identity():
     traj = line_traj()
     shifted = apply_sync(traj, 0, 0)
