@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import importlib
 import io
 import json
 import math
@@ -61,13 +63,29 @@ def test_csv_has_nine_significant_digits_and_decimal_points(tmp_path):
 
 
 def test_mfpc_csv_leaves_aux_columns_empty(tmp_path):
-    path = write_cfg(tmp_path, nominal_tracking("mfpc", "line"))
-    out = tmp_path / "out"
-    assert main(["run", "--config", path, "--out", str(out)]) == 0
-    lines = (out / "line-mfpc-nominal.csv").read_text().splitlines()
-    row = lines[100].split(",")
-    nu1, nu2 = row[9], row[10]
-    assert nu1 == "" and nu2 == ""
+    # MFPC has no auxiliary controls: every row's nu1 and nu2 are empty. On
+    # the 5 m line the reference parks at its end for the rest of the 20 s run.
+    short = ScenarioConfig(name="mfpc-short", controller="mfpc", path={
+        "kind": "polyline", "waypoints": ((0.0, 0.0), (5.0, 0.0)), "speed": 1.0})
+    for cfg in (nominal_tracking("mfpc", "line"), short):
+        path = write_cfg(tmp_path, cfg, f"{cfg.name}.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / f"{cfg.name}.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2001
+        assert [r for r in rows if r["nu1"] != "" or r["nu2"] != ""] == []
+    assert (float(rows[-1]["x_ref"]), float(rows[-1]["y_ref"])) == (5.0, 0.0)
+
+
+def test_the_console_script_is_cli_main(tmp_path):
+    # the `dubinsim` console script calls this target; 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    target = re.search(r'^dubinsim\s*=\s*"([\w.]+):(\w+)"\s*$', scripts.group(1), re.M)
+    assert target.groups() == ("dubinsim.cli", "main")
+    entry = getattr(importlib.import_module(target.group(1)), target.group(2))
+    path = write_cfg(tmp_path, ScenarioConfig(duration=1.0))
+    assert entry(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_reemit_is_byte_identical(tmp_path):
@@ -244,6 +262,28 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
                                           r"the reference's 2 s"):
         ScenarioConfig(controller="mfpc", dt=dt, duration=duration, path=path,
                        mfpc=MfpcConfig(alpha1=0.1, alpha2=0.1, horizon=200 * dt))
+
+
+# Each doc is also a row of test_bad_controller_parameters_exit_2, which runs
+# it through the CLI; the refusal names its field and why.
+@pytest.mark.parametrize("doc, message", [
+    ({"controller": "mfpc", "mfpc": {"horizon": 1e300}},
+     "mfpc.horizon = 1e+300: the effective horizon 26.6667 s is not shorter than"),
+    ({"obstacles": [{"cx": 10.0, "cy": 0.0, "r": 1e200}]}, "obstacles[0].r = 1e+200 is outside"),
+    ({"path": {"kind": "polyline", "waypoints": [[0, 0], [1e159, 0]], "speed": 1e155},
+      "obstacles": [{"cx": 5e158, "cy": 0, "r": 1e150}], "noise": {"enabled": False},
+      "avoidance": {"sensing_radius": 1e300}}, "path.waypoints[1][0] = 1e+159 is outside"),
+    ({"obstacles": [{"cx": 1e160, "cy": 0, "r": 1e200}], "avoidance": {"sensing_radius": 1e300}},
+     "obstacles[0].cx = 1e+160 is outside"),
+    ({"obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}], "avoidance": {"speed_hint": 1e-300}},
+     "avoidance.speed_hint = 1e-300 is outside"),
+    ({"controller": "mfpc", "mfpc": {"alpha1": 1e-17}}, "mfpc.alpha1 = 1e-17 is outside"),
+    ({"noise": {"sigma": 1e300}}, "noise.sigma = 1e+300 is outside"),
+], ids=["mfpc-horizon-past-reference", "huge-zone-heol", "overflowing-line-1e159",
+        "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge"])
+def test_a_refusal_at_load_names_its_field(doc, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        ScenarioConfig.from_dict({"version": 1, **doc})
 
 
 # ``direct_where`` names the field as the block built in code refuses it:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dubinsim import avoidance, harness
 from dubinsim.avoidance import Obstacle
+from dubinsim.cli import main
 from dubinsim.errors import ConfigError, StateIntegrityError
 from dubinsim.estimation import FWindow
 from dubinsim.harness import SERIES, emit, place_crossing_obstacle, run_scenario, run_sweep
@@ -163,7 +164,9 @@ def test_a_sync_search_wider_than_the_run_writes_the_same_files(tmp_path):
     for tau_max in (100.0, 1e300, 1e308):
         cfg = startup_offset_scenario(True)
         cfg = replace(cfg, sync=replace(cfg.sync, tau_max=tau_max))
-        paths = emit(run_scenario(cfg), tmp_path / str(tau_max), name="run")
+        result = run_scenario(cfg)
+        assert not result.aborted
+        paths = emit(result, tmp_path / str(tau_max), name="run")
         files.append([open(p, "rb").read() for p in paths])
     assert files[0] == files[1] == files[2]
 
@@ -691,7 +694,8 @@ class _FirstRun(Exception):
     pass
 
 
-def test_a_sweep_checks_its_longest_run_name_before_the_first_run(monkeypatch):
+def test_a_sweep_checks_its_longest_run_name_before_the_first_run(monkeypatch, tmp_path,
+                                                                   capsys):
     # "-r999" fits a 237-byte base name in 255 bytes with "_summary.json";
     # "-r1000" does not, so 1001 runs are refused before any run
     names = []
@@ -704,6 +708,11 @@ def test_a_sweep_checks_its_longest_run_name_before_the_first_run(monkeypatch):
     cfg = ScenarioConfig(name="n" * 237)
     with pytest.raises(ConfigError, match="-r1000_summary.json"):
         run_sweep(cfg, 1001)
+    cfg.save(tmp_path / "long-name.json")
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(tmp_path / "long-name.json"), "--runs", "1001"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:") and not out.exists()
     assert names == []
     with pytest.raises(_FirstRun):
         run_sweep(cfg, 1000)
