@@ -66,22 +66,32 @@ class BypassPlan:
 
 
 def discover(obstacles, state: tuple[float, float, float], sensing_radius: float,
-             known=frozenset()) -> list[int]:
-    """Indices of obstacles that become known at this state.
+             known=frozenset()) -> tuple[list[int], float, float]:
+    """Indices of obstacles that become known at this state, and when to
+    look again: ``(found, t_next, near)``.
 
     ``state`` is the (t, x, y) sample: its time and the vehicle's
     position.  An obstacle is discoverable once it exists (t >= t_appear)
     and the vehicle is within sensing range.  Discovery is monotone: the
     caller keeps the ``known`` set and obstacles are never forgotten.
+    ``t_next`` is the earliest ``t_appear`` of an unknown obstacle that does
+    not exist yet, and ``near`` the distance to the nearest unknown one that
+    exists but is out of range; each is inf when there is none.
     """
     t, x, y = state
-    newly = []
+    found, t_next, near = [], math.inf, math.inf
     for i, ob in enumerate(obstacles):
-        if i in known or ob.t_appear > t + 1e-12:
+        if i in known:
             continue
-        if math.hypot(x - ob.cx, y - ob.cy) <= sensing_radius:
-            newly.append(i)
-    return newly
+        if ob.t_appear > t + 1e-12:   # not there yet
+            t_next = min(t_next, ob.t_appear)
+            continue
+        d = math.hypot(x - ob.cx, y - ob.cy)
+        if d <= sensing_radius:
+            found.append(i)
+        else:
+            near = min(near, d)
+    return found, t_next, near
 
 
 def _boundary_time(xa, ya, xb, yb, ta, tb, cx, cy, r):
@@ -146,9 +156,9 @@ def _tangent_geometry(px, py, cx, cy, r):
 
 def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
                     speed_hint: float, lead: float = 0.5, i_min: int = 0):
-    """(left, right) tangent-arc-tangent wraps of the danger circle, or
-    (None, None): whatever rules a wrap out (the speed hint, an anchor, a
-    tangent) rules out both sides.
+    """(left, right) tangent-arc-tangent wraps of the danger circle.
+    Whatever rules a wrap out (the speed hint, an anchor, a tangent) rules
+    out both sides: InfeasibleBypassError names it.
 
     Anchors are reference samples ``lead`` seconds outside the crossing,
     pushed further out while still inside the zone (entry anchors never move
@@ -163,28 +173,25 @@ def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     R = zone.r_danger + CLEARANCE_PAD
     cx, cy = zone.cx, zone.cy
     if speed_hint <= 0.0:
-        return None, None
+        raise InfeasibleBypassError(f"speed hint {speed_hint:.3g} is not positive")
 
     # the crossing's times become samples here only: the last one at or
     # before t_in - lead, the first one at or after t_out + lead
     i_a = min(n - 1, max(i_min, int(math.floor((t_in - lead) / dt + 1e-9))))
     while i_a >= i_min and math.hypot(traj.x[i_a] - cx, traj.y[i_a] - cy) <= R + 1e-9:
         i_a -= 1
-    if i_a < i_min:     # no entry anchor outside the danger zone
-        return None, None
+    if i_a < i_min:
+        raise InfeasibleBypassError("no entry anchor outside the danger zone")
     i_b = max(i_a + 1, int(math.ceil((t_out + lead) / dt - 1e-9)))
     while i_b <= n - 1 and math.hypot(traj.x[i_b] - cx, traj.y[i_b] - cy) <= R + 1e-9:
         i_b += 1
-    if i_b > n - 1:     # no exit anchor outside it
-        return None, None
+    if i_b > n - 1:
+        raise InfeasibleBypassError("no exit anchor outside the danger zone")
 
     ax, ay = float(traj.x[i_a]), float(traj.y[i_a])
     bx, by = float(traj.x[i_b]), float(traj.y[i_b])
-    try:
-        phi_a, th_a, len_a = _tangent_geometry(ax, ay, cx, cy, R)
-        phi_b, th_b, len_b = _tangent_geometry(bx, by, cx, cy, R)
-    except InfeasibleBypassError:
-        return None, None
+    phi_a, th_a, len_a = _tangent_geometry(ax, ay, cx, cy, R)
+    phi_b, th_b, len_b = _tangent_geometry(bx, by, cx, cy, R)
     replaced = traj.path_length(i_a, i_b)
 
     plans = []
@@ -215,13 +222,9 @@ def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
     return tuple(plans)
 
 
-def select_side(left: BypassPlan | None, right: BypassPlan | None,
-                controller_kind: str) -> BypassPlan:
+def select_side(left: BypassPlan, right: BypassPlan, controller_kind: str) -> BypassPlan:
     """MFPC always bypasses on the right (its heading constraint rules out the
-    left wrap); the flatness stack takes the smaller detour, right on ties.
-    The planner builds both sides or neither."""
-    if right is None:
-        raise InfeasibleBypassError("no feasible bypass on either side")
+    left wrap); the flatness stack takes the smaller detour, right on ties."""
     if controller_kind == "mfpc" or right.detour_length <= left.detour_length:
         return right
     return left

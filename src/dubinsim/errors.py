@@ -44,7 +44,7 @@ _FIELD_TYPES = {
     **dict.fromkeys(("noise", "perturbation", "heol", "mfpc", "sync", "avoidance"), dict),
     "start": list, "obstacles": list, "waypoints": list, "waypoints[]": list,
     "seed": int, "noise_seed": int, "perturbation_seed": int,
-    "enabled": bool, "eval_at_next": bool, "name": str, "controller": str, "kind": str,
+    "enabled": bool, "name": str, "controller": str, "kind": str,
 }
 _NULLABLE = frozenset({"noise_seed", "perturbation_seed", "start", "speed_hint"})
 _TYPE_NAMES = {dict: "a JSON object", list: "an array", int: "an integer",

@@ -96,8 +96,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     zones = {}          # obstacle index -> DangerZone, once discovered
     pending_ends = []   # last sample of each spliced bypass not yet completed
     next_end = n + 1    # min(pending_ends), or past the run
-    # ``discover`` runs again at sample ``next_look``, or once the vehicle is
-    # sqrt(reach2) or more from (lx, ly), where it last looked
+    # ``discover`` runs again at sample ``next_look``, just before the next
+    # unknown obstacle appears, or once the vehicle is sqrt(reach2) or more
+    # from (lx, ly), where it last looked: half the gap to the nearest sensing
+    # circle, which by the triangle inequality no obstacle reaches sooner
+    sensing = cfg.avoidance.sensing_radius
     next_look, reach2, lx, ly = 0, 0.0, x, y
     aborted = False
     abort_reason = ""
@@ -110,13 +113,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             scan = ()   # zones to scan for a crossing in this sample
             ex, ey = x - lx, y - ly
             if k >= next_look or not ex * ex + ey * ey < reach2:   # NaN looks
-                scan = avoidance.discover(cfg.obstacles, (t, x, y),
-                                          cfg.avoidance.sensing_radius, known=zones.keys())
+                scan, t_next, near = avoidance.discover(cfg.obstacles, (t, x, y), sensing,
+                                                        known=zones.keys())
                 for i in scan:
                     zones[i] = cfg.obstacles[i].danger_zone(cfg.avoidance.margin)
                     events.append({"kind": "discovery", "t": t, "obstacle": i})
-                next_look, reach2 = _next_look(cfg, zones, k, x, y)
-                lx, ly = x, y
+                # a sample early is harmless; the half gap leaves room for the
+                # rounding of both distances
+                steps = (t_next - 1e-12) / dt
+                next_look = math.ceil(steps) - 1 if steps <= n else n + 1
+                half = max(near * (1.0 - 1e-9) - sensing, 0.0) / 2.0
+                reach2, lx, ly = half * half, x, y
 
             if k >= next_end:
                 events.extend({"kind": "bypass_end", "t": t} for e in pending_ends if k >= e)
@@ -153,31 +160,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     metrics = compute_metrics(cfg, rows, events)
     return ScenarioResult(config=cfg, record=rows, events=events, metrics=metrics,
                           aborted=aborted, abort_reason=abort_reason)
-
-
-def _next_look(cfg: ScenarioConfig, known, k: int, x: float, y: float) -> tuple[int, float]:
-    """When ``discover``, having looked at sample k from (x, y), must look
-    again: ``(k_next, reach2)``.  No obstacle outside ``known`` appears
-    before sample ``k_next``, and none that exists comes into sensing range
-    before the vehicle has moved sqrt(reach2) from (x, y).
-
-    ``reach2`` is half the gap from (x, y) to the nearest sensing circle,
-    squared; by the triangle inequality no obstacle comes into range
-    sooner, and the half leaves room for the rounding of both distances.
-    """
-    dt, n, sensing = cfg.dt, cfg.n_steps, cfg.avoidance.sensing_radius
-    k_next, near = n + 1, math.inf
-    for i, ob in enumerate(cfg.obstacles):
-        if i in known:
-            continue
-        if ob.t_appear > k * dt + 1e-12:   # discover's test: not there yet
-            steps = (ob.t_appear - 1e-12) / dt
-            if steps <= n:   # it appears in the run; a sample early is harmless
-                k_next = min(k_next, math.ceil(steps) - 1)
-        else:
-            near = min(near, math.hypot(x - ob.cx, y - ob.cy))
-    half = max(near * (1.0 - 1e-9) - sensing, 0.0) / 2.0
-    return k_next, half * half
 
 
 def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, k: int,

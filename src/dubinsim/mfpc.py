@@ -96,7 +96,6 @@ class MfpcConfig:
     t_window: float = 0.7
     u1_max: float = 5.0
     u2_margin: float = 0.01
-    eval_at_next: bool = False
 
     def __post_init__(self):
         check_types(self, "mfpc")
@@ -126,9 +125,8 @@ class MfpcController:
 
     On a fixed receding horizon the optimal arc's initial velocity is linear
     in the setpoint error, so each axis's arc is solved once here, in
-    horizon-relative time, for a unit error: ``gains`` holds its velocity at
-    the evaluation offset (0, or one step with ``eval_at_next``),
-    -r*cosh(r(T - delta))/sinh(rT).
+    horizon-relative time, for a unit error: ``gains`` holds its initial
+    velocity, -r*cosh(rT)/sinh(rT).
     """
 
     def __init__(self, config: MfpcConfig, dt: float):
@@ -137,8 +135,8 @@ class MfpcController:
         horizon = config.effective_horizon(dt)
         self.ahead = round(horizon / dt)
         self.alphas = (float(config.alpha1), float(config.alpha2))
-        self.gains = tuple(solve_two_point(1.0, 0.0, 0.0, horizon, alpha).velocity(
-            dt if config.eval_at_next else 0.0) for alpha in self.alphas)
+        self.gains = tuple(solve_two_point(1.0, 0.0, 0.0, horizon, alpha).velocity(0.0)
+                           for alpha in self.alphas)
         self.windows = tuple(FWindow(config.t_window, dt, input_gain=alpha)
                              for alpha in self.alphas)
         u2_lim = math.pi / 2 - config.u2_margin

@@ -26,21 +26,24 @@ def line_traj():
 
 
 def test_discover_respects_sensing_radius():
-    obs = [Obstacle(100.0, 0.0, 1.0), Obstacle(9.9, 0.0, 1.0)]
+    obs = [Obstacle(100.0, 0.0, 1.0), Obstacle(9.9, 0.0, 1.0), Obstacle(0.0, 30.0, 1.0)]
     st = (5.0, 0.0, 0.0)
-    assert discover(obs, st, 10.0) == [1]
+    # nothing is still to appear; the nearest one out of range is 30 m off
+    assert discover(obs, st, 10.0) == ([1], math.inf, 30.0)
 
 
 def test_discover_respects_appearance_time():
-    obs = [Obstacle(1.0, 0.0, 0.5, t_appear=8.0)]
-    assert discover(obs, (5.0, 0.0, 0.0), 10.0) == []
-    assert discover(obs, (8.0, 0.0, 0.0), 10.0) == [0]
+    obs = [Obstacle(1.0, 0.0, 0.5, t_appear=8.0), Obstacle(2.0, 0.0, 0.5, t_appear=9.0)]
+    assert discover(obs, (5.0, 0.0, 0.0), 10.0) == ([], 8.0, math.inf)
+    assert discover(obs, (8.0, 0.0, 0.0), 10.0) == ([0], 9.0, math.inf)
 
 
 def test_discover_is_monotone_via_known_set():
-    obs = [Obstacle(1.0, 0.0, 0.5)]
+    obs = [Obstacle(1.0, 0.0, 0.5), Obstacle(0.0, 12.0, 0.5, t_appear=3.0)]
     st = (0.0, 0.0, 0.0)
-    assert discover(obs, st, 10.0, known={0}) == []
+    assert discover(obs, st, 10.0, known={0}) == ([], 3.0, math.inf)
+    assert discover(obs, (3.0, 0.0, 0.0), 10.0, known={0}) == ([], math.inf, 12.0)
+    assert discover(obs, (3.0, 0.0, 0.0), 10.0, known={0, 1}) == ([], math.inf, math.inf)
 
 
 def test_danger_zone_inflates_radius():
@@ -276,7 +279,12 @@ def test_infeasible_when_no_outside_anchor():
     traj = line_traj()
     zone = DangerZone(10.0, 0.0, 1.0)
     crossing = path_crosses_zone(traj, zone, 950)
-    assert plan_both_sides(traj, zone, crossing, 1.0, i_min=950) == (None, None)
+    with pytest.raises(InfeasibleBypassError, match="^no entry anchor outside the danger zone$"):
+        plan_both_sides(traj, zone, crossing, 1.0, i_min=950)
+    # the reference ends inside the zone: no exit anchor can exist
+    zone = DangerZone(24.5, 0.0, 1.0)
+    with pytest.raises(InfeasibleBypassError, match="^no exit anchor outside the danger zone$"):
+        plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)
 
 
 def test_select_side_rules():
@@ -294,11 +302,11 @@ def test_select_side_rules():
     zone3 = DangerZone(5.0, 0.0, 1.0)
     left3, right3 = plan_both_sides(traj, zone3, path_crosses_zone(traj, zone3), 1.0)
     assert select_side(left3, right3, "heol") is right3
-    # the planner builds both sides or neither
-    for controller, reason in (("heol", "no feasible bypass on either side"),
-                               ("mfpc", "no feasible bypass on either side")):
-        with pytest.raises(InfeasibleBypassError, match=reason):
-            select_side(None, None, controller)
+    # the planner builds both sides or raises the rule that rules both out
+    for hint, reason in ((0.0, "speed hint 0 is not positive"),
+                         (-1.0, "speed hint -1 is not positive")):
+        with pytest.raises(InfeasibleBypassError, match=f"^{reason}$"):
+            plan_both_sides(traj, zone3, path_crosses_zone(traj, zone3), hint)
 
 
 # -- splice ---------------------------------------------------------------------
@@ -412,11 +420,12 @@ def test_bypass_plans_clear_the_zone_and_splice_cleanly(case):
     traj, zone, k, v = case
     crossing = path_crosses_zone(traj, zone, k)
     assert crossing is not None
-    plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
     if math.hypot(traj.x[k] - zone.cx, traj.y[k] - zone.cy) < zone.r_danger:
-        assert plans == (None, None)   # no entry anchor: neither side is built
+        # no entry anchor: neither side is built
+        with pytest.raises(InfeasibleBypassError, match="no entry anchor"):
+            plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
         return
-    assert None not in plans
+    plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
     for plan in plans:
         x, y, dx, dy = plan.table.T
         assert np.hypot(x - zone.cx, y - zone.cy).min() >= zone.r_danger - 1e-9
@@ -500,4 +509,7 @@ def test_in_world_configs_build_scan_and_plan_without_overflow(case):
         zone = cfg.obstacles[0].danger_zone(margin)
         crossing = path_crosses_zone(traj, zone)
         if crossing is not None:
-            plan_both_sides(traj, zone, crossing, hint, lead)
+            try:
+                plan_both_sides(traj, zone, crossing, hint, lead)
+            except InfeasibleBypassError:   # a rule refused the wrap; nothing overflowed
+                pass

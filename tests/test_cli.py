@@ -202,6 +202,7 @@ def test_config_error_exit_code(tmp_path):
     {"controller": "mfpc", "mfpc": {"alpha1": 1e-17}},    # exp(-rT) == exp(rT)
     {"noise": {"sigma": 1e300}},                          # rms_tracking = inf
     {"controller": "mfpc", "mfpc": {"horizon": 1e300}},   # 26.7 s ahead on a 25 s reference
+    {"controller": "mfpc", "mfpc": {"eval_at_next": False}},   # not an MfpcConfig field
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -225,7 +226,7 @@ def test_config_error_exit_code(tmp_path):
         "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
         "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
         "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge",
-        "mfpc-horizon-past-reference"])
+        "mfpc-horizon-past-reference", "mfpc-eval_at_next-false"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -279,8 +280,10 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
      "avoidance.speed_hint = 1e-300 is outside"),
     ({"controller": "mfpc", "mfpc": {"alpha1": 1e-17}}, "mfpc.alpha1 = 1e-17 is outside"),
     ({"noise": {"sigma": 1e300}}, "noise.sigma = 1e+300 is outside"),
+    ({"controller": "mfpc", "mfpc": {"eval_at_next": False}}, "mfpc.eval_at_next "),
 ], ids=["mfpc-horizon-past-reference", "huge-zone-heol", "overflowing-line-1e159",
-        "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge"])
+        "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge",
+        "mfpc-eval_at_next-false"])
 def test_a_refusal_at_load_names_its_field(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         ScenarioConfig.from_dict({"version": 1, **doc})
@@ -481,7 +484,7 @@ def test_a_block_built_in_code_refuses_what_the_loader_refuses():
             pass
         except Exception as exc:
             problems.append((path, value, repr(exc)))
-    assert cases == 176 and problems == []
+    assert cases == 171 and problems == []
     with pytest.raises(ConfigError, match=r"^mfpc\.alpha1 = 1e-17 is outside"):
         MfpcController(MfpcConfig(alpha1=1e-17), 0.01)
 

@@ -96,8 +96,7 @@ def configs(draw):
                         alpha2=draw(reals(0.1, 10) | reals(-10, -0.1)),
                         horizon=horizon, t_window=draw(steps) * dt,
                         u1_max=draw(positive(10)),
-                        u2_margin=draw(reals(1e-3, math.pi / 2 - 1e-3)),
-                        eval_at_next=draw(st.booleans())),
+                        u2_margin=draw(reals(1e-3, math.pi / 2 - 1e-3))),
         sync=SyncConfig(enabled=draw(st.booleans()), tau_max=draw(positive(10)),
                         startup_threshold=draw(reals(0, 5))),
         avoidance=AvoidanceConfig(margin=draw(positive(2)),

@@ -187,12 +187,19 @@ def test_divergent_controller_aborts_with_flag():
 
 
 SHORT_LINE = replace(nominal_tracking("heol", "line"), duration=2.0)
+# the obstacle a sweep from seed 100 draws for its run of seed 104
+LATE_OBSTACLE = crossing_obstacle(safety_scenario("heol", 104), 104)
 
 
 @pytest.mark.parametrize("cfg, prefix, suffix", [
     # the start lies inside the danger zone, so no anchor is outside it
-    (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)), "infeasible bypass: ",
-     " at t=0.0"),
+    (replace(SHORT_LINE, obstacles=(Obstacle(0.5, 0.0, 0.8),)),
+     "infeasible bypass: no entry anchor outside the danger zone", " at t=0.0"),
+    # found late at 1.5 m: the reference point of the discovery sample already
+    # lies inside the danger circle
+    (replace(safety_scenario("heol", 104), obstacles=(LATE_OBSTACLE,),
+             avoidance=AvoidanceConfig(sensing_radius=1.5)),
+     "infeasible bypass: no entry anchor outside the danger zone", " at t=10.73"),
     (None, "controller fault: ", "non-finite measurement (nan, nan) at t=0.0"),
     # the plant's own summed clock would read 0.8600000000000005 here
     (replace(SHORT_LINE, heol=HeolConfig(kx=1e6, ky=1e6)),
@@ -206,8 +213,8 @@ SHORT_LINE = replace(nominal_tracking("heol", "line"), duration=2.0)
     (ScenarioConfig(obstacles=(Obstacle(10.0, 0.1, 0.8),),
                     avoidance=AvoidanceConfig(speed_hint=1e-6)),
      "infeasible bypass: bypass extends past the end of the trajectory", " at t=4.98"),
-], ids=["infeasible-bypass", "controller-fault", "state-integrity", "replan-limit",
-        "slow-wrap-1e-6"])
+], ids=["infeasible-bypass", "late-discovery-1.5m", "controller-fault", "state-integrity",
+        "replan-limit", "slow-wrap-1e-6"])
 def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffix):
     if cfg is None:   # a non-finite measurement faults the controller
         monkeypatch.setattr(harness, "measure", lambda x, y, noise: (math.nan, math.nan))
@@ -463,8 +470,14 @@ def discovery_runs(draw):
 @given(discovery_runs())
 def test_discovery_on_demand_equals_discovery_on_every_sample(cfg):
     lazy = run_scenario(cfg)
-    with pytest.MonkeyPatch.context() as mp:   # look again on the next sample, always
-        mp.setattr(harness, "_next_look", lambda cfg, known, k, x, y: (k + 1, 0.0))
+    discover = avoidance.discover
+
+    def every_sample(obstacles, state, *args, **kwargs):
+        # an obstacle appears now, and one is in range: look again next sample
+        return discover(obstacles, state, *args, **kwargs)[0], state[0], 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(avoidance, "discover", every_sample)
         eager = run_scenario(cfg)
     assert same_bits(lazy.record, eager.record)
     assert lazy.events == eager.events

@@ -219,19 +219,18 @@ POSITIONS = st.integers(-5_000_000, 5_000_000).map(lambda i: i * 1e-6)
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.1, 2.0), negative=st.booleans(), horizon=st.floats(0.05, 60.0),
-       t=st.floats(0.0, 300.0), y=POSITIONS, y_sp=POSITIONS, eval_at_next=st.booleans())
-def test_gain_is_the_arc_velocity_at_any_absolute_time(alpha, negative, horizon, t, y, y_sp,
-                                                       eval_at_next):
+       t=st.floats(0.0, 300.0), y=POSITIONS, y_sp=POSITIONS)
+def test_gain_is_the_arc_velocity_at_any_absolute_time(alpha, negative, horizon, t, y, y_sp):
     alpha = -alpha if negative else alpha
     T = MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon).effective_horizon(DT)
     gain = MfpcController(MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon,
-                                     t_window=0.3, eval_at_next=eval_at_next), DT).gains[0]
+                                     t_window=0.3), DT).gains[0]
     assert T <= horizon and abs(alpha) * T <= MAX_EXP_ARG
     assert T == pytest.approx(min(horizon, MAX_EXP_ARG / abs(alpha)), rel=1e-15)
     t_f = t + T
     while abs(alpha) * (t_f - t) > MAX_EXP_ARG:   # t + T can round past the guard
         t_f = math.nextafter(t_f, t)
-    want = solve_two_point(y, y_sp, t, t_f, alpha).velocity(t + DT if eval_at_next else t)
+    want = solve_two_point(y, y_sp, t, t_f, alpha).velocity(t)
     assert gain * (y - y_sp) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
