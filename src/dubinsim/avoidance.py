@@ -154,26 +154,25 @@ def _tangent_geometry(px, py, cx, cy, r):
     return math.atan2(my, mx), math.acos(r / d), math.sqrt(d * d - r * r)
 
 
-def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
-                    speed_hint: float, lead: float = 0.5, i_min: int = 0):
+def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing, *,
+                    lead: float = 0.5, i_min: int = 0):
     """(left, right) tangent-arc-tangent wraps of the danger circle.
-    Whatever rules a wrap out (the speed hint, an anchor, a tangent) rules
-    out both sides: InfeasibleBypassError names it.
+    Whatever rules a wrap out (an anchor, a tangent) rules out both sides:
+    InfeasibleBypassError names it.
 
     Anchors are reference samples ``lead`` seconds outside the crossing,
     pushed further out while still inside the zone (entry anchors never move
-    before sample i_min, the current one).  Each wrap is re-timed at
-    ``speed_hint`` onto the sample grid; its last sample coincides with the
-    exit anchor.  A wrap that would end past the last sample is not sampled:
-    its plan has no table, and ``splice`` refuses it.
+    before sample i_min, the current one).  Each wrap is re-timed onto the
+    grid at the reference speed where the crossing begins (at least 0.1 m/s),
+    ending on the exit anchor.  A wrap that would end past the last sample is
+    not sampled: its plan has no table, and ``splice`` refuses it.
     """
     t_in, t_out = crossing
     dt = traj.dt
     n = traj.n
     R = zone.r_danger + CLEARANCE_PAD
     cx, cy = zone.cx, zone.cy
-    if speed_hint <= 0.0:
-        raise InfeasibleBypassError(f"speed hint {speed_hint:.3g} is not positive")
+    speed = max(math.hypot(*traj.lookup(t_in)[2:]), 0.1)
 
     # the crossing's times become samples here only: the last one at or
     # before t_in - lead, the first one at or after t_out + lead
@@ -200,9 +199,9 @@ def plan_both_sides(traj: ReferenceTrajectory, zone: DangerZone, crossing,
         psi2 = phi_b - orient * th_b
         sweep = (orient * (psi2 - psi1)) % TWO_PI
         total = len_a + R * sweep + len_b
-        # in this order, not total / (speed_hint * dt): that rounds differently
+        # in this order, not total / (speed * dt): that rounds differently
         # and would move the wrap's samples
-        steps = total / speed_hint / dt
+        steps = total / speed / dt
         n_b = max(2, math.ceil(steps - 1e-9))
         table = None
         if i_a + n_b <= n - 1:

@@ -46,7 +46,7 @@ _FIELD_TYPES = {
     "seed": int, "noise_seed": int, "perturbation_seed": int,
     "enabled": bool, "name": str, "controller": str, "kind": str,
 }
-_NULLABLE = frozenset({"noise_seed", "perturbation_seed", "start", "speed_hint"})
+_NULLABLE = frozenset({"noise_seed", "perturbation_seed", "start"})
 _TYPE_NAMES = {dict: "a JSON object", list: "an array", int: "an integer",
                bool: "true or false", str: "a string", float: "a finite number"}
 
@@ -59,12 +59,10 @@ WORLD = 1e6
 _LENGTHS = frozenset({"cx", "cy", "r", "radius", "sensing_radius", "amplitude",
                       "fillet_radius", "x0", "y0", "waypoints[][]", "start[]", "omega",
                       "sigma"})
-_SCALES = frozenset({"dt", "speed", "speed_hint", "wavelength", "margin",
-                     "alpha1", "alpha2"})
+_SCALES = frozenset({"dt", "speed", "wavelength", "margin", "alpha1", "alpha2"})
 # The sign of a number, where it has one; the path specs keep their own rules.
 _POSITIVE = frozenset({"dt", "duration", "kx", "ky", "t_window", "horizon", "u1_max",
-                       "u2_margin", "switch_interval", "tau_max", "margin",
-                       "sensing_radius", "speed_hint", "r"})
+                       "u2_margin", "switch_interval", "tau_max", "margin", "sensing_radius", "r"})
 _NON_NEGATIVE = frozenset({"sigma", "lead", "startup_threshold", "t_appear"})
 
 

@@ -188,11 +188,7 @@ def _replan(cfg: ScenarioConfig, traj: ReferenceTrajectory, zones: dict, scan, k
             raise ReplanLimitError("replanning loop exceeded limit "
                                    f"(obstacles {sorted(set(planned))})")
         i, crossing = best
-        hint = cfg.avoidance.speed_hint
-        if hint is None:
-            _, _, dxa, dya = traj.lookup(crossing[0])
-            hint = max(math.hypot(dxa, dya), 0.1)
-        left, right = avoidance.plan_both_sides(traj, zones[i], crossing, hint,
+        left, right = avoidance.plan_both_sides(traj, zones[i], crossing,
                                                 lead=cfg.avoidance.lead, i_min=k)
         plan = avoidance.select_side(left, right, cfg.controller)
         traj = avoidance.splice(traj, plan)

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, StateIntegrityError, check_types
+from .errors import WORLD, ConfigError, StateIntegrityError, check_types
 
 # Below this speed atan2(nu2, nu1) is ill-conditioned; the heading is frozen
 # at its previous value instead.
@@ -73,8 +73,8 @@ def step_plant(x: float, y: float, u1: float, u2: float, p: float = 0.0,
             f"control=({u1}, {u2}), p={p}")
     x = x + dt * u1 * math.cos(u2)
     y = y + dt * u1 * (1.0 + p) * math.sin(u2)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise StateIntegrityError("plant state diverged")
+    if not (abs(x) <= WORLD and abs(y) <= WORLD):   # NaN fails too
+        raise StateIntegrityError(f"plant state ({x}, {y}) left the world")
     return x, y
 
 

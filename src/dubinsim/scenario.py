@@ -44,7 +44,6 @@ class AvoidanceConfig:
     margin: float = 0.5
     sensing_radius: float = 5.0
     lead: float = 0.5
-    speed_hint: float | None = None  # None: reference speed at the crossing
 
     def __post_init__(self):
         check_types(self, "avoidance")
@@ -147,7 +146,13 @@ class ScenarioConfig:
         if isinstance(version, bool) or version != CONFIG_VERSION:   # true == 1
             raise ConfigError(f"unsupported config version {version}")
         kwargs = {k: v for k, v in d.items() if k != "version"}
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
+        # keys no field declares, at any depth, before check_types reads one as a number
+        obstacles = kwargs.get("obstacles") if isinstance(kwargs.get("obstacles"), list) else ()
+        blocks = [("", cls, kwargs),
+                  *((f"{k}.", section, kwargs.get(k)) for k, section in _SECTIONS.items()),
+                  *((f"obstacles[{i}].", Obstacle, ob) for i, ob in enumerate(obstacles))]
+        unknown = [f"{where}{k}" for where, block_cls, block in blocks if isinstance(block, dict)
+                   for k in block.keys() - {f.name for f in fields(block_cls)}]
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         check_types(kwargs)   # before any field is converted or compared
@@ -161,7 +166,7 @@ class ScenarioConfig:
                 if key in kwargs:
                     kwargs[key] = section(**kwargs[key])
             return cls(**kwargs)
-        except TypeError as exc:   # an unknown block key or a missing obstacle key
+        except TypeError as exc:   # a missing obstacle key
             raise ConfigError(f"bad config: {exc}") from exc
 
     @classmethod

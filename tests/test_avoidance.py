@@ -193,7 +193,7 @@ def test_symmetric_zone_gives_mirror_plans():
     traj = line_traj()
     zone = DangerZone(5.0, 0.0, 1.0)
     crossing = path_crosses_zone(traj, zone)
-    left, right = plan_both_sides(traj, zone, crossing, 1.0, lead=0.5)
+    left, right = plan_both_sides(traj, zone, crossing, lead=0.5)
     assert left.detour_length == pytest.approx(right.detour_length, abs=1e-9)
     assert left.table[:, 1].max() == pytest.approx(-right.table[:, 1].min(), abs=1e-9)
     assert right.table[:, 1].min() < -0.9  # right wrap actually dips below
@@ -205,7 +205,7 @@ def test_detour_lengths_match_geometry_oracle():
     for cy in (0.0, 0.3, -0.4):
         zone = DangerZone(5.0, cy, 1.0)
         crossing = path_crosses_zone(traj, zone)
-        left, right = plan_both_sides(traj, zone, crossing, 1.0, lead=0.5)
+        left, right = plan_both_sides(traj, zone, crossing, lead=0.5)
         for plan in (left, right):
             ax, ay = traj.row(plan.i_start)[:2]
             bx, by = traj.row(plan.i_exit)[:2]
@@ -231,12 +231,12 @@ def test_offset_zone_shorter_wrap_is_away_from_center():
     traj = line_traj()
     zone = DangerZone(5.0, 0.5, 1.0)
     crossing = path_crosses_zone(traj, zone)
-    left, right = plan_both_sides(traj, zone, crossing, 1.0, lead=0.5)
+    left, right = plan_both_sides(traj, zone, crossing, lead=0.5)
     assert right.detour_length < left.detour_length
     assert arc_sweep(right, zone) < arc_sweep(left, zone)
     # mirrored center flips the comparison
     zone2 = DangerZone(5.0, -0.5, 1.0)
-    left2, right2 = plan_both_sides(traj, zone2, path_crosses_zone(traj, zone2), 1.0)
+    left2, right2 = plan_both_sides(traj, zone2, path_crosses_zone(traj, zone2))
     assert left2.detour_length < right2.detour_length
 
 
@@ -245,7 +245,7 @@ def test_bypass_keeps_clearance_and_smooth_heading():
     for cy in (0.0, 0.45):
         zone = DangerZone(5.0, cy, 1.2)
         crossing = path_crosses_zone(traj, zone)
-        for plan in plan_both_sides(traj, zone, crossing, 1.0, lead=0.5):
+        for plan in plan_both_sides(traj, zone, crossing, lead=0.5):
             x, y, dx, dy = plan.table.T
             dist = np.hypot(x - zone.cx, y - zone.cy)
             assert dist.min() >= zone.r_danger - 1e-9
@@ -258,7 +258,7 @@ def test_bypass_keeps_clearance_and_smooth_heading():
 def test_bypass_endpoints_sit_on_reference():
     traj = line_traj()
     zone = DangerZone(5.0, 0.0, 1.0)
-    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)[1]
+    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone))[1]
     assert tuple(plan.table[0, :2]) == traj.row(plan.i_start)[:2]
     assert tuple(plan.table[-1, :2]) == traj.row(plan.i_exit)[:2]
     assert plan.i_end == plan.i_start + len(plan.table) - 1
@@ -269,7 +269,7 @@ def test_anchor_pushed_out_of_zone():
     traj = line_traj()
     zone = DangerZone(6.0, 0.0, 2.5)
     crossing = path_crosses_zone(traj, zone)
-    plan = plan_both_sides(traj, zone, crossing, 1.0, lead=0.1)[1]
+    plan = plan_both_sides(traj, zone, crossing, lead=0.1)[1]
     ax, ay = traj.row(plan.i_start)[:2]
     assert math.hypot(ax - zone.cx, ay - zone.cy) > zone.r_danger
 
@@ -280,33 +280,40 @@ def test_infeasible_when_no_outside_anchor():
     zone = DangerZone(10.0, 0.0, 1.0)
     crossing = path_crosses_zone(traj, zone, 950)
     with pytest.raises(InfeasibleBypassError, match="^no entry anchor outside the danger zone$"):
-        plan_both_sides(traj, zone, crossing, 1.0, i_min=950)
+        plan_both_sides(traj, zone, crossing, i_min=950)
     # the reference ends inside the zone: no exit anchor can exist
     zone = DangerZone(24.5, 0.0, 1.0)
     with pytest.raises(InfeasibleBypassError, match="^no exit anchor outside the danger zone$"):
-        plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)
+        plan_both_sides(traj, zone, path_crosses_zone(traj, zone))
+
+
+def test_a_wrap_is_flown_at_the_reference_speed():
+    # the line runs at 2 m/s: the wrap's samples are the fewest that keep
+    # its speed at or below 2 m/s
+    traj = build_reference(PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=2.0), DT)
+    zone = DangerZone(10.0, 0.2, 1.0)
+    for plan in plan_both_sides(traj, zone, path_crosses_zone(traj, zone)):
+        n_b = plan.i_end - plan.i_start
+        wrap = plan.detour_length + traj.path_length(plan.i_start, plan.i_exit)
+        assert n_b * DT * 2.0 >= wrap - 1e-9
+        assert wrap > (n_b - 1) * DT * 2.0
 
 
 def test_select_side_rules():
     traj = line_traj()
     zone = DangerZone(5.0, 0.5, 1.0)
-    left, right = plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)
+    left, right = plan_both_sides(traj, zone, path_crosses_zone(traj, zone))
     # center above: right is the shorter wrap here, so heol picks it; force the
     # opposite ordering with the mirrored zone to see heol pick left
     assert select_side(left, right, "heol") is right
     zone2 = DangerZone(5.0, -0.5, 1.0)
-    left2, right2 = plan_both_sides(traj, zone2, path_crosses_zone(traj, zone2), 1.0)
+    left2, right2 = plan_both_sides(traj, zone2, path_crosses_zone(traj, zone2))
     assert select_side(left2, right2, "heol") is left2
     assert select_side(left2, right2, "mfpc") is right2  # right regardless of length
     # ties go right
     zone3 = DangerZone(5.0, 0.0, 1.0)
-    left3, right3 = plan_both_sides(traj, zone3, path_crosses_zone(traj, zone3), 1.0)
+    left3, right3 = plan_both_sides(traj, zone3, path_crosses_zone(traj, zone3))
     assert select_side(left3, right3, "heol") is right3
-    # the planner builds both sides or raises the rule that rules both out
-    for hint, reason in ((0.0, "speed hint 0 is not positive"),
-                         (-1.0, "speed hint -1 is not positive")):
-        with pytest.raises(InfeasibleBypassError, match=f"^{reason}$"):
-            plan_both_sides(traj, zone3, path_crosses_zone(traj, zone3), hint)
 
 
 # -- splice ---------------------------------------------------------------------
@@ -315,7 +322,7 @@ def test_select_side_rules():
 def spliced_line(zone=None):
     traj = line_traj()
     zone = zone or DangerZone(5.0, 0.0, 1.0)
-    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)[1]
+    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone))[1]
     return traj, zone, plan, splice(traj, plan)
 
 
@@ -363,11 +370,11 @@ def test_sequential_obstacles_replan_on_spliced_reference():
     traj = line_traj()
     z1 = DangerZone(5.0, 0.0, 1.0)
     z2 = DangerZone(12.0, 0.2, 1.0)
-    plan1 = plan_both_sides(traj, z1, path_crosses_zone(traj, z1), 1.0)[1]
+    plan1 = plan_both_sides(traj, z1, path_crosses_zone(traj, z1))[1]
     t1 = splice(traj, plan1)
     crossing2 = path_crosses_zone(t1, z2, 0)
     assert crossing2 is not None
-    plan2 = plan_both_sides(t1, z2, crossing2, 1.0)[0]
+    plan2 = plan_both_sides(t1, z2, crossing2)[0]
     t2 = splice(t1, plan2)
     for z in (z1, z2):
         assert path_crosses_zone(t2, z, 0) is None
@@ -423,9 +430,9 @@ def test_bypass_plans_clear_the_zone_and_splice_cleanly(case):
     if math.hypot(traj.x[k] - zone.cx, traj.y[k] - zone.cy) < zone.r_danger:
         # no entry anchor: neither side is built
         with pytest.raises(InfeasibleBypassError, match="no entry anchor"):
-            plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
+            plan_both_sides(traj, zone, crossing, lead=0.5, i_min=k)
         return
-    plans = plan_both_sides(traj, zone, crossing, v, lead=0.5, i_min=k)
+    plans = plan_both_sides(traj, zone, crossing, lead=0.5, i_min=k)
     for plan in plans:
         x, y, dx, dy = plan.table.T
         assert np.hypot(x - zone.cx, y - zone.cy).min() >= zone.r_danger - 1e-9
@@ -461,8 +468,7 @@ scales = log_uniform(1.0 / WORLD)
 def world_edge_cases(draw):
     """A config doc whose path has lengths up to +-WORLD and scales
     log-uniform over [1/WORLD, WORLD], of at most ~200 samples, plus a zone
-    (radius, margin) to centre on one of its samples, the speed hint and the
-    lead."""
+    (radius, margin) to centre on one of its samples and the lead."""
     kind = draw(st.sampled_from(("polyline", "circle", "sinusoid")))
     if kind == "polyline":
         points = draw(st.lists(st.tuples(lengths, lengths), min_size=2, max_size=4,
@@ -484,8 +490,7 @@ def world_edge_cases(draw):
     doc = {"version": 1, "dt": dt, "duration": dt * draw(st.integers(1, 200)),
            "path": {"kind": kind, **path},
            "heol": {"t_window": 4 * dt}}   # the shortest window on the grid
-    return (doc, draw(st.floats(0.0, 1.0)), (draw(radii), draw(scales)), draw(scales),
-            draw(st.floats(0.0, 10.0)))
+    return doc, draw(st.floats(0.0, 1.0)), (draw(radii), draw(scales)), draw(st.floats(0.0, 10.0))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -493,7 +498,7 @@ def world_edge_cases(draw):
 def test_in_world_configs_build_scan_and_plan_without_overflow(case):
     # no rescaling guards the crossing scan or the planner: the world bound
     # keeps every square, step count and wrap length finite
-    doc, pick, (r, margin), hint, lead = case
+    doc, pick, (r, margin), lead = case
     try:
         cfg = ScenarioConfig.from_dict(doc)
     except ConfigError:
@@ -505,11 +510,11 @@ def test_in_world_configs_build_scan_and_plan_without_overflow(case):
         j = int(pick * (traj.n - 1))
         centre = (min(max(v, -WORLD), WORLD) for v in traj.row(j)[:2])
         cfg = replace(cfg, obstacles=(Obstacle(*centre, r),),
-                      avoidance=AvoidanceConfig(margin=margin, lead=lead, speed_hint=hint))
+                      avoidance=AvoidanceConfig(margin=margin, lead=lead))
         zone = cfg.obstacles[0].danger_zone(margin)
         crossing = path_crosses_zone(traj, zone)
         if crossing is not None:
             try:
-                plan_both_sides(traj, zone, crossing, hint, lead)
+                plan_both_sides(traj, zone, crossing, lead=lead)
             except InfeasibleBypassError:   # a rule refused the wrap; nothing overflowed
                 pass

@@ -114,6 +114,11 @@ def test_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+# A config saved before avoidance.speed_hint went, which wrote it as null.
+SAVED_WITH_SPEED_HINT = json.loads(json.dumps(ScenarioConfig(duration=2.0).to_dict()))
+SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("doc", [
     {"controller": "mfpc", "mfpc": {"horizon": 0}},
@@ -203,6 +208,8 @@ def test_config_error_exit_code(tmp_path):
     {"noise": {"sigma": 1e300}},                          # rms_tracking = inf
     {"controller": "mfpc", "mfpc": {"horizon": 1e300}},   # 26.7 s ahead on a 25 s reference
     {"controller": "mfpc", "mfpc": {"eval_at_next": False}},   # not an MfpcConfig field
+    SAVED_WITH_SPEED_HINT,                                 # saved before the field went
+    {"obstacles": [{"cx": 10.0, "cy": 0.1, "radius": 0.8}]},   # not an Obstacle field
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -226,7 +233,8 @@ def test_config_error_exit_code(tmp_path):
         "huge-zone-mfpc", "huge-margin-heol", "overflowing-line-1e159",
         "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
         "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge",
-        "mfpc-horizon-past-reference", "mfpc-eval_at_next-false"])
+        "mfpc-horizon-past-reference", "mfpc-eval_at_next-false", "saved-speed_hint-null",
+        "obstacle-radius"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -277,13 +285,20 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
     ({"obstacles": [{"cx": 1e160, "cy": 0, "r": 1e200}], "avoidance": {"sensing_radius": 1e300}},
      "obstacles[0].cx = 1e+160 is outside"),
     ({"obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}], "avoidance": {"speed_hint": 1e-300}},
-     "avoidance.speed_hint = 1e-300 is outside"),
+     "unknown config keys: ['avoidance.speed_hint']"),
     ({"controller": "mfpc", "mfpc": {"alpha1": 1e-17}}, "mfpc.alpha1 = 1e-17 is outside"),
     ({"noise": {"sigma": 1e300}}, "noise.sigma = 1e+300 is outside"),
-    ({"controller": "mfpc", "mfpc": {"eval_at_next": False}}, "mfpc.eval_at_next "),
+    ({"controller": "mfpc", "mfpc": {"eval_at_next": False}},
+     "unknown config keys: ['mfpc.eval_at_next']"),
+    ({"controller": "mfpc", "mfpc": {"eval_at_next": 1}},
+     "unknown config keys: ['mfpc.eval_at_next']"),
+    (SAVED_WITH_SPEED_HINT, "unknown config keys: ['avoidance.speed_hint']"),
+    ({"obstacles": [{"cx": 10.0, "cy": 0.1, "radius": 0.8}]},
+     "unknown config keys: ['obstacles[0].radius']"),
 ], ids=["mfpc-horizon-past-reference", "huge-zone-heol", "overflowing-line-1e159",
         "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge",
-        "mfpc-eval_at_next-false"])
+        "mfpc-eval_at_next-false", "mfpc-eval_at_next-number", "saved-speed_hint-null",
+        "obstacle-radius"])
 def test_a_refusal_at_load_names_its_field(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         ScenarioConfig.from_dict({"version": 1, **doc})
@@ -295,9 +310,9 @@ def test_a_refusal_at_load_names_its_field(doc, message):
     ("obstacle.cx", "obstacles[0].cx", WORLD, math.inf,
      lambda v: {"obstacles": (Obstacle(v, 0.0, 1.0),)},
      lambda v: {"obstacles": [{"cx": v, "cy": 0.0, "r": 1.0}]}),
-    ("avoidance.speed_hint", "avoidance.speed_hint", 1 / WORLD, 0.0,
-     lambda v: {"avoidance": AvoidanceConfig(speed_hint=v)},
-     lambda v: {"avoidance": {"speed_hint": v}}),
+    ("avoidance.margin", "avoidance.margin", 1 / WORLD, 0.0,
+     lambda v: {"avoidance": AvoidanceConfig(margin=v)},
+     lambda v: {"avoidance": {"margin": v}}),
     ("path.omega", "path.omega", WORLD, math.inf,
      lambda v: {"path": {"kind": "circle", "omega": v}},
      lambda v: {"path": {"kind": "circle", "omega": v}}),
@@ -402,8 +417,7 @@ def test_accepted_numbers_load_unchanged():
 # A valid config with every field present, numbers in place of the nulls.
 VALID_DOC = json.loads(json.dumps(ScenarioConfig(
     name="prop", duration=1.0, noise_seed=3, perturbation_seed=4, start=(0.1, 0.0),
-    obstacles=(Obstacle(8.0, 0.1, 0.8, t_appear=0.5),),
-    avoidance=AvoidanceConfig(speed_hint=1.0)).to_dict()))
+    obstacles=(Obstacle(8.0, 0.1, 0.8, t_appear=0.5),)).to_dict()))
 
 
 def _doc_paths(node, path=()):
@@ -423,7 +437,7 @@ _SIGNED = {"cx", "cy", "alpha1", "alpha2"}
 def _is_valid(path, value):
     key = path[-1]
     if value is None:
-        return key in ("start", "noise_seed", "perturbation_seed", "speed_hint")
+        return key in ("start", "noise_seed", "perturbation_seed")
     if key == "name":
         return isinstance(value, str)
     old = VALID_DOC
@@ -484,7 +498,7 @@ def test_a_block_built_in_code_refuses_what_the_loader_refuses():
             pass
         except Exception as exc:
             problems.append((path, value, repr(exc)))
-    assert cases == 171 and problems == []
+    assert cases == 165 and problems == []
     with pytest.raises(ConfigError, match=r"^mfpc\.alpha1 = 1e-17 is outside"):
         MfpcController(MfpcConfig(alpha1=1e-17), 0.01)
 
@@ -654,9 +668,9 @@ def test_aborted_run_csv_ends_in_a_nan_row(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2002
     assert lines[-1] == ",".join(["nan"] * len(CSV_COLUMNS))
-    # the abort happens mid-run; samples before it are finite
+    # the abort happens once the state leaves the world; samples before it are finite
     first_nan = next(k for k, line in enumerate(lines[1:]) if line.startswith("nan"))
-    assert 0.5 < first_nan * cfg.dt < 1.0
+    assert 0.1 < first_nan * cfg.dt < 0.2
     assert "nan" not in lines[1]
 
 

@@ -101,8 +101,7 @@ def configs(draw):
                         startup_threshold=draw(reals(0, 5))),
         avoidance=AvoidanceConfig(margin=draw(positive(2)),
                                   sensing_radius=draw(positive(20)),
-                                  lead=draw(reals(0, 2)),
-                                  speed_hint=draw(st.none() | positive(3))),
+                                  lead=draw(reals(0, 2))),
     )
 
 

@@ -110,8 +110,9 @@ def sha256_of_csv(result, path):
      "6e569aed369aa5672902b2530be61991a729a811a4903752c27098a74c735f21"),
     (nominal_tracking("mfpc", "line"),
      "32fb136e1f688665f3e0bfd27b2cf3971d6293decb9b68c5d646c99b42b191bb"),
+    # aborts at t=0.11, where its state leaves the world
     (replace(nominal_tracking("heol", "line"), heol=HeolConfig(kx=1e6, ky=1e6)),
-     "f8bac5a159ea1c87fcd4a5d3ae533e55f778efe58edbaf4047cd300529347ceb"),
+     "80090a18fe7e89c1a92b664a96e28f78dc484b9a63150fa6238a61278017c95d"),
 ], ids=["safety-heol-9", "line-mfpc", "heol-kx-1e6-aborts"])
 def test_real_csvs_keep_their_bytes(tmp_path, cfg, digest):
     assert sha256_of_csv(run_scenario(cfg), tmp_path / "run.csv") == digest

@@ -201,18 +201,18 @@ LATE_OBSTACLE = crossing_obstacle(safety_scenario("heol", 104), 104)
              avoidance=AvoidanceConfig(sensing_radius=1.5)),
      "infeasible bypass: no entry anchor outside the danger zone", " at t=10.73"),
     (None, "controller fault: ", "non-finite measurement (nan, nan) at t=0.0"),
-    # the plant's own summed clock would read 0.8600000000000005 here
+    # the state passes x = WORLD; the plant's own summed clock would read
+    # 0.10999999999999999 here
     (replace(SHORT_LINE, heol=HeolConfig(kx=1e6, ky=1e6)),
-     "state integrity: non-finite plant input: ", " at t=0.86"),
+     "state integrity: plant state (", ") left the world at t=0.11"),
     # overlapping zones: bypasses of the two alternate at t=7.32
     (replace(safety_scenario("heol", 1), duration=8.0, noise=NoiseConfig(enabled=False),
              obstacles=(Obstacle(11.0, 0.1, 0.6), Obstacle(12.1, -1.45, 0.9))),
      "replanning loop exceeded limit (obstacles [0, 1])", " at t=7.32"),
-    # a wrap re-timed so slowly that it would end over 10**8 samples on: it
-    # is planned, but not sampled
-    (ScenarioConfig(obstacles=(Obstacle(10.0, 0.1, 0.8),),
-                    avoidance=AvoidanceConfig(speed_hint=1e-6)),
-     "infeasible bypass: bypass extends past the end of the trajectory", " at t=4.98"),
+    # a wrap that starts before the run's last sample but would end past the
+    # reference's: it is planned, but not sampled
+    (ScenarioConfig(obstacles=(Obstacle(21.0, 0.1, 2.0),)),
+     "infeasible bypass: bypass extends past the end of the trajectory", " at t=16.03"),
 ], ids=["infeasible-bypass", "late-discovery-1.5m", "controller-fault", "state-integrity",
         "replan-limit", "slow-wrap-1e-6"])
 def test_each_fault_ends_the_run_with_its_reason(monkeypatch, cfg, prefix, suffix):

@@ -328,7 +328,7 @@ def test_revisions_never_write_their_input():
     traj = build_reference(PolylinePath(((0.0, 0.0), (6.0, 0.0), (10.0, 4.0), (16.0, 4.0)),
                                         fillet_radius=0.8), DT)
     zone = DangerZone(float(traj.x[700]), float(traj.y[700]), 0.5)
-    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone), 1.0)[1]
+    plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone))[1]
     before = traj.table.copy()
     for revised in (apply_sync(traj, 0, 0), apply_sync(traj, 40, 300),
                     apply_sync(traj, -40, 300), apply_sync(traj, 5000, 0), splice(traj, plan)):
@@ -395,9 +395,7 @@ def revised_references(draw):
         zone = DangerZone(float(traj.x[i]), float(traj.y[i]), draw(st.floats(0.2, 0.6)))
         side = draw(st.sampled_from(["left", "right"]))
         try:
-            plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone),
-                                   speed)[side == "right"]
-            assume(plan is not None)
+            plan = plan_both_sides(traj, zone, path_crosses_zone(traj, zone))[side == "right"]
             traj = splice(traj, plan)
         except InfeasibleBypassError:
             assume(False)
