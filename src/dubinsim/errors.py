@@ -60,7 +60,7 @@ _LENGTHS = frozenset({"cx", "cy", "r", "radius", "sensing_radius", "amplitude",
                       "fillet_radius", "x0", "y0", "waypoints[][]", "start[]", "omega",
                       "sigma"})
 _SCALES = frozenset({"dt", "speed", "wavelength", "margin", "alpha1", "alpha2"})
-# The sign of a number, where it has one; the path specs keep their own rules.
+# The sign of a number, where it has one; reference.sample_count holds the path's rules.
 _POSITIVE = frozenset({"dt", "duration", "kx", "ky", "t_window", "horizon", "u1_max",
                        "u2_margin", "switch_interval", "tau_max", "margin", "sensing_radius", "r"})
 _NON_NEGATIVE = frozenset({"sigma", "lead", "startup_threshold", "t_appear"})

@@ -60,7 +60,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """
     dt = cfg.dt
     n = cfg.n_steps
-    traj = build_reference(cfg.path_spec(), dt=dt, duration=cfg.duration)
+    traj = build_reference(cfg.path, dt=dt, duration=cfg.duration)
     if cfg.controller == "mfpc":
         check_reference(traj)
     noise = measurement_noise(cfg.noise,
@@ -273,7 +273,7 @@ def run_sweep(cfg: ScenarioConfig, n_runs: int, seed: int | None = None,
     check_name(f"{cfg.name}-r{n_runs - 1:03d}")   # the longest run name
     base_seed = cfg.seed if seed is None else int(seed)
     # the base reference, built once; crossing obstacles are placed on it
-    traj = build_reference(cfg.path_spec(), dt=cfg.dt, duration=cfg.duration)
+    traj = build_reference(cfg.path, dt=cfg.dt, duration=cfg.duration)
     reports = []
     results = []
     seeds = []

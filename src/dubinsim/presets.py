@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .reference import CirclePath, PolylinePath, SinePath
 from .scenario import NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig
 
-LINE_PATH = {"kind": "polyline", "waypoints": ((0.0, 0.0), (25.0, 0.0)), "speed": 1.0}
-SINE_PATH = {"kind": "sinusoid", "amplitude": 1.0, "wavelength": 12.0, "speed": 1.0}
+LINE_PATH = PolylinePath(((0.0, 0.0), (25.0, 0.0)), speed=1.0)
+SINE_PATH = SinePath(amplitude=1.0, wavelength=12.0, speed=1.0)
 # Gentle arc: heading runs 0 -> ~57 degrees over 20 s at unit speed.
-ARC_PATH = {"kind": "circle", "cx": 0.0, "cy": 20.0, "radius": 20.0,
-            "omega": 0.05, "phase": -1.5707963267948966}
+ARC_PATH = CirclePath(cx=0.0, cy=20.0, radius=20.0, omega=0.05, phase=-1.5707963267948966)
 
 TRACKING_PATHS = {"line": LINE_PATH, "sinusoid": SINE_PATH, "arc": ARC_PATH}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,50 +31,42 @@ class PolylinePath:
     """Waypoint polyline traversed at constant speed, corners rounded with
     circular fillets so the feedforward heading is continuous."""
 
+    kind: ClassVar[str] = "polyline"
     waypoints: tuple
     speed: float = 1.0
     fillet_radius: float = 0.5
 
     def __post_init__(self):
-        if len(self.waypoints) < 2:
-            raise DegeneratePathError("polyline needs at least two waypoints")
-        if self.speed <= 0.0:
-            raise DegeneratePathError("polyline speed must be positive")
-        if self.fillet_radius < 0.0:
-            raise DegeneratePathError("polyline fillet_radius must be non-negative")
+        # JSON arrays as tuples: a spec read from a file equals one built in code
+        object.__setattr__(self, "waypoints", tuple(map(tuple, self.waypoints)))
 
 
 @dataclass(frozen=True)
 class CirclePath:
     """x = cx + R*cos(omega*t + phase), y = cy + R*sin(omega*t + phase)."""
 
+    kind: ClassVar[str] = "circle"
     cx: float = 0.0
     cy: float = 0.0
     radius: float = 5.0
     omega: float = 0.2
     phase: float = 0.0
 
-    def __post_init__(self):
-        if self.radius <= 0.0 or self.omega == 0.0:
-            raise DegeneratePathError("circle needs positive radius and nonzero omega")
-
 
 @dataclass(frozen=True)
 class SinePath:
     """Constant forward speed in x with a sinusoidal sweep in y."""
 
+    kind: ClassVar[str] = "sinusoid"
     amplitude: float = 1.0
     wavelength: float = 10.0
     speed: float = 1.0
     x0: float = 0.0
     y0: float = 0.0
 
-    def __post_init__(self):
-        if self.speed <= 0.0 or self.wavelength <= 0.0:
-            raise DegeneratePathError("sinusoid needs positive speed and wavelength")
 
-
-PATH_KINDS = {"polyline": PolylinePath, "circle": CirclePath, "sinusoid": SinePath}
+# Each path spec by the "kind" that names it in a config.
+PATH_KINDS = {spec.kind: spec for spec in (PolylinePath, CirclePath, SinePath)}
 
 
 @dataclass(frozen=True)
@@ -133,6 +126,10 @@ def _polyline_pieces(spec: PolylinePath):
     Returns a list of ("line", p0, dirvec, length) and
     ("arc", center, radius, start_angle, signed_sweep) entries.
     """
+    if len(spec.waypoints) < 2 or any(len(point) != 2 for point in spec.waypoints):
+        raise DegeneratePathError("polyline needs two or more waypoints, each an (x, y) pair")
+    if spec.fillet_radius < 0.0:
+        raise DegeneratePathError("polyline fillet_radius must be non-negative")
     pts = [(float(px), float(py)) for px, py in spec.waypoints]
     r = float(spec.fillet_radius)
 
@@ -242,8 +239,11 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
     """Number of samples in ``build_reference(spec, dt, duration)``: a
     polyline's full traversal, floor(length / speed / dt + 1e-9) + 1, which
     checks its geometry (``pieces``, when the caller has them, are not built
-    again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused."""
+    again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused,
+    as is a spec that breaks any other path rule (here or in ``_polyline_pieces``)."""
     if isinstance(spec, PolylinePath):
+        if spec.speed <= 0.0:
+            raise DegeneratePathError("polyline speed must be positive")
         length = sum(map(_piece_length, pieces or _polyline_pieces(spec)))
         steps = length / spec.speed / dt + 1e-9
         if not steps < MAX_SAMPLES:   # NaN too
@@ -252,6 +252,10 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
         if steps < 1.0:
             raise DegeneratePathError("polyline shorter than one sample step")
         return math.floor(steps) + 1
+    if isinstance(spec, CirclePath) and (spec.radius <= 0.0 or spec.omega == 0.0):
+        raise DegeneratePathError("circle needs positive radius and nonzero omega")
+    if isinstance(spec, SinePath) and (spec.speed <= 0.0 or spec.wavelength <= 0.0):
+        raise DegeneratePathError("sinusoid needs positive speed and wavelength")
     steps = duration / dt
     if not steps < MAX_SAMPLES - 0.5:   # round(steps) + 1 <= MAX_SAMPLES
         raise DegeneratePathError(f"duration/dt = {steps:.6g} steps: "
@@ -289,26 +293,6 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
     else:
         raise DegeneratePathError(f"unknown path spec {type(spec).__name__}")
     return ReferenceTrajectory(dt=dt, table=table)
-
-
-def path_spec_from_dict(d: dict):
-    """Instantiate a path spec from its JSON form ({"kind": ..., ...}).
-
-    Every number passes through float(), the waypoints as (x, y) pairs, so a
-    wrong value type fails here and not in the build.
-    """
-    d = dict(d)
-    kind = d.pop("kind", None)
-    if kind not in PATH_KINDS:
-        raise DegeneratePathError(f"unknown path kind {kind!r}")
-    try:
-        d = {key: (tuple((float(x), float(y)) for x, y in value) if key == "waypoints"
-                   else float(value)) for key, value in d.items()}
-        return PATH_KINDS[kind](**d)
-    except DegeneratePathError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DegeneratePathError(f"bad {kind} path spec: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .estimation import window_capacity
 from .heol import HeolConfig
 from .mfpc import MfpcConfig
 from .model import NoiseConfig, PerturbationConfig
-from .reference import MAX_SAMPLES, path_spec_from_dict, sample_count
+from .reference import MAX_SAMPLES, PATH_KINDS, CirclePath, PolylinePath, SinePath, sample_count
 
 CONFIG_VERSION = 1
 
@@ -58,8 +58,7 @@ class ScenarioConfig:
     noise_seed: int | None = None          # None: master seed
     perturbation_seed: int | None = None   # None: master seed
     controller: str = "heol"
-    path: dict = field(default_factory=lambda: {
-        "kind": "polyline", "waypoints": ((0.0, 0.0), (25.0, 0.0)), "speed": 1.0})
+    path: PolylinePath | CirclePath | SinePath = PolylinePath(((0.0, 0.0), (25.0, 0.0)))
     start: tuple | None = None             # None: reference start point
     obstacles: tuple = ()
     noise: NoiseConfig = NoiseConfig()
@@ -80,6 +79,9 @@ class ScenarioConfig:
             if not isinstance(block, section):
                 raise ConfigError(f"{key} must be a {section.__name__}, "
                                   f"got {type(block).__name__}")
+        if not isinstance(self.path, tuple(PATH_KINDS.values())):
+            raise ConfigError("path must be a PolylinePath, CirclePath or SinePath, "
+                              f"got {type(self.path).__name__}")
         for i, ob in enumerate(self.obstacles):
             if not isinstance(ob, Obstacle):
                 raise ConfigError(f"obstacles[{i}] must be an Obstacle, got {type(ob).__name__}")
@@ -95,7 +97,7 @@ class ScenarioConfig:
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
         try:   # the reference's geometry and size, as a run builds it
-            samples = sample_count(self.path_spec(), self.dt, self.duration)
+            samples = sample_count(self.path, self.dt, self.duration)
         except ConfigError as exc:
             raise ConfigError(f"path: {exc}") from exc
         p = self.perturbation
@@ -126,13 +128,11 @@ class ScenarioConfig:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
-    def path_spec(self):
-        return path_spec_from_dict(self.path)
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {"version": CONFIG_VERSION, **asdict(self), "path": json_safe(self.path)}
+        d = {"version": CONFIG_VERSION, **asdict(self)}
+        d["path"] = {"kind": self.path.kind, **d["path"]}
         for key in ("noise_seed", "perturbation_seed"):
             if d[key] is None:
                 del d[key]
@@ -146,28 +146,42 @@ class ScenarioConfig:
         if isinstance(version, bool) or version != CONFIG_VERSION:   # true == 1
             raise ConfigError(f"unsupported config version {version}")
         kwargs = {k: v for k, v in d.items() if k != "version"}
-        # keys no field declares, at any depth, before check_types reads one as a number
+        # keys no field declares and fields with no default left out, at any depth, before
+        # check_types reads one as a number; a path's kind names its spec class
+        path = kwargs.get("path")
+        kind = path.get("kind") if isinstance(path, dict) else None
+        if isinstance(kind, str) and kind not in PATH_KINDS:
+            raise ConfigError(f"path: unknown path kind {kind!r}")
         obstacles = kwargs.get("obstacles") if isinstance(kwargs.get("obstacles"), list) else ()
         blocks = [("", cls, kwargs),
                   *((f"{k}.", section, kwargs.get(k)) for k, section in _SECTIONS.items()),
                   *((f"obstacles[{i}].", Obstacle, ob) for i, ob in enumerate(obstacles))]
-        unknown = [f"{where}{k}" for where, block_cls, block in blocks if isinstance(block, dict)
-                   for k in block.keys() - {f.name for f in fields(block_cls)}]
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        unknown, missing = [], []
+        if isinstance(kind, str):
+            spec = {k: v for k, v in path.items() if k != "kind"}
+            blocks.append(("path.", PATH_KINDS[kind], spec))
+        elif isinstance(path, dict) and "kind" not in path:
+            missing.append("path.kind")
+        for where, block_cls, block in blocks:
+            if isinstance(block, dict):
+                unknown += [where + k for k in block.keys() - {f.name for f in fields(block_cls)}]
+                missing += [where + f.name for f in fields(block_cls) if f.name not in block
+                            and f.default is MISSING and f.default_factory is MISSING]
+        for problem, keys in (("unknown", unknown), ("missing", missing)):
+            if keys:
+                raise ConfigError(f"{problem} config keys: {sorted(keys)}")
         check_types(kwargs)   # before any field is converted or compared
-        try:
-            if "obstacles" in kwargs:
-                kwargs["obstacles"] = tuple(Obstacle(**ob) for ob in kwargs["obstacles"])
-            if kwargs.get("start") is not None:
-                kwargs["start"] = tuple(float(v) for v in kwargs["start"])
-            kwargs.update({k: float(kwargs[k]) for k in ("dt", "duration") if k in kwargs})
-            for key, section in _SECTIONS.items():
-                if key in kwargs:
-                    kwargs[key] = section(**kwargs[key])
-            return cls(**kwargs)
-        except TypeError as exc:   # a missing obstacle key
-            raise ConfigError(f"bad config: {exc}") from exc
+        if "obstacles" in kwargs:
+            kwargs["obstacles"] = tuple(Obstacle(**ob) for ob in kwargs["obstacles"])
+        if kwargs.get("start") is not None:
+            kwargs["start"] = tuple(float(v) for v in kwargs["start"])
+        kwargs.update({k: float(kwargs[k]) for k in ("dt", "duration") if k in kwargs})
+        for key, section in _SECTIONS.items():
+            if key in kwargs:
+                kwargs[key] = section(**kwargs[key])
+        if "path" in kwargs:
+            kwargs["path"] = PATH_KINDS[kind](**spec)
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -213,9 +227,10 @@ def check_file_name(file_name: str) -> None:
 
 
 # The nested parameter blocks (noise, perturbation, heol, ...): the fields
-# whose default is itself a config dataclass.
+# whose default is itself a config dataclass, but the path, whose kind names
+# its class.
 _SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig)
-             if is_dataclass(f.default)}
+             if is_dataclass(f.default) and f.name != "path"}
 
 
 def json_safe(obj):

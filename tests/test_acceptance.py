@@ -191,7 +191,7 @@ def test_criterion_9_determinism(tmp_path):
     from dubinsim.harness import place_crossing_obstacle
     from dubinsim.reference import build_reference
     cfg = robustness_scenario("mfpc", seed=9090)
-    traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
+    traj = build_reference(cfg.path, cfg.dt, cfg.duration)
     cfg = replace(cfg, obstacles=(place_crossing_obstacle(traj, 9090),))
     paths = []
     for i in range(2):

@@ -505,7 +505,7 @@ def test_in_world_configs_build_scan_and_plan_without_overflow(case):
         return
     with np.errstate(over="raise", invalid="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
+        traj = build_reference(cfg.path, cfg.dt, cfg.duration)
         assert np.isfinite(traj.table).all()
         j = int(pick * (traj.n - 1))
         centre = (min(max(v, -WORLD), WORLD) for v in traj.row(j)[:2])

@@ -23,6 +23,7 @@ from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
 from dubinsim.mfpc import MfpcController
 from dubinsim.presets import nominal_tracking, robustness_scenario, safety_scenario
+from dubinsim.reference import CirclePath, PolylinePath, SinePath
 from dubinsim.scenario import (MAX_SAMPLES, WORLD, AvoidanceConfig, HeolConfig, MfpcConfig,
                                NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig,
                                write_json)
@@ -65,8 +66,8 @@ def test_csv_has_nine_significant_digits_and_decimal_points(tmp_path):
 def test_mfpc_csv_leaves_aux_columns_empty(tmp_path):
     # MFPC has no auxiliary controls: every row's nu1 and nu2 are empty. On
     # the 5 m line the reference parks at its end for the rest of the 20 s run.
-    short = ScenarioConfig(name="mfpc-short", controller="mfpc", path={
-        "kind": "polyline", "waypoints": ((0.0, 0.0), (5.0, 0.0)), "speed": 1.0})
+    short = ScenarioConfig(name="mfpc-short", controller="mfpc",
+                           path=PolylinePath(((0.0, 0.0), (5.0, 0.0)), speed=1.0))
     for cfg in (nominal_tracking("mfpc", "line"), short):
         path = write_cfg(tmp_path, cfg, f"{cfg.name}.json")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -210,6 +211,10 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
     {"controller": "mfpc", "mfpc": {"eval_at_next": False}},   # not an MfpcConfig field
     SAVED_WITH_SPEED_HINT,                                 # saved before the field went
     {"obstacles": [{"cx": 10.0, "cy": 0.1, "radius": 0.8}]},   # not an Obstacle field
+    {"obstacles": [{"cx": 1, "cy": 1}]},                   # no r
+    {"path": {"kind": "polyline"}},                        # no waypoints
+    {"path": {"kind": "circle", "bogus": 1}},              # not a CirclePath field
+    {"path": {"kind": "spiral"}},
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -234,7 +239,8 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
         "overflowing-line-1e200", "far-huge-zone", "slow-wrap-1e-300", "slow-wrap-1e-320",
         "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge",
         "mfpc-horizon-past-reference", "mfpc-eval_at_next-false", "saved-speed_hint-null",
-        "obstacle-radius"])
+        "obstacle-radius", "obstacle-r-missing", "polyline-waypoints-missing", "circle-bogus",
+        "path-kind-spiral"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -251,17 +257,16 @@ def test_sample_bound_admits_max_samples_and_no_more():
     with pytest.raises(ConfigError, match="duration/dt"):
         ScenarioConfig(dt=dt, duration=MAX_SAMPLES * dt)
     # the polyline's reference holds floor(length / speed / dt) + 1 samples
-    line = {"kind": "polyline", "waypoints": ((0.0, 0.0), ((MAX_SAMPLES - 1) * dt, 0.0)),
-            "speed": 1.0}
-    ScenarioConfig(dt=dt, duration=1.0, path=line)
-    line["waypoints"] = ((0.0, 0.0), (MAX_SAMPLES * dt, 0.0))
+    ScenarioConfig(dt=dt, duration=1.0,
+                   path=PolylinePath(((0.0, 0.0), ((MAX_SAMPLES - 1) * dt, 0.0)), speed=1.0))
     with pytest.raises(ConfigError, match="path: polyline"):
-        ScenarioConfig(dt=dt, duration=1.0, path=line)
+        ScenarioConfig(dt=dt, duration=1.0,
+                       path=PolylinePath(((0.0, 0.0), (MAX_SAMPLES * dt, 0.0)), speed=1.0))
 
 
 @pytest.mark.parametrize("path", [
-    {"kind": "polyline", "waypoints": ((0.0, 0.0), (2.0, 0.0)), "speed": 1.0},   # 2 s reference
-    {"kind": "sinusoid"},                                 # sampled over the 2 s run
+    PolylinePath(((0.0, 0.0), (2.0, 0.0)), speed=1.0),   # 2 s reference
+    SinePath(),                                          # sampled over the 2 s run
 ])
 def test_mfpc_horizon_must_end_before_the_reference(path):
     dt, duration = 0.01, 2.0   # the reference's last sample is 200
@@ -295,10 +300,15 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
     (SAVED_WITH_SPEED_HINT, "unknown config keys: ['avoidance.speed_hint']"),
     ({"obstacles": [{"cx": 10.0, "cy": 0.1, "radius": 0.8}]},
      "unknown config keys: ['obstacles[0].radius']"),
+    ({"obstacles": [{"cx": 1, "cy": 1}]}, "missing config keys: ['obstacles[0].r']"),
+    ({"path": {"kind": "polyline"}}, "missing config keys: ['path.waypoints']"),
+    ({"path": {"kind": "circle", "bogus": 1}}, "unknown config keys: ['path.bogus']"),
+    ({"path": {"kind": "spiral"}}, "path: unknown path kind 'spiral'"),
 ], ids=["mfpc-horizon-past-reference", "huge-zone-heol", "overflowing-line-1e159",
         "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge",
         "mfpc-eval_at_next-false", "mfpc-eval_at_next-number", "saved-speed_hint-null",
-        "obstacle-radius"])
+        "obstacle-radius", "obstacle-r-missing", "polyline-waypoints-missing", "circle-bogus",
+        "path-kind-spiral"])
 def test_a_refusal_at_load_names_its_field(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         ScenarioConfig.from_dict({"version": 1, **doc})
@@ -314,7 +324,7 @@ def test_a_refusal_at_load_names_its_field(doc, message):
      lambda v: {"avoidance": AvoidanceConfig(margin=v)},
      lambda v: {"avoidance": {"margin": v}}),
     ("path.omega", "path.omega", WORLD, math.inf,
-     lambda v: {"path": {"kind": "circle", "omega": v}},
+     lambda v: {"path": CirclePath(omega=v)},
      lambda v: {"path": {"kind": "circle", "omega": v}}),
 ], ids=["length", "scale", "omega"])
 def test_world_bound_admits_its_edge_and_no_more(direct_where, where, edge, toward, direct, doc):
@@ -337,7 +347,7 @@ def test_perturbation_levels_and_estimator_windows_are_bounded_at_load():
     with pytest.raises(ConfigError, match="^mfpc: .*MAX_SAMPLES"):
         ScenarioConfig(controller="mfpc", mfpc=MfpcConfig(t_window=1e6))
     with pytest.raises(ConfigError, match=r"^dt = 1e\+200 is outside"):
-        ScenarioConfig(dt=1e200, duration=2e202, path={"kind": "sinusoid"},
+        ScenarioConfig(dt=1e200, duration=2e202, path=SinePath(),
                        heol=HeolConfig(t_window=4e200))
 
 
@@ -508,7 +518,9 @@ def test_a_block_built_in_code_refuses_what_the_loader_refuses():
     ({"heol": MfpcConfig()}, "heol must be a HeolConfig, got MfpcConfig"),
     ({"obstacles": ({"cx": 8.0, "cy": 0.1, "r": 0.8},)},
      "obstacles[0] must be an Obstacle, got dict"),
-], ids=["dict-block", "other-block", "dict-obstacle"])
+    ({"path": {"kind": "sinusoid"}},
+     "path must be a PolylinePath, CirclePath or SinePath, got dict"),
+], ids=["dict-block", "other-block", "dict-obstacle", "dict-path"])
 def test_a_config_built_in_code_refuses_a_block_of_another_type(kwargs, message):
     # check_types reads any dict or dataclass as a block's JSON object, so
     # without the type check these fail mid-run with AttributeError

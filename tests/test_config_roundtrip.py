@@ -1,6 +1,7 @@
 """Random valid configs survive the JSON round trip unchanged, and every
 config that loads can build its reference."""
 
+import json
 import math
 import os
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from dubinsim.avoidance import Obstacle
 from dubinsim.errors import ConfigError
-from dubinsim.reference import build_reference, path_spec_from_dict, sample_count
+from dubinsim.reference import CirclePath, PolylinePath, SinePath, build_reference, sample_count
 from dubinsim.scenario import (AvoidanceConfig, HeolConfig, MfpcConfig,
                                NoiseConfig, PerturbationConfig, ScenarioConfig,
                                SyncConfig)
@@ -29,17 +30,11 @@ seeds = st.integers(0, 2**32 - 1)
 point = st.tuples(reals(-50, 50), reals(-50, 50))
 
 paths = st.one_of(
-    st.builds(lambda pts, speed, fillet: {"kind": "polyline", "waypoints": pts,
-                                          "speed": speed, "fillet_radius": fillet},
-              st.lists(st.lists(reals(-50, 50), min_size=2, max_size=2),
-                       min_size=2, max_size=4),
-              positive(3), reals(0, 2)),
-    st.builds(lambda cx, cy, radius, omega: {"kind": "circle", "cx": cx, "cy": cy,
-                                             "radius": radius, "omega": omega},
-              reals(-20, 20), reals(-20, 20), positive(20), reals(-1, 1)),
-    st.builds(lambda a, wl, v: {"kind": "sinusoid", "amplitude": a,
-                                "wavelength": wl, "speed": v},
-              reals(-3, 3), positive(30), positive(3)),
+    st.builds(PolylinePath, st.lists(point, min_size=2, max_size=4),
+              speed=positive(3), fillet_radius=reals(0, 2)),
+    st.builds(CirclePath, cx=reals(-20, 20), cy=reals(-20, 20), radius=positive(20),
+              omega=reals(-1, 1)),
+    st.builds(SinePath, amplitude=reals(-3, 3), wavelength=positive(30), speed=positive(3)),
 )
 
 obstacles = st.builds(Obstacle, cx=reals(-50, 50), cy=reals(-50, 50),
@@ -59,7 +54,7 @@ def buildable(path, dt, duration):
     """Whether the path's reference can be built: ``sample_count`` checks
     its geometry and size as ``ScenarioConfig`` does at load."""
     try:
-        sample_count(path_spec_from_dict(path), dt, duration)
+        sample_count(path, dt, duration)
     except ConfigError:
         return False
     return True
@@ -76,7 +71,7 @@ def configs(draw):
     # an MFPC horizon must end before the reference's last sample; the
     # effective horizon is never longer than ``horizon``
     assume(controller == "heol" or round(horizon / dt)
-           < sample_count(path_spec_from_dict(path), dt, duration) - 1)
+           < sample_count(path, dt, duration) - 1)
     return ScenarioConfig(
         name=draw(names),
         dt=dt,
@@ -117,6 +112,17 @@ def test_config_round_trip_is_exact(cfg):
             assert fa.read() == fb.read()
 
 
+def test_every_path_kind_round_trips_through_json():
+    for path in (PolylinePath(((0.0, 0.0), (6.0, 0.0), (6.0, 6.0)), speed=1.5, fillet_radius=0.8),
+                 CirclePath(cx=1.0, radius=3.0, omega=0.4, phase=0.5),
+                 SinePath(amplitude=0.5, wavelength=8.0, y0=-1.0)):
+        cfg = ScenarioConfig(duration=5.0, path=path)
+        loaded = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert loaded == cfg and type(loaded.path) is type(path)
+        assert np.array_equal(build_reference(loaded.path, cfg.dt, cfg.duration).table,
+                              build_reference(path, cfg.dt, cfg.duration).table)
+
+
 # Paths with the degenerate values a config can hold: repeated waypoints and
 # reversals on an integer grid, fillets too big for their legs, zero or
 # negative radii, omegas, speeds and wavelengths, speeds too small for any
@@ -149,7 +155,6 @@ def test_a_config_that_loads_builds_its_reference(path, dt, duration):
                                         "path": path})
     except ConfigError:
         return
-    spec = cfg.path_spec()
-    traj = build_reference(spec, cfg.dt, cfg.duration)
-    assert traj.n == sample_count(spec, dt, duration)
+    traj = build_reference(cfg.path, cfg.dt, cfg.duration)
+    assert traj.n == sample_count(cfg.path, dt, duration)
     assert np.isfinite(traj.table).all()

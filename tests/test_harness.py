@@ -20,7 +20,7 @@ from dubinsim.mfpc import MfpcController
 from dubinsim.model import perturbation_levels
 from dubinsim.presets import (LINE_PATH, SINE_PATH, nominal_tracking, robustness_scenario,
                               safety_scenario, startup_offset_scenario)
-from dubinsim.reference import ReferenceTrajectory, build_reference
+from dubinsim.reference import PolylinePath, ReferenceTrajectory, build_reference
 from dubinsim.scenario import (AvoidanceConfig, HeolConfig, NoiseConfig, PerturbationConfig,
                                ScenarioConfig, SyncConfig)
 
@@ -29,7 +29,7 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def crossing_obstacle(cfg, seed):
-    return place_crossing_obstacle(build_reference(cfg.path_spec(), cfg.dt, cfg.duration), seed)
+    return place_crossing_obstacle(build_reference(cfg.path, cfg.dt, cfg.duration), seed)
 
 
 def test_config_defaults_match_experiment_regime():
@@ -347,7 +347,7 @@ def test_the_record_holds_what_each_step_returned_and_used(monkeypatch, cfg):
 # filled after it from the final trajectory.  That holds because a revision at
 # sample k rewrites rows >= k only.
 
-SHORT_POLYLINE = {"kind": "polyline", "waypoints": ((0.0, 0.0), (5.0, 0.0)), "speed": 1.0}
+SHORT_POLYLINE = PolylinePath(((0.0, 0.0), (5.0, 0.0)), speed=1.0)
 
 
 def revision_cases():
@@ -437,7 +437,7 @@ def test_the_record_holds_the_rows_the_loop_read(monkeypatch, cfg):
 
 def test_discovery_uses_the_sample_clock():
     # by t=50 the plant's summed clock lags 5000 * dt by more than 1e-12
-    cfg = ScenarioConfig(duration=60.0, path={"kind": "polyline", "waypoints": [[0, 0], [70, 0]]},
+    cfg = ScenarioConfig(duration=60.0, path=PolylinePath(((0, 0), (70, 0))),
                          obstacles=(Obstacle(53.0, 0.1, 0.5, t_appear=50.0),))
     r = run_scenario(cfg)
     assert [e["t"] for e in r.events if e["kind"] == "discovery"] == [50.0]
@@ -548,8 +548,7 @@ def shifted_runs(draw):
                           seed=draw(st.integers(0, 2**16)))
 
     def moved(dx, dy):
-        return replace(base, path={"kind": "polyline",
-                                   "waypoints": tuple((x + dx, y + dy) for x, y in waypoints)},
+        return replace(base, path=PolylinePath(tuple((x + dx, y + dy) for x, y in waypoints)),
                        start=(start[0] + dx, start[1] + dy),
                        obstacles=(Obstacle(obstacle[0] + dx, obstacle[1] + dy, r),))
     return moved(0.0, 0.0), moved(*shift)
@@ -589,8 +588,7 @@ def mirrored_runs(draw):
                           perturbation=PerturbationConfig(enabled=draw(st.booleans())))
 
     def reflected(s):
-        return replace(base, path={"kind": "polyline",
-                                   "waypoints": tuple((x, s * y) for x, y in waypoints)},
+        return replace(base, path=PolylinePath(tuple((x, s * y) for x, y in waypoints)),
                        start=(start[0], s * start[1]),
                        obstacles=(Obstacle(obstacle[0], s * obstacle[1], obstacle[2]),))
     return reflected(1.0), reflected(-1.0)
@@ -747,7 +745,7 @@ def test_sweep_pins_unrandomized_streams():
 def test_placed_obstacles_always_cross():
     from dubinsim.avoidance import path_crosses_zone
     cfg = safety_scenario("heol", seed=80)
-    traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
+    traj = build_reference(cfg.path, cfg.dt, cfg.duration)
     for i in range(20):
         ob = place_crossing_obstacle(traj, 80 + i)
         assert path_crosses_zone(traj, ob.danger_zone(0.5)) is not None
@@ -756,7 +754,7 @@ def test_placed_obstacles_always_cross():
 def u_turn():
     return ScenarioConfig(
         name="u-turn", controller="heol", duration=30.0,
-        path={"kind": "polyline", "waypoints": [[0, 0], [12, 0], [12, 4], [0, 4]]},
+        path=PolylinePath(((0, 0), (12, 0), (12, 4), (0, 4))),
         noise=NoiseConfig(enabled=False), obstacles=(Obstacle(6.0, 2.0, 1.8),))
 
 

@@ -155,7 +155,7 @@ def test_setpoint_row_is_the_sample_one_horizon_ahead(cfg):
     assert abs(abs(steps - math.floor(steps)) - 0.5) > 1e-6
     ahead = MfpcController(cfg.mfpc, cfg.dt).ahead
     assert ahead == round(steps)
-    traj = build_reference(cfg.path_spec(), cfg.dt, cfg.duration)
+    traj = build_reference(cfg.path, cfg.dt, cfg.duration)
     for k in range(cfg.n_steps + 1):
         assert traj.row(k + ahead)[:2] == traj.lookup(k * cfg.dt + horizon)[:2]
 
