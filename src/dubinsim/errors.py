@@ -41,10 +41,10 @@ class DegeneratePathError(ConfigError):
 # "obstacles[]" is an element of "obstacles" and "" the config itself.
 _FIELD_TYPES = {
     "": dict, "path": dict, "obstacles[]": dict,
-    **dict.fromkeys(("noise", "perturbation", "heol", "mfpc", "sync", "avoidance"), dict),
+    **dict.fromkeys(("noise", "perturbation", "heol", "mfpc", "avoidance"), dict),
     "start": list, "obstacles": list, "waypoints": list, "waypoints[]": list,
     "seed": int, "noise_seed": int, "perturbation_seed": int,
-    "enabled": bool, "name": str, "controller": str, "kind": str,
+    "enabled": bool, "sync": bool, "name": str, "controller": str, "kind": str,
 }
 _NULLABLE = frozenset({"noise_seed", "perturbation_seed", "start"})
 _TYPE_NAMES = {dict: "a JSON object", list: "an array", int: "an integer",
@@ -62,8 +62,8 @@ _LENGTHS = frozenset({"cx", "cy", "r", "radius", "sensing_radius", "amplitude",
 _SCALES = frozenset({"dt", "speed", "wavelength", "margin", "alpha1", "alpha2"})
 # The sign of a number, where it has one; reference.sample_count holds the path's rules.
 _POSITIVE = frozenset({"dt", "duration", "kx", "ky", "t_window", "horizon", "u1_max",
-                       "u2_margin", "switch_interval", "tau_max", "margin", "sensing_radius", "r"})
-_NON_NEGATIVE = frozenset({"sigma", "lead", "startup_threshold", "t_appear"})
+                       "switch_interval", "margin", "sensing_radius", "r"})
+_NON_NEGATIVE = frozenset({"sigma", "lead", "t_appear"})
 
 
 def check_types(value, where: str = "", key: str | None = None) -> None:

@@ -50,6 +50,9 @@ ABORT_PREFIXES = {
 # Rows per formatting block in emit_csv.
 CSV_BLOCK_ROWS = 256
 
+SYNC_REACH = 5.0            # the widest shift a sync searches, in seconds either way
+STARTUP_SYNC_OFFSET = 0.5   # a start farther (m) from the reference's first point syncs at t=0
+
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Execute one scenario: measure, discover, replan, control, step.
@@ -78,9 +81,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     # one log in time order: the controller appends its clamps to it as it steps
     events = controller.events
-    reach = cfg.sync.tau_max / dt   # the widest sync shift, in samples
-    if cfg.sync.enabled and math.hypot(x - x0, y - y0) > cfg.sync.startup_threshold:
-        shift = sync_offset(x, y, traj, 0, reach)
+    if cfg.sync and math.hypot(x - x0, y - y0) > STARTUP_SYNC_OFFSET:
+        shift = sync_offset(x, y, traj, 0, SYNC_REACH / dt)
         traj = apply_sync(traj, shift, 0)
         events.append({"kind": "sync", "t": 0.0, "tau": shift * dt, "reason": "startup"})
 
@@ -129,8 +131,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 events.extend({"kind": "bypass_end", "t": t} for e in pending_ends if k >= e)
                 pending_ends = [e for e in pending_ends if k < e]
                 next_end = min(pending_ends, default=n + 1)
-                if cfg.sync.enabled:
-                    shift = sync_offset(xm, ym, traj, k, reach)
+                if cfg.sync:
+                    shift = sync_offset(xm, ym, traj, k, SYNC_REACH / dt)
                     if shift != 0:
                         traj = apply_sync(traj, shift, k)
                         events.append({"kind": "sync", "t": t, "tau": shift * dt,

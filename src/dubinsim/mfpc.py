@@ -29,6 +29,8 @@ from .estimation import FWindow
 # MfpcConfig.effective_horizon shrinks the horizon instead.
 MAX_EXP_ARG = 40.0
 
+U2_MARGIN = 0.01   # the heading clamp's distance from pi/2: |u2| <= pi/2 - U2_MARGIN
+
 
 class BoundarySolution(NamedTuple):
     """y*(t) = y_setpoint + c1*exp(rate*(t - t_i)) + c2*exp(-rate*(t - t_i))
@@ -88,19 +90,16 @@ def check_reference(traj) -> None:
 @dataclass(frozen=True)
 class MfpcConfig:
     """Ultra-local scaling per axis, receding horizon and estimation window
-    (s), speed ceiling, and the heading clamp's distance from pi/2."""
+    (s), and speed ceiling."""
 
     alpha1: float = 1.0
     alpha2: float = 1.5
     horizon: float = 0.3
     t_window: float = 0.7
     u1_max: float = 5.0
-    u2_margin: float = 0.01
 
     def __post_init__(self):
         check_types(self, "mfpc")
-        if not self.u2_margin < math.pi / 2:
-            raise ConfigError(f"mfpc.u2_margin = {self.u2_margin!r} must lie in (0, pi/2)")
 
     def effective_horizon(self, dt: float) -> float:
         """The horizon both axes solve over and the setpoints are read
@@ -139,7 +138,7 @@ class MfpcController:
                            for alpha in self.alphas)
         self.windows = tuple(FWindow(config.t_window, dt, input_gain=alpha)
                              for alpha in self.alphas)
-        u2_lim = math.pi / 2 - config.u2_margin
+        u2_lim = math.pi / 2 - U2_MARGIN
         self.limits = (0.0, config.u1_max, -u2_lim, u2_lim)
         self.events: list = []
         self._u1_clamped = self._u2_clamped = False   # on the last step

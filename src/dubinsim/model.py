@@ -26,6 +26,9 @@ from .errors import WORLD, ConfigError, StateIntegrityError, check_types
 # at its previous value instead.
 EPS_SPEED = 1e-6
 
+# |x| or |y| past it ends a run: room beyond a polyline (within WORLD) or a circle (2 * WORLD)
+STATE_BOUND = 3 * WORLD
+
 # Sub-stream indices for the counter-based seed construction.  Every consumer
 # derives its generator from (master_seed, stream_index), so adding a consumer
 # never shifts the draws seen by an existing one.
@@ -73,7 +76,7 @@ def step_plant(x: float, y: float, u1: float, u2: float, p: float = 0.0,
             f"control=({u1}, {u2}), p={p}")
     x = x + dt * u1 * math.cos(u2)
     y = y + dt * u1 * (1.0 + p) * math.sin(u2)
-    if not (abs(x) <= WORLD and abs(y) <= WORLD):   # NaN fails too
+    if not (abs(x) <= STATE_BOUND and abs(y) <= STATE_BOUND):   # NaN fails too
         raise StateIntegrityError(f"plant state ({x}, {y}) left the world")
     return x, y
 

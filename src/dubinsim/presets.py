@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .reference import CirclePath, PolylinePath, SinePath
-from .scenario import NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig
+from .scenario import NoiseConfig, PerturbationConfig, ScenarioConfig
 
 LINE_PATH = PolylinePath(((0.0, 0.0), (25.0, 0.0)), speed=1.0)
 SINE_PATH = SinePath(amplitude=1.0, wavelength=12.0, speed=1.0)
@@ -51,9 +51,5 @@ def startup_offset_scenario(sync_enabled: bool, seed: int = 7) -> ScenarioConfig
     """HEOL on the default line path, dropped well ahead of the reference
     start; with synchronization off it backtracks toward the t=0 point before
     turning around."""
-    return ScenarioConfig(
-        name=f"startup-{'sync' if sync_enabled else 'nosync'}",
-        start=(3.0, 0.4),
-        seed=seed,
-        sync=SyncConfig(enabled=sync_enabled),
-    )
+    return ScenarioConfig(name=f"startup-{'sync' if sync_enabled else 'nosync'}",
+                          start=(3.0, 0.4), seed=seed, sync=sync_enabled)

@@ -10,6 +10,7 @@ trajectories; nothing is mutated in place.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -272,6 +273,13 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
     """
     if dt <= 0.0:
         raise DegeneratePathError("dt must be positive")
+    if not isinstance(spec, tuple(PATH_KINDS.values())):
+        raise DegeneratePathError(f"unknown path spec {type(spec).__name__}")
+    for name, value in vars(spec).items():   # a spec built in code has not met check_types
+        for v in (sum(value, ()) if name == "waypoints" else (value,)):
+            if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                           and abs(v) <= sys.float_info.max):   # NaN fails
+                raise DegeneratePathError(f"path.{name}: {v!r} is not a finite number")
     if isinstance(spec, PolylinePath):
         pieces = _polyline_pieces(spec)
         table = _sample_polyline(pieces, spec.speed, dt,
@@ -283,15 +291,13 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
                                  spec.cy + spec.radius * np.sin(a),
                                  -spec.radius * spec.omega * np.sin(a),
                                  spec.radius * spec.omega * np.cos(a)))
-    elif isinstance(spec, SinePath):
+    else:
         t = dt * np.arange(sample_count(spec, dt, duration))
         k = 2.0 * math.pi / spec.wavelength
         table = np.column_stack((spec.x0 + spec.speed * t,
                                  spec.y0 + spec.amplitude * np.sin(k * spec.speed * t),
                                  np.full_like(t, spec.speed),
                                  spec.amplitude * k * spec.speed * np.cos(k * spec.speed * t)))
-    else:
-        raise DegeneratePathError(f"unknown path spec {type(spec).__name__}")
     return ReferenceTrajectory(dt=dt, table=table)
 
 

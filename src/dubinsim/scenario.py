@@ -30,16 +30,6 @@ CONTROLLERS = ("heol", "mfpc")
 
 
 @dataclass(frozen=True)
-class SyncConfig:
-    enabled: bool = True
-    tau_max: float = 5.0
-    startup_threshold: float = 0.5
-
-    def __post_init__(self):
-        check_types(self, "sync")
-
-
-@dataclass(frozen=True)
 class AvoidanceConfig:
     margin: float = 0.5
     sensing_radius: float = 5.0
@@ -65,7 +55,7 @@ class ScenarioConfig:
     perturbation: PerturbationConfig = PerturbationConfig()
     heol: HeolConfig = HeolConfig()
     mfpc: MfpcConfig = MfpcConfig()
-    sync: SyncConfig = SyncConfig()
+    sync: bool = True                      # re-sync at startup and after each bypass
     avoidance: AvoidanceConfig = AvoidanceConfig()
 
     def __post_init__(self):

@@ -25,8 +25,7 @@ from dubinsim.mfpc import MfpcController
 from dubinsim.presets import nominal_tracking, robustness_scenario, safety_scenario
 from dubinsim.reference import CirclePath, PolylinePath, SinePath
 from dubinsim.scenario import (MAX_SAMPLES, WORLD, AvoidanceConfig, HeolConfig, MfpcConfig,
-                               NoiseConfig, PerturbationConfig, ScenarioConfig, SyncConfig,
-                               write_json)
+                               NoiseConfig, PerturbationConfig, ScenarioConfig, write_json)
 
 
 FULL_CIRCLE_PATH = {"kind": "circle", "cx": 0.0, "cy": 0.0, "radius": 5.0, "omega": 0.2}
@@ -167,18 +166,18 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
     {"controller": "mfpc", "mfpc": {"eval_at_next": 1}},
     {"noise_seed": "abc"},
     {"perturbation_seed": [1], "perturbation": {"enabled": True}},
-    {"sync": {"startup_threshold": "x"}, "start": [3, 1]},
+    {"sync": {"startup_threshold": "x"}, "start": [3, 1]},   # sync is a flag, not a block
     {"avoidance": {"lead": "x"}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
     {"obstacles": [{"cx": True, "cy": 0, "r": "0.8"}]},
     {"path": {"kind": "circle", "radius": True}},
     {"start": "12"},
     {"heol": {"kx": True}},
-    {"controller": "mfpc", "mfpc": {"u2_margin": True}},
+    {"controller": "mfpc", "mfpc": {"u2_margin": True}},   # a constant, not a field
     {"seed": 7.9},
     {"path": {"kind": "polyline", "waypoints": [[0, 0], [5, 0], [9, 2]],
               "fillet_radius": -1}},
     {"avoidance": {"lead": -3}, "obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.8}]},
-    {"sync": {"startup_threshold": -1}},                   # synced at t=0 on every run
+    {"sync": {"startup_threshold": -1}},                   # sync is a flag, not a block
     {"controller": "mfpc",                                 # alphas outside the world
      "mfpc": {"alpha1": 1e-306, "alpha2": 1e-306, "horizon": 1e308}},
     {"dt": 1e-300},                                        # 2e301 samples
@@ -215,6 +214,8 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
     {"path": {"kind": "polyline"}},                        # no waypoints
     {"path": {"kind": "circle", "bogus": 1}},              # not a CirclePath field
     {"path": {"kind": "spiral"}},
+    {"controller": "mfpc", "mfpc": {"u2_margin": 0.01}},   # as every saved MFPC block holds it
+    {"sync": {"enabled": True, "tau_max": 5.0}},           # a saved sync block
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -240,7 +241,7 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
         "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge",
         "mfpc-horizon-past-reference", "mfpc-eval_at_next-false", "saved-speed_hint-null",
         "obstacle-radius", "obstacle-r-missing", "polyline-waypoints-missing", "circle-bogus",
-        "path-kind-spiral"])
+        "path-kind-spiral", "saved-u2_margin", "saved-sync-block"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -304,11 +305,14 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
     ({"path": {"kind": "polyline"}}, "missing config keys: ['path.waypoints']"),
     ({"path": {"kind": "circle", "bogus": 1}}, "unknown config keys: ['path.bogus']"),
     ({"path": {"kind": "spiral"}}, "path: unknown path kind 'spiral'"),
+    ({"controller": "mfpc", "mfpc": {"u2_margin": 0.01}},
+     "unknown config keys: ['mfpc.u2_margin']"),
+    ({"sync": {"enabled": True, "tau_max": 5.0}}, "sync must be true or false"),
 ], ids=["mfpc-horizon-past-reference", "huge-zone-heol", "overflowing-line-1e159",
         "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge",
         "mfpc-eval_at_next-false", "mfpc-eval_at_next-number", "saved-speed_hint-null",
         "obstacle-radius", "obstacle-r-missing", "polyline-waypoints-missing", "circle-bogus",
-        "path-kind-spiral"])
+        "path-kind-spiral", "saved-u2_margin", "saved-sync-block"])
 def test_a_refusal_at_load_names_its_field(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         ScenarioConfig.from_dict({"version": 1, **doc})
@@ -395,7 +399,7 @@ def test_compare_refuses_a_bad_b_before_running_a(tmp_path, capsys, monkeypatch)
     ({"perturbation_seed": [1]}, "perturbation_seed must be an integer"),
     ({"seed": 7.9}, "seed must be an integer"),
     ({"seed": True}, "seed must be an integer"),
-    ({"sync": {"startup_threshold": "x"}}, "sync.startup_threshold must be a finite number"),
+    ({"sync": "yes"}, "sync must be true or false"),
     ({"avoidance": {"lead": "x"}}, "avoidance.lead must be a finite number"),
     ({"obstacles": [{"cx": True, "cy": 0, "r": "0.8"}]}, "obstacles[0].cx must be"),
     ({"obstacles": [{"cx": 1, "cy": 0, "r": "0.8"}]}, "obstacles[0].r must be"),
@@ -405,7 +409,7 @@ def test_compare_refuses_a_bad_b_before_running_a(tmp_path, capsys, monkeypatch)
      "path.waypoints[1][1] must be"),
     ({"start": "12"}, "start must be an array"),
     ({"heol": {"kx": True}}, "heol.kx must be a finite number"),
-    ({"mfpc": {"u2_margin": True}}, "mfpc.u2_margin must be a finite number"),
+    ({"mfpc": {"u1_max": True}}, "mfpc.u1_max must be a finite number"),
     ({"noise": {"enabled": "no"}}, "noise.enabled must be true or false"),
     ({"dt": "0.01"}, "dt must be a finite number"),
     ({"duration": 10**400}, "duration must be a finite number"),
@@ -487,8 +491,8 @@ def test_a_config_with_one_bad_field_exits_2(case):
 
 # The config blocks a library caller builds in code, by config key.
 BLOCKS = {"heol": HeolConfig, "mfpc": MfpcConfig, "noise": NoiseConfig,
-          "perturbation": PerturbationConfig, "sync": SyncConfig,
-          "avoidance": AvoidanceConfig, "obstacles": Obstacle}
+          "perturbation": PerturbationConfig, "avoidance": AvoidanceConfig,
+          "obstacles": Obstacle}
 
 
 def test_a_block_built_in_code_refuses_what_the_loader_refuses():
@@ -508,7 +512,7 @@ def test_a_block_built_in_code_refuses_what_the_loader_refuses():
             pass
         except Exception as exc:
             problems.append((path, value, repr(exc)))
-    assert cases == 165 and problems == []
+    assert cases == 139 and problems == []
     with pytest.raises(ConfigError, match=r"^mfpc\.alpha1 = 1e-17 is outside"):
         MfpcController(MfpcConfig(alpha1=1e-17), 0.01)
 
@@ -621,6 +625,16 @@ def test_long_mfpc_run_finishes(tmp_path):
     for key in ("rms_tracking", "max_tracking", "control_energy"):
         assert math.isfinite(metrics[key])
     assert metrics["rms_tracking"] < 0.01
+
+
+@pytest.mark.parametrize("controller", ["heol", "mfpc"])
+def test_a_path_on_the_world_edge_runs_to_its_end(tmp_path, controller):
+    # the reference ends at x = WORLD: the vehicle's tracking error takes it
+    # past WORLD, not past the plant's STATE_BOUND
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"version": 1, "controller": controller, "path": {
+        "kind": "polyline", "waypoints": [[WORLD - 15, 0], [WORLD, 0]], "speed": 1.0}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_aborted_run_exit_code(tmp_path):

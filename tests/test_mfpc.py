@@ -90,7 +90,7 @@ def test_solve_guards():
 # -- per-axis receding-horizon step ------------------------------------------
 #
 # MfpcController.step applies one law per axis: the x axis drives u1 in
-# [0, u1_max], the y axis drives u2 in +-(pi/2 - u2_margin).
+# [0, u1_max], the y axis drives u2 in +-(pi/2 - U2_MARGIN).
 
 ZERO_ROW = (0.0, 0.0, 0.0, 0.0)
 

@@ -96,6 +96,9 @@ def test_lookup_clamps_and_parks():
     PolylinePath(waypoints=((0.0, 0.0), (0.0, 0.0), (5.0, 0.0))),      # zero-length leg
     PolylinePath(waypoints=((0.0, 0.0), (1.0, 0.0), (1.0, 5.0)),
                  fillet_radius=2.0),                                # does not fit
+    CirclePath(radius=float("nan")),                                # path.radius
+    SinePath(speed=True),                                           # path.speed
+    PolylinePath(((0, 0), ("a", 1))),                               # path.waypoints[1][0]
 ])
 def test_degenerate_specs_rejected(bad):
     with pytest.raises(DegeneratePathError):
