@@ -51,14 +51,14 @@ _TYPE_NAMES = {dict: "a JSON object", list: "an array", int: "an integer",
                bool: "true or false", str: "a string", float: "a finite number"}
 
 # Bound of the world a scenario lives in, in metres and seconds: a length (or
-# omega, or the noise sigma) holds |v| <= WORLD and a scale (or an MFPC alpha)
-# 1/WORLD <= |v| <= WORLD, so that no sample, distance squared, step count or
-# wrap length overflows a float, and the two-point solve's exp(-rT) and exp(rT)
-# stay apart.
+# omega, the noise sigma or the bypass lead) holds |v| <= WORLD and a scale
+# (or an MFPC alpha) 1/WORLD <= |v| <= WORLD, so that no sample, distance
+# squared, step count or wrap length overflows a float, and the two-point
+# solve's exp(-rT) and exp(rT) stay apart.
 WORLD = 1e6
 _LENGTHS = frozenset({"cx", "cy", "r", "radius", "sensing_radius", "amplitude",
                       "fillet_radius", "x0", "y0", "waypoints[][]", "start[]", "omega",
-                      "sigma"})
+                      "sigma", "lead"})
 _SCALES = frozenset({"dt", "speed", "wavelength", "margin", "alpha1", "alpha2"})
 # The sign of a number, where it has one; reference.sample_count holds the path's rules.
 _POSITIVE = frozenset({"dt", "duration", "kx", "ky", "t_window", "horizon", "u1_max",

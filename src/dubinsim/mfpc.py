@@ -26,7 +26,7 @@ from .errors import ConfigError, ControllerFault, HorizonTooLongError, check_typ
 from .estimation import FWindow
 
 # |rate * (t_f - t_i)| beyond this risks overflow in the exponentials;
-# MfpcConfig.effective_horizon shrinks the horizon instead.
+# ScenarioConfig.validate refuses an MFPC horizon that reaches it.
 MAX_EXP_ARG = 40.0
 
 U2_MARGIN = 0.01   # the heading clamp's distance from pi/2: |u2| <= pi/2 - U2_MARGIN
@@ -101,22 +101,6 @@ class MfpcConfig:
     def __post_init__(self):
         check_types(self, "mfpc")
 
-    def effective_horizon(self, dt: float) -> float:
-        """The horizon both axes solve over and the setpoints are read
-        ahead: ``horizon``, shortened so that max|alpha| * T stays within
-        MAX_EXP_ARG, and refused unless it is longer than one step dt and
-        spans a finite number of steps."""
-        rate = max(abs(self.alpha1), abs(self.alpha2))
-        T = min(float(self.horizon), MAX_EXP_ARG / rate)
-        while rate * T > MAX_EXP_ARG:   # the quotient can round a hair long
-            T = math.nextafter(T, 0.0)
-        if not T > dt:
-            raise ConfigError(f"mfpc: effective horizon {T:.3g} s is not longer than dt = {dt} s")
-        if not math.isfinite(T / dt):
-            raise ConfigError(f"mfpc: effective horizon {T:.3g} s spans more samples "
-                              f"than a float holds at dt = {dt} s")
-        return T
-
 
 class MfpcController:
     """Both ultra-local axes' constants and sample windows; logs clamp
@@ -125,16 +109,16 @@ class MfpcController:
     On a fixed receding horizon the optimal arc's initial velocity is linear
     in the setpoint error, so each axis's arc is solved once here, in
     horizon-relative time, for a unit error: ``gains`` holds its initial
-    velocity, -r*cosh(rT)/sinh(rT).
+    velocity, -r*cosh(rT)/sinh(rT).  A horizon past MAX_EXP_ARG / max|alpha|
+    raises HorizonTooLongError; a loaded config never holds one.
     """
 
     def __init__(self, config: MfpcConfig, dt: float):
         # setpoints are read one horizon ahead, the horizon both axes solve
         # over: ``ahead`` counts it in samples
-        horizon = config.effective_horizon(dt)
-        self.ahead = round(horizon / dt)
+        self.ahead = round(config.horizon / dt)
         self.alphas = (float(config.alpha1), float(config.alpha2))
-        self.gains = tuple(solve_two_point(1.0, 0.0, 0.0, horizon, alpha).velocity(0.0)
+        self.gains = tuple(solve_two_point(1.0, 0.0, 0.0, config.horizon, alpha).velocity(0.0)
                            for alpha in self.alphas)
         self.windows = tuple(FWindow(config.t_window, dt, input_gain=alpha)
                              for alpha in self.alphas)

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegeneratePathError
+from .errors import WORLD, DegeneratePathError
 
 # Most samples a reference or a run's record table may hold: at 16 float64
 # columns a record table of 10**7 samples takes 1.28 GB.
@@ -255,8 +255,14 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
         return math.floor(steps) + 1
     if isinstance(spec, CirclePath) and (spec.radius <= 0.0 or spec.omega == 0.0):
         raise DegeneratePathError("circle needs positive radius and nonzero omega")
-    if isinstance(spec, SinePath) and (spec.speed <= 0.0 or spec.wavelength <= 0.0):
-        raise DegeneratePathError("sinusoid needs positive speed and wavelength")
+    if isinstance(spec, SinePath):
+        if spec.speed <= 0.0 or spec.wavelength <= 0.0:
+            raise DegeneratePathError("sinusoid needs positive speed and wavelength")
+        reach = abs(spec.x0) + spec.speed * duration   # the last sample's |x| at most
+        if not reach <= WORLD:
+            raise DegeneratePathError(f"path.speed = {spec.speed!r}: the sinusoid's x reaches "
+                                      f"|x0| + speed * duration = {reach:.6g}, outside "
+                                      f"|v| <= WORLD = {WORLD:g}")
     steps = duration / dt
     if not steps < MAX_SAMPLES - 0.5:   # round(steps) + 1 <= MAX_SAMPLES
         raise DegeneratePathError(f"duration/dt = {steps:.6g} steps: "

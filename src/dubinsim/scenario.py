@@ -20,7 +20,7 @@ from .avoidance import Obstacle
 from .errors import WORLD, ConfigError, check_types  # WORLD: re-exported
 from .estimation import window_capacity
 from .heol import HeolConfig
-from .mfpc import MfpcConfig
+from .mfpc import MAX_EXP_ARG, MfpcConfig
 from .model import NoiseConfig, PerturbationConfig
 from .reference import MAX_SAMPLES, PATH_KINDS, CirclePath, PolylinePath, SinePath, sample_count
 
@@ -102,15 +102,23 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.controller}: {exc}") from exc
         if self.controller == "mfpc":
-            # MFPC reads each setpoint round(T / dt) samples ahead, as
-            # MfpcController counts them; a horizon that reaches the
-            # reference's last sample makes every setpoint its end point
-            horizon = self.mfpc.effective_horizon(self.dt)
+            # both axes solve their arc over the horizon, within solve_two_point's
+            # exponent bound; MFPC reads each setpoint round(T / dt) samples
+            # ahead, as MfpcController counts them, and a horizon that reaches
+            # the reference's last sample makes every setpoint its end point
+            horizon = self.mfpc.horizon
+            rate = max(abs(self.mfpc.alpha1), abs(self.mfpc.alpha2))
+            if rate * horizon > MAX_EXP_ARG:
+                raise ConfigError(f"mfpc.horizon = {horizon!r}: max(|alpha1|, |alpha2|) * "
+                                  f"horizon = {rate * horizon:.6g} exceeds "
+                                  f"MAX_EXP_ARG = {MAX_EXP_ARG:g}")
+            if not horizon > self.dt:
+                raise ConfigError(f"mfpc.horizon = {horizon!r}: the horizon is not longer "
+                                  f"than dt = {self.dt}")
             if round(horizon / self.dt) >= samples - 1:
-                raise ConfigError(f"mfpc.horizon = {self.mfpc.horizon!r}: the effective horizon "
-                                  f"{horizon:.6g} s is not shorter than the reference's "
-                                  f"{(samples - 1) * self.dt:.6g} s, so every setpoint "
-                                  "would be its end point")
+                raise ConfigError(f"mfpc.horizon = {horizon!r}: the horizon is not shorter "
+                                  f"than the reference's {(samples - 1) * self.dt:.6g} s, "
+                                  "so every setpoint would be its end point")
         if self.start is not None and len(self.start) != 2:
             raise ConfigError("start must be null or a pair of numbers")
 

@@ -21,7 +21,7 @@ from dubinsim.avoidance import Obstacle
 from dubinsim.cli import main
 from dubinsim.errors import ConfigError
 from dubinsim.harness import emit_csv, run_scenario, CSV_COLUMNS
-from dubinsim.mfpc import MfpcController
+from dubinsim.mfpc import MAX_EXP_ARG, MfpcController
 from dubinsim.presets import nominal_tracking, robustness_scenario, safety_scenario
 from dubinsim.reference import CirclePath, PolylinePath, SinePath
 from dubinsim.scenario import (MAX_SAMPLES, WORLD, AvoidanceConfig, HeolConfig, MfpcConfig,
@@ -114,6 +114,15 @@ def test_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+# The 60 s sinusoid whose 30 s MFPC horizon was once shortened to 40 / 1.5 s
+# and run; a lead that made the planner's anchor sample infinite; and a
+# sinusoid whose reference reaches x = 4e6, past the world.
+SHORTENED_HORIZON = {"controller": "mfpc", "duration": 60.0, "path": {"kind": "sinusoid"},
+                     "mfpc": {"horizon": 30.0}}
+LEAD_HUGE = {"obstacles": [{"cx": 10.0, "cy": 0.1, "r": 0.5}], "avoidance": {"lead": 1e308}}
+SINUSOID_PAST_WORLD = {"path": {"kind": "sinusoid", "speed": 200000.0, "wavelength": 1e6},
+                       "noise": {"enabled": False}}
+
 # A config saved before avoidance.speed_hint went, which wrote it as null.
 SAVED_WITH_SPEED_HINT = json.loads(json.dumps(ScenarioConfig(duration=2.0).to_dict()))
 SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
@@ -132,7 +141,7 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
     {"start": [1]},
     {"start": [1, 2, 3]},
     {"controller": "mfpc", "mfpc": {"horizon": 0.01}},     # no longer than dt
-    {"controller": "mfpc", "mfpc": {"alpha1": 10000}},     # guard shrinks it to 0.004 s
+    {"controller": "mfpc", "mfpc": {"alpha1": 10000}},     # 10000 * 0.3 s > MAX_EXP_ARG
     {"path": {"kind": "polyline", "waypoints": [[0, 0], [1, 0], [1, 5], [10, 5]],
               "speed": 1.0, "fillet_radius": 2.0}},        # fillet does not fit leg 0
     {"avoidance": {"sensing_radius": -1}, "obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0.8}]},
@@ -206,7 +215,7 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
       for hint in (1e-300, 1e-320, 5e-324)],
     {"controller": "mfpc", "mfpc": {"alpha1": 1e-17}},    # exp(-rT) == exp(rT)
     {"noise": {"sigma": 1e300}},                          # rms_tracking = inf
-    {"controller": "mfpc", "mfpc": {"horizon": 1e300}},   # 26.7 s ahead on a 25 s reference
+    {"controller": "mfpc", "mfpc": {"horizon": 26.0}},    # 26 s ahead on a 25 s reference
     {"controller": "mfpc", "mfpc": {"eval_at_next": False}},   # not an MfpcConfig field
     SAVED_WITH_SPEED_HINT,                                 # saved before the field went
     {"obstacles": [{"cx": 10.0, "cy": 0.1, "radius": 0.8}]},   # not an Obstacle field
@@ -216,6 +225,9 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
     {"path": {"kind": "spiral"}},
     {"controller": "mfpc", "mfpc": {"u2_margin": 0.01}},   # as every saved MFPC block holds it
     {"sync": {"enabled": True, "tau_max": 5.0}},           # a saved sync block
+    SHORTENED_HORIZON,                                     # 1.5 * 30 s > MAX_EXP_ARG
+    LEAD_HUGE,
+    SINUSOID_PAST_WORLD,
 ], ids=["mfpc-horizon", "mfpc-alpha1", "mfpc-t_window", "heol-t_window",
         "margin-zero", "margin-negative", "path-null", "path-number",
         "start-one", "start-three", "mfpc-horizon-dt", "mfpc-alpha1-horizon",
@@ -241,7 +253,8 @@ SAVED_WITH_SPEED_HINT["avoidance"]["speed_hint"] = None
         "slow-wrap-5e-324", "mfpc-alpha1-tiny", "noise-sigma-huge",
         "mfpc-horizon-past-reference", "mfpc-eval_at_next-false", "saved-speed_hint-null",
         "obstacle-radius", "obstacle-r-missing", "polyline-waypoints-missing", "circle-bogus",
-        "path-kind-spiral", "saved-u2_margin", "saved-sync-block"])
+        "path-kind-spiral", "saved-u2_margin", "saved-sync-block", "mfpc-horizon-past-exponent",
+        "avoidance-lead-huge", "sinusoid-x-past-world"])
 def test_bad_controller_parameters_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, **doc}))
@@ -279,11 +292,30 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
                        mfpc=MfpcConfig(alpha1=0.1, alpha2=0.1, horizon=200 * dt))
 
 
+def test_mfpc_exponent_bound_admits_its_edge_and_no_more():
+    # both axes solve over the horizon as configured, so max|alpha| * horizon
+    # must stay within MAX_EXP_ARG; the 60 s sinusoid is longer than either
+    edge = MAX_EXP_ARG / max(abs(MfpcConfig().alpha1), abs(MfpcConfig().alpha2))
+    cfg = ScenarioConfig.from_dict({**SHORTENED_HORIZON, "mfpc": {"horizon": edge}})
+    controller = MfpcController(cfg.mfpc, cfg.dt)
+    assert controller.ahead == round(edge / cfg.dt)
+    assert all(math.isfinite(gain) for gain in controller.gains)
+    result = run_scenario(cfg)
+    assert not result.aborted and math.isfinite(result.metrics["rms_tracking"])
+    past = math.nextafter(edge, math.inf)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"mfpc.horizon = {past!r}: ")
+                                          + r".* exceeds MAX_EXP_ARG = 40$"):
+        ScenarioConfig.from_dict({**SHORTENED_HORIZON, "mfpc": {"horizon": past}})
+    # HEOL builds no MFPC controller: its mfpc block is only type- and sign-checked
+    ScenarioConfig.from_dict({**SHORTENED_HORIZON, "controller": "heol",
+                              "mfpc": {"horizon": 1e300}})
+
+
 # Each doc is also a row of test_bad_controller_parameters_exit_2, which runs
 # it through the CLI; the refusal names its field and why.
 @pytest.mark.parametrize("doc, message", [
-    ({"controller": "mfpc", "mfpc": {"horizon": 1e300}},
-     "mfpc.horizon = 1e+300: the effective horizon 26.6667 s is not shorter than"),
+    ({"controller": "mfpc", "mfpc": {"horizon": 26.0}},
+     "mfpc.horizon = 26.0: the horizon is not shorter than the reference's 25 s"),
     ({"obstacles": [{"cx": 10.0, "cy": 0.0, "r": 1e200}]}, "obstacles[0].r = 1e+200 is outside"),
     ({"path": {"kind": "polyline", "waypoints": [[0, 0], [1e159, 0]], "speed": 1e155},
       "obstacles": [{"cx": 5e158, "cy": 0, "r": 1e150}], "noise": {"enabled": False},
@@ -308,11 +340,17 @@ def test_mfpc_horizon_must_end_before_the_reference(path):
     ({"controller": "mfpc", "mfpc": {"u2_margin": 0.01}},
      "unknown config keys: ['mfpc.u2_margin']"),
     ({"sync": {"enabled": True, "tau_max": 5.0}}, "sync must be true or false"),
+    (SHORTENED_HORIZON, "mfpc.horizon = 30.0: max(|alpha1|, |alpha2|) * horizon = 45 exceeds "
+                        "MAX_EXP_ARG = 40"),
+    (LEAD_HUGE, "avoidance.lead = 1e+308 is outside |v| <= WORLD"),
+    (SINUSOID_PAST_WORLD, "path: path.speed = 200000.0: the sinusoid's x reaches "
+                          "|x0| + speed * duration = 4e+06, outside |v| <= WORLD"),
 ], ids=["mfpc-horizon-past-reference", "huge-zone-heol", "overflowing-line-1e159",
         "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge",
         "mfpc-eval_at_next-false", "mfpc-eval_at_next-number", "saved-speed_hint-null",
         "obstacle-radius", "obstacle-r-missing", "polyline-waypoints-missing", "circle-bogus",
-        "path-kind-spiral", "saved-u2_margin", "saved-sync-block"])
+        "path-kind-spiral", "saved-u2_margin", "saved-sync-block", "mfpc-horizon-past-exponent",
+        "avoidance-lead-huge", "sinusoid-x-past-world"])
 def test_a_refusal_at_load_names_its_field(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         ScenarioConfig.from_dict({"version": 1, **doc})
@@ -330,7 +368,10 @@ def test_a_refusal_at_load_names_its_field(doc, message):
     ("path.omega", "path.omega", WORLD, math.inf,
      lambda v: {"path": CirclePath(omega=v)},
      lambda v: {"path": {"kind": "circle", "omega": v}}),
-], ids=["length", "scale", "omega"])
+    ("avoidance.lead", "avoidance.lead", WORLD, math.inf,
+     lambda v: {"avoidance": AvoidanceConfig(lead=v)},
+     lambda v: {"avoidance": {"lead": v}}),
+], ids=["length", "scale", "omega", "lead"])
 def test_world_bound_admits_its_edge_and_no_more(direct_where, where, edge, toward, direct, doc):
     ScenarioConfig(**direct(edge))
     ScenarioConfig.from_dict({"version": 1, **doc(edge)})
@@ -370,7 +411,7 @@ def test_unbuildable_paths_are_refused_at_load(path):
     {"dt": 1e-300},                                              # from validate
     {"noise": {"sigma": -1}},                                    # from its block
     {"obstacles": [{"cx": 8.0, "cy": 0.1, "r": 0}]},             # from an obstacle
-    {"controller": "mfpc", "mfpc": {"horizon": 0.01}},           # from effective_horizon
+    {"controller": "mfpc", "mfpc": {"horizon": 0.01}},           # from validate's MFPC rules
 ], ids=["validate", "noise-block", "obstacle", "mfpc-horizon"])
 def test_config_errors_print_one_prefix(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -487,6 +528,43 @@ def test_a_config_with_one_bad_field_exits_2(case):
         assert code == 2, (path, value)
         assert err.getvalue().startswith("config error:") and "Traceback" not in err.getvalue()
         assert [p.name for p in Path(tmp).iterdir()] == ["bad.json"]   # nothing written
+
+
+# A 1 s run per controller with an obstacle in sensing range from t=0, so
+# that a loaded config reaches the planner on its first sample.
+EXTREME_DOCS = [json.loads(json.dumps(ScenarioConfig(
+    name=f"extreme-{controller}", controller=controller, duration=1.0,
+    obstacles=(Obstacle(2.0, 0.1, 0.5),)).to_dict())) for controller in ("heol", "mfpc")]
+
+
+def test_an_extreme_number_in_any_field_ends_in_an_exit_code():
+    # each float leaf in turn at +-1e308: refused at load (2), aborted (1)
+    # or finished (0), never an exception out of main
+    problems, cases = [], 0
+    for base, path in ((base, path) for base in EXTREME_DOCS for path in _doc_paths(base)):
+        for value in (1e308, -1e308):
+            doc = json.loads(json.dumps(base))
+            node = doc
+            for k in path[:-1]:
+                node = node[k]
+            if type(node[path[-1]]) is not float:
+                break
+            cases += 1
+            node[path[-1]] = value
+            with tempfile.TemporaryDirectory() as tmp:
+                config = Path(tmp) / "extreme.json"
+                config.write_text(json.dumps(doc))
+                try:
+                    with contextlib.redirect_stderr(io.StringIO()), \
+                            contextlib.redirect_stdout(io.StringIO()):
+                        code = main(["run", "--config", str(config),
+                                     "--out", str(Path(tmp) / "out")])
+                except Exception as exc:
+                    problems.append((doc["controller"], path, value, repr(exc)))
+                    continue
+                if code not in (0, 1, 2):
+                    problems.append((doc["controller"], path, value, code))
+    assert cases == 108 and problems == []
 
 
 # The config blocks a library caller builds in code, by config key.

@@ -67,8 +67,8 @@ def configs(draw):
     path = draw(paths.filter(lambda path: buildable(path, dt, duration)))
     horizon = draw(reals(0.1, 3))
     controller = draw(st.sampled_from(("heol", "mfpc")))
-    # an MFPC horizon must end before the reference's last sample; the
-    # effective horizon is never longer than ``horizon``
+    # an MFPC horizon must end before the reference's last sample; with
+    # |alpha| <= 10 a horizon of 3 s at most is within MAX_EXP_ARG
     assume(controller == "heol" or round(horizon / dt)
            < sample_count(path, dt, duration) - 1)
     return ScenarioConfig(

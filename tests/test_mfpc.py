@@ -121,24 +121,14 @@ def test_axis_step_matches_boundary_velocity():
     assert u2 == pytest.approx(-1.313035, abs=1e-6)  # velocity of the closed form at t_i
 
 
-def test_controller_shrinks_long_horizons():
-    ctl = MfpcController(MfpcConfig(alpha1=1.0, alpha2=1.0, horizon=100.0), DT)
-    assert ctl.ahead * DT <= 40.0 / 1.0   # 100 s would overflow unshrunk
-    u1, u2, _, _, _, _ = ctl.step(1.0, 0.0, 0.0, stationary_traj().row(ctl.ahead))
-    assert math.isfinite(u1) and math.isfinite(u2)
-    assert math.isfinite(ctl.gains[0])
-
-
 def test_one_horizon_for_both_axes_and_the_lookahead():
-    # 40 / 200 = 0.2 s: the y axis's guard shortens the x axis's horizon too
-    cfg = MfpcConfig(alpha2=200.0, horizon=0.3)
+    # 100 * 0.2 s is within MAX_EXP_ARG: both axes solve over the horizon as
+    # configured, and the setpoint is read that far ahead
+    cfg = MfpcConfig(alpha2=100.0, horizon=0.2)
     ctl = MfpcController(cfg, DT)
-    T = cfg.effective_horizon(DT)
-    assert ctl.ahead == round(T / DT) == 20
+    assert ctl.ahead == round(cfg.horizon / DT) == 20
     for gain, alpha in zip(ctl.gains, (cfg.alpha1, cfg.alpha2)):
-        assert gain == solve_two_point(1.0, 0.0, 0.0, T, alpha).velocity(0.0)
-    assert T == pytest.approx(0.2, rel=1e-15)
-    assert 200.0 * T <= MAX_EXP_ARG
+        assert gain == solve_two_point(1.0, 0.0, 0.0, cfg.horizon, alpha).velocity(0.0)
 
 
 MFPC_CONFIGS = ([nominal_tracking("mfpc", path) for path in TRACKING_PATHS]
@@ -150,7 +140,7 @@ MFPC_CONFIGS = ([nominal_tracking("mfpc", path) for path in TRACKING_PATHS]
 def test_setpoint_row_is_the_sample_one_horizon_ahead(cfg):
     # the run loop reads row k + ahead, ahead = round(T/dt); the time
     # k*dt + T rounds to the same sample unless T/dt sits on a .5 tie
-    horizon = cfg.mfpc.effective_horizon(cfg.dt)
+    horizon = cfg.mfpc.horizon
     steps = horizon / cfg.dt
     assert abs(abs(steps - math.floor(steps)) - 0.5) > 1e-6
     ahead = MfpcController(cfg.mfpc, cfg.dt).ahead
@@ -222,12 +212,13 @@ POSITIONS = st.integers(-5_000_000, 5_000_000).map(lambda i: i * 1e-6)
        t=st.floats(0.0, 300.0), y=POSITIONS, y_sp=POSITIONS)
 def test_gain_is_the_arc_velocity_at_any_absolute_time(alpha, negative, horizon, t, y, y_sp):
     alpha = -alpha if negative else alpha
-    T = MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon).effective_horizon(DT)
-    gain = MfpcController(MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon,
-                                     t_window=0.3), DT).gains[0]
-    assert T <= horizon and abs(alpha) * T <= MAX_EXP_ARG
-    assert T == pytest.approx(min(horizon, MAX_EXP_ARG / abs(alpha)), rel=1e-15)
-    t_f = t + T
+    config = MfpcConfig(alpha1=alpha, alpha2=alpha, horizon=horizon, t_window=0.3)
+    if abs(alpha) * horizon > MAX_EXP_ARG:   # a loaded config never holds it
+        with pytest.raises(HorizonTooLongError):
+            MfpcController(config, DT)
+        return
+    gain = MfpcController(config, DT).gains[0]
+    t_f = t + horizon
     while abs(alpha) * (t_f - t) > MAX_EXP_ARG:   # t + T can round past the guard
         t_f = math.nextafter(t_f, t)
     want = solve_two_point(y, y_sp, t, t_f, alpha).velocity(t)
