@@ -38,8 +38,6 @@ class Obstacle:
 
     def __post_init__(self):
         check_types(self, "obstacle", "obstacles[]")
-        for name in ("cx", "cy", "r", "t_appear"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     def danger_zone(self, margin: float) -> "DangerZone":
         if margin <= 0.0:

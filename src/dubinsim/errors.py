@@ -34,7 +34,7 @@ class ConfigError(DubinsimError, ValueError):
 
 
 class DegeneratePathError(ConfigError):
-    """Reference path specification is degenerate (zero length, zero radius, ...)."""
+    """Reference path specification is degenerate (zero length, zero omega, ...)."""
 
 
 # The JSON type of each config field, by key, that is not a finite number;
@@ -60,10 +60,12 @@ _LENGTHS = frozenset({"cx", "cy", "r", "radius", "sensing_radius", "amplitude",
                       "fillet_radius", "x0", "y0", "waypoints[][]", "start[]", "omega",
                       "sigma", "lead"})
 _SCALES = frozenset({"dt", "speed", "wavelength", "margin", "alpha1", "alpha2"})
-# The sign of a number, where it has one; reference.sample_count holds the path's rules.
+# The sign of a number, where it has one.  reference.sample_count ties a path's
+# fields together: its geometry, size, omega != 0 and the sinusoid's reach.
 _POSITIVE = frozenset({"dt", "duration", "kx", "ky", "t_window", "horizon", "u1_max",
-                       "switch_interval", "margin", "sensing_radius", "r"})
-_NON_NEGATIVE = frozenset({"sigma", "lead", "t_appear"})
+                       "switch_interval", "margin", "sensing_radius", "r", "speed",
+                       "wavelength", "radius"})
+_NON_NEGATIVE = frozenset({"sigma", "lead", "t_appear", "fillet_radius"})
 
 
 def check_types(value, where: str = "", key: str | None = None) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from . import avoidance
 from ._csvfmt import format_block
 from .avoidance import Obstacle
-from .errors import (ConfigError, ControllerFault, InfeasibleBypassError,
+from .errors import (WORLD, ConfigError, ControllerFault, InfeasibleBypassError,
                      ReplanLimitError, StateIntegrityError)
 from .heol import HeolController
 from .mfpc import MfpcController, check_reference
@@ -223,7 +223,8 @@ def place_crossing_obstacle(traj: ReferenceTrajectory, seed: int) -> Obstacle:
     The center sits within CROSSING_LATERAL_MAX of a reference point drawn in
     the CROSSING_WINDOW of the horizon; since that offset is below every
     radius in CROSSING_RADIUS_RANGE the reference always enters the danger
-    disk.
+    disk.  Clamping the center into the world, which holds that point, moves
+    it no farther from the point.
     """
     rng = stream_rng(seed, STREAM_PLACEMENT)
     t_c = float(rng.uniform(*CROSSING_WINDOW)) * traj.tf
@@ -232,7 +233,8 @@ def place_crossing_obstacle(traj: ReferenceTrajectory, seed: int) -> Obstacle:
     nx, ny = (-dyr / speed, dxr / speed) if speed > 1e-9 else (0.0, 1.0)
     off = float(rng.uniform(-CROSSING_LATERAL_MAX, CROSSING_LATERAL_MAX))
     r = float(rng.uniform(*CROSSING_RADIUS_RANGE))
-    return Obstacle(cx=px + off * nx, cy=py + off * ny, r=r, t_appear=0.0)
+    cx, cy = (min(max(v, -WORLD), WORLD) for v in (px + off * nx, py + off * ny))
+    return Obstacle(cx=cx, cy=cy, r=r, t_appear=0.0)
 
 
 @dataclass

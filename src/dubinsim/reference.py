@@ -10,13 +10,12 @@ trajectories; nothing is mutated in place.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import WORLD, DegeneratePathError
+from .errors import WORLD, DegeneratePathError, check_types
 
 # Most samples a reference or a run's record table may hold: at 16 float64
 # columns a record table of 10**7 samples takes 1.28 GB.
@@ -38,6 +37,7 @@ class PolylinePath:
     fillet_radius: float = 0.5
 
     def __post_init__(self):
+        check_types(self, "path")
         # JSON arrays as tuples: a spec read from a file equals one built in code
         object.__setattr__(self, "waypoints", tuple(map(tuple, self.waypoints)))
 
@@ -53,6 +53,9 @@ class CirclePath:
     omega: float = 0.2
     phase: float = 0.0
 
+    def __post_init__(self):
+        check_types(self, "path")
+
 
 @dataclass(frozen=True)
 class SinePath:
@@ -64,6 +67,9 @@ class SinePath:
     speed: float = 1.0
     x0: float = 0.0
     y0: float = 0.0
+
+    def __post_init__(self):
+        check_types(self, "path")
 
 
 # Each path spec by the "kind" that names it in a config.
@@ -129,8 +135,6 @@ def _polyline_pieces(spec: PolylinePath):
     """
     if len(spec.waypoints) < 2 or any(len(point) != 2 for point in spec.waypoints):
         raise DegeneratePathError("polyline needs two or more waypoints, each an (x, y) pair")
-    if spec.fillet_radius < 0.0:
-        raise DegeneratePathError("polyline fillet_radius must be non-negative")
     pts = [(float(px), float(py)) for px, py in spec.waypoints]
     r = float(spec.fillet_radius)
 
@@ -241,10 +245,9 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
     polyline's full traversal, floor(length / speed / dt + 1e-9) + 1, which
     checks its geometry (``pieces``, when the caller has them, are not built
     again); other paths' round(duration / dt) + 1.  Over MAX_SAMPLES refused,
-    as is a spec that breaks any other path rule (here or in ``_polyline_pieces``)."""
+    as is a spec that breaks a rule tying its fields together (here or in
+    ``_polyline_pieces``); a spec checks each field alone when it is built."""
     if isinstance(spec, PolylinePath):
-        if spec.speed <= 0.0:
-            raise DegeneratePathError("polyline speed must be positive")
         length = sum(map(_piece_length, pieces or _polyline_pieces(spec)))
         steps = length / spec.speed / dt + 1e-9
         if not steps < MAX_SAMPLES:   # NaN too
@@ -253,11 +256,9 @@ def sample_count(spec, dt: float, duration: float, pieces=None) -> int:
         if steps < 1.0:
             raise DegeneratePathError("polyline shorter than one sample step")
         return math.floor(steps) + 1
-    if isinstance(spec, CirclePath) and (spec.radius <= 0.0 or spec.omega == 0.0):
-        raise DegeneratePathError("circle needs positive radius and nonzero omega")
+    if isinstance(spec, CirclePath) and spec.omega == 0.0:
+        raise DegeneratePathError("circle needs nonzero omega")
     if isinstance(spec, SinePath):
-        if spec.speed <= 0.0 or spec.wavelength <= 0.0:
-            raise DegeneratePathError("sinusoid needs positive speed and wavelength")
         reach = abs(spec.x0) + spec.speed * duration   # the last sample's |x| at most
         if not reach <= WORLD:
             raise DegeneratePathError(f"path.speed = {spec.speed!r}: the sinusoid's x reaches "
@@ -281,11 +282,6 @@ def build_reference(spec, dt: float = 0.01, duration: float = 20.0) -> Reference
         raise DegeneratePathError("dt must be positive")
     if not isinstance(spec, tuple(PATH_KINDS.values())):
         raise DegeneratePathError(f"unknown path spec {type(spec).__name__}")
-    for name, value in vars(spec).items():   # a spec built in code has not met check_types
-        for v in (sum(value, ()) if name == "waypoints" else (value,)):
-            if isinstance(v, bool) or not (isinstance(v, (int, float))
-                                           and abs(v) <= sys.float_info.max):   # NaN fails
-                raise DegeneratePathError(f"path.{name}: {v!r} is not a finite number")
     if isinstance(spec, PolylinePath):
         pieces = _polyline_pieces(spec)
         table = _sample_polyline(pieces, spec.speed, dt,

@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import pytest
@@ -345,12 +345,13 @@ def test_mfpc_exponent_bound_admits_its_edge_and_no_more():
     (LEAD_HUGE, "avoidance.lead = 1e+308 is outside |v| <= WORLD"),
     (SINUSOID_PAST_WORLD, "path: path.speed = 200000.0: the sinusoid's x reaches "
                           "|x0| + speed * duration = 4e+06, outside |v| <= WORLD"),
+    ({"path": {"kind": "sinusoid", "speed": -1.0}}, "path.speed = -1.0 must be positive"),
 ], ids=["mfpc-horizon-past-reference", "huge-zone-heol", "overflowing-line-1e159",
         "far-huge-zone", "slow-wrap-1e-300", "mfpc-alpha1-tiny", "noise-sigma-huge",
         "mfpc-eval_at_next-false", "mfpc-eval_at_next-number", "saved-speed_hint-null",
         "obstacle-radius", "obstacle-r-missing", "polyline-waypoints-missing", "circle-bogus",
         "path-kind-spiral", "saved-u2_margin", "saved-sync-block", "mfpc-horizon-past-exponent",
-        "avoidance-lead-huge", "sinusoid-x-past-world"])
+        "avoidance-lead-huge", "sinusoid-x-past-world", "sinusoid-speed-negative"])
 def test_a_refusal_at_load_names_its_field(doc, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         ScenarioConfig.from_dict({"version": 1, **doc})
@@ -396,14 +397,19 @@ def test_perturbation_levels_and_estimator_windows_are_bounded_at_load():
                        heol=HeolConfig(t_window=4e200))
 
 
-@pytest.mark.parametrize("path", [
-    {"kind": "circle", "radius": 0.0},
-    {"kind": "polyline", "waypoints": [[0, 0], [1, 0], [1, 5]], "fillet_radius": 2.0},
-    {"kind": "polyline", "waypoints": [[0, 0], [0, 0], [5, 0]]},
-    {"kind": "polyline", "waypoints": [[0, 0], [5, 0], [0, 0]]},
+# A field rule names the field; a rule that ties a path's fields together
+# names the path.
+@pytest.mark.parametrize("path, message", [
+    ({"kind": "circle", "radius": 0.0}, "path.radius = 0.0 must be positive"),
+    ({"kind": "polyline", "waypoints": [[0, 0], [1, 0], [1, 5]], "fillet_radius": 2.0},
+     "path: fillet radius 2.0 does not fit on leg 0"),
+    ({"kind": "polyline", "waypoints": [[0, 0], [0, 0], [5, 0]]},
+     "path: zero-length direction in path spec"),
+    ({"kind": "polyline", "waypoints": [[0, 0], [5, 0], [0, 0]]},
+     "path: polyline reverses direction at a vertex"),
 ], ids=["circle-radius-zero", "fillet-does-not-fit", "waypoint-repeated", "reverses"])
-def test_unbuildable_paths_are_refused_at_load(path):
-    with pytest.raises(ConfigError, match="^path: "):
+def test_unbuildable_paths_are_refused_at_load(path, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         ScenarioConfig.from_dict({"version": 1, "path": path})
 
 
@@ -593,6 +599,66 @@ def test_a_block_built_in_code_refuses_what_the_loader_refuses():
     assert cases == 139 and problems == []
     with pytest.raises(ConfigError, match=r"^mfpc\.alpha1 = 1e-17 is outside"):
         MfpcController(MfpcConfig(alpha1=1e-17), 0.01)
+
+
+# Every config block class, the config key that holds it and values for the
+# fields that have no default.
+BLOCK_CLASSES = [(NoiseConfig, "noise", {}), (PerturbationConfig, "perturbation", {}),
+                 (HeolConfig, "heol", {}), (MfpcConfig, "mfpc", {}),
+                 (AvoidanceConfig, "avoidance", {}),
+                 (Obstacle, "obstacles", {"cx": 8.0, "cy": 0.1, "r": 0.8}),
+                 (PolylinePath, "path", {"waypoints": [[0.0, 0.0], [25.0, 0.0]]}),
+                 (CirclePath, "path", {}), (SinePath, "path", {})]
+# Each numeric field of a block, and a waypoint coordinate: the block's
+# class and key, the field's name, and the block's fields with a value in it.
+NUMERIC_FIELDS = [
+    *((cls, key, f.name, lambda v, base=base, name=f.name: {**base, name: v})
+      for cls, key, base in BLOCK_CLASSES for f in dataclass_fields(cls)
+      if type(base.get(f.name, f.default)) is float),
+    (PolylinePath, "path", "waypoints[1][0]", lambda v: {"waypoints": [[0.0, 0.0], [v, 0.0]]}),
+]
+
+
+def _refusal(build):
+    try:
+        build()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cls, key, field, block", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, _, field, _ in NUMERIC_FIELDS])
+def test_every_block_built_in_code_refuses_what_the_loader_refuses(cls, key, field, block):
+    # the loader names an obstacle's field by its place in the file
+    where, loaded_where = ("obstacle", "obstacles[0]") if key == "obstacles" else (key, key)
+    problems = []
+    for value in (True, "1", math.nan, math.inf, -1.0, 2e6, 1e-7):
+        values = block(value)
+        doc = {"path": {"kind": cls.kind, **values}} if key == "path" else {
+            key: [values] if key == "obstacles" else values}
+        built = _refusal(lambda: cls(**values))
+        loaded = _refusal(lambda: ScenarioConfig.from_dict({"version": 1, **doc}))
+        if built is None:   # the loader may still refuse it by a rule that ties fields together
+            agree = loaded is None or not loaded.startswith(f"{loaded_where}.{field} ")
+        else:
+            agree = (loaded is not None
+                     and loaded.removeprefix(loaded_where) == built.removeprefix(where))
+        if not agree:
+            problems.append((value, built, loaded))
+    assert problems == []
+
+
+def test_a_sweep_places_its_obstacle_in_the_world(tmp_path):
+    # the reference runs along the world's edge: a center drawn past it is clamped
+    path = tmp_path / "edge-circle.json"
+    path.write_text(json.dumps({"version": 1, "path": {
+        "kind": "circle", "radius": WORLD, "omega": 1e-6}, "noise": {"enabled": False}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--runs", "3", "--out", str(out)]) == 0
+    doc = json.loads((out / "scenario_sweep.json").read_text())
+    assert doc["aborted_runs"] == [] and doc["safety_violations"] == 0
+    assert all(run["detour_total"] > 0.0 for run in doc["per_run"])
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dubinsim.avoidance import DangerZone, path_crosses_zone, plan_both_sides, splice
-from dubinsim.errors import DegeneratePathError, InfeasibleBypassError
+from dubinsim.errors import ConfigError, DegeneratePathError, InfeasibleBypassError
 from dubinsim.model import aux_to_true, step_plant
 from dubinsim.reference import (MAX_SAMPLES, CirclePath, PolylinePath, ReferenceTrajectory,
                                 SinePath, apply_sync, build_reference, sample_count,
@@ -83,26 +84,34 @@ def test_lookup_clamps_and_parks():
     assert (dx0, dy0) == (0.0, 0.0)
 
 
-# A spec refuses nothing itself: the build refuses each of these.
+# A field rule refuses a spec when it is built, naming the field; the rules
+# that tie a path's fields together refuse it when its reference is built.
 @pytest.mark.parametrize("bad", [
-    PolylinePath(waypoints=((0.0, 0.0),), speed=1.0),
-    PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=0.0),
-    PolylinePath(waypoints=((0, 0), (1, 0), (0, 0)), speed=1.0),  # reverses
-    CirclePath(radius=0.0),
-    CirclePath(omega=0.0),
-    SinePath(wavelength=0.0),
-    PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1e-300),   # 2.5e303 samples
-    PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1e300),    # under one step
-    PolylinePath(waypoints=((0.0, 0.0), (0.0, 0.0), (5.0, 0.0))),      # zero-length leg
-    PolylinePath(waypoints=((0.0, 0.0), (1.0, 0.0), (1.0, 5.0)),
-                 fillet_radius=2.0),                                # does not fit
-    CirclePath(radius=float("nan")),                                # path.radius
-    SinePath(speed=True),                                           # path.speed
-    PolylinePath(((0, 0), ("a", 1))),                               # path.waypoints[1][0]
+    (lambda: PolylinePath(waypoints=((0.0, 0.0),), speed=1.0), None),
+    (lambda: PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=0.0),
+     "path.speed = 0.0 is outside"),
+    (lambda: PolylinePath(waypoints=((0, 0), (1, 0), (0, 0)), speed=1.0), None),   # reverses
+    (lambda: CirclePath(radius=0.0), "path.radius = 0.0 must be positive"),
+    (lambda: CirclePath(omega=0.0), None),
+    (lambda: SinePath(wavelength=0.0), "path.wavelength = 0.0 is outside"),
+    (lambda: PolylinePath(waypoints=((0.0, 0.0), (1e6, 0.0)), speed=1e-6), None),   # 1e14 samples
+    (lambda: PolylinePath(waypoints=((0.0, 0.0), (25.0, 0.0)), speed=1e6), None),   # under one step
+    (lambda: PolylinePath(waypoints=((0.0, 0.0), (0.0, 0.0), (5.0, 0.0))), None),   # zero-length leg
+    (lambda: PolylinePath(waypoints=((0.0, 0.0), (1.0, 0.0), (1.0, 5.0)),
+                          fillet_radius=2.0), None),                               # does not fit
+    (lambda: CirclePath(radius=float("nan")), "path.radius must be a finite number, got nan"),
+    (lambda: SinePath(speed=True), "path.speed must be a finite number, got True"),
+    (lambda: PolylinePath(((0, 0), ("a", 1))),
+     "path.waypoints[1][0] must be a finite number, got 'a'"),
 ])
 def test_degenerate_specs_rejected(bad):
-    with pytest.raises(DegeneratePathError):
-        build_reference(bad, DT, 20.0)
+    make, field_refusal = bad
+    if field_refusal is None:
+        with pytest.raises(DegeneratePathError):
+            build_reference(make(), DT, 20.0)
+    else:
+        with pytest.raises(ConfigError, match="^" + re.escape(field_refusal)):
+            make()
 
 
 @pytest.mark.parametrize("spec, count", [
